@@ -48,8 +48,6 @@ from .engine import (
     ArsAgent,
     AlwaysHonest,
     History,
-    NPoolArsAgent,
-    NPoolOptimalOneShotAttacker,
     OptimalOneShotAttacker,
     PairwiseActionMatrix,
     ScriptedDeviator,
@@ -60,7 +58,6 @@ from .engine import (
     npool_stage_payoffs_mc,
     optimal_simultaneous_attack,
     run_npool,
-    run_repeated,
     two_stage_ratio_sweep,
     two_stage_sweep,
 )

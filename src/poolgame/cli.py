@@ -25,12 +25,9 @@ from .equilibrium import audit_ipbwh_nonempty, delta_bound, stage_nash
 from .engine import (
     DEFAULT_K_NEAR_ONE,
     ArsAgent,
-    NPoolArsAgent,
-    NPoolOptimalOneShotAttacker,
     OptimalOneShotAttacker,
     closed_pool_scenario,
     run_npool,
-    run_repeated,
     sweep_csv_rows,
     two_stage_ratio_sweep,
     two_stage_sweep,
@@ -240,6 +237,11 @@ def _cmd_sweep(args):
     return list(sweep_csv_rows(cells))
 
 
+def _one_shot_strategies(kind, k, n):
+    """Pool 0 attacks every other pool once at stage 0; all pools play ARS."""
+    return [OptimalOneShotAttacker(kind, k=k)] + [ArsAgent(k=k) for _ in range(n - 1)]
+
+
 def _cmd_npool(args):
     kind = AttackKind(args.attack)
     if not args.powers:
@@ -247,10 +249,7 @@ def _cmd_npool(args):
     pools = tuple(PoolProfile(i, p) for i, p in enumerate(args.powers))
     config = GameConfig(pools=pools, discount=args.delta,
                         grid_resolution=max(args.grid, 100), seed=args.seed)
-    strategies = [NPoolOptimalOneShotAttacker(kind, k=args.k)] + [
-        NPoolArsAgent(k=args.k) for _ in args.powers[1:]
-    ]
-    hist = run_npool(config, strategies, args.stages,
+    hist = run_npool(config, _one_shot_strategies(kind, args.k, len(pools)), args.stages,
                      payoff_rounds=args.rounds or None)
     lines = ["stage,pool,payoff"]
     for rec in hist.records:
@@ -316,12 +315,8 @@ def _cmd_reproduce_table(args):
                 pools = (PoolProfile(0, TABLE1_ATTACKER), PoolProfile(1, power))
                 config = GameConfig(pools=pools, discount=args.delta,
                                     grid_resolution=max(args.grid, 100), seed=args.seed)
-                hist = run_repeated(
-                    config,
-                    (OptimalOneShotAttacker(kind, k=args.k), ArsAgent(k=args.k)),
-                    stages=2,
-                )
-                r = hist.records[1].actions[1]
+                hist = run_npool(config, _one_shot_strategies(kind, args.k, 2), 2)
+                r = hist.records[1].actions.action(1, 0)
                 total = sum(rec.payoffs[0] for rec in hist.records)
                 lines.append(
                     f"{name},{power},{kind.value},{100*r.faw/power:.4f},"
@@ -335,12 +330,10 @@ def _cmd_reproduce_table(args):
         pools = tuple(PoolProfile(i, p) for i, p in enumerate(powers))
         config = GameConfig(pools=pools, discount=args.delta,
                             grid_resolution=max(args.grid, 100), seed=args.seed)
-        strategies = [NPoolOptimalOneShotAttacker(kind, k=args.k)] + [
-            NPoolArsAgent(k=args.k) for _ in powers[1:]
-        ]
-        hist = run_npool(config, strategies, 2, payoff_rounds=args.rounds or None)
-        matrix0 = hist.records[0].actions[0]
-        matrix1 = hist.records[1].actions[0]
+        hist = run_npool(config, _one_shot_strategies(kind, args.k, len(powers)), 2,
+                         payoff_rounds=args.rounds or None)
+        matrix0 = hist.records[0].actions
+        matrix1 = hist.records[1].actions
         total = sum(r.payoffs[0] for r in hist.records)
         for j, name in enumerate(TABLE1_POOLS, start=1):
             atk = matrix0.action(0, j)

@@ -1,17 +1,19 @@
 """Repeated-game execution, deviation scenarios, sweeps, and the n-pool game.
 
-Two-pool histories are produced by stepping per-pool strategies with full
-last-stage observability and recording exact stage payoffs. The n-pool game
-keeps per-ordered-pair retaliation bookkeeping; its stage payoffs come from
-the same event model as the two-pool simulator, generalized to n parties.
-The n-pool expectation is computed in closed form by enumerating withheld-block
-states (the Monte-Carlo path samples the identical process and reports a
-standard error), and the two-pool closed form is its reduction oracle.
+One runner, :func:`run_npool`, plays every game with n >= 2 pools. It keeps
+ARS bookkeeping per ordered pair of pools, fills a
+:class:`PairwiseActionMatrix` with the prescriptions and each strategy's
+overrides, and records exact stage payoffs: the ``payoff_pair`` closed form
+for two pools, enumeration of withheld-block states for more. The
+Monte-Carlo path samples the same round race (``payoff._sample_rounds``) and
+reports a standard error; the two-pool closed form is the enumeration's
+reduction oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,18 +24,19 @@ from .model import (
     GameConfig,
     InfiltrationBudgetExceeded,
     InvalidScenario,
+    PoolGameError,
     ZERO_ACTION,
-    validate_action,
 )
 from .payoff import (
-    StagePayoffs,
+    _pot_matrix,
+    _sample_rounds,
     one_sided_attacker,
     one_sided_victim,
     optimal_faw_infiltration,
     optimal_infiltration,
     payoff_pair,
 )
-from .ars import ArsState, ars_step, initial_state, retaliate
+from .ars import ars_step, initial_state, retaliate
 from .equilibrium import golden_max
 
 DEFAULT_K_NEAR_ONE = 0.999  # realizes "preference weight just under 1"
@@ -42,6 +45,9 @@ DEFAULT_K_NEAR_ONE = 0.999  # realizes "preference weight just under 1"
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
+# Every strategy has a preference weight ``k`` for its ARS bookkeeping and a
+# ``pick(stage, me, alphas)`` returning its overrides of the ARS prescription
+# for its own row of the stage matrix, keyed by victim pool.
 
 
 @dataclass
@@ -50,35 +56,46 @@ class ArsAgent:
 
     k: float = DEFAULT_K_NEAR_ONE
 
-    def pick(self, stage: int, prescribed: Action, alpha_own, alpha_opp) -> Action:
-        return prescribed
+    def pick(self, stage: int, me: int, alphas) -> dict[int, Action]:
+        return {}
 
 
 @dataclass
 class ScriptedDeviator:
-    """Plays fixed override actions at chosen stages, the strategy's
-    prescription otherwise."""
+    """Plays fixed override actions (stage -> {victim: Action}) at chosen
+    stages, the strategy's prescription otherwise."""
 
-    overrides: dict[int, Action]
+    overrides: dict[int, dict[int, Action]]
     k: float = DEFAULT_K_NEAR_ONE
 
-    def pick(self, stage, prescribed, alpha_own, alpha_opp):
-        return self.overrides.get(stage, prescribed)
+    def pick(self, stage, me, alphas):
+        return self.overrides.get(stage, {})
 
 
 @dataclass
 class OptimalOneShotAttacker:
-    """Deviates once with the payoff-maximizing one-sided attack, then falls
-    back to the cooperative strategy (contrite)."""
+    """Deviates once against every other pool with the payoff-maximizing
+    attack, then falls back to the cooperative strategy (contrite).
+
+    One victim gets the closed-form one-sided optimum; several victims get
+    a simultaneous infiltration vector from coordinate ascent on the exact
+    stage payoff.
+    """
 
     kind: AttackKind
     stage: int = 0
+    sweeps: int = 5
     k: float = DEFAULT_K_NEAR_ONE
 
-    def pick(self, stage, prescribed, alpha_own, alpha_opp):
-        if stage == self.stage:
-            return Action.of(self.kind, optimal_infiltration(self.kind, alpha_own, alpha_opp))
-        return prescribed
+    def pick(self, stage, me, alphas):
+        if stage != self.stage:
+            return {}
+        victims = [j for j in range(len(alphas)) if j != me]
+        if len(victims) == 1:
+            (j,) = victims
+            return {j: Action.of(self.kind, optimal_infiltration(self.kind, alphas[me], alphas[j]))}
+        xs = optimal_simultaneous_attack(alphas, me, self.kind, self.sweeps)
+        return {j: Action.of(self.kind, xs[j]) for j in victims}
 
 
 @dataclass
@@ -87,8 +104,8 @@ class AlwaysHonest:
 
     k: float = DEFAULT_K_NEAR_ONE
 
-    def pick(self, stage, prescribed, alpha_own, alpha_opp):
-        return ZERO_ACTION
+    def pick(self, stage, me, alphas):
+        return {j: ZERO_ACTION for j in range(len(alphas)) if j != me}
 
 
 Strategy = ArsAgent | ScriptedDeviator | OptimalOneShotAttacker | AlwaysHonest
@@ -102,8 +119,7 @@ Strategy = ArsAgent | ScriptedDeviator | OptimalOneShotAttacker | AlwaysHonest
 @dataclass(frozen=True)
 class StageRecord:
     stage: int
-    # per-pool Actions for the two-pool game; (PairwiseActionMatrix,) for n pools
-    actions: tuple
+    actions: "PairwiseActionMatrix"
     payoffs: tuple[float, ...]
 
 
@@ -122,30 +138,6 @@ def discounted_payoff(history: History, pool: int) -> float:
         raise InvalidScenario("history is empty")
     d = history.discount
     return float(sum(r.payoffs[pool] * d**i for i, r in enumerate(history.records)))
-
-
-def run_repeated(
-    config: GameConfig,
-    strategies: tuple[Strategy, Strategy],
-    stages: int,
-) -> History:
-    """Play the two-pool repeated game for a number of stages."""
-    if len(config.pools) != 2:
-        raise InvalidScenario("run_repeated needs exactly two pools")
-    a1, a2 = config.powers
-    s1, s2 = strategies
-    st1, st2 = initial_state(s1.k), initial_state(s2.k)
-    records = []
-    for t in range(stages):
-        p1, st1 = ars_step(st1, a1, a2, config.grid_resolution, config.tolerance)
-        p2, st2 = ars_step(st2, a2, a1, config.grid_resolution, config.tolerance)
-        act1 = validate_action(s1.pick(t, p1, a1, a2), a1)
-        act2 = validate_action(s2.pick(t, p2, a2, a1), a2)
-        st1 = st1.with_observed(act1, act2)
-        st2 = st2.with_observed(act2, act1)
-        u = payoff_pair(a1, a2, act1, act2, config.tolerance)
-        records.append(StageRecord(t, (act1, act2), (u.u_i, u.u_j)))
-    return History(tuple(records), config.discount)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +174,7 @@ def _two_stage_cell(alpha_1, alpha_2, attack: Action, k, grid_resolution) -> Swe
             (u0.u_j + u1.u_j) / 2.0,
             ip_faw_empty=r.kind is not AttackKind.FAW and not r.is_zero,
         )
-    except Exception as exc:  # cell errors recorded, sweep continues
+    except PoolGameError as exc:  # cell errors recorded, sweep continues
         return SweepCell(alpha_1, alpha_2, attack.power / alpha_1,
                          np.nan, np.nan, np.nan, np.nan, False, error=str(exc))
 
@@ -260,14 +252,15 @@ class PairwiseActionMatrix:
         return cls(np.zeros((n, n)), np.zeros((n, n)))
 
     def validate(self, alphas) -> "PairwiseActionMatrix":
-        if np.any(self.faw < 0) or np.any(self.bwh < 0):
-            raise InvalidScenario("negative infiltration power")
+        # written so that NaN fails every test
+        if not (np.all(self.faw >= 0) and np.all(self.bwh >= 0)):
+            raise InvalidScenario("infiltration powers must be non-negative numbers")
         if np.any((self.faw > 0) & (self.bwh > 0)):
             raise InvalidScenario("FAW and BWH are mutually exclusive per pair")
         if np.any(np.diag(self.faw + self.bwh) > 0):
             raise InvalidScenario("a pool cannot infiltrate itself")
         out = (self.faw + self.bwh).sum(axis=1)
-        if np.any(out > np.asarray(alphas) + 1e-12):
+        if not np.all(out <= np.asarray(alphas) + 1e-12):
             raise InfiltrationBudgetExceeded(
                 f"outgoing infiltration {out} exceeds pool powers {alphas}"
             )
@@ -275,11 +268,6 @@ class PairwiseActionMatrix:
 
     def action(self, i: int, j: int) -> Action:
         return Action(float(self.faw[i, j]), float(self.bwh[i, j]))
-
-    def with_action(self, i: int, j: int, a: Action) -> "PairwiseActionMatrix":
-        f, b = self.faw.copy(), self.bwh.copy()
-        f[i, j], b[i, j] = a.faw, a.bwh
-        return PairwiseActionMatrix(f, b)
 
 
 def _npool_direct_revenue(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
@@ -319,93 +307,22 @@ def _npool_direct_revenue(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
     return revenue
 
 
-def _pot_matrix(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
-    x = matrix.faw + matrix.bwh
-    basis = np.asarray(alphas, float) + x.sum(axis=0)
-    return np.diag(basis) - x
-
-
 def npool_stage_payoffs(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
     """Exact expected extra reward densities for one n-pool stage."""
     matrix.validate(alphas)
     revenue = _npool_direct_revenue(alphas, matrix)
-    q = np.linalg.solve(_pot_matrix(alphas, matrix), revenue)
+    q = np.linalg.solve(_pot_matrix(alphas, matrix.faw, matrix.bwh), revenue)
     return q - 1.0
 
 
 def npool_stage_payoffs_mc(
     alphas, matrix: PairwiseActionMatrix, rounds: int = 10_000_000, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo estimate of the n-pool stage payoffs with standard errors.
-
-    Samples the same per-round race as the exact computation: the round-ending
-    component is categorical over live terminal power, withheld-block flags
-    fire if the detachment's first find lands before the round ends, and
-    external endings are claimed by a uniformly chosen released branch.
-    """
+    """Monte-Carlo estimate of the n-pool stage payoffs with standard errors,
+    sampled from the round race of the live hash power."""
     matrix.validate(alphas)
-    alphas = np.asarray(alphas, float)
-    n = alphas.size
-    rng = np.random.default_rng(seed)
-    out = (matrix.faw + matrix.bwh).sum(axis=1)
-    home = alphas - out
-    ext = 1.0 - alphas.sum()
-    theta = ext + home.sum()
-    flags = [
-        (matrix.faw[i, j], j)
-        for i in range(n)
-        for j in range(n)
-        if matrix.faw[i, j] > 0.0
-    ]
-    term_probs = np.concatenate(([ext], home)) / theta
-    cdf = np.cumsum(term_probs)
-    win_counts = np.zeros(n + 1, dtype=np.int64)  # slot 0: external/no pool
-    chunk = 2_000_000
-    done = 0
-    while done < rounds:
-        m = min(chunk, rounds - done)
-        terminal = np.searchsorted(cdf, rng.random(m), side="right")  # 0=ext, 1..n=home
-        winner = terminal.copy()
-        if flags:
-            tau = rng.exponential(1.0 / theta, m)
-            fired = np.stack(
-                [rng.random(m) < -np.expm1(-phi * tau) for phi, _ in flags]
-            )
-            ext_rounds = terminal == 0
-            n_fired = fired[:, ext_rounds].sum(axis=0)
-            pick = (rng.random(ext_rounds.sum()) * np.maximum(n_fired, 1)).astype(int)
-            hosts = np.array([j for _, j in flags])
-            # order of fired flags per round; select the pick-th fired host
-            fired_ext = fired[:, ext_rounds]
-            cums = np.cumsum(fired_ext, axis=0)
-            sel = np.argmax(cums == (pick + 1)[None, :], axis=0)
-            won = np.where(n_fired > 0, hosts[sel] + 1, 0)
-            winner[ext_rounds] = won
-        win_counts += np.bincount(winner, minlength=n + 1)
-        done += m
-    p_hat = win_counts[1:] / rounds
-    inv = np.linalg.inv(_pot_matrix(alphas, matrix))
-    q_mean = inv @ p_hat
-    # per-round density vector is a column of inv (or zero); categorical variance
-    var = (inv**2) @ p_hat - q_mean**2
-    stderr = np.sqrt(np.maximum(var, 0.0) / rounds)
-    return q_mean - 1.0, stderr
-
-
-@dataclass
-class NPoolArsAgent:
-    k: float = DEFAULT_K_NEAR_ONE
-
-
-@dataclass
-class NPoolOptimalOneShotAttacker:
-    """Simultaneously attacks every other pool at one stage, choosing the
-    infiltration vector by coordinate ascent on the exact stage payoff."""
-
-    kind: AttackKind
-    stage: int = 0
-    sweeps: int = 5
-    k: float = DEFAULT_K_NEAR_ONE
+    u, stderr, _, _ = _sample_rounds(alphas, matrix.faw, matrix.bwh, rounds, seed)
+    return u, stderr
 
 
 def optimal_simultaneous_attack(
@@ -442,21 +359,21 @@ def optimal_simultaneous_attack(
 
 def run_npool(
     config: GameConfig,
-    strategies,
+    strategies: Sequence[Strategy],
     stages: int,
     payoff_rounds: int | None = None,
 ) -> History:
-    """Play the n-pool repeated game with per-pair retaliation bookkeeping.
+    """Play the repeated game of n >= 2 pools with per-pair ARS bookkeeping.
 
-    Recorded stage payoffs are exact event-model expectations by default; pass
+    Recorded stage payoffs are exact expectations by default; pass
     ``payoff_rounds`` to estimate them by Monte-Carlo instead (stderr not
     recorded in the history, available via npool_stage_payoffs_mc).
     """
-    alphas = np.asarray(config.powers, float)
-    n = alphas.size
-    if len(strategies) != n:
-        raise InvalidScenario("one strategy per pool required")
-    states: dict[tuple[int, int], ArsState] = {
+    alphas = config.powers
+    n = len(alphas)
+    if n < 2 or len(strategies) != n:
+        raise InvalidScenario("at least two pools and one strategy per pool required")
+    states = {
         (i, j): initial_state(strategies[i].k)
         for i in range(n)
         for j in range(n)
@@ -465,38 +382,25 @@ def run_npool(
     records = []
     for t in range(stages):
         matrix = PairwiseActionMatrix.zeros(n)
-        new_states = {}
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                prescribed, st = ars_step(
-                    states[(i, j)], alphas[i], alphas[j],
-                    config.grid_resolution, config.tolerance,
-                )
-                new_states[(i, j)] = st
-                matrix = matrix.with_action(i, j, prescribed)
-        for i, strat in enumerate(strategies):
-            if isinstance(strat, NPoolOptimalOneShotAttacker) and t == strat.stage:
-                xs = optimal_simultaneous_attack(alphas, i, strat.kind, strat.sweeps)
-                for j in range(n):
-                    if j != i:
-                        matrix = matrix.with_action(i, j, Action.of(strat.kind, xs[j]))
-        matrix.validate(alphas)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    new_states[(i, j)] = new_states[(i, j)].with_observed(
-                        matrix.action(i, j), matrix.action(j, i)
-                    )
-        states = new_states
-        if payoff_rounds:
-            u, _ = npool_stage_payoffs_mc(
-                alphas, matrix, payoff_rounds, config.seed + t
+        for (i, j), st in states.items():
+            a, states[i, j] = ars_step(
+                st, alphas[i], alphas[j], config.grid_resolution, config.tolerance
             )
+            matrix.faw[i, j], matrix.bwh[i, j] = a.faw, a.bwh
+        for i, strat in enumerate(strategies):
+            for j, a in strat.pick(t, i, alphas).items():
+                matrix.faw[i, j], matrix.bwh[i, j] = a.faw, a.bwh
+        matrix.validate(alphas)
+        for (i, j), st in states.items():
+            states[i, j] = st.with_observed(matrix.action(i, j), matrix.action(j, i))
+        if payoff_rounds:
+            u, _ = npool_stage_payoffs_mc(alphas, matrix, payoff_rounds, config.seed + t)
+        elif n == 2:
+            u = payoff_pair(*alphas, matrix.action(0, 1), matrix.action(1, 0),
+                            config.tolerance)
         else:
             u = npool_stage_payoffs(alphas, matrix)
-        records.append(StageRecord(t, (matrix,), tuple(float(v) for v in u)))
+        records.append(StageRecord(t, matrix, tuple(float(v) for v in u)))
     return History(tuple(records), config.discount)
 
 

@@ -180,11 +180,12 @@ def validate_action(a: Action, owner: PoolProfile | float) -> Action:
     ``owner`` may be a PoolProfile or a bare power fraction.
     """
     alpha = owner.power if isinstance(owner, PoolProfile) else float(owner)
-    if a.faw < 0.0 or a.bwh < 0.0:
-        raise InvalidAction(f"negative infiltration power: {a}")
+    # written so that NaN fails every test
+    if not (a.faw >= 0.0 and a.bwh >= 0.0):
+        raise InvalidAction(f"infiltration powers must be non-negative numbers: {a}")
     if a.faw > 0.0 and a.bwh > 0.0:
         raise InvalidAction(f"FAW and BWH are mutually exclusive, got {a}")
-    if a.faw > alpha or a.bwh > alpha:
+    if not (a.faw <= alpha and a.bwh <= alpha):
         raise InvalidAction(
             f"infiltration power {max(a.faw, a.bwh)} exceeds owner power {alpha}"
         )

@@ -14,8 +14,10 @@ pool's own power alpha (home miners and loyal infiltrators are both credited
 by their manager) plus the opponent's infiltration inside it. The infiltrator's
 cut flows back to its home pool's pot, which couples the two pools' reward
 densities. ``payoff_pair`` resolves that coupling exactly as a 2x2 linear
-system; ``simulate_rounds`` estimates the same quantities from an event-level
-Monte-Carlo simulation of rounds and serves as the independent oracle.
+system. ``_sample_rounds`` is the one Monte-Carlo sampler of the round race,
+for any number of pools; ``simulate_rounds`` (two pools) and the engine's
+``npool_stage_payoffs_mc`` are result builders over it and serve as the
+independent oracle of the exact models.
 
 ``U_i`` is pool i's extra reward density: member reward per unit power minus
 the honest baseline 1.
@@ -49,11 +51,12 @@ class StagePayoffs:
 
 
 def _check_powers(alpha_i: float, alpha_j: float) -> None:
-    if alpha_i <= 0.0 or alpha_j <= 0.0:
-        raise InvalidPowers(f"powers must be positive, got {alpha_i}, {alpha_j}")
-    if alpha_i > 0.5 or alpha_j > 0.5:
+    # written so that NaN fails every test
+    if not (alpha_i > 0.0 and alpha_j > 0.0):
+        raise InvalidPowers(f"powers must be positive numbers, got {alpha_i}, {alpha_j}")
+    if not (alpha_i <= 0.5 and alpha_j <= 0.5):
         raise InvalidPowers("no pool may hold more than half the network")
-    if alpha_i + alpha_j >= 1.0:
+    if not alpha_i + alpha_j < 1.0:
         raise InvalidPowers(f"powers sum to {alpha_i + alpha_j} >= 1")
 
 
@@ -204,6 +207,66 @@ class RoundSimResult:
         return max(self.stderr_i, self.stderr_j)
 
 
+def _pot_matrix(alphas, faw, bwh) -> np.ndarray:
+    """Pot-split system M with M @ q = R: each pool divides its revenue R over
+    its own power plus the infiltration it hosts, and its infiltrators' cuts
+    flow back to their home pots."""
+    x = faw + bwh
+    basis = np.asarray(alphas, float) + x.sum(axis=0)
+    return np.diag(basis) - x
+
+
+_CHUNK = 2_000_000  # rounds sampled per batch
+
+
+def _sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
+    """Monte-Carlo round race among the live hash power of n pools.
+
+    ``faw[i, j]`` (``bwh[i, j]``) is pool i's FAW (BWH) power inside pool j.
+    Per round the first find of the live terminal power (external miners and
+    every pool's home miners) ends it; BWH detachments never publish. A FAW
+    detachment's withheld block exists if its first find lands before the
+    round ends, and external endings are claimed by a uniformly chosen
+    released branch. Draws, per chunk of rounds: the ending component; for
+    external endings only, the round length, one uniform per FAW flag in
+    row-major (i, j) order, and one uniform picking among the fired flags.
+
+    Returns the mean extra reward densities, their standard errors, the win
+    frequencies and the inverse pot-split matrix.
+    """
+    alphas = np.asarray(alphas, float)
+    n = alphas.size
+    home = alphas - (faw + bwh).sum(axis=1)
+    ext = 1.0 - alphas.sum()
+    theta = ext + home.sum()
+    # boundaries of the ending components: 0 external, 1 + i home of pool i
+    cdf = np.cumsum(np.concatenate(([ext], home[:-1]))) / theta
+    src, hosts = np.nonzero(faw)
+    phi = faw[src, hosts][:, None]
+    rng = np.random.default_rng(seed)
+    wins = np.zeros(n + 1, dtype=np.int64)  # slot 0: the external miners keep the round
+    for start in range(0, rounds, _CHUNK):
+        m = min(_CHUNK, rounds - start)
+        counts = np.bincount(np.searchsorted(cdf, rng.random(m), side="right"),
+                             minlength=n + 1)
+        e = int(counts[0])
+        if phi.size and e:
+            tau = rng.exponential(1.0 / theta, e)
+            fired = rng.random((phi.size, e)) < -np.expm1(-phi * tau)
+            n_fired = fired.sum(axis=0)
+            pick = (rng.random(e) * n_fired).astype(np.int64)
+            sel = np.argmax(np.cumsum(fired, axis=0) > pick, axis=0)[n_fired > 0]
+            counts[0] -= sel.size
+            counts[1:] += np.bincount(hosts[sel], minlength=n)
+        wins += counts
+    p_hat = wins[1:] / rounds
+    inv = np.linalg.inv(_pot_matrix(alphas, faw, bwh))
+    q_mean = inv @ p_hat
+    # a round's density vector is a column of inv (or zero): categorical variance
+    var = (inv**2) @ p_hat - q_mean**2
+    return q_mean - 1.0, np.sqrt(np.maximum(var, 0.0) / rounds), p_hat, inv
+
+
 def simulate_rounds(
     alpha_i: float,
     alpha_j: float,
@@ -212,89 +275,28 @@ def simulate_rounds(
     rounds: int = 100_000,
     seed: int = 0,
 ) -> RoundSimResult:
-    """Event-level round simulation of the two-pool stage game.
+    """Round-level Monte-Carlo estimate of the two-pool stage game.
 
-    Each round repeatedly draws which component finds the next full solution,
-    proportionally to hash power: external honest miners, either pool's home
-    miners, or either pool's infiltration detachment. Infiltrator finds set a
-    withheld flag (FAW) or are discarded (BWH); home or external finds end the
-    round, with withheld blocks released against external publications and the
-    three-branch fork tie broken by a fair coin. Round revenue is split per
-    unit of share power and the infiltrators' cuts flow between the pools'
-    pots, solved per round.
-
-    Deterministic for a given seed.
+    Samples the n-pool round race of ``_sample_rounds`` with n=2, so it is
+    independent of the closed form. Deterministic for a given seed.
     """
     _check_powers(alpha_i, alpha_j)
     validate_action(a_i, alpha_i)
     validate_action(a_j, alpha_j)
-
-    rng = np.random.default_rng(seed)
-    x_i, x_j = a_i.power, a_j.power
-    rates = np.array(
-        [
-            1.0 - alpha_i - alpha_j,  # 0: external
-            alpha_i - x_i,            # 1: pool i home
-            alpha_j - x_j,            # 2: pool j home
-            x_i,                      # 3: pool i's infiltrators (in pool j)
-            x_j,                      # 4: pool j's infiltrators (in pool i)
-        ]
-    )
-    cdf = np.cumsum(rates / rates.sum())
-    faw_i = a_i.faw > 0
-    faw_j = a_j.faw > 0
-
-    # winner[r] in {-1: external, 0: pool i, 1: pool j}
-    winner = np.full(rounds, -2, dtype=np.int8)
-    held_i = np.zeros(rounds, dtype=bool)  # pool i's infiltrator holds a block
-    held_j = np.zeros(rounds, dtype=bool)
-    open_rounds = np.arange(rounds)
-    while open_rounds.size:
-        draw = np.searchsorted(cdf, rng.random(open_rounds.size), side="right")
-        if faw_i:
-            held_i[open_rounds[draw == 3]] = True
-        if faw_j:
-            held_j[open_rounds[draw == 4]] = True
-        ends = draw < 3
-        ending = open_rounds[ends]
-        kind = draw[ends]
-        winner[ending[kind == 1]] = 0
-        winner[ending[kind == 2]] = 1
-        ext = ending[kind == 0]
-        if ext.size:
-            hi, hj = held_i[ext], held_j[ext]
-            # a withheld block released by pool i's infiltrator is pool j's block
-            w = np.full(ext.size, -1, dtype=np.int8)
-            w[hi & ~hj] = 1
-            w[hj & ~hi] = 0
-            both = hi & hj
-            w[both] = rng.integers(0, 2, both.sum(), dtype=np.int8)
-            winner[ext] = w
-        open_rounds = open_rounds[~ends]
-
-    # per-round pot split: q_i*(alpha_i + x_j) = R_i + x_i*q_j
-    den_i, den_j = alpha_i + x_j, alpha_j + x_i
-    mat = np.array([[den_i, -x_i], [-x_j, den_j]])
-    inv = np.linalg.inv(mat)
-    counts = np.array([(winner == 0).sum(), (winner == 1).sum()], float)
-    p_hat = counts / rounds
-    q_mean = inv @ p_hat
-    # outcome values of (q_i, q_j): column of inv for each winner, zero for external
-    var = inv**2 @ (p_hat * (1 - p_hat)) - 2 * inv[:, 0] * inv[:, 1] * p_hat[0] * p_hat[1]
-    stderr = np.sqrt(np.maximum(var, 0.0) / rounds)
-    # density decomposition: own-direct-derived vs routed through the other pot
-    home_i, cross_i = inv[0, 0] * p_hat[0], inv[0, 1] * p_hat[1]
-    home_j, cross_j = inv[1, 1] * p_hat[1], inv[1, 0] * p_hat[0]
+    faw = np.array([[0.0, a_i.faw], [a_j.faw, 0.0]])
+    bwh = np.array([[0.0, a_i.bwh], [a_j.bwh, 0.0]])
+    u, se, p, inv = _sample_rounds((alpha_i, alpha_j), faw, bwh, rounds, seed)
     return RoundSimResult(
-        u_i=float(q_mean[0] - 1.0),
-        u_j=float(q_mean[1] - 1.0),
-        stderr_i=float(stderr[0]),
-        stderr_j=float(stderr[1]),
+        u_i=float(u[0]),
+        u_j=float(u[1]),
+        stderr_i=float(se[0]),
+        stderr_j=float(se[1]),
         rounds=rounds,
-        block_share_i=float(p_hat[0]),
-        block_share_j=float(p_hat[1]),
-        home_density_i=float(home_i),
-        cross_density_i=float(cross_i),
-        home_density_j=float(home_j),
-        cross_density_j=float(cross_j),
+        block_share_i=float(p[0]),
+        block_share_j=float(p[1]),
+        # own-direct-derived vs routed through the other pot
+        home_density_i=float(inv[0, 0] * p[0]),
+        cross_density_i=float(inv[0, 1] * p[1]),
+        home_density_j=float(inv[1, 1] * p[1]),
+        cross_density_j=float(inv[1, 0] * p[0]),
     )

@@ -39,12 +39,9 @@ from poolgame.equilibrium import (
 )
 from poolgame.engine import (
     ArsAgent,
-    NPoolArsAgent,
-    NPoolOptimalOneShotAttacker,
     OptimalOneShotAttacker,
     closed_pool_scenario,
     run_npool,
-    run_repeated,
     two_stage_sweep,
 )
 from poolgame.detection import (
@@ -117,12 +114,12 @@ class TestCriterion2Table1:
         for power, per_kind in TABLE1.items():
             for kind_name, (want_ratio, want_total) in per_kind.items():
                 kind = AttackKind(kind_name)
-                h = run_repeated(
+                h = run_npool(
                     two_pool_config(0.25, power),
                     (OptimalOneShotAttacker(kind, k=K1), ArsAgent(k=K1)),
                     stages=2,
                 )
-                ratio = 100 * h.records[1].actions[1].power / power
+                ratio = 100 * h.records[1].actions.action(1, 0).power / power
                 total = 100 * sum(r.payoffs[0] for r in h.records)
                 worst_ratio = max(worst_ratio, abs(ratio - want_ratio))
                 worst_total = max(worst_total, abs(total - want_total))
@@ -141,8 +138,8 @@ def run_table3(kind: AttackKind):
     cfg = GameConfig(
         pools=tuple(PoolProfile(i, p) for i, p in enumerate(TABLE3_POWERS)), seed=2019
     )
-    strategies = [NPoolOptimalOneShotAttacker(kind, k=K1)] + [
-        NPoolArsAgent(k=K1) for _ in range(4)
+    strategies = [OptimalOneShotAttacker(kind, k=K1)] + [
+        ArsAgent(k=K1) for _ in range(4)
     ]
     return run_npool(cfg, strategies, 2, payoff_rounds=MC_ROUNDS)
 
@@ -151,7 +148,7 @@ class TestCriterion3Table3:
     def test_faw_column(self):
         want_ratios, want_total = TABLE3["faw"]
         h = run_table3(AttackKind.FAW)
-        m0 = h.records[0].actions[0]
+        m0 = h.records[0].actions
         ratios = [100 * m0.action(0, j).power / 0.25 for j in range(1, 5)]
         total = 100 * sum(r.payoffs[0] for r in h.records)
         dev = max(abs(g - w) for g, w in zip(ratios, want_ratios))
@@ -165,7 +162,7 @@ class TestCriterion3Table3:
     def test_bwh_column_ratios(self):
         want_ratios, _ = TABLE3["bwh"]
         h = run_table3(AttackKind.BWH)
-        m0 = h.records[0].actions[0]
+        m0 = h.records[0].actions
         ratios = [100 * m0.action(0, j).power / 0.25 for j in range(1, 5)]
         dev = max(abs(g - w) for g, w in zip(ratios, want_ratios))
         ok = dev <= 1.0

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 
 import pytest
@@ -40,6 +41,15 @@ class TestPayoffCommand:
                      "--a2", "0", "0"])
         assert code == 1
 
+    @pytest.mark.parametrize("alpha, a1, a2", [
+        (["nan", "0.2"], ["0", "0"], ["0", "0"]),
+        (["0.2", "0.2"], ["nan", "0"], ["0", "0"]),
+        (["0.2", "0.2"], ["0", "0"], ["0", "nan"]),
+    ])
+    def test_non_finite_input_rejected(self, alpha, a1, a2, capsys):
+        code, out = run_cli(["payoff", "--alpha", *alpha, "--a1", *a1, "--a2", *a2], capsys)
+        assert code == 1 and out == ""
+
     def test_usage_error_exit_code(self):
         assert main(["payoff", "--alpha", "0.2"]) == 2
 
@@ -51,6 +61,28 @@ class TestDeterminism:
         _, first = run_cli(args, capsys)
         _, second = run_cli(args, capsys)
         assert first == second
+
+
+class TestGoldenOutputs:
+    """SHA-256 of the full stdout, recorded before the two-pool and n-pool
+    runners were merged; the exact tables and five-pool runs must not move."""
+
+    FIVE_POOLS = ["--powers", "0.25", "0.15", "0.10", "0.035", "0.02"]
+
+    @pytest.mark.parametrize("args, digest", [
+        (["reproduce-table", "1"],
+         "51ec99d6147f4c9150d284d43678fecdef7e8eb5aa50684b942cd412f7ab5504"),
+        (["reproduce-table", "3"],
+         "f6864f8067a3d17c94fb7c459c9be8c02b9c482e12861966d94d3deb20c53d3e"),
+        (["npool", *FIVE_POOLS, "--attack", "faw"],
+         "99827bff6d063fd9bf7b45a6c6d46458f998ae8e23aaf51f6d48260c7bcb4411"),
+        (["npool", *FIVE_POOLS, "--attack", "bwh"],
+         "899d6879195726d44ff062e04ba0592fd475ab102a761994c9ac2838bf794549"),
+    ])
+    def test_byte_identical_to_pinned_digest(self, args, digest, capsys):
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSweepCommand:

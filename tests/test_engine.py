@@ -7,6 +7,7 @@ from poolgame.model import (
     AttackKind,
     GameConfig,
     InfiltrationBudgetExceeded,
+    InvalidScenario,
     PoolProfile,
     ZERO_ACTION,
 )
@@ -15,8 +16,6 @@ from poolgame.engine import (
     AlwaysHonest,
     ArsAgent,
     History,
-    NPoolArsAgent,
-    NPoolOptimalOneShotAttacker,
     OptimalOneShotAttacker,
     PairwiseActionMatrix,
     ScriptedDeviator,
@@ -25,8 +24,8 @@ from poolgame.engine import (
     discounted_payoff,
     npool_stage_payoffs,
     npool_stage_payoffs_mc,
+    optimal_simultaneous_attack,
     run_npool,
-    run_repeated,
     two_stage_ratio_sweep,
     two_stage_sweep,
 )
@@ -36,67 +35,72 @@ def config(*powers, **kw):
     return GameConfig(pools=tuple(PoolProfile(i, p) for i, p in enumerate(powers)), **kw)
 
 
+def pair(record):
+    """The two pools' actions of a two-pool stage record."""
+    return record.actions.action(0, 1), record.actions.action(1, 0)
+
+
 class TestRunRepeated:
     def test_mutual_cooperation_stays_silent(self):
-        h = run_repeated(config(0.25, 0.15), (ArsAgent(), ArsAgent()), 50)
+        h = run_npool(config(0.25, 0.15), (ArsAgent(), ArsAgent()), 50)
         assert all(u == 0.0 for r in h.records for u in r.payoffs)
-        assert all(a.is_zero for r in h.records for a in r.actions)
+        assert all(a.is_zero for r in h.records for a in pair(r))
 
     def test_optimal_faw_attacker_loses_against_antpool_sized_victim(self):
-        h = run_repeated(
+        h = run_npool(
             config(0.25, 0.15), (OptimalOneShotAttacker(AttackKind.FAW), ArsAgent()), 2
         )
         total = sum(r.payoffs[0] for r in h.records)
         assert 100 * total == pytest.approx(-1.89, abs=0.1)
 
     def test_optimal_bwh_attacker_loses_against_viabtc_sized_victim(self):
-        h = run_repeated(
+        h = run_npool(
             config(0.25, 0.10), (OptimalOneShotAttacker(AttackKind.BWH), ArsAgent()), 2
         )
         total = sum(r.payoffs[0] for r in h.records)
         assert 100 * total == pytest.approx(-0.15, abs=0.1)
 
     def test_recovery_after_injected_deviation(self):
-        h = run_repeated(
+        h = run_npool(
             config(0.2, 0.2),
-            (ScriptedDeviator({3: Action(0.05, 0.0)}), ArsAgent()),
+            (ScriptedDeviator({3: {1: Action(0.05, 0.0)}}), ArsAgent()),
             8,
         )
-        assert not h.records[4].actions[1].is_zero  # retaliation lands at t+1
+        assert not pair(h.records[4])[1].is_zero  # retaliation lands at t+1
         for r in h.records[5:]:
-            assert all(a.is_zero for a in r.actions)
+            assert all(a.is_zero for a in pair(r))
 
     def test_always_honest_never_retaliates(self):
-        h = run_repeated(
+        h = run_npool(
             config(0.2, 0.2),
-            (ScriptedDeviator({0: Action(0.05, 0.0)}), AlwaysHonest()),
+            (ScriptedDeviator({0: {1: Action(0.05, 0.0)}}), AlwaysHonest()),
             3,
         )
-        assert all(r.actions[1].is_zero for r in h.records)
+        assert all(pair(r)[1].is_zero for r in h.records)
 
     def test_history_payoffs_match_recorded_actions(self):
-        h = run_repeated(
+        h = run_npool(
             config(0.3, 0.2), (OptimalOneShotAttacker(AttackKind.FAW), ArsAgent()), 4
         )
         for r in h.records:
-            again = payoff_pair(0.3, 0.2, *r.actions)
+            again = payoff_pair(0.3, 0.2, *pair(r))
             assert (again.u_i, again.u_j) == r.payoffs
 
 
 class TestDiscountedPayoff:
     def test_all_zero(self):
-        h = run_repeated(config(0.2, 0.2), (ArsAgent(), ArsAgent()), 10)
+        h = run_npool(config(0.2, 0.2), (ArsAgent(), ArsAgent()), 10)
         assert discounted_payoff(h, 0) == 0.0
 
     def test_first_stage_undiscounted(self):
-        h = History((StageRecord(0, (ZERO_ACTION, ZERO_ACTION), (0.42, 0.0)),), 0.3)
+        h = History((StageRecord(0, PairwiseActionMatrix.zeros(2), (0.42, 0.0)),), 0.3)
         assert discounted_payoff(h, 0) == pytest.approx(0.42)
 
     @given(u=st.floats(-1, 1), delta=st.floats(0.05, 0.95), stages=st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
     def test_constant_stream_matches_geometric_sum(self, u, delta, stages):
         recs = tuple(
-            StageRecord(t, (ZERO_ACTION, ZERO_ACTION), (u, 0.0)) for t in range(stages)
+            StageRecord(t, PairwiseActionMatrix.zeros(2), (u, 0.0)) for t in range(stages)
         )
         expect = u * (1 - delta**stages) / (1 - delta)
         assert discounted_payoff(History(recs, delta), 0) == pytest.approx(expect, rel=1e-12, abs=1e-12)
@@ -154,6 +158,12 @@ class TestNPool:
         with pytest.raises(InfiltrationBudgetExceeded):
             m.validate([0.3, 0.3, 0.3])
 
+    def test_matrix_rejects_nan(self):
+        m = PairwiseActionMatrix.zeros(3)
+        m.faw[0, 1] = np.nan
+        with pytest.raises(InvalidScenario):
+            m.validate([0.3, 0.3, 0.3])
+
     def test_reduces_to_two_pool_closed_form(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -175,20 +185,42 @@ class TestNPool:
             assert u[0] == pytest.approx(ref.u_i, abs=1e-12)
             assert u[1] == pytest.approx(ref.u_j, abs=1e-12)
 
-    def test_run_npool_two_pools_matches_run_repeated(self):
+    def test_two_pool_fast_path_matches_enumeration(self):
+        # closed-form attack and payoff_pair against the n-pool route:
+        # golden-section attack and enumerated stage payoffs
         cfg = config(0.25, 0.15)
-        h2 = run_repeated(cfg, (OptimalOneShotAttacker(AttackKind.FAW), ArsAgent()), 2)
-        hn = run_npool(
-            cfg, [NPoolOptimalOneShotAttacker(AttackKind.FAW), NPoolArsAgent()], 2
-        )
+        h2 = run_npool(cfg, (OptimalOneShotAttacker(AttackKind.FAW), ArsAgent()), 2)
+        xs = optimal_simultaneous_attack(cfg.powers, 0, AttackKind.FAW)
+        hn = run_npool(cfg, [ScriptedDeviator({0: {1: Action(xs[1], 0.0)}}), ArsAgent()], 2)
         for r2, rn in zip(h2.records, hn.records):
-            assert r2.payoffs[0] == pytest.approx(rn.payoffs[0], abs=2e-4)
-            assert r2.payoffs[1] == pytest.approx(rn.payoffs[1], abs=2e-4)
+            enumerated = npool_stage_payoffs(cfg.powers, rn.actions)
+            assert r2.payoffs[0] == pytest.approx(enumerated[0], abs=2e-4)
+            assert r2.payoffs[1] == pytest.approx(enumerated[1], abs=2e-4)
 
     def test_all_ars_is_silent(self):
         cfg = config(0.25, 0.15, 0.10, 0.035, 0.02)
-        h = run_npool(cfg, [NPoolArsAgent() for _ in range(5)], 3)
+        h = run_npool(cfg, [ArsAgent() for _ in range(5)], 3)
         assert all(u == 0.0 for r in h.records for u in r.payoffs)
+
+    def test_scripted_deviation_in_three_pools(self):
+        # pool 0 deviates against pool 1 only: pool 1 alone retaliates, once
+        t = 2
+        cfg = config(0.25, 0.2, 0.15)
+        deviator = ScriptedDeviator({t: {1: Action(0.05, 0.0)}})
+        h = run_npool(cfg, [deviator, ArsAgent(), ArsAgent()], t + 5)
+
+        def active(r):
+            return {(int(i), int(j)) for i, j in zip(*np.nonzero(r.actions.faw + r.actions.bwh))}
+
+        assert all(not active(r) for r in h.records[:t])
+        assert active(h.records[t]) == {(0, 1)}
+        assert active(h.records[t + 1]) == {(1, 0)}
+        assert all(not active(r) for r in h.records[t + 2:])
+        assert h.records[t + 1].payoffs[0] < 0.0
+
+    def test_rejects_single_pool(self):
+        with pytest.raises(InvalidScenario):
+            run_npool(config(0.25), [ArsAgent()], 1)
 
     def test_mc_agrees_with_exact(self):
         m = PairwiseActionMatrix.zeros(3)
@@ -202,11 +234,11 @@ class TestNPool:
 
     def test_table3_faw_attack_reproduction_exact(self):
         cfg = config(0.25, 0.15, 0.10, 0.035, 0.02)
-        strategies = [NPoolOptimalOneShotAttacker(AttackKind.FAW)] + [
-            NPoolArsAgent() for _ in range(4)
+        strategies = [OptimalOneShotAttacker(AttackKind.FAW)] + [
+            ArsAgent() for _ in range(4)
         ]
         h = run_npool(cfg, strategies, 2)
-        m0 = h.records[0].actions[0]
+        m0 = h.records[0].actions
         ratios = [100 * m0.action(0, j).power / 0.25 for j in range(1, 5)]
         for got, want in zip(ratios, (22.7, 15.1, 5.3, 3.0)):
             assert got == pytest.approx(want, abs=1.0)
