@@ -48,8 +48,12 @@ TABLE1_ATTACKER = 0.25
 
 
 def _parse_config_file(path) -> dict[str, str]:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise PoolGameError(f"cannot read config file: {exc}") from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -59,6 +63,23 @@ def _parse_config_file(path) -> dict[str, str]:
             key, val = (s.strip() for s in line.split("=", 1))
             values[key.replace("-", "_")] = val
     return values
+
+
+_INT_KEYS = frozenset({"grid", "seed", "cells", "blocks", "rounds", "periods", "stages"})
+_TEXT_KEYS = frozenset({"out", "hashrates", "pool", "series_out"})
+
+
+def _config_value(key: str, val: str):
+    try:
+        if key in _INT_KEYS:
+            return int(val)
+        if key == "powers":
+            return [float(v) / 100.0 for v in val.replace(",", " ").split()]
+        if key in _TEXT_KEYS:
+            return val
+        return float(val)
+    except ValueError:
+        raise PoolGameError(f"config key {key!r}: cannot read {val!r}") from None
 
 
 def _action(pair) -> Action:
@@ -172,16 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(args):
     if getattr(args, "config", None):
         file_values = _parse_config_file(args.config)
+        valid = sorted(set(vars(args)) - {"command", "config"})
         for key, val in file_values.items():
-            if not hasattr(args, key) or getattr(args, key) is not None:
-                continue  # flags win; unknown keys ignored for forward compat
-            current = getattr(args, key)
-            if key in ("grid", "seed", "cells", "blocks", "rounds", "periods", "stages"):
-                setattr(args, key, int(val))
-            elif key == "powers":
-                setattr(args, key, [float(v) / 100.0 for v in val.replace(",", " ").split()])
-            else:
-                setattr(args, key, float(val))
+            if key not in valid:
+                raise PoolGameError(
+                    f"unknown config key {key!r} for {args.command}; "
+                    f"valid keys: {', '.join(valid)}"
+                )
+            if getattr(args, key) is None:  # flags win
+                setattr(args, key, _config_value(key, val))
     if getattr(args, "k", None) is None:
         args.k = DEFAULT_K_NEAR_ONE
     if getattr(args, "delta", None) is None:
@@ -225,9 +245,17 @@ def _cmd_simulate(args):
             f"{res.u_i:.8f},{res.u_j:.8f},{res.stderr_i:.2e},{res.stderr_j:.2e},{res.rounds}"]
 
 
+def _grid_cells(args, default):
+    """Power grid cells per axis: --cells, else an explicit --grid, else default."""
+    n = args.cells if args.cells is not None else (args.grid if args.grid_explicit else default)
+    if n < 1:
+        raise PoolGameError(f"the power grid needs at least 1 cell per axis, got {n}")
+    return n
+
+
 def _cmd_sweep(args):
     kind = AttackKind(args.attack)
-    n = args.cells if args.cells is not None else (args.grid if args.grid_explicit else 60)
+    n = _grid_cells(args, 60)
     grid = np.linspace(0.01, 0.5, n)
     if args.fixed_alpha1 is not None:
         ratios = np.linspace(1.0 / n, 1.0, n)
@@ -300,7 +328,7 @@ def _cmd_delta_bound(args):
 
 
 def _cmd_audit(args):
-    n = args.cells if args.cells is not None else (args.grid if args.grid_explicit else 30)
+    n = _grid_cells(args, 30)
     report = audit_ipbwh_nonempty(power_grid_resolution=n)
     lines = list(report.to_csv_rows())
     lines.append(f"# failures: {len(report.failures)}")
@@ -376,8 +404,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args = _apply_config(args)
     try:
+        args = _apply_config(args)
         lines = _HANDLERS[args.command](args)
     except PoolGameError as exc:
         print(f"error: {exc}", file=sys.stderr)

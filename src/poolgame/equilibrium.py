@@ -297,12 +297,16 @@ def _audit_cell(a1: float, a2: float, n: int) -> AuditCell:
     def damage_at(b):
         return -float(one_sided_victim(AttackKind.BWH, a1, a2, b))
 
-    gap = -min(family1_min(f_cap), t2)  # worst-case gain pool 2 can secure
+    t1_cap = family1_min(f_cap)
+    gap = -min(t1_cap, t2)  # worst-case gain pool 2 can secure
     f_value = damage_at(m1b) - gap
     if f_value > 0.0:
         return AuditCell(a1, a2, f_value, m1b, True)
     for kk in np.linspace(m1b, a1, n):
-        fk = damage_at(kk) + min(family1_min(max(kk, f_cap)), t2)
+        # max(kk, f_cap) is exactly f_cap for kk <= f_cap, so the minimum
+        # computed above is the same float family1_min would return again
+        t1 = t1_cap if kk <= f_cap else family1_min(kk)
+        fk = damage_at(kk) + min(t1, t2)
         if fk > 0.0:
             return AuditCell(a1, a2, f_value, float(kk), True)
     return AuditCell(a1, a2, f_value, float("nan"), False)

@@ -63,15 +63,16 @@ def _check_powers(alpha_i: float, alpha_j: float) -> None:
 def payoff_pair_raw(alpha_i, alpha_j, f_i, b_i, f_j, b_j, tolerance=ALGEBRAIC_TOL):
     """Vectorized (U_i, U_j) for raw action components.
 
-    Any of the four infiltration arguments may be numpy arrays (broadcast
-    together); exclusivity (f*b == 0 per pool) is assumed, not checked here.
-    The implicit cross-pool reward terms are resolved by solving the induced
-    2x2 linear system in (U_i, U_j) exactly.
+    Any of the four infiltration arguments may be numpy arrays or scalars;
+    they broadcast against each other and the results take the broadcast
+    shape. Exclusivity (f*b == 0 per pool) is not checked here, and the fork
+    term relies on it: it is one branch-free expression that equals the
+    two-case formula bit for bit only because a forking pool's BWH power is
+    exactly 0.0. The implicit cross-pool reward terms are resolved by solving
+    the induced 2x2 linear system in (U_i, U_j) exactly.
     """
-    f_i, b_i, f_j, b_j = np.broadcast_arrays(
-        np.asarray(f_i, float), np.asarray(b_i, float),
-        np.asarray(f_j, float), np.asarray(b_j, float),
-    )
+    f_i, b_i = np.asarray(f_i, float), np.asarray(b_i, float)
+    f_j, b_j = np.asarray(f_j, float), np.asarray(b_j, float)
     x_i = f_i + b_i
     x_j = f_j + b_j
     ext = 1.0 - alpha_i - alpha_j
@@ -81,22 +82,17 @@ def payoff_pair_raw(alpha_i, alpha_j, f_i, b_i, f_j, b_j, tolerance=ALGEBRAIC_TO
         own_x = own_f + own_b
         opp_x = opp_f + opp_b
         d = (alpha_own - own_x) / (1.0 - own_x - opp_x)
-        # fork wins: the opponent's withheld blocks are this pool's blocks
-        both = (own_f > 0) & (opp_f > 0)
-        d = d + np.where(
-            both,
-            opp_f * ext / (1.0 - opp_f)
+        # fork wins: the opponent's withheld blocks are this pool's blocks.
+        # The first term is +0.0 where opp_f == 0 and the second where either
+        # pool does not fork; where both fork, own_b == 0.0 makes the first
+        # term exactly opp_f * ext / (1 - opp_f).
+        return d + (
+            opp_f / (1.0 - own_b) * ext / (1.0 - own_b - opp_f)
             + (own_f * opp_f / 2.0)
             * (1.0 / (1.0 - own_f) + 1.0 / (1.0 - opp_f))
             * ext
-            / (1.0 - own_f - opp_f),
-            np.where(
-                opp_f > 0,
-                opp_f / (1.0 - own_b) * ext / (1.0 - own_b - opp_f),
-                0.0,
-            ),
+            / (1.0 - own_f - opp_f)
         )
-        return d
 
     den_i = alpha_i + x_j
     den_j = alpha_j + x_i

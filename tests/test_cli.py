@@ -64,8 +64,10 @@ class TestDeterminism:
 
 
 class TestGoldenOutputs:
-    """SHA-256 of the full stdout, recorded before the two-pool and n-pool
-    runners were merged; the exact tables and five-pool runs must not move."""
+    """SHA-256 of the full stdout. The tables and five-pool runs were recorded
+    before the two-pool and n-pool runners were merged, the audit, sweeps and
+    delta bound before the payoff kernel's fork term became branch-free; none
+    of them may move."""
 
     FIVE_POOLS = ["--powers", "0.25", "0.15", "0.10", "0.035", "0.02"]
 
@@ -78,6 +80,16 @@ class TestGoldenOutputs:
          "99827bff6d063fd9bf7b45a6c6d46458f998ae8e23aaf51f6d48260c7bcb4411"),
         (["npool", *FIVE_POOLS, "--attack", "bwh"],
          "899d6879195726d44ff062e04ba0592fd475ab102a761994c9ac2838bf794549"),
+        # both the reused and the fresh family-1 cap of the audit's fallback
+        (["audit-ipbwh", "--cells", "30"],
+         "3133056ecba6b71dc25636b206bf083e362f05677c2176762ef7606d7b8f78d1"),
+        (["sweep", "--attack", "faw", "--cells", "20"],
+         "b6bb9ebd884775e4b124d102c8e83cfb470646f11de1d3e4bf8842df70cd6311"),
+        (["sweep", "--attack", "bwh", "--cells", "20"],
+         "1fcc03cb07798d225b6f372b9399c300af4876a626533c06df4381541746d94f"),
+        # the only run that prices a BWH pool against a FAW pool
+        (["delta-bound", "--alpha", "0.25", "0.15", "--k", "0.5"],
+         "f10a8de5be5a75153d7bcbbc44f81f276f813163cd0fddbb8c56c9bd6d8ff9f9"),
     ])
     def test_byte_identical_to_pinned_digest(self, args, digest, capsys):
         code, out = run_cli(args, capsys)
@@ -101,7 +113,56 @@ class TestSweepCommand:
         assert all(float(r["u1_avg"]) < 0 for r in rows)
 
 
+class TestGridCells:
+    @pytest.mark.parametrize("args", [
+        ["audit-ipbwh", "--cells", "0"],
+        ["audit-ipbwh", "--cells", "-3"],
+        ["sweep", "--attack", "faw", "--cells", "0"],
+        ["sweep", "--attack", "bwh", "--grid", "0"],
+    ])
+    def test_empty_or_negative_grid_rejected(self, args, capsys):
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "at least 1 cell" in captured.err
+
+
 class TestConfigFile:
+    def test_unknown_key_rejected_with_valid_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("kk = 0.5\n")
+        code = main(["retaliate", "--alpha", "0.15", "0.25", "--opp-attack", "0.1", "0",
+                     "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "'kk'" in captured.err
+        assert "valid keys: " in captured.err and ", k, " in captured.err
+
+    @pytest.mark.parametrize("text", ["seed = abc\n", "k = high\n"])
+    def test_unreadable_value_rejected(self, text, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(text)
+        code = main(["payoff", "--alpha", "0.2", "0.2", "--a1", "0", "0", "--a2", "0", "0",
+                     "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "cannot read" in captured.err
+
+    def test_missing_file_rejected(self, tmp_path, capsys):
+        code = main(["payoff", "--alpha", "0.2", "0.2", "--a1", "0", "0", "--a2", "0", "0",
+                     "--config", str(tmp_path / "absent.cfg")])
+        captured = capsys.readouterr()
+        assert code == 1 and "cannot read config file" in captured.err
+
+    def test_output_path_from_file(self, tmp_path, capsys):
+        target = tmp_path / "payoff.csv"
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"out = {target}\n")
+        code = main(["payoff", "--alpha", "0.2", "0.2", "--a1", "0", "0", "--a2", "0", "0",
+                     "--config", str(cfg)])
+        assert code == 0 and capsys.readouterr().out == ""
+        assert target.read_text().splitlines()[1] == "u1,u2"
+
     def test_file_values_used_and_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("k = 0.5\nseed = 9\ngrid = 120\n")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from poolgame.model import Action, AttackKind, DegenerateDenominator
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from poolgame.model import ALGEBRAIC_TOL, Action, AttackKind, DegenerateDenominator
 from poolgame.payoff import (
     one_sided_attacker,
     one_sided_victim,
@@ -98,6 +100,97 @@ class TestPayoffPair:
             u = payoff_pair(0.22, 0.18, act, Action())
             assert one_sided_attacker(kind, 0.22, 0.18, 0.06) == pytest.approx(u.u_i, abs=1e-12)
             assert one_sided_victim(kind, 0.22, 0.18, 0.06) == pytest.approx(u.u_j, abs=1e-12)
+
+
+def two_branch_payoff_pair_raw(alpha_i, alpha_j, f_i, b_i, f_j, b_j, tolerance=ALGEBRAIC_TOL):
+    """The batched kernel as it was before its fork term became branch-free:
+    every operand broadcast to the full shape and both ``np.where`` branches
+    evaluated. Kept as the bitwise oracle of ``payoff_pair_raw``."""
+    f_i, b_i, f_j, b_j = np.broadcast_arrays(
+        np.asarray(f_i, float), np.asarray(b_i, float),
+        np.asarray(f_j, float), np.asarray(b_j, float),
+    )
+    x_i = f_i + b_i
+    x_j = f_j + b_j
+    ext = 1.0 - alpha_i - alpha_j
+
+    def direct(alpha_own, own_f, own_b, opp_f, opp_b):
+        own_x = own_f + own_b
+        opp_x = opp_f + opp_b
+        d = (alpha_own - own_x) / (1.0 - own_x - opp_x)
+        both = (own_f > 0) & (opp_f > 0)
+        d = d + np.where(
+            both,
+            opp_f * ext / (1.0 - opp_f)
+            + (own_f * opp_f / 2.0)
+            * (1.0 / (1.0 - own_f) + 1.0 / (1.0 - opp_f))
+            * ext
+            / (1.0 - own_f - opp_f),
+            np.where(
+                opp_f > 0,
+                opp_f / (1.0 - own_b) * ext / (1.0 - own_b - opp_f),
+                0.0,
+            ),
+        )
+        return d
+
+    den_i = alpha_i + x_j
+    den_j = alpha_j + x_i
+    live = 1.0 - x_i - x_j
+    if np.any(live <= tolerance) or np.any(den_i <= tolerance) or np.any(den_j <= tolerance):
+        raise DegenerateDenominator("actions leave no live block-finding power")
+
+    d_i = direct(alpha_i, f_i, b_i, f_j, b_j) / den_i
+    d_j = direct(alpha_j, f_j, b_j, f_i, b_i) / den_j
+    k_i = x_i / den_i
+    k_j = x_j / den_j
+    c_i = d_i - 1.0 + k_i
+    c_j = d_j - 1.0 + k_j
+    det = 1.0 - k_i * k_j
+    return (c_i + k_i * c_j) / det, (c_j + k_j * c_i) / det
+
+
+@st.composite
+def pool_components(draw, alpha, shapes):
+    """One pool's (faw, bwh) arguments: each element honest, FAW or BWH, on a
+    scalar, 1-D or 2-D grid; an all-zero component may be passed as 0.0."""
+    shape = draw(st.sampled_from(shapes))
+    fraction = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    power = alpha * draw(arrays(np.float64, shape, elements=fraction))
+    kind = draw(arrays(np.int8, shape, elements=st.integers(0, 2)))
+    faw = np.where(kind == 1, power, 0.0)
+    bwh = np.where(kind == 2, power, 0.0)
+    if draw(st.booleans()):
+        faw, bwh = (0.0 if not np.any(c) else c for c in (faw, bwh))
+    if shape == () and draw(st.booleans()):
+        faw, bwh = float(faw), float(bwh)
+    return faw, bwh
+
+
+@st.composite
+def kernel_inputs(draw):
+    alpha_i = draw(st.floats(0.01, 0.5))
+    alpha_j = draw(st.floats(0.01, min(0.5, 0.95 - alpha_i)))
+    k, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    shapes = [(), (m,), (k, 1), (k, m)]
+    f_i, b_i = draw(pool_components(alpha_i, shapes))
+    f_j, b_j = draw(pool_components(alpha_j, shapes))
+    return alpha_i, alpha_j, f_i, b_i, f_j, b_j
+
+
+def float_bits(a):
+    return np.asarray(a, np.float64).view(np.uint64)
+
+
+class TestBranchFreeKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_inputs())
+    def test_bitwise_equal_to_two_branch_oracle(self, inputs):
+        got = payoff_pair_raw(*inputs)
+        want = two_branch_payoff_pair_raw(*inputs)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            np.testing.assert_array_equal(float_bits(g), float_bits(w))
 
 
 class TestOptimalInfiltration:
