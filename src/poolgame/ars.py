@@ -18,7 +18,10 @@ test is: values near 1 make FAW retaliation available in more situations.
 
 All set constructions are discretized on a uniform grid of the owner's
 infiltration range with one 10x local refinement pass around the coarse
-choice.
+choice. Both tests compare the same two stage profiles, the last stage as
+played and as prescribed, so ``retaliate`` prices them once (two
+``payoff_pair`` calls) and reuses them for the FAW try, the BWH fallback and
+the refinement pass.
 """
 
 from __future__ import annotations
@@ -33,12 +36,14 @@ from .model import (
     Action,
     AttackKind,
     EmptySetUnexpected,
+    InvalidScenario,
     Standing,
     ZERO_ACTION,
     power_grid,
     refined_grid,
 )
 from .payoff import (
+    StagePayoffs,
     one_sided_victim,
     optimal_bwh_infiltration,
     optimal_faw_infiltration,
@@ -69,9 +74,20 @@ class InfiltrationSet:
         return float(self.members[np.argmin(np.abs(self.members - target))])
 
 
+def _stage_payoffs(
+    ctx: RetaliationContext, alpha_own: float, alpha_opp: float
+) -> tuple[StagePayoffs, StagePayoffs]:
+    """The two profiles a retaliation compares: the last stage as played, and
+    as it would have been had the opponent followed its prescription."""
+    return (
+        payoff_pair(alpha_own, alpha_opp, ctx.own_prev, ctx.opp_prev),
+        payoff_pair(alpha_own, alpha_opp, ctx.own_prev, ctx.opp_prescribed),
+    )
+
+
 def _candidate_set(
     kind: AttackKind,
-    ctx: RetaliationContext,
+    stage: tuple[StagePayoffs, StagePayoffs],
     alpha_own: float,
     alpha_opp: float,
     coef: float,
@@ -83,12 +99,11 @@ def _candidate_set(
         U_opp(actual profile) + coef * U_opp(retaliation, no-attack)
             < U_opp(profile had the opponent followed its prescription)
     """
-    u_opp_actual = payoff_pair(alpha_own, alpha_opp, ctx.own_prev, ctx.opp_prev).u_j
-    u_opp_presc = payoff_pair(alpha_own, alpha_opp, ctx.own_prev, ctx.opp_prescribed).u_j
+    actual, prescribed = stage
     u_under = one_sided_victim(kind, alpha_own, alpha_opp, grid)
     # strict inequality up to a margin, so boundary-equal candidates (e.g. 0
     # when the opponent's "deviation" changed nothing) stay in the set
-    ok = u_opp_actual + coef * u_under < u_opp_presc + tolerance
+    ok = actual.u_j + coef * u_under < prescribed.u_j + tolerance
     return InfiltrationSet(kind, grid[ok])
 
 
@@ -103,7 +118,8 @@ def infiltration_set_faw(
 ) -> InfiltrationSet:
     """FAW retaliation candidates; may legitimately be empty."""
     g = power_grid(alpha_own, grid_resolution) if grid is None else grid
-    return _candidate_set(AttackKind.FAW, ctx, alpha_own, alpha_opp, k, g, tolerance)
+    stage = _stage_payoffs(ctx, alpha_own, alpha_opp)
+    return _candidate_set(AttackKind.FAW, stage, alpha_own, alpha_opp, k, g, tolerance)
 
 
 def infiltration_set_bwh(
@@ -117,7 +133,8 @@ def infiltration_set_bwh(
     """BWH retaliation candidates. Emptiness violates the strategy's guarantee
     and raises ``EmptySetUnexpected``."""
     g = power_grid(alpha_own, grid_resolution) if grid is None else grid
-    s = _candidate_set(AttackKind.BWH, ctx, alpha_own, alpha_opp, 1.0, g, tolerance)
+    stage = _stage_payoffs(ctx, alpha_own, alpha_opp)
+    s = _candidate_set(AttackKind.BWH, stage, alpha_own, alpha_opp, 1.0, g, tolerance)
     if s.empty:
         raise EmptySetUnexpected(
             f"BWH candidate set empty for alpha_own={alpha_own}, alpha_opp={alpha_opp}, ctx={ctx}"
@@ -127,18 +144,17 @@ def infiltration_set_bwh(
 
 def _pick_from_set(
     kind: AttackKind,
-    ctx: RetaliationContext,
+    stage: tuple[StagePayoffs, StagePayoffs],
     alpha_own: float,
     alpha_opp: float,
     candidates: InfiltrationSet,
     tolerance: float,
 ) -> float:
     """min of equal retaliation and selfish retaliation over the candidate set."""
-    u_own_actual = payoff_pair(alpha_own, alpha_opp, ctx.own_prev, ctx.opp_prev).u_i
-    u_own_presc = payoff_pair(alpha_own, alpha_opp, ctx.own_prev, ctx.opp_prescribed).u_i
+    actual, prescribed = stage
     u_under = one_sided_victim(kind, alpha_own, alpha_opp, candidates.members)
     # equal retaliation: damage to the opponent at least my loss from the deviation
-    sat = (u_own_actual - u_own_presc) >= u_under - tolerance
+    sat = (actual.u_i - prescribed.u_i) >= u_under - tolerance
     equal = float(candidates.members[sat][0]) if sat.any() else None
     if kind is AttackKind.FAW:
         m = optimal_faw_infiltration(alpha_own, alpha_opp)
@@ -165,16 +181,21 @@ def retaliate(
     opponent (e.g. it skipped a prescribed retaliation), since zero then
     enters both sets.
     """
+    if grid_resolution < 2:
+        raise InvalidScenario(
+            f"the retaliation grid needs at least 2 points, got {grid_resolution}"
+        )
     ctx = RetaliationContext(own_prev, opp_prev, opp_prescribed)
     coarse = power_grid(alpha_own, grid_resolution)
     step = coarse[1] - coarse[0]
+    stage = _stage_payoffs(ctx, alpha_own, alpha_opp)
 
     def solve(kind: AttackKind, grid: np.ndarray) -> float | None:
         coef = k if kind is AttackKind.FAW else 1.0
-        s = _candidate_set(kind, ctx, alpha_own, alpha_opp, coef, grid, tolerance)
+        s = _candidate_set(kind, stage, alpha_own, alpha_opp, coef, grid, tolerance)
         if s.empty:
             return None
-        return _pick_from_set(kind, ctx, alpha_own, alpha_opp, s, tolerance)
+        return _pick_from_set(kind, stage, alpha_own, alpha_opp, s, tolerance)
 
     x = solve(AttackKind.FAW, coarse)
     kind = AttackKind.FAW

@@ -67,9 +67,15 @@ def _parse_config_file(path) -> dict[str, str]:
 
 _INT_KEYS = frozenset({"grid", "seed", "cells", "blocks", "rounds", "periods", "stages"})
 _TEXT_KEYS = frozenset({"out", "hashrates", "pool", "series_out"})
+_CHOICES = {
+    "attack": ("faw", "bwh"),
+    "mode": ("block-ratio", "unlucky", "variance", "geometric"),
+}
 
 
-def _config_value(key: str, val: str):
+def _config_value(key: str, val: str, current):
+    """Typed value of a config entry; ``current`` is the flag's parsed value,
+    whose length a multi-number entry (e.g. ``own_prev = 0 0.02``) must match."""
     try:
         if key in _INT_KEYS:
             return int(val)
@@ -77,6 +83,17 @@ def _config_value(key: str, val: str):
             return [float(v) / 100.0 for v in val.replace(",", " ").split()]
         if key in _TEXT_KEYS:
             return val
+        if key in _CHOICES:
+            if val not in _CHOICES[key]:
+                raise ValueError(val)
+            return val
+        if isinstance(current, (list, tuple)):
+            values = [float(v) for v in val.replace(",", " ").split()]
+            if len(values) != len(current):
+                raise PoolGameError(
+                    f"config key {key!r}: needs {len(current)} numbers, got {val!r}"
+                )
+            return values
         return float(val)
     except ValueError:
         raise PoolGameError(f"config key {key!r}: cannot read {val!r}") from None
@@ -105,7 +122,9 @@ def _add_common(p):
     p.add_argument("--config", default=None, help="flat key=value config file")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentParser:
+    """The ``poolgame`` parser; ``defaults`` maps a command to flag defaults
+    that replace the built-in ones (config file values)."""
     ap = argparse.ArgumentParser(
         prog="poolgame",
         description="Mining-pool FAW/BWH game: payoffs, retaliation, detection.",
@@ -137,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("sweep", help="two-stage deviation/retaliation heatmap data")
-    p.add_argument("--attack", choices=["faw", "bwh"], required=True)
+    p.add_argument("--attack", choices=_CHOICES["attack"], required=True)
     p.add_argument("--cells", type=int, default=None,
                    help="power grid cells per axis (falls back to --grid, then 60)")
     p.add_argument("--fixed-alpha1", type=float, default=None,
@@ -148,19 +167,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--powers", type=float, nargs="+", default=None,
                    help="pool powers as fractions, attacker first "
                         "(or `powers` config key, in percent)")
-    p.add_argument("--attack", choices=["faw", "bwh"], required=True)
+    p.add_argument("--attack", choices=_CHOICES["attack"], required=True)
     p.add_argument("--stages", type=int, default=2)
     p.add_argument("--rounds", type=int, default=0,
                    help="Monte-Carlo rounds per stage payoff (0 = exact)")
     _add_common(p)
 
     p = sub.add_parser("detect", help="detection and identification quantities")
-    p.add_argument("--mode", choices=["block-ratio", "unlucky", "variance", "geometric"],
-                   required=True)
+    p.add_argument("--mode", choices=_CHOICES["mode"], required=True)
     p.add_argument("--alpha", type=float, default=0.10, help="attacker pool size")
     p.add_argument("--beta", type=float, default=0.20, help="victim pool size")
     p.add_argument("--infiltration", type=float, default=0.005)
-    p.add_argument("--attack", choices=["faw", "bwh"], default="faw")
+    p.add_argument("--attack", choices=_CHOICES["attack"], default="faw")
     p.add_argument("--blocks", type=int, default=2000)
     p.add_argument("--periods", type=int, default=720)
     p.add_argument("--hashrates", default=None, help="hash-rate CSV (default: bundled fixture)")
@@ -187,21 +205,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closed-pools", help="unretaliated closed-pool attack scenario")
     _add_common(p)
 
+    for command, values in (defaults or {}).items():
+        sub.choices[command].set_defaults(**values)
     return ap
 
 
-def _apply_config(args):
+def _apply_config(args, argv):
     if getattr(args, "config", None):
         file_values = _parse_config_file(args.config)
         valid = sorted(set(vars(args)) - {"command", "config"})
+        values = {}
         for key, val in file_values.items():
             if key not in valid:
                 raise PoolGameError(
                     f"unknown config key {key!r} for {args.command}; "
                     f"valid keys: {', '.join(valid)}"
                 )
-            if getattr(args, key) is None:  # flags win
-                setattr(args, key, _config_value(key, val))
+            values[key] = _config_value(key, val, getattr(args, key))
+        # parse again with the file values as the command's defaults, so any
+        # flag on the command line wins, even one equal to its built-in default
+        args = build_parser({args.command: values}).parse_args(argv)
     if getattr(args, "k", None) is None:
         args.k = DEFAULT_K_NEAR_ONE
     if getattr(args, "delta", None) is None:
@@ -256,6 +279,8 @@ def _grid_cells(args, default):
 def _cmd_sweep(args):
     kind = AttackKind(args.attack)
     n = _grid_cells(args, 60)
+    if args.grid < 2:  # every cell's retaliation would fail
+        raise PoolGameError(f"the retaliation grid needs at least 2 points, got {args.grid}")
     grid = np.linspace(0.01, 0.5, n)
     if args.fixed_alpha1 is not None:
         ratios = np.linspace(1.0 / n, 1.0, n)
@@ -405,7 +430,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args = _apply_config(args)
+        args = _apply_config(args, argv)
         lines = _HANDLERS[args.command](args)
     except PoolGameError as exc:
         print(f"error: {exc}", file=sys.stderr)

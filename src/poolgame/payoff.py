@@ -70,9 +70,20 @@ def payoff_pair_raw(alpha_i, alpha_j, f_i, b_i, f_j, b_j, tolerance=ALGEBRAIC_TO
     two-case formula bit for bit only because a forking pool's BWH power is
     exactly 0.0. The implicit cross-pool reward terms are resolved by solving
     the induced 2x2 linear system in (U_i, U_j) exactly.
+
+    When all four infiltration arguments are Python floats (the scalar
+    ``payoff_pair`` path) they are not wrapped in 0-d arrays: the same
+    expressions run on floats and the degeneracy test uses plain comparisons,
+    returning two floats. The result is bit-identical to the array path,
+    because both evaluate the same IEEE-754 double operations in the same
+    order; only numpy's per-operation overhead is skipped. Arrays and numpy
+    scalars take the array path.
     """
-    f_i, b_i = np.asarray(f_i, float), np.asarray(b_i, float)
-    f_j, b_j = np.asarray(f_j, float), np.asarray(b_j, float)
+    scalar = (type(f_i) is float and type(b_i) is float
+              and type(f_j) is float and type(b_j) is float)
+    if not scalar:
+        f_i, b_i = np.asarray(f_i, float), np.asarray(b_i, float)
+        f_j, b_j = np.asarray(f_j, float), np.asarray(b_j, float)
     x_i = f_i + b_i
     x_j = f_j + b_j
     ext = 1.0 - alpha_i - alpha_j
@@ -97,7 +108,12 @@ def payoff_pair_raw(alpha_i, alpha_j, f_i, b_i, f_j, b_j, tolerance=ALGEBRAIC_TO
     den_i = alpha_i + x_j
     den_j = alpha_j + x_i
     live = 1.0 - x_i - x_j
-    if np.any(live <= tolerance) or np.any(den_i <= tolerance) or np.any(den_j <= tolerance):
+    if scalar:
+        degenerate = live <= tolerance or den_i <= tolerance or den_j <= tolerance
+    else:
+        degenerate = (np.any(live <= tolerance) or np.any(den_i <= tolerance)
+                      or np.any(den_j <= tolerance))
+    if degenerate:
         raise DegenerateDenominator("actions leave no live block-finding power")
 
     d_i = direct(alpha_i, f_i, b_i, f_j, b_j) / den_i
@@ -121,10 +137,11 @@ def payoff_pair(
     _check_powers(alpha_i, alpha_j)
     validate_action(a_i, alpha_i)
     validate_action(a_j, alpha_j)
-    u_i, u_j = payoff_pair_raw(
-        alpha_i, alpha_j, a_i.faw, a_i.bwh, a_j.faw, a_j.bwh, tolerance
-    )
-    return StagePayoffs(float(u_i), float(u_j))
+    # Python floats throughout, so the kernel takes its float path
+    return StagePayoffs(*payoff_pair_raw(
+        float(alpha_i), float(alpha_j), float(a_i.faw), float(a_i.bwh),
+        float(a_j.faw), float(a_j.bwh), tolerance,
+    ))
 
 
 def one_sided_attacker(kind: AttackKind, alpha_att, alpha_vic, x):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poolgame.model import Action, AttackKind, Standing, ZERO_ACTION
+from poolgame import ars
+from poolgame.model import Action, AttackKind, PoolGameError, Standing, ZERO_ACTION
 from poolgame.ars import (
     ArsState,
     RetaliationContext,
@@ -190,3 +191,24 @@ class TestRetaliate:
         r1 = retaliate(0.2, ZERO_ACTION, 0.25, dev, ZERO_ACTION, 0.5)
         r2 = retaliate(0.2, ZERO_ACTION, 0.25, dev, ZERO_ACTION, 0.5)
         assert r1 == r2
+
+    @pytest.mark.parametrize("grid", [0, 1])
+    def test_grid_below_two_points_rejected(self, grid):
+        with pytest.raises(PoolGameError, match="at least 2 points"):
+            retaliate(0.15, ZERO_ACTION, 0.25, Action(0.1, 0.0), ZERO_ACTION, K, grid)
+
+    @pytest.mark.parametrize("alpha_own, alpha_opp, dev, kind", [
+        (0.25, 0.15, Action(0.0, 0.05), AttackKind.FAW),
+        (0.15, 0.25, Action(0.1, 0.0), AttackKind.BWH),  # FAW set empty: fallback
+    ])
+    def test_stage_payoffs_priced_once(self, alpha_own, alpha_opp, dev, kind, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return payoff_pair(*args, **kwargs)
+
+        monkeypatch.setattr(ars, "payoff_pair", counting)
+        r = retaliate(alpha_own, ZERO_ACTION, alpha_opp, dev, ZERO_ACTION, K)
+        assert r.kind is kind
+        assert len(calls) == 2

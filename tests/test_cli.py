@@ -66,8 +66,9 @@ class TestDeterminism:
 class TestGoldenOutputs:
     """SHA-256 of the full stdout. The tables and five-pool runs were recorded
     before the two-pool and n-pool runners were merged, the audit, sweeps and
-    delta bound before the payoff kernel's fork term became branch-free; none
-    of them may move."""
+    delta bound before the payoff kernel's fork term became branch-free, the
+    retaliations, stage Nash and ratio sweep before scalar payoffs got their
+    float path; none of them may move."""
 
     FIVE_POOLS = ["--powers", "0.25", "0.15", "0.10", "0.035", "0.02"]
 
@@ -90,6 +91,15 @@ class TestGoldenOutputs:
         # the only run that prices a BWH pool against a FAW pool
         (["delta-bound", "--alpha", "0.25", "0.15", "--k", "0.5"],
          "f10a8de5be5a75153d7bcbbc44f81f276f813163cd0fddbb8c56c9bd6d8ff9f9"),
+        # FAW retaliation, then the BWH fallback
+        (["retaliate", "--alpha", "0.25", "0.15", "--opp-attack", "0", "0.05"],
+         "9b0f43f63559fc06c3200073c70a13ea7f5dd8825d6852e01240e12a52ec4eaa"),
+        (["retaliate", "--alpha", "0.15", "0.25", "--opp-attack", "0.1", "0"],
+         "5a3307c1badfc3a43b2251a8be79cf970425586a6dc8ef7f6ebcf51cf6ee1cba"),
+        (["stage-nash", "--alpha", "0.25", "0.15"],
+         "6f2155d4f8120a6aa1534aadfe332146ed2816be885a4e14b75aea600cf68e28"),
+        (["sweep", "--attack", "faw", "--fixed-alpha1", "0.2", "--cells", "20"],
+         "193b1b3eeb1c8e72385d4703222f036141817f3e6ff39b44a94746be1af26b0e"),
     ])
     def test_byte_identical_to_pinned_digest(self, args, digest, capsys):
         code, out = run_cli(args, capsys)
@@ -125,6 +135,20 @@ class TestGridCells:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "at least 1 cell" in captured.err
+
+
+class TestRetaliationGrid:
+    @pytest.mark.parametrize("args", [
+        ["retaliate", "--alpha", "0.15", "0.25", "--opp-attack", "0.1", "0", "--grid", "0"],
+        ["retaliate", "--alpha", "0.15", "0.25", "--opp-attack", "0.1", "0", "--grid", "1"],
+        ["sweep", "--attack", "faw", "--grid", "1"],
+        ["sweep", "--attack", "faw", "--cells", "3", "--grid", "1"],
+    ])
+    def test_grid_below_two_points_rejected(self, args, capsys):
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "at least 2 points" in captured.err
 
 
 class TestConfigFile:
@@ -178,6 +202,70 @@ class TestConfigFile:
             capsys,
         )
         assert "# seed=4" in out2.splitlines()[0]
+
+    NPOOL = ["npool", "--powers", "0.25", "0.15", "--attack", "faw", "--seed", "1"]
+
+    def stage0_attacker(self, args, capsys):
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        return out.splitlines()[2]
+
+    def test_keys_with_built_in_defaults_used(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("rounds = 1000\n")
+        mc = "0,0,0.06824045"
+        assert self.stage0_attacker([*self.NPOOL, "--rounds", "1000"], capsys) == mc
+        assert self.stage0_attacker([*self.NPOOL, "--config", str(cfg)], capsys) == mc
+
+    def test_flag_equal_to_its_default_still_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("rounds = 1000\n")
+        args = [*self.NPOOL, "--config", str(cfg), "--rounds", "0"]
+        assert self.stage0_attacker(args, capsys) == "0,0,0.04003142"
+
+    def test_stages_from_file(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("stages = 1\n")
+        _, out = run_cli([*self.NPOOL, "--config", str(cfg)], capsys)
+        assert {row["stage"] for row in parse_csv(out)} == {"0"}
+
+    def test_pair_keys_from_file(self, tmp_path, capsys):
+        base = ["retaliate", "--alpha", "0.2", "0.2", "--opp-attack", "0.05", "0"]
+        _, want = run_cli([*base, "--own-prev", "0", "0.02",
+                           "--opp-prescribed", "0.01", "0"], capsys)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("own_prev = 0 0.02\nopp_prescribed = 0.01, 0\n")
+        _, got = run_cli([*base, "--config", str(cfg)], capsys)
+        _, plain = run_cli(base, capsys)
+        assert got == want != plain
+        cfg.write_text("own_prev = 0.02\n")
+        code = main([*base, "--config", str(cfg)])
+        assert code == 1 and "needs 2 numbers" in capsys.readouterr().err
+
+    def test_detect_keys_from_file(self, tmp_path, capsys):
+        flags = ["--alpha", "0.2", "--beta", "0.3", "--infiltration", "0.01",
+                 "--attack", "bwh"]
+        _, want = run_cli(["detect", "--mode", "geometric", *flags], capsys)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("alpha = 0.2\nbeta = 0.3\ninfiltration = 0.01\nattack = bwh\n")
+        _, got = run_cli(["detect", "--mode", "geometric", "--config", str(cfg)], capsys)
+        _, plain = run_cli(["detect", "--mode", "geometric"], capsys)
+        assert got == want != plain
+        cfg.write_text("attack = both\n")
+        code = main(["detect", "--mode", "geometric", "--config", str(cfg)])
+        assert code == 1 and "cannot read" in capsys.readouterr().err
+
+    def test_detect_counts_from_file(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("blocks = 500\n")
+        _, got = run_cli(["detect", "--mode", "unlucky", "--config", str(cfg)], capsys)
+        _, want = run_cli(["detect", "--mode", "unlucky", "--blocks", "500"], capsys)
+        assert got == want
+        series = tmp_path / "series.csv"
+        cfg.write_text("periods = 48\n")
+        code, _ = run_cli(["detect", "--mode", "variance", "--pool", "pool_a",
+                           "--series-out", str(series), "--config", str(cfg)], capsys)
+        assert code == 0 and len(parse_csv(series.read_text())) == 48
 
 
 class TestScenarioCommands:

@@ -193,6 +193,63 @@ class TestBranchFreeKernel:
             np.testing.assert_array_equal(float_bits(g), float_bits(w))
 
 
+POOL_KINDS = ("honest", "faw", "bwh")
+
+
+def pool_action(kind, power):
+    """(faw, bwh) floats of one pool playing ``kind`` with ``power``."""
+    return {"honest": (0.0, 0.0), "faw": (power, 0.0), "bwh": (0.0, power)}[kind]
+
+
+@st.composite
+def scalar_profiles(draw, kind_i, kind_j):
+    alpha_i = draw(st.floats(0.01, 0.5))
+    alpha_j = draw(st.floats(0.01, min(0.5, 0.95 - alpha_i)))
+    fraction = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    a_i = pool_action(kind_i, alpha_i * draw(fraction))
+    a_j = pool_action(kind_j, alpha_j * draw(fraction))
+    return alpha_i, alpha_j, *a_i, *a_j
+
+
+class TestFloatPath:
+    """Python-float arguments skip the 0-d arrays; the bits must not move."""
+
+    @pytest.mark.parametrize("kind_i", POOL_KINDS)
+    @pytest.mark.parametrize("kind_j", POOL_KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_array_path(self, kind_i, kind_j, data):
+        alpha_i, alpha_j, *parts = data.draw(scalar_profiles(kind_i, kind_j))
+        got = payoff_pair_raw(alpha_i, alpha_j, *parts)
+        want = payoff_pair_raw(alpha_i, alpha_j, *(np.asarray(p) for p in parts))
+        assert all(type(g) is float for g in got)
+        assert all(type(w) is np.float64 for w in want)
+        for g, w in zip(got, want):
+            assert float_bits(g) == float_bits(w)
+
+    @pytest.mark.parametrize("args", [
+        (0.5, 0.5, 0.5, 0.0, 0.5, 0.0),  # no live power left
+        (0.0, 0.2, 0.0, 0.0, 0.0, 0.0),  # nothing to divide pool i's pot by
+        (0.2, 0.0, 0.0, 0.0, 0.0, 0.0),  # nor pool j's
+    ])
+    def test_degenerate_inputs_raise_on_both_paths(self, args):
+        alpha_i, alpha_j, *parts = args
+        with pytest.raises(DegenerateDenominator):
+            payoff_pair_raw(alpha_i, alpha_j, *parts)
+        with pytest.raises(DegenerateDenominator):
+            payoff_pair_raw(alpha_i, alpha_j, *(np.asarray(p) for p in parts))
+
+    def test_numpy_scalar_inputs_still_work(self):
+        parts = (0.05, 0.0, 0.0, 0.02)
+        got = payoff_pair_raw(0.2, 0.2, *(np.float64(p) for p in parts))
+        want = payoff_pair_raw(0.2, 0.2, *parts)
+        for g, w in zip(got, want):
+            assert float_bits(g) == float_bits(w)
+        u = payoff_pair(np.float64(0.2), np.float64(0.2),
+                        Action(np.float64(0.05), 0.0), Action(0.0, np.float64(0.02)))
+        assert (u.u_i, u.u_j) == want
+
+
 class TestOptimalInfiltration:
     def test_grid_argmax_agreement(self):
         # closed forms vs a dense grid argmax over a power grid
