@@ -29,11 +29,7 @@ from .payoff import (
 )
 from .ars import (
     ArsState,
-    InfiltrationSet,
-    RetaliationContext,
     ars_step,
-    infiltration_set_bwh,
-    infiltration_set_faw,
     initial_state,
     retaliate,
 )

@@ -16,12 +16,12 @@ one-sided optimum), balancing punishment against its own payoff. The
 preference weight ``k`` in [0, 1) scales how demanding the FAW candidate
 test is: values near 1 make FAW retaliation available in more situations.
 
-All set constructions are discretized on a uniform grid of the owner's
-infiltration range with one 10x local refinement pass around the coarse
-choice. Both tests compare the same two stage profiles, the last stage as
-played and as prescribed, so ``retaliate`` prices them once (two
-``payoff_pair`` calls) and reuses them for the FAW try, the BWH fallback and
-the refinement pass.
+The candidate sets are taken on one fixed grid: ``GRID_POINTS`` uniform
+powers on the owner's infiltration range, then one 10x local refinement pass
+around the coarse choice. Both tests compare the same two stage profiles,
+the last stage as played and as prescribed, so ``retaliate`` prices them
+once (two ``payoff_pair`` calls), computes the one-sided optimum once, and
+reuses them for the FAW try, the BWH fallback and the refinement pass.
 """
 
 from __future__ import annotations
@@ -32,57 +32,30 @@ import numpy as np
 
 from .model import (
     ALGEBRAIC_TOL,
-    DEFAULT_GRID_RESOLUTION,
     Action,
     AttackKind,
     EmptySetUnexpected,
-    InvalidScenario,
     Standing,
     ZERO_ACTION,
     power_grid,
-    refined_grid,
 )
 from .payoff import (
     StagePayoffs,
     one_sided_victim,
-    optimal_bwh_infiltration,
-    optimal_faw_infiltration,
+    optimal_infiltration,
     payoff_pair,
 )
 
-
-@dataclass(frozen=True)
-class RetaliationContext:
-    """Last stage as seen by the retaliator: own action, opponent action,
-    and what the opponent was prescribed to play."""
-
-    own_prev: Action = ZERO_ACTION
-    opp_prev: Action = ZERO_ACTION
-    opp_prescribed: Action = ZERO_ACTION
+#: points of the coarse retaliation grid on [0, alpha_own], endpoints included
+GRID_POINTS = 100
 
 
-@dataclass(frozen=True)
-class InfiltrationSet:
-    kind: AttackKind
-    members: np.ndarray  # sorted grid fractions
-
-    @property
-    def empty(self) -> bool:
-        return self.members.size == 0
-
-    def closest_to(self, target: float) -> float:
-        return float(self.members[np.argmin(np.abs(self.members - target))])
-
-
-def _stage_payoffs(
-    ctx: RetaliationContext, alpha_own: float, alpha_opp: float
-) -> tuple[StagePayoffs, StagePayoffs]:
-    """The two profiles a retaliation compares: the last stage as played, and
-    as it would have been had the opponent followed its prescription."""
-    return (
-        payoff_pair(alpha_own, alpha_opp, ctx.own_prev, ctx.opp_prev),
-        payoff_pair(alpha_own, alpha_opp, ctx.own_prev, ctx.opp_prescribed),
-    )
+def _refined_grid(center: float, step: float, hi: float) -> np.ndarray:
+    """One local refinement pass: 10x denser grid within one coarse step."""
+    a = max(0.0, center - step)
+    b = min(hi, center + step)
+    n = max(2, int(round((b - a) / step * 10)) + 1)
+    return np.linspace(a, b, n)
 
 
 def _candidate_set(
@@ -92,8 +65,7 @@ def _candidate_set(
     alpha_opp: float,
     coef: float,
     grid: np.ndarray,
-    tolerance: float,
-) -> InfiltrationSet:
+) -> np.ndarray:
     """Grid members x whose retaliation makes the opponent's deviation unprofitable:
 
         U_opp(actual profile) + coef * U_opp(retaliation, no-attack)
@@ -103,43 +75,8 @@ def _candidate_set(
     u_under = one_sided_victim(kind, alpha_own, alpha_opp, grid)
     # strict inequality up to a margin, so boundary-equal candidates (e.g. 0
     # when the opponent's "deviation" changed nothing) stay in the set
-    ok = actual.u_j + coef * u_under < prescribed.u_j + tolerance
-    return InfiltrationSet(kind, grid[ok])
-
-
-def infiltration_set_faw(
-    ctx: RetaliationContext,
-    alpha_own: float,
-    alpha_opp: float,
-    k: float,
-    grid_resolution: int = DEFAULT_GRID_RESOLUTION,
-    tolerance: float = ALGEBRAIC_TOL,
-    grid: np.ndarray | None = None,
-) -> InfiltrationSet:
-    """FAW retaliation candidates; may legitimately be empty."""
-    g = power_grid(alpha_own, grid_resolution) if grid is None else grid
-    stage = _stage_payoffs(ctx, alpha_own, alpha_opp)
-    return _candidate_set(AttackKind.FAW, stage, alpha_own, alpha_opp, k, g, tolerance)
-
-
-def infiltration_set_bwh(
-    ctx: RetaliationContext,
-    alpha_own: float,
-    alpha_opp: float,
-    grid_resolution: int = DEFAULT_GRID_RESOLUTION,
-    tolerance: float = ALGEBRAIC_TOL,
-    grid: np.ndarray | None = None,
-) -> InfiltrationSet:
-    """BWH retaliation candidates. Emptiness violates the strategy's guarantee
-    and raises ``EmptySetUnexpected``."""
-    g = power_grid(alpha_own, grid_resolution) if grid is None else grid
-    stage = _stage_payoffs(ctx, alpha_own, alpha_opp)
-    s = _candidate_set(AttackKind.BWH, stage, alpha_own, alpha_opp, 1.0, g, tolerance)
-    if s.empty:
-        raise EmptySetUnexpected(
-            f"BWH candidate set empty for alpha_own={alpha_own}, alpha_opp={alpha_opp}, ctx={ctx}"
-        )
-    return s
+    ok = actual.u_j + coef * u_under < prescribed.u_j + ALGEBRAIC_TOL
+    return grid[ok]
 
 
 def _pick_from_set(
@@ -147,20 +84,17 @@ def _pick_from_set(
     stage: tuple[StagePayoffs, StagePayoffs],
     alpha_own: float,
     alpha_opp: float,
-    candidates: InfiltrationSet,
-    tolerance: float,
+    members: np.ndarray,
+    optimum: float,
 ) -> float:
-    """min of equal retaliation and selfish retaliation over the candidate set."""
+    """min of equal retaliation and selfish retaliation over the candidates;
+    ``optimum`` is the one-sided optimal infiltration of ``kind``."""
     actual, prescribed = stage
-    u_under = one_sided_victim(kind, alpha_own, alpha_opp, candidates.members)
+    u_under = one_sided_victim(kind, alpha_own, alpha_opp, members)
     # equal retaliation: damage to the opponent at least my loss from the deviation
-    sat = (actual.u_i - prescribed.u_i) >= u_under - tolerance
-    equal = float(candidates.members[sat][0]) if sat.any() else None
-    if kind is AttackKind.FAW:
-        m = optimal_faw_infiltration(alpha_own, alpha_opp)
-    else:
-        m = optimal_bwh_infiltration(alpha_own, alpha_opp)
-    selfish = candidates.closest_to(m)
+    sat = (actual.u_i - prescribed.u_i) >= u_under - ALGEBRAIC_TOL
+    equal = float(members[sat][0]) if sat.any() else None
+    selfish = float(members[np.argmin(np.abs(members - optimum))])
     return selfish if equal is None else min(equal, selfish)
 
 
@@ -171,8 +105,6 @@ def retaliate(
     opp_prev: Action,
     opp_prescribed: Action,
     k: float,
-    grid_resolution: int = DEFAULT_GRID_RESOLUTION,
-    tolerance: float = ALGEBRAIC_TOL,
 ) -> Action:
     """Choose the retaliation action against a deviating opponent.
 
@@ -181,34 +113,33 @@ def retaliate(
     opponent (e.g. it skipped a prescribed retaliation), since zero then
     enters both sets.
     """
-    if grid_resolution < 2:
-        raise InvalidScenario(
-            f"the retaliation grid needs at least 2 points, got {grid_resolution}"
-        )
-    ctx = RetaliationContext(own_prev, opp_prev, opp_prescribed)
-    coarse = power_grid(alpha_own, grid_resolution)
+    coarse = power_grid(alpha_own, GRID_POINTS)
     step = coarse[1] - coarse[0]
-    stage = _stage_payoffs(ctx, alpha_own, alpha_opp)
+    # the two profiles both tests compare: the last stage as played, and as it
+    # would have been had the opponent followed its prescription
+    stage = (
+        payoff_pair(alpha_own, alpha_opp, own_prev, opp_prev),
+        payoff_pair(alpha_own, alpha_opp, own_prev, opp_prescribed),
+    )
 
-    def solve(kind: AttackKind, grid: np.ndarray) -> float | None:
-        coef = k if kind is AttackKind.FAW else 1.0
-        s = _candidate_set(kind, stage, alpha_own, alpha_opp, coef, grid, tolerance)
-        if s.empty:
-            return None
-        return _pick_from_set(kind, stage, alpha_own, alpha_opp, s, tolerance)
-
-    x = solve(AttackKind.FAW, coarse)
-    kind = AttackKind.FAW
-    if x is None:
-        kind = AttackKind.BWH
-        x = solve(kind, coarse)
-        if x is None:
+    kind, coef = AttackKind.FAW, k
+    members = _candidate_set(kind, stage, alpha_own, alpha_opp, coef, coarse)
+    if members.size == 0:
+        kind, coef = AttackKind.BWH, 1.0
+        members = _candidate_set(kind, stage, alpha_own, alpha_opp, coef, coarse)
+        if members.size == 0:
             raise EmptySetUnexpected(
                 f"BWH candidate set empty for alpha_own={alpha_own}, "
-                f"alpha_opp={alpha_opp}, ctx={ctx}"
+                f"alpha_opp={alpha_opp}, own_prev={own_prev}, opp_prev={opp_prev}, "
+                f"opp_prescribed={opp_prescribed}"
             )
-    fine = solve(kind, refined_grid(x, step, 0.0, alpha_own))
-    return Action.of(kind, x if fine is None else fine)
+    optimum = optimal_infiltration(kind, alpha_own, alpha_opp)
+    x = _pick_from_set(kind, stage, alpha_own, alpha_opp, members, optimum)
+    fine = _candidate_set(kind, stage, alpha_own, alpha_opp, coef,
+                          _refined_grid(x, step, alpha_own))
+    if fine.size:
+        x = _pick_from_set(kind, stage, alpha_own, alpha_opp, fine, optimum)
+    return Action.of(kind, x)
 
 
 @dataclass(frozen=True)
@@ -249,8 +180,6 @@ def ars_step(
     state: ArsState,
     alpha_own: float,
     alpha_opp: float,
-    grid_resolution: int = DEFAULT_GRID_RESOLUTION,
-    tolerance: float = ALGEBRAIC_TOL,
 ) -> tuple[Action, ArsState]:
     """One strategy step: update standings, prescribe this stage's action.
 
@@ -269,13 +198,12 @@ def ars_step(
             state.last_opp_action or ZERO_ACTION,
             state.last_opp_prescribed or ZERO_ACTION,
             state.k,
-            grid_resolution,
-            tolerance,
         )
     else:
         action = ZERO_ACTION
 
     # what this strategy would prescribe to the opponent, from public history
+    # and judged by this pool's own k (the opponent's k may differ)
     if opp_standing is Standing.GOOD and own_standing is Standing.BAD:
         opp_prescribed = retaliate(
             alpha_opp,
@@ -284,8 +212,6 @@ def ars_step(
             state.last_own_action or ZERO_ACTION,
             state.last_own_prescribed or ZERO_ACTION,
             state.k,
-            grid_resolution,
-            tolerance,
         )
     else:
         opp_prescribed = ZERO_ACTION

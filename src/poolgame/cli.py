@@ -65,7 +65,7 @@ def _parse_config_file(path) -> dict[str, str]:
     return values
 
 
-_INT_KEYS = frozenset({"grid", "seed", "cells", "blocks", "rounds", "periods", "stages"})
+_INT_KEYS = frozenset({"seed", "cells", "blocks", "rounds", "periods", "stages"})
 _TEXT_KEYS = frozenset({"out", "hashrates", "pool", "series_out"})
 _CHOICES = {
     "attack": ("faw", "bwh"),
@@ -113,11 +113,13 @@ def _emit(lines, out_path, seed, command):
         sys.stdout.write(text)
 
 
+def _add_k(p):
+    p.add_argument("--k", type=float, default=DEFAULT_K_NEAR_ONE,
+                   help="retaliation preference weight")
+
+
 def _add_common(p):
-    p.add_argument("--k", type=float, default=None, help="retaliation preference weight")
-    p.add_argument("--delta", type=float, default=None, help="discount factor")
-    p.add_argument("--grid", type=int, default=None, help="infiltration grid resolution")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.add_argument("--config", default=None, help="flat key=value config file")
 
@@ -146,6 +148,7 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
     p.add_argument("--opp-attack", type=float, nargs=2, metavar=("FAW", "BWH"), required=True)
     p.add_argument("--own-prev", type=float, nargs=2, default=(0.0, 0.0))
     p.add_argument("--opp-prescribed", type=float, nargs=2, default=(0.0, 0.0))
+    _add_k(p)
     _add_common(p)
 
     p = sub.add_parser("simulate", help="Monte-Carlo round-level payoff estimate")
@@ -157,10 +160,10 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
 
     p = sub.add_parser("sweep", help="two-stage deviation/retaliation heatmap data")
     p.add_argument("--attack", choices=_CHOICES["attack"], required=True)
-    p.add_argument("--cells", type=int, default=None,
-                   help="power grid cells per axis (falls back to --grid, then 60)")
+    p.add_argument("--cells", type=int, default=60, help="power grid cells per axis")
     p.add_argument("--fixed-alpha1", type=float, default=None,
                    help="sweep attack ratio at this attacker size instead of sizes")
+    _add_k(p)
     _add_common(p)
 
     p = sub.add_parser("npool", help="n-pool one-shot attack and retaliation")
@@ -171,6 +174,7 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
     p.add_argument("--stages", type=int, default=2)
     p.add_argument("--rounds", type=int, default=0,
                    help="Monte-Carlo rounds per stage payoff (0 = exact)")
+    _add_k(p)
     _add_common(p)
 
     p = sub.add_parser("detect", help="detection and identification quantities")
@@ -189,17 +193,18 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
 
     p = sub.add_parser("delta-bound", help="discount factor above which retaliation deters")
     p.add_argument("--alpha", type=float, nargs=2, required=True)
+    _add_k(p)
     _add_common(p)
 
     p = sub.add_parser("audit-ipbwh", help="non-emptiness audit of the BWH candidate set")
-    p.add_argument("--cells", type=int, default=None,
-                   help="power grid cells per axis (falls back to --grid, then 30)")
+    p.add_argument("--cells", type=int, default=30, help="power grid cells per axis")
     _add_common(p)
 
     p = sub.add_parser("reproduce-table", help="reproduce a published results table")
     p.add_argument("table", type=int, choices=[1, 3])
     p.add_argument("--rounds", type=int, default=0,
                    help="table 3 Monte-Carlo rounds per stage (0 = exact)")
+    _add_k(p)
     _add_common(p)
 
     p = sub.add_parser("closed-pools", help="unretaliated closed-pool attack scenario")
@@ -211,30 +216,21 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
 
 
 def _apply_config(args, argv):
-    if getattr(args, "config", None):
-        file_values = _parse_config_file(args.config)
-        valid = sorted(set(vars(args)) - {"command", "config"})
-        values = {}
-        for key, val in file_values.items():
-            if key not in valid:
-                raise PoolGameError(
-                    f"unknown config key {key!r} for {args.command}; "
-                    f"valid keys: {', '.join(valid)}"
-                )
-            values[key] = _config_value(key, val, getattr(args, key))
-        # parse again with the file values as the command's defaults, so any
-        # flag on the command line wins, even one equal to its built-in default
-        args = build_parser({args.command: values}).parse_args(argv)
-    if getattr(args, "k", None) is None:
-        args.k = DEFAULT_K_NEAR_ONE
-    if getattr(args, "delta", None) is None:
-        args.delta = 0.9
-    args.grid_explicit = getattr(args, "grid", None) is not None
-    if getattr(args, "grid", None) is None:
-        args.grid = 100
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
-    return args
+    if not args.config:
+        return args
+    file_values = _parse_config_file(args.config)
+    valid = sorted(set(vars(args)) - {"command", "config"})
+    values = {}
+    for key, val in file_values.items():
+        if key not in valid:
+            raise PoolGameError(
+                f"unknown config key {key!r} for {args.command}; "
+                f"valid keys: {', '.join(valid)}"
+            )
+        values[key] = _config_value(key, val, getattr(args, key))
+    # parse again with the file values as the command's defaults, so any
+    # flag on the command line wins, even one equal to its built-in default
+    return build_parser({args.command: values}).parse_args(argv)
 
 
 def _cmd_payoff(args):
@@ -243,7 +239,7 @@ def _cmd_payoff(args):
 
 
 def _cmd_stage_nash(args):
-    eq = stage_nash(*args.alpha, grid_resolution=max(args.grid, 100))
+    eq = stage_nash(*args.alpha)
     (a1, a2), u = eq.actions, eq.payoffs
     return [
         "f1,f2,u1,u2,iterations,converged",
@@ -254,8 +250,7 @@ def _cmd_stage_nash(args):
 def _cmd_retaliate(args):
     r = retaliate(
         args.alpha[0], _action(args.own_prev), args.alpha[1],
-        _action(args.opp_attack), _action(args.opp_prescribed),
-        args.k, args.grid,
+        _action(args.opp_attack), _action(args.opp_prescribed), args.k,
     )
     return ["faw,bwh,ratio_faw,ratio_bwh",
             f"{r.faw:.8f},{r.bwh:.8f},{r.faw/args.alpha[0]:.6f},{r.bwh/args.alpha[0]:.6f}"]
@@ -268,9 +263,8 @@ def _cmd_simulate(args):
             f"{res.u_i:.8f},{res.u_j:.8f},{res.stderr_i:.2e},{res.stderr_j:.2e},{res.rounds}"]
 
 
-def _grid_cells(args, default):
-    """Power grid cells per axis: --cells, else an explicit --grid, else default."""
-    n = args.cells if args.cells is not None else (args.grid if args.grid_explicit else default)
+def _grid_cells(n):
+    """``--cells``, checked: a power grid needs at least one cell per axis."""
     if n < 1:
         raise PoolGameError(f"the power grid needs at least 1 cell per axis, got {n}")
     return n
@@ -278,15 +272,13 @@ def _grid_cells(args, default):
 
 def _cmd_sweep(args):
     kind = AttackKind(args.attack)
-    n = _grid_cells(args, 60)
-    if args.grid < 2:  # every cell's retaliation would fail
-        raise PoolGameError(f"the retaliation grid needs at least 2 points, got {args.grid}")
+    n = _grid_cells(args.cells)
     grid = np.linspace(0.01, 0.5, n)
     if args.fixed_alpha1 is not None:
         ratios = np.linspace(1.0 / n, 1.0, n)
-        cells = two_stage_ratio_sweep(ratios, grid, kind, args.fixed_alpha1, args.k, args.grid)
+        cells = two_stage_ratio_sweep(ratios, grid, kind, args.fixed_alpha1, args.k)
     else:
-        cells = two_stage_sweep(grid, kind, args.k, args.grid)
+        cells = two_stage_sweep(grid, kind, args.k)
     return list(sweep_csv_rows(cells))
 
 
@@ -300,8 +292,7 @@ def _cmd_npool(args):
     if not args.powers:
         raise PoolGameError("npool needs --powers or a `powers` config entry")
     pools = tuple(PoolProfile(i, p) for i, p in enumerate(args.powers))
-    config = GameConfig(pools=pools, discount=args.delta,
-                        grid_resolution=max(args.grid, 100), seed=args.seed)
+    config = GameConfig(pools=pools, seed=args.seed)
     hist = run_npool(config, _one_shot_strategies(kind, args.k, len(pools)), args.stages,
                      payoff_rounds=args.rounds or None)
     lines = ["stage,pool,payoff"]
@@ -346,15 +337,14 @@ def _cmd_detect(args):
 
 
 def _cmd_delta_bound(args):
-    b = delta_bound(*args.alpha, args.k, grid_resolution=max(args.grid, 100))
+    b = delta_bound(*args.alpha, args.k)
     lines = ["alpha1,alpha2,k,bound", f"{b.alpha_1},{b.alpha_2},{b.k},{b.bound:.8f}"]
     lines += [f"# {name}: {v:.8f}" for name, v in sorted(b.case_maxima.items())]
     return lines
 
 
 def _cmd_audit(args):
-    n = _grid_cells(args, 30)
-    report = audit_ipbwh_nonempty(power_grid_resolution=n)
+    report = audit_ipbwh_nonempty(power_grid_resolution=_grid_cells(args.cells))
     lines = list(report.to_csv_rows())
     lines.append(f"# failures: {len(report.failures)}")
     return lines
@@ -366,8 +356,7 @@ def _cmd_reproduce_table(args):
         for name, power in TABLE1_POOLS.items():
             for kind in (AttackKind.FAW, AttackKind.BWH):
                 pools = (PoolProfile(0, TABLE1_ATTACKER), PoolProfile(1, power))
-                config = GameConfig(pools=pools, discount=args.delta,
-                                    grid_resolution=max(args.grid, 100), seed=args.seed)
+                config = GameConfig(pools=pools, seed=args.seed)
                 hist = run_npool(config, _one_shot_strategies(kind, args.k, 2), 2)
                 r = hist.records[1].actions.action(1, 0)
                 total = sum(rec.payoffs[0] for rec in hist.records)
@@ -381,8 +370,7 @@ def _cmd_reproduce_table(args):
     lines = ["attack,pool,power,attack_ratio_pct,r_faw_pct,r_bwh_pct,attacker_total_pct"]
     for kind in (AttackKind.FAW, AttackKind.BWH):
         pools = tuple(PoolProfile(i, p) for i, p in enumerate(powers))
-        config = GameConfig(pools=pools, discount=args.delta,
-                            grid_resolution=max(args.grid, 100), seed=args.seed)
+        config = GameConfig(pools=pools, seed=args.seed)
         hist = run_npool(config, _one_shot_strategies(kind, args.k, len(powers)), 2,
                          payoff_rounds=args.rounds or None)
         matrix0 = hist.records[0].actions

@@ -184,18 +184,26 @@ def simulate_reward_density(
 
     ``honest_baseline`` fixes the per-period pool size: a constant, an
     explicit array, or a hash-rate series (normalized so its mean equals the
-    scenario's alpha; pass ``pool`` to select the column). The infiltration
-    power gamma*alpha is held fixed while the pool size fluctuates.
+    scenario's alpha; pass ``pool`` to select the column). An array or series
+    must hold at least ``scenario.periods`` values; its first ones are used,
+    and a shorter one raises ``InvalidScenario`` rather than being repeated.
+    The infiltration power gamma*alpha is held fixed while the pool size
+    fluctuates.
     """
     if isinstance(honest_baseline, HashrateSeries):
         names = honest_baseline.pools()
         name = pool if pool is not None else names[0]
         alphas = honest_baseline.normalized(name, scenario.alpha)
-        alphas = np.resize(alphas, scenario.periods)
     elif isinstance(honest_baseline, np.ndarray):
-        alphas = np.resize(honest_baseline.astype(float), scenario.periods)
+        alphas = honest_baseline.astype(float)
     else:
         alphas = np.full(scenario.periods, float(honest_baseline))
+    if alphas.size < scenario.periods:
+        raise InvalidScenario(
+            f"{scenario.periods} periods requested, but the hash-rate baseline "
+            f"has only {alphas.size}"
+        )
+    alphas = alphas[: scenario.periods]
 
     w = scenario.infiltration_power
     gammas = np.minimum(w / alphas, 1.0)

@@ -158,11 +158,10 @@ class SweepCell:
     error: str = ""
 
 
-def _two_stage_cell(alpha_1, alpha_2, attack: Action, k, grid_resolution) -> SweepCell:
+def _two_stage_cell(alpha_1, alpha_2, attack: Action, k) -> SweepCell:
     try:
         u0 = payoff_pair(alpha_1, alpha_2, attack, ZERO_ACTION)
-        r = retaliate(alpha_2, ZERO_ACTION, alpha_1, attack, ZERO_ACTION, k,
-                      grid_resolution)
+        r = retaliate(alpha_2, ZERO_ACTION, alpha_1, attack, ZERO_ACTION, k)
         u1 = payoff_pair(alpha_1, alpha_2, ZERO_ACTION, r)
         return SweepCell(
             alpha_1,
@@ -183,7 +182,6 @@ def two_stage_sweep(
     alpha_grid,
     attacker_kind: AttackKind,
     k: float = DEFAULT_K_NEAR_ONE,
-    grid_resolution: int = 100,
     power_cap: float = 0.9,
 ) -> list[SweepCell]:
     """Optimal one-shot deviation followed by retaliation, per power cell.
@@ -200,7 +198,7 @@ def two_stage_sweep(
             attack = Action.of(
                 attacker_kind, optimal_infiltration(attacker_kind, alpha_1, alpha_2)
             )
-            cells.append(_two_stage_cell(alpha_1, alpha_2, attack, k, grid_resolution))
+            cells.append(_two_stage_cell(alpha_1, alpha_2, attack, k))
     return cells
 
 
@@ -210,7 +208,6 @@ def two_stage_ratio_sweep(
     attacker_kind: AttackKind,
     alpha_1: float = 0.2,
     k: float = DEFAULT_K_NEAR_ONE,
-    grid_resolution: int = 100,
 ) -> list[SweepCell]:
     """Same two-stage scenario sweeping the attacker's infiltration ratio at
     fixed attacker size (heatmaps over attack intensity)."""
@@ -220,7 +217,7 @@ def two_stage_ratio_sweep(
             if alpha_1 + alpha_2 > 0.9:
                 continue
             attack = Action.of(attacker_kind, ratio * alpha_1)
-            cells.append(_two_stage_cell(alpha_1, alpha_2, attack, k, grid_resolution))
+            cells.append(_two_stage_cell(alpha_1, alpha_2, attack, k))
     return cells
 
 
@@ -383,9 +380,7 @@ def run_npool(
     for t in range(stages):
         matrix = PairwiseActionMatrix.zeros(n)
         for (i, j), st in states.items():
-            a, states[i, j] = ars_step(
-                st, alphas[i], alphas[j], config.grid_resolution, config.tolerance
-            )
+            a, states[i, j] = ars_step(st, alphas[i], alphas[j])
             matrix.faw[i, j], matrix.bwh[i, j] = a.faw, a.bwh
         for i, strat in enumerate(strategies):
             for j, a in strat.pick(t, i, alphas).items():
@@ -396,8 +391,7 @@ def run_npool(
         if payoff_rounds:
             u, _ = npool_stage_payoffs_mc(alphas, matrix, payoff_rounds, config.seed + t)
         elif n == 2:
-            u = payoff_pair(*alphas, matrix.action(0, 1), matrix.action(1, 0),
-                            config.tolerance)
+            u = payoff_pair(*alphas, matrix.action(0, 1), matrix.action(1, 0))
         else:
             u = npool_stage_payoffs(alphas, matrix)
         records.append(StageRecord(t, matrix, tuple(float(v) for v in u)))

@@ -22,10 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    ALGEBRAIC_TOL,
     Action,
     AttackKind,
-    DEFAULT_GRID_RESOLUTION,
     NonConvergence,
     OPTIMIZER_TOL,
     ZERO_ACTION,
@@ -88,7 +86,7 @@ def _best_response(alpha_own, alpha_opp, f_opp, grid_resolution) -> float:
 def stage_nash(
     alpha_1: float,
     alpha_2: float,
-    grid_resolution: int = DEFAULT_GRID_RESOLUTION,
+    grid_resolution: int = 100,
     tolerance: float = 1e-7,
     max_iterations: int = 10_000,
     initial: tuple[float, float] = (0.0, 0.0),
@@ -142,7 +140,7 @@ class SubgameCase:
     deviator_prescribed: Action  # what the deviator should play at stage 0
 
 
-def _subgame_cases(alpha_pun, alpha_dev, k, grid_resolution, prior_kind: AttackKind):
+def _subgame_cases(alpha_pun, alpha_dev, k, prior_kind: AttackKind):
     """The four standing classes, entered via the deviator's (or punisher's)
     optimal one-shot attack at the previous stage where a punishment context
     is needed."""
@@ -153,11 +151,9 @@ def _subgame_cases(alpha_pun, alpha_dev, k, grid_resolution, prior_kind: AttackK
         d_prior = Action(0.0, optimal_bwh_infiltration(alpha_dev, alpha_pun))
         p_prior = Action(0.0, optimal_bwh_infiltration(alpha_pun, alpha_dev))
     # (good, bad): punisher retaliates at stage 0 against the deviator's prior attack
-    pun0 = retaliate(alpha_pun, ZERO_ACTION, alpha_dev, d_prior, ZERO_ACTION, k,
-                     grid_resolution)
+    pun0 = retaliate(alpha_pun, ZERO_ACTION, alpha_dev, d_prior, ZERO_ACTION, k)
     # (bad, good): deviator is prescribed to retaliate against the punisher's prior attack
-    dev0 = retaliate(alpha_dev, ZERO_ACTION, alpha_pun, p_prior, ZERO_ACTION, k,
-                     grid_resolution)
+    dev0 = retaliate(alpha_dev, ZERO_ACTION, alpha_pun, p_prior, ZERO_ACTION, k)
     return (
         SubgameCase("cooperating", ZERO_ACTION, ZERO_ACTION),
         SubgameCase("being-punished", pun0, ZERO_ACTION),
@@ -172,7 +168,6 @@ def deviation_outcome(
     alpha_dev: float,
     deviation: Action,
     k: float,
-    grid_resolution: int = DEFAULT_GRID_RESOLUTION,
 ):
     """Stage payoffs of a one-stage deviation inside a subgame class.
 
@@ -187,7 +182,7 @@ def deviation_outcome(
                          case.deviator_prescribed).u_j
     r1 = retaliate(
         alpha_pun, case.punisher_stage0, alpha_dev, deviation,
-        case.deviator_prescribed, k, grid_resolution,
+        case.deviator_prescribed, k,
     )
     u_pun1 = payoff_pair(alpha_pun, alpha_dev, r1, ZERO_ACTION).u_j
     return u_dev0, u_pun1, u_comp
@@ -202,7 +197,6 @@ def delta_bound(
     alpha_1: float,
     alpha_2: float,
     k: float,
-    grid_resolution: int = DEFAULT_GRID_RESOLUTION,
     deviation_resolution: int = 40,
     tolerance: float = OPTIMIZER_TOL,
 ) -> DeltaBound:
@@ -217,14 +211,12 @@ def delta_bound(
     case_maxima: dict[str, float] = {}
     for alpha_pun, alpha_dev, side in ((alpha_1, alpha_2, 2), (alpha_2, alpha_1, 1)):
         for prior in (AttackKind.FAW, AttackKind.BWH):
-            cases = _subgame_cases(alpha_pun, alpha_dev, k, grid_resolution, prior)
+            cases = _subgame_cases(alpha_pun, alpha_dev, k, prior)
             for case in cases:
                 key = f"pool{side}:{case.name}"
                 best = case_maxima.get(key, -np.inf)
                 for d in _deviation_grid(alpha_dev, deviation_resolution):
-                    gain, pun, comp = deviation_outcome(
-                        case, alpha_pun, alpha_dev, d, k, grid_resolution
-                    )
+                    gain, pun, comp = deviation_outcome(case, alpha_pun, alpha_dev, d, k)
                     if abs(pun) < tolerance:
                         continue
                     best = max(best, (comp - gain) / pun)

@@ -28,8 +28,6 @@ ALGEBRAIC_TOL = 1e-9
 #: acceptance margin for optimizer / grid-search outputs
 OPTIMIZER_TOL = 1e-4
 
-DEFAULT_GRID_RESOLUTION = 100
-
 
 class PoolGameError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -146,22 +144,16 @@ class PoolProfile:
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Scenario-wide parameters for the repeated game and its solvers."""
+    """Scenario-wide parameters of the repeated game: the pools, the discount
+    factor and the Monte-Carlo seed."""
 
     pools: tuple[PoolProfile, ...]
     discount: float = 0.9
-    horizon: int | None = None  # None means unbounded
-    grid_resolution: int = DEFAULT_GRID_RESOLUTION
-    tolerance: float = ALGEBRAIC_TOL
     seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.discount < 1.0):
             raise InvalidScenario(f"discount must be in (0,1), got {self.discount}")
-        if self.grid_resolution < 100:
-            raise InvalidScenario("grid_resolution must be at least 100")
-        if self.tolerance <= 0.0:
-            raise InvalidScenario("tolerance must be positive")
         ids = [p.id for p in self.pools]
         if len(set(ids)) != len(ids):
             raise InvalidScenario("pool ids must be unique")
@@ -204,14 +196,7 @@ def normalize_powers(raw) -> list[float]:
     return [v / total for v in values]
 
 
-def power_grid(alpha: float, resolution: int = DEFAULT_GRID_RESOLUTION) -> np.ndarray:
+def power_grid(alpha: float, resolution: int) -> np.ndarray:
     """Uniform infiltration-power grid on [0, alpha], endpoints included."""
     return np.linspace(0.0, alpha, resolution)
 
-
-def refined_grid(center: float, step: float, lo: float, hi: float) -> np.ndarray:
-    """One local refinement pass: 10x denser grid within one coarse step."""
-    a = max(lo, center - step)
-    b = min(hi, center + step)
-    n = max(2, int(round((b - a) / step * 10)) + 1)
-    return np.linspace(a, b, n)

@@ -60,7 +60,7 @@ def _check_powers(alpha_i: float, alpha_j: float) -> None:
         raise InvalidPowers(f"powers sum to {alpha_i + alpha_j} >= 1")
 
 
-def payoff_pair_raw(alpha_i, alpha_j, f_i, b_i, f_j, b_j, tolerance=ALGEBRAIC_TOL):
+def payoff_pair_raw(alpha_i, alpha_j, f_i, b_i, f_j, b_j):
     """Vectorized (U_i, U_j) for raw action components.
 
     Any of the four infiltration arguments may be numpy arrays or scalars;
@@ -109,10 +109,10 @@ def payoff_pair_raw(alpha_i, alpha_j, f_i, b_i, f_j, b_j, tolerance=ALGEBRAIC_TO
     den_j = alpha_j + x_i
     live = 1.0 - x_i - x_j
     if scalar:
-        degenerate = live <= tolerance or den_i <= tolerance or den_j <= tolerance
+        degenerate = live <= ALGEBRAIC_TOL or den_i <= ALGEBRAIC_TOL or den_j <= ALGEBRAIC_TOL
     else:
-        degenerate = (np.any(live <= tolerance) or np.any(den_i <= tolerance)
-                      or np.any(den_j <= tolerance))
+        degenerate = (np.any(live <= ALGEBRAIC_TOL) or np.any(den_i <= ALGEBRAIC_TOL)
+                      or np.any(den_j <= ALGEBRAIC_TOL))
     if degenerate:
         raise DegenerateDenominator("actions leave no live block-finding power")
 
@@ -131,7 +131,6 @@ def payoff_pair(
     alpha_j: float,
     a_i: Action,
     a_j: Action,
-    tolerance: float = ALGEBRAIC_TOL,
 ) -> StagePayoffs:
     """Exact per-stage extra reward densities for an action profile."""
     _check_powers(alpha_i, alpha_j)
@@ -140,7 +139,7 @@ def payoff_pair(
     # Python floats throughout, so the kernel takes its float path
     return StagePayoffs(*payoff_pair_raw(
         float(alpha_i), float(alpha_j), float(a_i.faw), float(a_i.bwh),
-        float(a_j.faw), float(a_j.bwh), tolerance,
+        float(a_j.faw), float(a_j.bwh),
     ))
 
 

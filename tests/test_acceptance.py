@@ -373,13 +373,13 @@ class TestCriterion10DeltaBoundAndAudit:
         worst = -np.inf
         for alpha_pun, alpha_dev in ((0.25, 0.15), (0.15, 0.25)):
             for prior in (AttackKind.FAW, AttackKind.BWH):
-                cases = _subgame_cases(alpha_pun, alpha_dev, k, 100, prior)
+                cases = _subgame_cases(alpha_pun, alpha_dev, k, prior)
                 for case in cases:
                     for _ in range(50):  # 100 per class across the two priors
                         x = rng.uniform(1e-4, alpha_dev)
                         d = Action(x, 0.0) if rng.integers(2) else Action(0.0, x)
                         gain, pun, comp = deviation_outcome(
-                            case, alpha_pun, alpha_dev, d, k, 100
+                            case, alpha_pun, alpha_dev, d, k
                         )
                         worst = max(worst, gain + delta * pun - comp)
         ok = worst <= 1e-9

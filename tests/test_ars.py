@@ -3,24 +3,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poolgame import ars
-from poolgame.model import Action, AttackKind, PoolGameError, Standing, ZERO_ACTION
-from poolgame.ars import (
-    ArsState,
-    RetaliationContext,
-    ars_step,
-    infiltration_set_bwh,
-    infiltration_set_faw,
-    initial_state,
-    retaliate,
-)
+from poolgame.model import Action, AttackKind, EmptySetUnexpected, Standing, ZERO_ACTION
+from poolgame.ars import ArsState, ars_step, initial_state, retaliate
 from poolgame.payoff import (
-    one_sided_victim,
     optimal_bwh_infiltration,
     optimal_faw_infiltration,
+    optimal_infiltration,
     payoff_pair,
 )
 
 K = 0.999
+
+# one retaliation of each kind: FAW, and the BWH fallback where the FAW set is empty
+FAW_AND_FALLBACK = [
+    (0.25, 0.15, Action(0.0, 0.05), AttackKind.FAW),
+    (0.15, 0.25, Action(0.1, 0.0), AttackKind.BWH),
+]
+
+
+def candidates(kind, alpha_own, alpha_opp, own_prev=ZERO_ACTION, opp_prev=ZERO_ACTION,
+               opp_prescribed=ZERO_ACTION, k=K):
+    """The coarse candidate set ``retaliate`` builds for ``kind``."""
+    stage = (payoff_pair(alpha_own, alpha_opp, own_prev, opp_prev),
+             payoff_pair(alpha_own, alpha_opp, own_prev, opp_prescribed))
+    coef = k if kind is AttackKind.FAW else 1.0
+    grid = np.linspace(0.0, alpha_own, ars.GRID_POINTS)
+    return ars._candidate_set(kind, stage, alpha_own, alpha_opp, coef, grid)
 
 
 def punished_state(opp_action: Action, k=K) -> ArsState:
@@ -83,37 +91,28 @@ class TestInfiltrationSets:
     def test_no_payoff_deviation_includes_zero(self):
         # the opponent's action changed nothing relative to its prescription:
         # zero retaliation qualifies, so Retaliate can stand down
-        ctx = RetaliationContext(ZERO_ACTION, ZERO_ACTION, ZERO_ACTION)
-        s = infiltration_set_faw(ctx, 0.2, 0.2, K)
-        assert 0.0 in s.members
+        s = candidates(AttackKind.FAW, 0.2, 0.2)
+        assert 0.0 in s
         r = retaliate(0.2, ZERO_ACTION, 0.2, ZERO_ACTION, ZERO_ACTION, K)
         assert r.is_zero
 
     def test_skipped_retaliation_keeps_zero(self):
         # opponent was prescribed a profitable retaliation but played nothing
         prescribed = Action(optimal_faw_infiltration(0.2, 0.2), 0.0)
-        ctx = RetaliationContext(ZERO_ACTION, ZERO_ACTION, prescribed)
-        s = infiltration_set_faw(ctx, 0.2, 0.2, K)
-        assert not s.empty and s.members[0] == 0.0
+        s = candidates(AttackKind.FAW, 0.2, 0.2, opp_prescribed=prescribed)
+        assert s.size and s[0] == 0.0
 
     def test_faw_set_empty_for_small_victim_large_attacker(self):
         f_star = optimal_faw_infiltration(0.45, 0.05)
-        ctx = RetaliationContext(ZERO_ACTION, Action(f_star, 0.0), ZERO_ACTION)
-        assert infiltration_set_faw(ctx, 0.05, 0.45, K).empty
-        assert not infiltration_set_bwh(ctx, 0.05, 0.45).empty
+        dev = Action(f_star, 0.0)
+        assert candidates(AttackKind.FAW, 0.05, 0.45, opp_prev=dev).size == 0
+        assert candidates(AttackKind.BWH, 0.05, 0.45, opp_prev=dev).size > 0
 
     def test_bwh_emptiness_raises_at_undeterrable_corner(self):
         # a 0.37 pool cannot out-damage the gain a half-network opponent grabs
         # by counterattacking mid-punishment; the guarantee violation is loud
-        from poolgame.model import EmptySetUnexpected
-
-        ctx = RetaliationContext(
-            own_prev=Action(0.37, 0.0),
-            opp_prev=Action(0.3176, 0.0),
-            opp_prescribed=ZERO_ACTION,
-        )
         with pytest.raises(EmptySetUnexpected):
-            infiltration_set_bwh(ctx, 0.37, 0.5)
+            retaliate(0.37, Action(0.37, 0.0), 0.5, Action(0.3176, 0.0), ZERO_ACTION, K)
 
     def test_members_satisfy_defining_inequality(self):
         rng = np.random.default_rng(5)
@@ -121,15 +120,15 @@ class TestInfiltrationSets:
             a_own = rng.uniform(0.05, 0.45)
             a_opp = rng.uniform(0.05, min(0.45, 0.9 - a_own))
             dev = Action(rng.uniform(0, a_opp), 0.0)
-            ctx = RetaliationContext(ZERO_ACTION, dev, ZERO_ACTION)
             u_actual = payoff_pair(a_own, a_opp, ZERO_ACTION, dev).u_j
             u_presc = payoff_pair(a_own, a_opp, ZERO_ACTION, ZERO_ACTION).u_j
-            s = infiltration_set_faw(ctx, a_own, a_opp, K)
-            for f in s.members[:: max(1, s.members.size // 10)]:
+            s = candidates(AttackKind.FAW, a_own, a_opp, opp_prev=dev)
+            for f in s[:: max(1, s.size // 10)]:
                 u_r = payoff_pair(a_own, a_opp, Action(f, 0), ZERO_ACTION).u_j
                 assert u_actual + K * u_r < u_presc
-            s = infiltration_set_bwh(ctx, a_own, a_opp)
-            for b in s.members[:: max(1, s.members.size // 10)]:
+            s = candidates(AttackKind.BWH, a_own, a_opp, opp_prev=dev)
+            assert s.size > 0
+            for b in s[:: max(1, s.size // 10)]:
                 u_r = payoff_pair(a_own, a_opp, Action(0, b), ZERO_ACTION).u_j
                 assert u_actual + u_r < u_presc
 
@@ -192,15 +191,7 @@ class TestRetaliate:
         r2 = retaliate(0.2, ZERO_ACTION, 0.25, dev, ZERO_ACTION, 0.5)
         assert r1 == r2
 
-    @pytest.mark.parametrize("grid", [0, 1])
-    def test_grid_below_two_points_rejected(self, grid):
-        with pytest.raises(PoolGameError, match="at least 2 points"):
-            retaliate(0.15, ZERO_ACTION, 0.25, Action(0.1, 0.0), ZERO_ACTION, K, grid)
-
-    @pytest.mark.parametrize("alpha_own, alpha_opp, dev, kind", [
-        (0.25, 0.15, Action(0.0, 0.05), AttackKind.FAW),
-        (0.15, 0.25, Action(0.1, 0.0), AttackKind.BWH),  # FAW set empty: fallback
-    ])
+    @pytest.mark.parametrize("alpha_own, alpha_opp, dev, kind", FAW_AND_FALLBACK)
     def test_stage_payoffs_priced_once(self, alpha_own, alpha_opp, dev, kind, monkeypatch):
         calls = []
 
@@ -212,3 +203,16 @@ class TestRetaliate:
         r = retaliate(alpha_own, ZERO_ACTION, alpha_opp, dev, ZERO_ACTION, K)
         assert r.kind is kind
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("alpha_own, alpha_opp, dev, kind", FAW_AND_FALLBACK)
+    def test_optimum_computed_once(self, alpha_own, alpha_opp, dev, kind, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return optimal_infiltration(*args)
+
+        monkeypatch.setattr(ars, "optimal_infiltration", counting)
+        r = retaliate(alpha_own, ZERO_ACTION, alpha_opp, dev, ZERO_ACTION, K)
+        assert r.kind is kind
+        assert calls == [(kind, alpha_own, alpha_opp)]

@@ -67,8 +67,9 @@ class TestGoldenOutputs:
     """SHA-256 of the full stdout. The tables and five-pool runs were recorded
     before the two-pool and n-pool runners were merged, the audit, sweeps and
     delta bound before the payoff kernel's fork term became branch-free, the
-    retaliations, stage Nash and ratio sweep before scalar payoffs got their
-    float path; none of them may move."""
+    retaliations, stage Nash and FAW ratio sweep before scalar payoffs got
+    their float path, the 60x60 FAW sweep and the BWH ratio sweep before the
+    retaliation grid became a constant; none of them may move."""
 
     FIVE_POOLS = ["--powers", "0.25", "0.15", "0.10", "0.035", "0.02"]
 
@@ -100,6 +101,11 @@ class TestGoldenOutputs:
          "6f2155d4f8120a6aa1534aadfe332146ed2816be885a4e14b75aea600cf68e28"),
         (["sweep", "--attack", "faw", "--fixed-alpha1", "0.2", "--cells", "20"],
          "193b1b3eeb1c8e72385d4703222f036141817f3e6ff39b44a94746be1af26b0e"),
+        # the benchmark's sweep-faw command, and the BWH ratio sweep
+        (["sweep", "--attack", "faw", "--cells", "60"],
+         "a0cdb812547ac5191ea79a2fc138788d093b071a8258fd95f4c4c7d5c09878a4"),
+        (["sweep", "--attack", "bwh", "--fixed-alpha1", "0.2", "--cells", "20"],
+         "e18118e908068a30e2ff9464aa8a5d2c03e9acfd7e244d02639b27451b32e605"),
     ])
     def test_byte_identical_to_pinned_digest(self, args, digest, capsys):
         code, out = run_cli(args, capsys)
@@ -128,7 +134,6 @@ class TestGridCells:
         ["audit-ipbwh", "--cells", "0"],
         ["audit-ipbwh", "--cells", "-3"],
         ["sweep", "--attack", "faw", "--cells", "0"],
-        ["sweep", "--attack", "bwh", "--grid", "0"],
     ])
     def test_empty_or_negative_grid_rejected(self, args, capsys):
         code = main(args)
@@ -137,18 +142,35 @@ class TestGridCells:
         assert "at least 1 cell" in captured.err
 
 
-class TestRetaliationGrid:
+class TestRemovedFlags:
+    """The retaliation grid is fixed and nothing reads a discount factor, so
+    --grid and --delta are refused everywhere, as is --k on the commands that
+    play no retaliation."""
+
+    RETALIATE = ["retaliate", "--alpha", "0.15", "0.25", "--opp-attack", "0.1", "0"]
+
     @pytest.mark.parametrize("args", [
-        ["retaliate", "--alpha", "0.15", "0.25", "--opp-attack", "0.1", "0", "--grid", "0"],
-        ["retaliate", "--alpha", "0.15", "0.25", "--opp-attack", "0.1", "0", "--grid", "1"],
+        [*RETALIATE, "--grid", "0"],
+        [*RETALIATE, "--grid", "1"],
         ["sweep", "--attack", "faw", "--grid", "1"],
         ["sweep", "--attack", "faw", "--cells", "3", "--grid", "1"],
+        ["sweep", "--attack", "bwh", "--grid", "0"],
+        ["payoff", "--alpha", "0.2", "0.2", "--a1", "0", "0", "--a2", "0", "0", "--k", "0.3"],
+        ["npool", "--powers", "0.25", "0.15", "--attack", "faw", "--delta", "0.5"],
     ])
-    def test_grid_below_two_points_rejected(self, args, capsys):
+    def test_flag_refused(self, args, capsys):
         code = main(args)
         captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    def test_grid_config_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("grid = 100\n")
+        code = main([*self.RETALIATE, "--config", str(cfg)])
+        captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert "at least 2 points" in captured.err
+        assert "unknown config key 'grid'" in captured.err
 
 
 class TestConfigFile:
@@ -166,7 +188,7 @@ class TestConfigFile:
     def test_unreadable_value_rejected(self, text, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(text)
-        code = main(["payoff", "--alpha", "0.2", "0.2", "--a1", "0", "0", "--a2", "0", "0",
+        code = main(["retaliate", "--alpha", "0.15", "0.25", "--opp-attack", "0.1", "0",
                      "--config", str(cfg)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
@@ -189,7 +211,7 @@ class TestConfigFile:
 
     def test_file_values_used_and_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
-        cfg.write_text("k = 0.5\nseed = 9\ngrid = 120\n")
+        cfg.write_text("k = 0.5\nseed = 9\n")
         _, out = run_cli(
             ["retaliate", "--alpha", "0.15", "0.25", "--opp-attack", "0.1", "0",
              "--config", str(cfg)],
@@ -331,7 +353,7 @@ class TestScenarioCommands:
     def test_sweep_grid_flag_sets_cells(self, tmp_path, capsys):
         out_file = tmp_path / "sweep.csv"
         code, _ = run_cli(
-            ["sweep", "--attack", "bwh", "--grid", "8", "--out", str(out_file)],
+            ["sweep", "--attack", "bwh", "--cells", "8", "--out", str(out_file)],
             capsys,
         )
         assert code == 0
@@ -344,6 +366,12 @@ class TestScenarioCommands:
         assert code == 0
         assert out.splitlines()[1] == "alpha1,alpha2,f_value,k_chosen,passed"
         assert out.strip().splitlines()[-1] == "# failures: 0"
+
+    def test_detect_periods_beyond_the_series_rejected(self, capsys):
+        code = main(["detect", "--mode", "variance", "--periods", "5000"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "5000 periods requested" in captured.err
 
     def test_detect_series_out_schema(self, tmp_path, capsys):
         series = tmp_path / "series.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from poolgame.model import AttackKind
+from poolgame.model import AttackKind, InvalidScenario
 from poolgame.payoff import simulate_rounds
 from poolgame.model import Action
 from poolgame.detection import (
@@ -112,6 +112,16 @@ class TestRewardDensity:
             DetectionScenario(0.1, 0.2, 0.0, AttackKind.FAW, periods=100, seed=0), 0.1
         )
         assert variance_ratio(s, flat) == math.inf
+
+    def test_periods_beyond_the_baseline_rejected(self):
+        # a baseline shorter than the run is refused, not silently repeated
+        hr = load_bundled_hashrates()
+        n = hr.rates["pool_a"].size
+        sc = DetectionScenario(0.1, 0.2, 0.05, AttackKind.FAW, periods=n + 1, seed=0)
+        with pytest.raises(InvalidScenario, match=f"only {n}"):
+            simulate_reward_density(sc, hr, pool="pool_a")
+        with pytest.raises(InvalidScenario, match="only 50"):
+            simulate_reward_density(sc, np.full(50, 0.1))
 
     def test_variance_ratio_needs_enough_periods(self):
         sc = DetectionScenario(0.1, 0.2, 0.0, AttackKind.FAW, periods=10, seed=0)

@@ -78,12 +78,12 @@ class TestDeltaBound:
         delta = b.bound + 0.01
         rng = np.random.default_rng(17)
         for alpha_pun, alpha_dev in ((0.25, 0.15), (0.15, 0.25)):
-            for case in _subgame_cases(alpha_pun, alpha_dev, k, 100, AttackKind.FAW):
+            for case in _subgame_cases(alpha_pun, alpha_dev, k, AttackKind.FAW):
                 for _ in range(25):
                     x = rng.uniform(1e-4, alpha_dev)
                     d = Action(x, 0.0) if rng.integers(2) else Action(0.0, x)
                     gain, pun, comp = deviation_outcome(
-                        case, alpha_pun, alpha_dev, d, k, 100
+                        case, alpha_pun, alpha_dev, d, k
                     )
                     assert gain + delta * pun <= comp + 1e-9
 

@@ -100,10 +100,6 @@ class TestGameConfig:
         with pytest.raises(InvalidScenario):
             GameConfig(pools=self._pools(), discount=discount)
 
-    def test_grid_resolution_floor(self):
-        with pytest.raises(InvalidScenario):
-            GameConfig(pools=self._pools(), grid_resolution=50)
-
     def test_duplicate_ids(self):
         with pytest.raises(InvalidScenario):
             GameConfig(pools=(PoolProfile(0, 0.2), PoolProfile(0, 0.2)))
