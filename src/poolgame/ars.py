@@ -22,6 +22,8 @@ around the coarse choice. Both tests compare the same two stage profiles,
 the last stage as played and as prescribed, so ``retaliate`` prices them
 once (two ``payoff_pair`` calls), computes the one-sided optimum once, and
 reuses them for the FAW try, the BWH fallback and the refinement pass.
+``_candidate_set`` also returns the opponent's payoffs at its members, so
+each grid pass is priced once (one ``one_sided_victim`` call).
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ def _candidate_set(
     alpha_opp: float,
     coef: float,
     grid: np.ndarray,
-) -> np.ndarray:
-    """Grid members x whose retaliation makes the opponent's deviation unprofitable:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid members x whose retaliation makes the opponent's deviation
+    unprofitable, with U_opp(x, no-attack) at each member:
 
         U_opp(actual profile) + coef * U_opp(retaliation, no-attack)
             < U_opp(profile had the opponent followed its prescription)
@@ -76,21 +79,18 @@ def _candidate_set(
     # strict inequality up to a margin, so boundary-equal candidates (e.g. 0
     # when the opponent's "deviation" changed nothing) stay in the set
     ok = actual.u_j + coef * u_under < prescribed.u_j + ALGEBRAIC_TOL
-    return grid[ok]
+    return grid[ok], u_under[ok]
 
 
 def _pick_from_set(
-    kind: AttackKind,
     stage: tuple[StagePayoffs, StagePayoffs],
-    alpha_own: float,
-    alpha_opp: float,
     members: np.ndarray,
+    u_under: np.ndarray,
     optimum: float,
 ) -> float:
     """min of equal retaliation and selfish retaliation over the candidates;
-    ``optimum`` is the one-sided optimal infiltration of ``kind``."""
+    ``optimum`` is the one-sided optimal infiltration of the retaliation."""
     actual, prescribed = stage
-    u_under = one_sided_victim(kind, alpha_own, alpha_opp, members)
     # equal retaliation: damage to the opponent at least my loss from the deviation
     sat = (actual.u_i - prescribed.u_i) >= u_under - ALGEBRAIC_TOL
     equal = float(members[sat][0]) if sat.any() else None
@@ -121,24 +121,22 @@ def retaliate(
         payoff_pair(alpha_own, alpha_opp, own_prev, opp_prev),
         payoff_pair(alpha_own, alpha_opp, own_prev, opp_prescribed),
     )
-
-    kind, coef = AttackKind.FAW, k
-    members = _candidate_set(kind, stage, alpha_own, alpha_opp, coef, coarse)
-    if members.size == 0:
-        kind, coef = AttackKind.BWH, 1.0
-        members = _candidate_set(kind, stage, alpha_own, alpha_opp, coef, coarse)
-        if members.size == 0:
-            raise EmptySetUnexpected(
-                f"BWH candidate set empty for alpha_own={alpha_own}, "
-                f"alpha_opp={alpha_opp}, own_prev={own_prev}, opp_prev={opp_prev}, "
-                f"opp_prescribed={opp_prescribed}"
-            )
+    for kind, coef in ((AttackKind.FAW, k), (AttackKind.BWH, 1.0)):
+        members, u_under = _candidate_set(kind, stage, alpha_own, alpha_opp, coef, coarse)
+        if members.size:
+            break
+    else:
+        raise EmptySetUnexpected(
+            f"BWH candidate set empty for alpha_own={alpha_own}, "
+            f"alpha_opp={alpha_opp}, own_prev={own_prev}, opp_prev={opp_prev}, "
+            f"opp_prescribed={opp_prescribed}"
+        )
     optimum = optimal_infiltration(kind, alpha_own, alpha_opp)
-    x = _pick_from_set(kind, stage, alpha_own, alpha_opp, members, optimum)
-    fine = _candidate_set(kind, stage, alpha_own, alpha_opp, coef,
-                          _refined_grid(x, step, alpha_own))
-    if fine.size:
-        x = _pick_from_set(kind, stage, alpha_own, alpha_opp, fine, optimum)
+    x = _pick_from_set(stage, members, u_under, optimum)
+    members, u_under = _candidate_set(kind, stage, alpha_own, alpha_opp, coef,
+                                      _refined_grid(x, step, alpha_own))
+    if members.size:
+        x = _pick_from_set(stage, members, u_under, optimum)
     return Action.of(kind, x)
 
 

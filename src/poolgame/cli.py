@@ -215,11 +215,18 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
     return ap
 
 
-def _apply_config(args, argv):
+def _config_options(parser, command: str) -> dict[str, argparse.Action]:
+    """The command's option flags by config key; positionals are not keys."""
+    commands = next(a for a in parser._actions if a.dest == "command")
+    return {a.dest: a for a in commands.choices[command]._actions
+            if a.option_strings and a.dest not in ("help", "config")}
+
+
+def _apply_config(parser, args, argv):
     if not args.config:
         return args
     file_values = _parse_config_file(args.config)
-    valid = sorted(set(vars(args)) - {"command", "config"})
+    valid = sorted(_config_options(parser, args.command))
     values = {}
     for key, val in file_values.items():
         if key not in valid:
@@ -344,7 +351,7 @@ def _cmd_delta_bound(args):
 
 
 def _cmd_audit(args):
-    report = audit_ipbwh_nonempty(power_grid_resolution=_grid_cells(args.cells))
+    report = audit_ipbwh_nonempty(_grid_cells(args.cells))
     lines = list(report.to_csv_rows())
     lines.append(f"# failures: {len(report.failures)}")
     return lines
@@ -418,7 +425,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args = _apply_config(args, argv)
+        args = _apply_config(parser, args, argv)
         lines = _HANDLERS[args.command](args)
     except PoolGameError as exc:
         print(f"error: {exc}", file=sys.stderr)

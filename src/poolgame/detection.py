@@ -107,9 +107,10 @@ class RewardDensitySeries:
 
 @dataclass(frozen=True)
 class HashrateSeries:
-    """Hourly absolute hash rates for one or more pools."""
+    """Hourly absolute hash rates for one or more pools; each pool's
+    timestamps are its own time axis, one per rate."""
 
-    timestamps: tuple
+    timestamps: dict[str, tuple[datetime, ...]]
     rates: dict[str, np.ndarray]
 
     def pools(self):
@@ -324,9 +325,8 @@ def ingest_hashrate_csv(path) -> HashrateSeries:
     Timestamps are ISO-8601 and must be strictly increasing within each pool;
     hash rates must be positive decimals.
     """
-    timestamps: list[datetime] = []
+    timestamps: dict[str, list[datetime]] = {}
     rates: dict[str, list[float]] = {}
-    last_ts: dict[str, datetime] = {}
     header_seen = False
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -353,15 +353,15 @@ def ingest_hashrate_csv(path) -> HashrateSeries:
                 raise ParseError(line_no, f"bad hash rate {rate_raw!r}") from None
             if not math.isfinite(rate) or rate <= 0.0:
                 raise NonPositiveRate(line_no, rate)
-            if pool in last_ts and ts <= last_ts[pool]:
+            times = timestamps.setdefault(pool, [])
+            if times and ts <= times[-1]:
                 raise NonMonotoneTimestamp(line_no, ts_raw)
-            last_ts[pool] = ts
+            times.append(ts)
             rates.setdefault(pool, []).append(rate)
-            timestamps.append(ts)
     if not rates:
         raise ParseError(0, "no data rows")
     return HashrateSeries(
-        timestamps=tuple(timestamps),
+        timestamps={k: tuple(v) for k, v in timestamps.items()},
         rates={k: np.asarray(v, float) for k, v in rates.items()},
     )
 

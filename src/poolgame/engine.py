@@ -40,6 +40,9 @@ from .ars import ars_step, initial_state, retaliate
 from .equilibrium import golden_max
 
 DEFAULT_K_NEAR_ONE = 0.999  # realizes "preference weight just under 1"
+SWEEP_POWER_CAP = 0.9  # two-pool sweeps skip cells whose pools hold more together
+ASCENT_SWEEPS = 5  # coordinate-ascent passes of optimal_simultaneous_attack
+CLOSED_POOL_VICTIM = 0.25  # the open pool the closed pools attack
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +77,9 @@ class ScriptedDeviator:
 
 @dataclass
 class OptimalOneShotAttacker:
-    """Deviates once against every other pool with the payoff-maximizing
-    attack, then falls back to the cooperative strategy (contrite).
+    """Deviates once, at stage 0, against every other pool with the
+    payoff-maximizing attack, then falls back to the cooperative strategy
+    (contrite).
 
     One victim gets the closed-form one-sided optimum; several victims get
     a simultaneous infiltration vector from coordinate ascent on the exact
@@ -83,18 +87,16 @@ class OptimalOneShotAttacker:
     """
 
     kind: AttackKind
-    stage: int = 0
-    sweeps: int = 5
     k: float = DEFAULT_K_NEAR_ONE
 
     def pick(self, stage, me, alphas):
-        if stage != self.stage:
+        if stage != 0:
             return {}
         victims = [j for j in range(len(alphas)) if j != me]
         if len(victims) == 1:
             (j,) = victims
             return {j: Action.of(self.kind, optimal_infiltration(self.kind, alphas[me], alphas[j]))}
-        xs = optimal_simultaneous_attack(alphas, me, self.kind, self.sweeps)
+        xs = optimal_simultaneous_attack(alphas, me, self.kind)
         return {j: Action.of(self.kind, xs[j]) for j in victims}
 
 
@@ -127,9 +129,6 @@ class StageRecord:
 class History:
     records: tuple[StageRecord, ...]
     discount: float
-
-    def payoff_stream(self, pool: int) -> list[float]:
-        return [r.payoffs[pool] for r in self.records]
 
 
 def discounted_payoff(history: History, pool: int) -> float:
@@ -182,7 +181,6 @@ def two_stage_sweep(
     alpha_grid,
     attacker_kind: AttackKind,
     k: float = DEFAULT_K_NEAR_ONE,
-    power_cap: float = 0.9,
 ) -> list[SweepCell]:
     """Optimal one-shot deviation followed by retaliation, per power cell.
 
@@ -193,7 +191,7 @@ def two_stage_sweep(
     cells = []
     for alpha_1 in alpha_grid:
         for alpha_2 in alpha_grid:
-            if alpha_1 + alpha_2 > power_cap:
+            if alpha_1 + alpha_2 > SWEEP_POWER_CAP:
                 continue
             attack = Action.of(
                 attacker_kind, optimal_infiltration(attacker_kind, alpha_1, alpha_2)
@@ -214,7 +212,7 @@ def two_stage_ratio_sweep(
     cells = []
     for ratio in ratio_grid:
         for alpha_2 in alpha_2_grid:
-            if alpha_1 + alpha_2 > 0.9:
+            if alpha_1 + alpha_2 > SWEEP_POWER_CAP:
                 continue
             attack = Action.of(attacker_kind, ratio * alpha_1)
             cells.append(_two_stage_cell(alpha_1, alpha_2, attack, k))
@@ -322,9 +320,7 @@ def npool_stage_payoffs_mc(
     return u, stderr
 
 
-def optimal_simultaneous_attack(
-    alphas, attacker: int, kind: AttackKind, sweeps: int = 5
-) -> np.ndarray:
+def optimal_simultaneous_attack(alphas, attacker: int, kind: AttackKind) -> np.ndarray:
     """Coordinate ascent with golden-section line search over each victim's
     infiltration power, respecting the attacker's total power budget."""
     alphas = np.asarray(alphas, float)
@@ -339,7 +335,7 @@ def optimal_simultaneous_attack(
             m.bwh[attacker, :] = xs
         return float(npool_stage_payoffs(alphas, m)[attacker])
 
-    for _ in range(sweeps):
+    for _ in range(ASCENT_SWEEPS):
         for j in range(n):
             if j == attacker:
                 continue
@@ -411,9 +407,7 @@ class ClosedPoolRow:
     victim_loss: float
 
 
-def closed_pool_scenario(
-    attacker_powers=(0.031, 0.013), victim_power: float = 0.25
-) -> list[ClosedPoolRow]:
+def closed_pool_scenario(attacker_powers=(0.031, 0.013)) -> list[ClosedPoolRow]:
     """Unretaliated optimal FAW by closed pools against a large open pool.
 
     Closed pools cannot be counter-infiltrated, so the attack simply stands;
@@ -424,8 +418,8 @@ def closed_pool_scenario(
         if a == 0.0:
             rows.append(ClosedPoolRow(0.0, 0.0, 0.0, 0.0))
             continue
-        f = optimal_faw_infiltration(a, victim_power)
-        gain = float(one_sided_attacker(AttackKind.FAW, a, victim_power, f))
-        loss = -float(one_sided_victim(AttackKind.FAW, a, victim_power, f))
+        f = optimal_faw_infiltration(a, CLOSED_POOL_VICTIM)
+        gain = float(one_sided_attacker(AttackKind.FAW, a, CLOSED_POOL_VICTIM, f))
+        loss = -float(one_sided_victim(AttackKind.FAW, a, CLOSED_POOL_VICTIM, f))
         rows.append(ClosedPoolRow(a, f, gain, loss))
     return rows

@@ -4,14 +4,15 @@ for mutual-retaliation stability, and the BWH candidate-set audit.
 The stage game restricted to FAW-only actions carries all equilibria (either
 pool would swap a BWH component for the same-size FAW component and gain), so
 the Nash solver runs best-response dynamics on the one-dimensional FAW slice,
-with each best response bracketed on a coarse grid and polished by
-golden-section search.
+with each best response bracketed on a fixed grid (``NASH_GRID_POINTS``)
+and polished by golden-section search.
 
 The discount bound answers: how patient must both pools be for one-stage
 deviations from mutual adaptive retaliation to never pay? Each subgame class
 contributes a family of payoff ratios (deviation gain over punishment size);
 the bound is the maximum over the class families and a deviation grid, and by
-construction of the candidate sets it stays below 1.
+construction of the candidate sets it stays below 1. Classes sharing a
+stage-0 profile share their outcomes, so each profile is evaluated once.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ from .payoff import (
 from .ars import retaliate
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# best-response dynamics of stage_nash: bracketing grid, stopping step, cap
+NASH_GRID_POINTS = 100
+NASH_TOL = 1e-7
+NASH_MAX_ITERATIONS = 10_000
 
 
 def golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -69,13 +74,13 @@ class StageEquilibrium:
     converged: bool
 
 
-def _best_response(alpha_own, alpha_opp, f_opp, grid_resolution) -> float:
+def _best_response(alpha_own, alpha_opp, f_opp) -> float:
     """argmax over own FAW power of the coupled stage payoff."""
 
     def u(f):
         return float(payoff_pair_raw(alpha_own, alpha_opp, f, 0.0, f_opp, 0.0)[0])
 
-    grid = power_grid(alpha_own, grid_resolution)
+    grid = power_grid(alpha_own, NASH_GRID_POINTS)
     vals = payoff_pair_raw(alpha_own, alpha_opp, grid, 0.0, f_opp, 0.0)[0]
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
@@ -86,29 +91,23 @@ def _best_response(alpha_own, alpha_opp, f_opp, grid_resolution) -> float:
 def stage_nash(
     alpha_1: float,
     alpha_2: float,
-    grid_resolution: int = 100,
-    tolerance: float = 1e-7,
-    max_iterations: int = 10_000,
     initial: tuple[float, float] = (0.0, 0.0),
 ) -> StageEquilibrium:
     """Unique pure-FAW stage-game Nash equilibrium by best-response iteration."""
     f1, f2 = initial
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        n1 = _best_response(alpha_1, alpha_2, f2, grid_resolution)
-        n2 = _best_response(alpha_2, alpha_1, n1, grid_resolution)
-        if abs(n1 - f1) < tolerance and abs(n2 - f2) < tolerance:
-            f1, f2 = n1, n2
-            converged = True
-            break
+    for iterations in range(1, NASH_MAX_ITERATIONS + 1):
+        n1 = _best_response(alpha_1, alpha_2, f2)
+        n2 = _best_response(alpha_2, alpha_1, n1)
+        converged = abs(n1 - f1) < NASH_TOL and abs(n2 - f2) < NASH_TOL
         f1, f2 = n1, n2
+        if converged:
+            break
     actions = (Action(f1, 0.0), Action(f2, 0.0))
     payoffs = payoff_pair(alpha_1, alpha_2, *actions)
     eq = StageEquilibrium(actions, payoffs, iterations, converged)
     if not converged:
         raise NonConvergence(
-            f"best-response dynamics did not settle after {max_iterations} iterations",
+            f"best-response dynamics did not settle after {NASH_MAX_ITERATIONS} iterations",
             last_iterate=eq,
         )
     return eq
@@ -193,43 +192,44 @@ def _deviation_grid(alpha_dev, n):
     return [Action(f, 0.0) for f in g] + [Action(0.0, b) for b in g]
 
 
+def _worst_ratio(case, alpha_pun, alpha_dev, deviations, k) -> float:
+    """Largest (compliance - gain) / punishment over one class's deviations,
+    skipping those whose punishment-stage payoff is (near) zero."""
+    outcomes = (deviation_outcome(case, alpha_pun, alpha_dev, d, k) for d in deviations)
+    return max(((comp - gain) / pun for gain, pun, comp in outcomes
+                if abs(pun) >= OPTIMIZER_TOL), default=-np.inf)
+
+
 def delta_bound(
     alpha_1: float,
     alpha_2: float,
     k: float,
     deviation_resolution: int = 40,
-    tolerance: float = OPTIMIZER_TOL,
 ) -> DeltaBound:
     """Smallest discount factor above which no sampled one-stage deviation
     from mutual adaptive retaliation pays, in any subgame class.
 
     Maximizes the ratio (deviation gain) / (punishment size) over a grid of
     deviation actions for both pools as deviator; ratios whose punishment-stage
-    payoff is (near) zero are skipped. The mutual-bad class duplicates the
-    cooperating class (both prescribe no-attack) and is evaluated as listed.
+    payoff is (near) zero are skipped. A class's outcomes depend only on its
+    stage-0 profile (punisher's action, deviator's prescription), so each side
+    evaluates the deviation grid once per distinct profile: cooperating under
+    either prior and mutual-bad all share the no-attack profile.
     """
     case_maxima: dict[str, float] = {}
     for alpha_pun, alpha_dev, side in ((alpha_1, alpha_2, 2), (alpha_2, alpha_1, 1)):
+        deviations = _deviation_grid(alpha_dev, deviation_resolution)
+        worst: dict[tuple[Action, Action], float] = {}  # by stage-0 profile
         for prior in (AttackKind.FAW, AttackKind.BWH):
-            cases = _subgame_cases(alpha_pun, alpha_dev, k, prior)
-            for case in cases:
+            for case in _subgame_cases(alpha_pun, alpha_dev, k, prior):
+                profile = (case.punisher_stage0, case.deviator_prescribed)
+                if profile not in worst:
+                    worst[profile] = _worst_ratio(case, alpha_pun, alpha_dev, deviations, k)
                 key = f"pool{side}:{case.name}"
-                best = case_maxima.get(key, -np.inf)
-                for d in _deviation_grid(alpha_dev, deviation_resolution):
-                    gain, pun, comp = deviation_outcome(case, alpha_pun, alpha_dev, d, k)
-                    if abs(pun) < tolerance:
-                        continue
-                    best = max(best, (comp - gain) / pun)
-                case_maxima[key] = best
-    bound = max(case_maxima.values())
-    return DeltaBound(
-        alpha_1=alpha_1,
-        alpha_2=alpha_2,
-        k=k,
-        bound=float(bound),
-        case_maxima=case_maxima,
-        duplicate_cases=(("cooperating", "mutual-bad"),),
-    )
+                case_maxima[key] = max(case_maxima.get(key, -np.inf), worst[profile])
+    return DeltaBound(alpha_1=alpha_1, alpha_2=alpha_2, k=k,
+                      bound=float(max(case_maxima.values())), case_maxima=case_maxima,
+                      duplicate_cases=(("cooperating", "mutual-bad"),))
 
 
 # ---------------------------------------------------------------------------

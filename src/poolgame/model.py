@@ -27,6 +27,8 @@ PoolId = int
 ALGEBRAIC_TOL = 1e-9
 #: acceptance margin for optimizer / grid-search outputs
 OPTIMIZER_TOL = 1e-4
+#: margin within which two actions count as the same play
+ACTION_TOL = 1e-12
 
 
 class PoolGameError(Exception):
@@ -95,10 +97,6 @@ class Action:
     bwh: float = 0.0
 
     @classmethod
-    def no_attack(cls) -> "Action":
-        return cls(0.0, 0.0)
-
-    @classmethod
     def of(cls, kind: AttackKind, power: float) -> "Action":
         if kind is AttackKind.FAW:
             return cls(float(power), 0.0)
@@ -121,8 +119,8 @@ class Action:
             return AttackKind.BWH
         return None
 
-    def approx_eq(self, other: "Action", tol: float = 1e-12) -> bool:
-        return abs(self.faw - other.faw) <= tol and abs(self.bwh - other.bwh) <= tol
+    def approx_eq(self, other: "Action") -> bool:
+        return abs(self.faw - other.faw) <= ACTION_TOL and abs(self.bwh - other.bwh) <= ACTION_TOL
 
 
 ZERO_ACTION = Action(0.0, 0.0)

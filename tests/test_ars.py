@@ -6,6 +6,7 @@ from poolgame import ars
 from poolgame.model import Action, AttackKind, EmptySetUnexpected, Standing, ZERO_ACTION
 from poolgame.ars import ArsState, ars_step, initial_state, retaliate
 from poolgame.payoff import (
+    one_sided_victim,
     optimal_bwh_infiltration,
     optimal_faw_infiltration,
     optimal_infiltration,
@@ -23,12 +24,13 @@ FAW_AND_FALLBACK = [
 
 def candidates(kind, alpha_own, alpha_opp, own_prev=ZERO_ACTION, opp_prev=ZERO_ACTION,
                opp_prescribed=ZERO_ACTION, k=K):
-    """The coarse candidate set ``retaliate`` builds for ``kind``."""
+    """The members of the coarse candidate set ``retaliate`` builds for ``kind``."""
     stage = (payoff_pair(alpha_own, alpha_opp, own_prev, opp_prev),
              payoff_pair(alpha_own, alpha_opp, own_prev, opp_prescribed))
     coef = k if kind is AttackKind.FAW else 1.0
     grid = np.linspace(0.0, alpha_own, ars.GRID_POINTS)
-    return ars._candidate_set(kind, stage, alpha_own, alpha_opp, coef, grid)
+    members, _ = ars._candidate_set(kind, stage, alpha_own, alpha_opp, coef, grid)
+    return members
 
 
 def punished_state(opp_action: Action, k=K) -> ArsState:
@@ -216,3 +218,19 @@ class TestRetaliate:
         r = retaliate(alpha_own, ZERO_ACTION, alpha_opp, dev, ZERO_ACTION, K)
         assert r.kind is kind
         assert calls == [(kind, alpha_own, alpha_opp)]
+
+    @pytest.mark.parametrize("alpha_own, alpha_opp, dev, kind", FAW_AND_FALLBACK)
+    def test_each_grid_priced_once(self, alpha_own, alpha_opp, dev, kind, monkeypatch):
+        # one one_sided_victim call per grid pass: the coarse FAW grid, the
+        # coarse BWH grid on the fallback, then the refined grid
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return one_sided_victim(*args)
+
+        monkeypatch.setattr(ars, "one_sided_victim", counting)
+        r = retaliate(alpha_own, ZERO_ACTION, alpha_opp, dev, ZERO_ACTION, K)
+        assert r.kind is kind
+        tried = [AttackKind.FAW] if kind is AttackKind.FAW else [AttackKind.FAW, AttackKind.BWH]
+        assert calls == [*tried, kind]

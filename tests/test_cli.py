@@ -1,10 +1,14 @@
+import contextlib
 import csv
 import hashlib
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from poolgame.cli import main
+from poolgame.cli import _CHOICES, _HANDLERS, _INT_KEYS, _TEXT_KEYS, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -61,6 +65,67 @@ class TestDeterminism:
         _, first = run_cli(args, capsys)
         _, second = run_cli(args, capsys)
         assert first == second
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_same_command_config_and_seed_give_the_same_bytes(self, data):
+        # twice with every value as a flag, once with the optional ones read
+        # from a config file; required flags stay on the command line
+        required, optional = data.draw(cli_scenarios())
+        flags = []
+        for key, values in optional.items():
+            if key == "powers":  # the config key is in percent, the flag in fractions
+                values = [repr(int(p) / 100) for p in values]
+            flags += [f"--{key.replace('_', '-')}", *values]
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "scenario.cfg"
+            cfg.write_text("".join(f"{key} = {' '.join(values)}\n"
+                                   for key, values in optional.items()))
+            runs = [stdout_of([*required, *flags]), stdout_of([*required, *flags]),
+                    stdout_of([*required, "--config", str(cfg)])]
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1] == runs[2]
+
+
+def stdout_of(args):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(args)
+    return code, buf.getvalue()
+
+
+@st.composite
+def cli_scenarios(draw):
+    """(required argv, {config key: value tokens}) for a cheap command."""
+    pct = st.integers(5, 40)
+    a1, a2 = draw(pct), draw(pct)
+    alpha = [repr(a1 / 100), repr(a2 / 100)]
+    seed = [str(draw(st.integers(0, 10_000)))]
+    k = [repr(draw(st.floats(0.0, 0.999)))]
+    command = draw(st.sampled_from(["payoff", "retaliate", "simulate", "npool", "detect"]))
+    if command in ("payoff", "simulate"):
+        f1 = repr(draw(st.integers(0, a1)) / 100)
+        b2 = repr(draw(st.integers(0, a2)) / 100)
+        required = [command, "--alpha", *alpha, "--a1", f1, "0", "--a2", "0", b2]
+        optional = {"seed": seed}
+        if command == "simulate":
+            optional["rounds"] = ["2000"]
+        return required, optional
+    if command == "retaliate":
+        x = repr(draw(st.integers(1, a2)) / 100)
+        attack = draw(st.sampled_from([[x, "0"], ["0", x]]))
+        return [command, "--alpha", *alpha, "--opp-attack", *attack], {"k": k, "seed": seed}
+    if command == "npool":
+        required = [command, "--attack", draw(st.sampled_from(["faw", "bwh"]))]
+        return required, {"powers": [str(a1), str(a2)], "k": k, "seed": seed,
+                          "stages": [str(draw(st.integers(1, 3)))]}
+    infiltration = repr(draw(st.integers(1, a1)) / 1000)
+    return [command, "--mode", "variance"], {
+        "alpha": alpha[:1], "beta": alpha[1:], "infiltration": [infiltration],
+        "attack": [draw(st.sampled_from(["faw", "bwh"]))],
+        "pool": [draw(st.sampled_from(["pool_a", "pool_b"]))],
+        "periods": ["48"], "seed": seed,
+    }
 
 
 class TestGoldenOutputs:
@@ -193,6 +258,33 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "cannot read" in captured.err
+
+    def test_positional_table_is_not_a_key(self, tmp_path, capsys):
+        # the positional table is required on the command line, so a file
+        # value could never apply; it is refused like any unknown key
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("table = 3\n")
+        code = main(["reproduce-table", "1", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "unknown config key 'table'" in captured.err
+
+    def test_keys_read_as_their_flags_parse(self):
+        from poolgame.cli import _config_options
+
+        parser = build_parser()
+        for command in _HANDLERS:
+            for key, action in _config_options(parser, command).items():
+                where = (command, key)
+                if action.type is int:
+                    assert key in _INT_KEYS, where
+                elif action.choices:
+                    assert tuple(action.choices) == _CHOICES[key], where
+                elif action.type is None:
+                    assert key in _TEXT_KEYS, where
+                else:
+                    assert action.type is float, where
+                    assert key not in _INT_KEYS | _TEXT_KEYS | set(_CHOICES), where
 
     def test_missing_file_rejected(self, tmp_path, capsys):
         code = main(["payoff", "--alpha", "0.2", "0.2", "--a1", "0", "0", "--a2", "0", "0",

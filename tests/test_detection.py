@@ -258,6 +258,14 @@ class TestHashrateIngestion:
             assert r.mean() == pytest.approx(mean_rate, rel=0.01)
             assert np.std(r / r.mean()) == pytest.approx(0.006, rel=0.35)
 
+    def test_timestamps_are_a_time_axis_per_pool(self):
+        hs = load_bundled_hashrates()
+        assert set(hs.timestamps) == set(hs.rates)
+        for pool, rates in hs.rates.items():
+            times = hs.timestamps[pool]
+            assert len(times) == rates.size == 720
+            assert all(a < b for a, b in zip(times, times[1:]))
+
     def test_generator_round_trips_through_ingestion(self, tmp_path):
         f = tmp_path / "h.csv"
         f.write_text("\n".join(generate_synthetic_hashrates(hours=48)) + "\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from poolgame import equilibrium
 from poolgame.model import Action, AttackKind
 from poolgame.payoff import payoff_pair, payoff_pair_raw
 from poolgame.equilibrium import (
@@ -70,6 +71,29 @@ class TestDeltaBound:
             assert b.case_maxima[f"pool{side}:cooperating"] == pytest.approx(
                 b.case_maxima[f"pool{side}:mutual-bad"], abs=1e-12
             )
+
+    def test_each_stage0_profile_evaluated_once(self, monkeypatch):
+        # classes sharing (punisher stage-0 action, deviator prescription)
+        # share their outcomes, so each side prices each such profile once
+        alpha_1, alpha_2, k, n = 0.25, 0.15, 0.5, 10
+        expected = 0
+        for alpha_pun, alpha_dev in ((alpha_1, alpha_2), (alpha_2, alpha_1)):
+            profiles = {
+                (c.punisher_stage0, c.deviator_prescribed)
+                for prior in (AttackKind.FAW, AttackKind.BWH)
+                for c in _subgame_cases(alpha_pun, alpha_dev, k, prior)
+            }
+            expected += len(profiles) * 2 * (n - 1)
+        calls = []
+
+        def counting(case, *args):
+            calls.append((case.punisher_stage0, case.deviator_prescribed, args))
+            return deviation_outcome(case, *args)
+
+        monkeypatch.setattr(equilibrium, "deviation_outcome", counting)
+        delta_bound(alpha_1, alpha_2, k, deviation_resolution=n)
+        assert len(calls) == expected
+        assert len(set(calls)) == expected
 
     def test_one_stage_deviations_unprofitable_above_bound(self):
         k = 0.5
