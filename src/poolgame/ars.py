@@ -37,6 +37,7 @@ from .model import (
     Action,
     AttackKind,
     EmptySetUnexpected,
+    InvalidScenario,
     Standing,
     ZERO_ACTION,
     power_grid,
@@ -164,7 +165,7 @@ class ArsState:
 
 def initial_state(k: float) -> ArsState:
     if not (0.0 <= k < 1.0):
-        raise ValueError(f"k must be in [0, 1), got {k}")
+        raise InvalidScenario(f"k must be in [0, 1), got {k}")
     return ArsState(k=k)
 
 

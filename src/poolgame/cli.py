@@ -257,7 +257,8 @@ def _cmd_stage_nash(args):
 def _cmd_retaliate(args):
     r = retaliate(
         args.alpha[0], _action(args.own_prev), args.alpha[1],
-        _action(args.opp_attack), _action(args.opp_prescribed), args.k,
+        _action(args.opp_attack), _action(args.opp_prescribed),
+        _preference_weight(args.k),
     )
     return ["faw,bwh,ratio_faw,ratio_bwh",
             f"{r.faw:.8f},{r.bwh:.8f},{r.faw/args.alpha[0]:.6f},{r.bwh/args.alpha[0]:.6f}"]
@@ -270,6 +271,14 @@ def _cmd_simulate(args):
             f"{res.u_i:.8f},{res.u_j:.8f},{res.stderr_i:.2e},{res.stderr_j:.2e},{res.rounds}"]
 
 
+def _preference_weight(k):
+    """``--k``, checked: a retaliation preference weight lies in [0, 1)."""
+    # written so that NaN fails the test
+    if not 0.0 <= k < 1.0:
+        raise PoolGameError(f"--k must be in [0, 1), got {k}")
+    return k
+
+
 def _grid_cells(n):
     """``--cells``, checked: a power grid needs at least one cell per axis."""
     if n < 1:
@@ -280,12 +289,13 @@ def _grid_cells(n):
 def _cmd_sweep(args):
     kind = AttackKind(args.attack)
     n = _grid_cells(args.cells)
+    k = _preference_weight(args.k)
     grid = np.linspace(0.01, 0.5, n)
     if args.fixed_alpha1 is not None:
         ratios = np.linspace(1.0 / n, 1.0, n)
-        cells = two_stage_ratio_sweep(ratios, grid, kind, args.fixed_alpha1, args.k)
+        cells = two_stage_ratio_sweep(ratios, grid, kind, args.fixed_alpha1, k)
     else:
-        cells = two_stage_sweep(grid, kind, args.k)
+        cells = two_stage_sweep(grid, kind, k)
     return list(sweep_csv_rows(cells))
 
 
@@ -300,7 +310,8 @@ def _cmd_npool(args):
         raise PoolGameError("npool needs --powers or a `powers` config entry")
     pools = tuple(PoolProfile(i, p) for i, p in enumerate(args.powers))
     config = GameConfig(pools=pools, seed=args.seed)
-    hist = run_npool(config, _one_shot_strategies(kind, args.k, len(pools)), args.stages,
+    strategies = _one_shot_strategies(kind, _preference_weight(args.k), len(pools))
+    hist = run_npool(config, strategies, args.stages,
                      payoff_rounds=args.rounds or None)
     lines = ["stage,pool,payoff"]
     for rec in hist.records:
@@ -344,7 +355,7 @@ def _cmd_detect(args):
 
 
 def _cmd_delta_bound(args):
-    b = delta_bound(*args.alpha, args.k)
+    b = delta_bound(*args.alpha, _preference_weight(args.k))
     lines = ["alpha1,alpha2,k,bound", f"{b.alpha_1},{b.alpha_2},{b.k},{b.bound:.8f}"]
     lines += [f"# {name}: {v:.8f}" for name, v in sorted(b.case_maxima.items())]
     return lines
@@ -358,13 +369,14 @@ def _cmd_audit(args):
 
 
 def _cmd_reproduce_table(args):
+    k = _preference_weight(args.k)
     if args.table == 1:
         lines = ["victim,power,attack,r_faw_pct,r_bwh_pct,attacker_total_pct"]
         for name, power in TABLE1_POOLS.items():
             for kind in (AttackKind.FAW, AttackKind.BWH):
                 pools = (PoolProfile(0, TABLE1_ATTACKER), PoolProfile(1, power))
                 config = GameConfig(pools=pools, seed=args.seed)
-                hist = run_npool(config, _one_shot_strategies(kind, args.k, 2), 2)
+                hist = run_npool(config, _one_shot_strategies(kind, k, 2), 2)
                 r = hist.records[1].actions.action(1, 0)
                 total = sum(rec.payoffs[0] for rec in hist.records)
                 lines.append(
@@ -378,7 +390,7 @@ def _cmd_reproduce_table(args):
     for kind in (AttackKind.FAW, AttackKind.BWH):
         pools = tuple(PoolProfile(i, p) for i, p in enumerate(powers))
         config = GameConfig(pools=pools, seed=args.seed)
-        hist = run_npool(config, _one_shot_strategies(kind, args.k, len(powers)), 2,
+        hist = run_npool(config, _one_shot_strategies(kind, k, len(powers)), 2,
                          payoff_rounds=args.rounds or None)
         matrix0 = hist.records[0].actions
         matrix1 = hist.records[1].actions

@@ -118,6 +118,11 @@ class HashrateSeries:
 
     def normalized(self, pool: str, mean_power: float) -> np.ndarray:
         """Power-fraction series for one pool, rescaled to the given mean."""
+        if pool not in self.rates:
+            raise InvalidScenario(
+                f"no pool {pool!r} in the hash-rate series; "
+                f"available: {', '.join(self.pools())}"
+            )
         r = self.rates[pool]
         return r / r.mean() * mean_power
 
@@ -328,36 +333,40 @@ def ingest_hashrate_csv(path) -> HashrateSeries:
     timestamps: dict[str, list[datetime]] = {}
     rates: dict[str, list[float]] = {}
     header_seen = False
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                parts = [p.strip().lower() for p in line.split(",")]
-                if parts != ["timestamp", "pool", "hashrate"]:
-                    raise ParseError(line_no, f"expected header timestamp,pool,hashrate, got {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(line_no, f"expected 3 fields, got {len(parts)}")
-            ts_raw, pool, rate_raw = (p.strip() for p in parts)
-            try:
-                ts = datetime.fromisoformat(ts_raw)
-            except ValueError:
-                raise ParseError(line_no, f"bad timestamp {ts_raw!r}") from None
-            try:
-                rate = float(rate_raw)
-            except ValueError:
-                raise ParseError(line_no, f"bad hash rate {rate_raw!r}") from None
-            if not math.isfinite(rate) or rate <= 0.0:
-                raise NonPositiveRate(line_no, rate)
-            times = timestamps.setdefault(pool, [])
-            if times and ts <= times[-1]:
-                raise NonMonotoneTimestamp(line_no, ts_raw)
-            times.append(ts)
-            rates.setdefault(pool, []).append(rate)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PoolGameError(f"cannot read hash-rate file: {exc}") from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            parts = [p.strip().lower() for p in line.split(",")]
+            if parts != ["timestamp", "pool", "hashrate"]:
+                raise ParseError(line_no, f"expected header timestamp,pool,hashrate, got {line!r}")
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ParseError(line_no, f"expected 3 fields, got {len(parts)}")
+        ts_raw, pool, rate_raw = (p.strip() for p in parts)
+        try:
+            ts = datetime.fromisoformat(ts_raw)
+        except ValueError:
+            raise ParseError(line_no, f"bad timestamp {ts_raw!r}") from None
+        try:
+            rate = float(rate_raw)
+        except ValueError:
+            raise ParseError(line_no, f"bad hash rate {rate_raw!r}") from None
+        if not math.isfinite(rate) or rate <= 0.0:
+            raise NonPositiveRate(line_no, rate)
+        times = timestamps.setdefault(pool, [])
+        if times and ts <= times[-1]:
+            raise NonMonotoneTimestamp(line_no, ts_raw)
+        times.append(ts)
+        rates.setdefault(pool, []).append(rate)
     if not rates:
         raise ParseError(0, "no data rows")
     return HashrateSeries(

@@ -359,8 +359,11 @@ def run_npool(
     """Play the repeated game of n >= 2 pools with per-pair ARS bookkeeping.
 
     Recorded stage payoffs are exact expectations by default; pass
-    ``payoff_rounds`` to estimate them by Monte-Carlo instead (stderr not
-    recorded in the history, available via npool_stage_payoffs_mc).
+    ``payoff_rounds`` to estimate them by Monte-Carlo instead, each stage
+    with ``npool_stage_payoffs_mc`` seeded ``config.seed + stage``. Its cost
+    follows the rounds in which a FAW flag fires first, so stages without
+    FAW cost one multinomial draw. The standard error is not recorded in
+    the history (``npool_stage_payoffs_mc`` returns it).
     """
     alphas = config.powers
     n = len(alphas)

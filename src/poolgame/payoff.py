@@ -17,7 +17,10 @@ densities. ``payoff_pair`` resolves that coupling exactly as a 2x2 linear
 system. ``_sample_rounds`` is the one Monte-Carlo sampler of the round race,
 for any number of pools; ``simulate_rounds`` (two pools) and the engine's
 ``npool_stage_payoffs_mc`` are result builders over it and serve as the
-independent oracle of the exact models.
+independent oracle of the exact models. It draws how all rounds end as one
+multinomial over the input rates and draws round by round only the rounds
+in which a FAW flag fires first, so its cost follows those rounds; it never
+reads a probability the exact models compute.
 
 ``U_i`` is pool i's extra reward density: member reward per unit power minus
 the honest baseline 1.
@@ -35,6 +38,7 @@ from .model import (
     AttackKind,
     DegenerateDenominator,
     InvalidPowers,
+    InvalidScenario,
     validate_action,
 )
 
@@ -228,7 +232,7 @@ def _pot_matrix(alphas, faw, bwh) -> np.ndarray:
     return np.diag(basis) - x
 
 
-_CHUNK = 2_000_000  # rounds sampled per batch
+_CHUNK = 2_000_000  # per-round FAW-flag uniforms drawn per batch; bounds the batch arrays
 
 
 def _sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
@@ -236,42 +240,60 @@ def _sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
 
     ``faw[i, j]`` (``bwh[i, j]``) is pool i's FAW (BWH) power inside pool j.
     Per round the first find of the live terminal power (external miners and
-    every pool's home miners) ends it; BWH detachments never publish. A FAW
-    detachment's withheld block exists if its first find lands before the
-    round ends, and external endings are claimed by a uniformly chosen
-    released branch. Draws, per chunk of rounds: the ending component; for
-    external endings only, the round length, one uniform per FAW flag in
-    row-major (i, j) order, and one uniform picking among the fired flags.
+    every pool's home miners, total rate theta) ends it; BWH detachments
+    never publish. A FAW detachment's withheld block (its flag, rate phi)
+    exists if its first find lands before the round ends, and external
+    endings are claimed by a uniformly chosen released branch.
+
+    Draws, from the input rates only:
+
+    * one multinomial over n + F + 1 categories for all rounds: an external
+      round whose end comes before every flag, ``ext / (theta + Phi)``; an
+      external round in which FAW flag f fires first,
+      ``ext / theta * phi_f / (theta + Phi)``; a home ending of pool i,
+      ``home_i / theta`` (Phi is the sum of the F flag rates, flags in
+      row-major (i, j) order). Rounds of the first and last kinds are
+      settled by their category;
+    * for the flag-first rounds only, in batches sorted by first flag: the
+      remaining round length tau ~ Exp(theta), restarted by memorylessness
+      when the first flag fires; one uniform per flag, a flag other than the
+      first firing iff it is below 1 - exp(-phi * tau); and one uniform
+      picking the fired flag whose host wins the round.
 
     Returns the mean extra reward densities, their standard errors, the win
     frequencies and the inverse pot-split matrix.
     """
+    if not rounds >= 1:
+        raise InvalidScenario(f"Monte-Carlo rounds must be at least 1, got {rounds}")
     alphas = np.asarray(alphas, float)
     n = alphas.size
-    home = alphas - (faw + bwh).sum(axis=1)
+    # a pool that infiltrates with all its power can leave -1e-17 by rounding
+    home = np.maximum(alphas - (faw + bwh).sum(axis=1), 0.0)
     ext = 1.0 - alphas.sum()
     theta = ext + home.sum()
-    # boundaries of the ending components: 0 external, 1 + i home of pool i
-    cdf = np.cumsum(np.concatenate(([ext], home[:-1]))) / theta
     src, hosts = np.nonzero(faw)
-    phi = faw[src, hosts][:, None]
+    phi = faw[src, hosts]
+    n_flags = phi.size
+    race = theta + phi.sum()
     rng = np.random.default_rng(seed)
-    wins = np.zeros(n + 1, dtype=np.int64)  # slot 0: the external miners keep the round
-    for start in range(0, rounds, _CHUNK):
-        m = min(_CHUNK, rounds - start)
-        counts = np.bincount(np.searchsorted(cdf, rng.random(m), side="right"),
-                             minlength=n + 1)
-        e = int(counts[0])
-        if phi.size and e:
-            tau = rng.exponential(1.0 / theta, e)
-            fired = rng.random((phi.size, e)) < -np.expm1(-phi * tau)
-            n_fired = fired.sum(axis=0)
-            pick = (rng.random(e) * n_fired).astype(np.int64)
-            sel = np.argmax(np.cumsum(fired, axis=0) > pick, axis=0)[n_fired > 0]
-            counts[0] -= sel.size
-            counts[1:] += np.bincount(hosts[sel], minlength=n)
-        wins += counts
-    p_hat = wins[1:] / rounds
+    counts = rng.multinomial(rounds, np.concatenate(
+        ([ext / race], ext / theta * phi / race, home / theta)))
+    wins = counts[1 + n_flags:]  # blocks won per pool, home endings so far
+    # flag-first rounds laid out sorted by first flag; a batch covers [start, stop)
+    edges = np.cumsum(np.concatenate(([0], counts[1:1 + n_flags])))
+    flag_first = int(edges[-1])
+    batch = max(1, _CHUNK // max(n_flags, 1))
+    for start in range(0, flag_first, batch):
+        stop = min(start + batch, flag_first)
+        m = stop - start
+        first = np.repeat(np.arange(n_flags), np.diff(np.clip(edges, start, stop)))
+        tau = rng.exponential(1.0 / theta, m)
+        fired = rng.random((n_flags, m)) < -np.expm1(-phi[:, None] * tau)
+        fired[first, np.arange(m)] = True
+        pick = (rng.random(m) * fired.sum(axis=0)).astype(np.int64)
+        sel = np.argmax(np.cumsum(fired, axis=0) > pick, axis=0)
+        wins += np.bincount(hosts[sel], minlength=n)
+    p_hat = wins / rounds
     inv = np.linalg.inv(_pot_matrix(alphas, faw, bwh))
     q_mean = inv @ p_hat
     # a round's density vector is a column of inv (or zero): categorical variance

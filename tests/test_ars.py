@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poolgame import ars
-from poolgame.model import Action, AttackKind, EmptySetUnexpected, Standing, ZERO_ACTION
+from poolgame.model import (
+    Action,
+    AttackKind,
+    EmptySetUnexpected,
+    InvalidScenario,
+    Standing,
+    ZERO_ACTION,
+)
 from poolgame.ars import ArsState, ars_step, initial_state, retaliate
 from poolgame.payoff import (
     one_sided_victim,
@@ -45,6 +52,11 @@ def punished_state(opp_action: Action, k=K) -> ArsState:
 
 
 class TestArsStep:
+    @pytest.mark.parametrize("k", [-0.2, 1.0, 1.5, float("nan")])
+    def test_preference_weight_outside_unit_interval_rejected(self, k):
+        with pytest.raises(InvalidScenario):
+            initial_state(k)
+
     def test_start_cooperates(self):
         action, state = ars_step(initial_state(K), 0.2, 0.2)
         assert action.is_zero

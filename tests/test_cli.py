@@ -207,6 +207,38 @@ class TestGridCells:
         assert "at least 1 cell" in captured.err
 
 
+class TestPreferenceWeight:
+    RETALIATE = ["retaliate", "--alpha", "0.2", "0.2", "--opp-attack", "0.05", "0"]
+
+    @pytest.mark.parametrize("args", [
+        [*RETALIATE, "--k", "1.5"],
+        [*RETALIATE, "--k", "1"],
+        [*RETALIATE, "--k", "nan"],
+        ["sweep", "--attack", "faw", "--cells", "3", "--k", "1.5"],
+        ["sweep", "--attack", "bwh", "--cells", "3", "--fixed-alpha1", "0.2", "--k", "-0.1"],
+        ["delta-bound", "--alpha", "0.25", "0.15", "--k", "-0.2"],
+        ["npool", "--powers", "0.25", "0.15", "--attack", "faw", "--k", "1.5"],
+        ["reproduce-table", "1", "--k", "nan"],
+    ])
+    def test_outside_unit_interval_rejected(self, args, capsys):
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "--k must be in [0, 1)" in captured.err
+
+    def test_config_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("k = 1.5\n")
+        code = main([*self.RETALIATE, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "--k must be in [0, 1), got 1.5" in captured.err
+
+    def test_zero_accepted(self, capsys):
+        code, out = run_cli([*self.RETALIATE, "--k", "0"], capsys)
+        assert code == 0 and len(parse_csv(out)) == 1
+
+
 class TestRemovedFlags:
     """The retaliation grid is fixed and nothing reads a discount factor, so
     --grid and --delta are refused everywhere, as is --k on the commands that
@@ -327,7 +359,7 @@ class TestConfigFile:
     def test_keys_with_built_in_defaults_used(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("rounds = 1000\n")
-        mc = "0,0,0.06824045"
+        mc = "0,0,0.03646866"
         assert self.stage0_attacker([*self.NPOOL, "--rounds", "1000"], capsys) == mc
         assert self.stage0_attacker([*self.NPOOL, "--config", str(cfg)], capsys) == mc
 
@@ -464,6 +496,35 @@ class TestScenarioCommands:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "5000 periods requested" in captured.err
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--alpha", "0.2", "0.2", "--a1", "0.05", "0", "--a2", "0", "0",
+         "--rounds", "0"],
+        ["npool", "--powers", "0.25", "0.15", "--attack", "faw", "--rounds", "-5"],
+        ["reproduce-table", "3", "--rounds", "-5"],
+    ])
+    def test_monte_carlo_rounds_below_one_rejected(self, args, capsys):
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "rounds must be at least 1" in captured.err
+
+    def test_detect_unknown_pool_names_the_pools(self, capsys):
+        code = main(["detect", "--mode", "variance", "--pool", "nosuch"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "'nosuch'" in captured.err and "pool_a, pool_b" in captured.err
+
+    @pytest.mark.parametrize("content", [None, b"timestamp,pool,hashrate\n\xff\xfe\n"],
+                             ids=["missing", "not-utf-8"])
+    def test_detect_unreadable_hashrates_rejected(self, content, tmp_path, capsys):
+        path = tmp_path / "hashrates.csv"
+        if content is not None:
+            path.write_bytes(content)
+        code = main(["detect", "--mode", "variance", "--hashrates", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "cannot read hash-rate file" in captured.err
 
     def test_detect_series_out_schema(self, tmp_path, capsys):
         series = tmp_path / "series.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from poolgame.model import AttackKind, InvalidScenario
+from poolgame.model import AttackKind, InvalidScenario, PoolGameError
 from poolgame.payoff import simulate_rounds
 from poolgame.model import Action
 from poolgame.detection import (
@@ -249,6 +249,10 @@ class TestHashrateIngestion:
         with pytest.raises(ParseError):
             ingest_hashrate_csv(f)
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(PoolGameError, match="cannot read hash-rate file"):
+            ingest_hashrate_csv(tmp_path / "missing.csv")
+
     def test_bundled_fixture_matches_documented_calibration(self):
         hs = load_bundled_hashrates()
         assert hs.pools() == ["pool_a", "pool_b"]
@@ -282,3 +286,7 @@ class TestHashrateIngestion:
         hs = load_bundled_hashrates()
         a = hs.normalized("pool_a", 0.1)
         assert a.mean() == pytest.approx(0.1, rel=1e-12)
+
+    def test_unknown_pool_names_the_pools(self):
+        with pytest.raises(InvalidScenario, match="'nosuch'.*pool_a, pool_b"):
+            load_bundled_hashrates().normalized("nosuch", 0.1)

@@ -11,6 +11,7 @@ from poolgame.model import (
     PoolProfile,
     ZERO_ACTION,
 )
+from poolgame import payoff
 from poolgame.payoff import payoff_pair
 from poolgame.engine import (
     AlwaysHonest,
@@ -233,6 +234,16 @@ class TestNPool:
         mc, se = npool_stage_payoffs_mc(alphas, m, rounds=400_000, seed=9)
         assert np.all(np.abs(mc - exact) < 3.5 * np.maximum(se, 1e-9))
 
+    def test_mc_accepts_a_pool_infiltrating_all_its_power(self):
+        # 0.3 - (0.1 + 0.2) leaves the attacker's home power at -5.6e-17
+        m = PairwiseActionMatrix.zeros(3)
+        m.faw[0, 1] = 0.1
+        m.faw[0, 2] = 0.2
+        alphas = [0.3, 0.2, 0.2]
+        exact = npool_stage_payoffs(alphas, m)
+        mc, se = npool_stage_payoffs_mc(alphas, m, rounds=200_000, seed=4)
+        assert np.all(np.abs(mc - exact) < 4 * se)
+
     def test_table3_faw_attack_reproduction_exact(self):
         cfg = config(0.25, 0.15, 0.10, 0.035, 0.02)
         strategies = [OptimalOneShotAttacker(AttackKind.FAW)] + [
@@ -305,6 +316,56 @@ class TestNPoolProperties:
         ref = payoff_pair(alphas[0], alphas[1], m.action(0, 1), m.action(1, 0))
         assert u[0] == pytest.approx(ref.u_i, abs=1e-12)
         assert u[1] == pytest.approx(ref.u_j, abs=1e-12)
+
+
+def action_matrix(n, faw=(), bwh=()):
+    """A PairwiseActionMatrix from (attacker, victim, power) triples."""
+    m = PairwiseActionMatrix.zeros(n)
+    for i, j, x in faw:
+        m.faw[i, j] = x
+    for i, j, x in bwh:
+        m.bwh[i, j] = x
+    return m
+
+
+# six FAW flags with one mutual-fork pair (0 and 1), and a BWH detachment
+FIVE_POOLS = ([0.25, 0.15, 0.10, 0.035, 0.02], action_matrix(
+    5, faw=[(0, 1, 0.04), (1, 0, 0.03), (0, 2, 0.02), (0, 3, 0.01), (2, 4, 0.01),
+            (3, 1, 0.005)], bwh=[(4, 0, 0.005)]))
+# most power forks, so rounds where both flags fire are common
+MUTUAL_FORK = ([0.4, 0.3], action_matrix(2, faw=[(0, 1, 0.3), (1, 0, 0.25)]))
+NO_FAW = ([0.25, 0.2, 0.1], action_matrix(3, bwh=[(0, 1, 0.03), (2, 0, 0.02)]))
+
+
+class TestMonteCarloSampler:
+    """The sampler against the exact enumeration over many seeds, so that its
+    correctness rests on no single pinned stream: per pool, the z-scores
+    (estimate - exact) / stderr of the independent runs must have a mean
+    within 4 standard errors of 0 and a standard deviation in [0.8, 1.2]."""
+
+    SEEDS = 300
+    ROUNDS = 50_000
+
+    @pytest.mark.parametrize("profile, chunk", [
+        (FIVE_POOLS, None),
+        (MUTUAL_FORK, None),
+        (NO_FAW, None),
+        # 64 flag-first rounds per batch (6 flags): a run spans about 46 batches
+        (FIVE_POOLS, 6 * 64),
+    ], ids=["five-pools", "mutual-fork", "no-faw", "five-pools-small-batches"])
+    def test_z_scores_are_standard_normal(self, profile, chunk, monkeypatch):
+        alphas, m = profile
+        if chunk is not None:
+            monkeypatch.setattr(payoff, "_CHUNK", chunk)
+        exact = npool_stage_payoffs(alphas, m)
+        z = []
+        for seed in range(self.SEEDS):
+            mc, se = npool_stage_payoffs_mc(alphas, m, rounds=self.ROUNDS, seed=seed)
+            z.append((mc - exact) / se)
+        z = np.array(z)
+        assert np.all(np.abs(z.mean(axis=0)) < 4 / np.sqrt(self.SEEDS))
+        sd = z.std(axis=0, ddof=1)
+        assert np.all((sd >= 0.8) & (sd <= 1.2))
 
 
 class TestClosedPools:
