@@ -19,11 +19,14 @@ test is: values near 1 make FAW retaliation available in more situations.
 The candidate sets are taken on one fixed grid: ``GRID_POINTS`` uniform
 powers on the owner's infiltration range, then one 10x local refinement pass
 around the coarse choice. Both tests compare the same two stage profiles,
-the last stage as played and as prescribed, so ``retaliate`` prices them
-once (two ``payoff_pair`` calls), computes the one-sided optimum once, and
-reuses them for the FAW try, the BWH fallback and the refinement pass.
-``_candidate_set`` also returns the opponent's payoffs at its members, so
-each grid pass is priced once (one ``one_sided_victim`` call).
+the last stage as played and as prescribed.
+
+``retaliate_cells`` is the one implementation, an array kernel over N
+retaliations (rows) given their powers and both profiles' stage payoffs;
+each grid is an (N, points) array. A row evaluates the same IEEE operations
+in the same order whatever its batch, so its result is bit-identical to a
+one-row call. ``retaliate`` is the one-row case; the two-stage sweeps and
+``equilibrium.delta_bound`` pass whole batches.
 """
 
 from __future__ import annotations
@@ -40,10 +43,8 @@ from .model import (
     InvalidScenario,
     Standing,
     ZERO_ACTION,
-    power_grid,
 )
 from .payoff import (
-    StagePayoffs,
     one_sided_victim,
     optimal_infiltration,
     payoff_pair,
@@ -51,52 +52,121 @@ from .payoff import (
 
 #: points of the coarse retaliation grid on [0, alpha_own], endpoints included
 GRID_POINTS = 100
+#: rows per pass of ``retaliate_cells``; bounds its (rows, points) arrays
+BATCH_ROWS = 512
 
 
-def _refined_grid(center: float, step: float, hi: float) -> np.ndarray:
-    """One local refinement pass: 10x denser grid within one coarse step."""
-    a = max(0.0, center - step)
-    b = min(hi, center + step)
-    n = max(2, int(round((b - a) / step * 10)) + 1)
-    return np.linspace(a, b, n)
+def _by_kind(fn, faw, *rows):
+    """``fn(kind, *rows)`` with FAW on the rows where ``faw`` holds and BWH
+    on the others; a batch of one kind makes one call."""
+    n_faw = np.count_nonzero(faw)
+    if n_faw in (0, faw.size):
+        return fn(AttackKind.FAW if n_faw else AttackKind.BWH, *rows)
+    on_faw, on_bwh = fn(AttackKind.FAW, *rows), fn(AttackKind.BWH, *rows)
+    return np.where(faw.reshape((-1,) + (1,) * (on_faw.ndim - 1)), on_faw, on_bwh)
 
 
-def _candidate_set(
-    kind: AttackKind,
-    stage: tuple[StagePayoffs, StagePayoffs],
-    alpha_own: float,
-    alpha_opp: float,
-    coef: float,
-    grid: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid members x whose retaliation makes the opponent's deviation
-    unprofitable, with U_opp(x, no-attack) at each member:
+def _grids(lo, hi, last, width):
+    """Row i is ``np.linspace(lo[i], hi[i], last[i] + 1)``, padded to ``width``
+    columns with copies of its last point (which change no pick). Computed
+    as numpy does, ``j * ((hi - lo) / last) + lo`` then ``hi`` last, so the
+    bits match; every row has hi > lo, so no special case applies.
+    """
+    cols = np.arange(width)
+    return np.where(cols >= last, hi, cols * ((hi - lo) / last) + lo)
+
+
+def _candidate_set(faw, coef, actual_uj, bound_uj, alpha_own, alpha_opp, grid):
+    """Per row, which grid powers x make the opponent's deviation
+    unprofitable, with U_opp(x, no-attack) at every grid point:
 
         U_opp(actual profile) + coef * U_opp(retaliation, no-attack)
             < U_opp(profile had the opponent followed its prescription)
+
+    ``coef`` is ``k`` on FAW rows and 1 on BWH rows (``1.0 * u`` is exact).
+    ``actual_uj``, ``bound_uj`` (the prescribed U_opp plus ALGEBRAIC_TOL)
+    and the powers are (N, 1) columns.
     """
-    actual, prescribed = stage
-    u_under = one_sided_victim(kind, alpha_own, alpha_opp, grid)
+    u_under = _by_kind(one_sided_victim, faw, alpha_own, alpha_opp, grid)
     # strict inequality up to a margin, so boundary-equal candidates (e.g. 0
     # when the opponent's "deviation" changed nothing) stay in the set
-    ok = actual.u_j + coef * u_under < prescribed.u_j + ALGEBRAIC_TOL
-    return grid[ok], u_under[ok]
+    return actual_uj + coef * u_under < bound_uj, u_under
 
 
-def _pick_from_set(
-    stage: tuple[StagePayoffs, StagePayoffs],
-    members: np.ndarray,
-    u_under: np.ndarray,
-    optimum: float,
-) -> float:
-    """min of equal retaliation and selfish retaliation over the candidates;
-    ``optimum`` is the one-sided optimal infiltration of the retaliation."""
-    actual, prescribed = stage
-    # equal retaliation: damage to the opponent at least my loss from the deviation
-    sat = (actual.u_i - prescribed.u_i) >= u_under - ALGEBRAIC_TOL
-    equal = float(members[sat][0]) if sat.any() else None
-    selfish = float(members[np.argmin(np.abs(members - optimum))])
-    return selfish if equal is None else min(equal, selfish)
+def _pick_from_set(loss_i, grid, ok, u_under, optimum):
+    """Per row, min of equal retaliation and selfish retaliation over the
+    candidates ``grid[ok]``; ``loss_i`` (N, 1) is my loss from the
+    deviation and ``optimum`` (N, 1) the one-sided optimal infiltration of
+    the retaliation. A row without candidates picks the grid's first point."""
+    # equal retaliation: the first (on an ascending grid, the smallest)
+    # candidate whose damage to the opponent is at least my loss from the
+    # deviation; inf where there is none
+    sat = ok & (loss_i >= u_under - ALGEBRAIC_TOL)
+    equal = np.where(sat, grid, np.inf).min(axis=1)
+    # selfish retaliation: the first candidate nearest the optimum
+    nearest = np.where(ok, np.abs(grid - optimum), np.inf).argmin(axis=1)
+    selfish = grid[np.arange(grid.shape[0]), nearest]
+    # Python's min(equal, selfish); equal values are the same grid point
+    return np.minimum(equal, selfish)
+
+
+def retaliate_cells(alpha_own, alpha_opp, stage, k):
+    """Retaliation of N rows at once.
+
+    ``alpha_own`` and ``alpha_opp`` are (N,) float arrays of valid powers;
+    ``stage`` is a (4, N) array of (actual u_i, actual u_j, prescribed u_i,
+    prescribed u_j): the stage payoffs of the last stage as played and as
+    the opponent's prescription would have had it. Returns ``(faw, power,
+    empty)``: whether each row retaliates with FAW (else BWH), its power,
+    and the rows whose BWH candidate set came out empty (their power means
+    nothing), which the callers report. Works in passes of BATCH_ROWS rows.
+    """
+    if alpha_own.size > BATCH_ROWS:
+        parts = [retaliate_cells(alpha_own[i:i + BATCH_ROWS], alpha_opp[i:i + BATCH_ROWS],
+                                 stage[:, i:i + BATCH_ROWS], k)
+                 for i in range(0, alpha_own.size, BATCH_ROWS)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    act_ui, act_uj, pre_ui, pre_uj = stage[:, :, None]
+    # the right side of the candidate test and my loss from the deviation
+    bound_uj, loss_i = pre_uj + ALGEBRAIC_TOL, act_ui - pre_ui
+    own, opp = alpha_own[:, None], alpha_opp[:, None]
+    # np.linspace(0, alpha_own, GRID_POINTS, axis=1) as numpy computes it
+    # (adding the start 0.0 changes no bit, so it is left out)
+    coarse = np.arange(GRID_POINTS) * (own / (GRID_POINTS - 1))
+    coarse[:, -1] = alpha_own
+    step = coarse[:, 1:2]  # coarse[1] - coarse[0], as coarse[0] is 0.0
+    ok, u_under = _candidate_set(np.ones_like(alpha_own, bool), k, act_uj, bound_uj,
+                                 own, opp, coarse)
+    faw = np.logical_or.reduce(ok, axis=1)
+    coef = np.where(faw, k, 1.0)[:, None]
+    empty = ~faw
+    if np.count_nonzero(faw) < faw.size:  # BWH fallback for the rows without FAW
+        ok, u_under = _candidate_set(faw, coef, act_uj, bound_uj, own, opp, coarse)
+        empty = ~np.logical_or.reduce(ok, axis=1)
+    optimum = _by_kind(optimal_infiltration, faw, alpha_own, alpha_opp)[:, None]
+    x = _pick_from_set(loss_i, coarse, ok, u_under, optimum)[:, None]
+    # one refinement pass: a 10x denser grid within one coarse step of x.
+    # Python's max(0.0, .), min(alpha, .) and round: no operand is -0.0 or
+    # NaN, so np.maximum and np.minimum agree with them, and np.rint rounds
+    # half to even like round
+    lo = np.maximum(x - step, 0.0)
+    hi = np.minimum(x + step, own)
+    last = np.maximum(np.rint((hi - lo) / step * 10), 1.0)  # points - 1, whole
+    # hi - lo <= 2 * step, so a refined grid has at most 21 points
+    fine = _grids(lo, hi, last, 21)
+    ok, u_under = _candidate_set(faw, coef, act_uj, bound_uj, own, opp, fine)
+    found = np.logical_or.reduce(ok, axis=1)
+    x = np.where(found, _pick_from_set(loss_i, fine, ok, u_under, optimum), x[:, 0])
+    return faw, x, empty
+
+
+def _empty_set_error(alpha_own, alpha_opp, own_prev, opp_prev, opp_prescribed):
+    """The error of a retaliation whose BWH candidate set came out empty."""
+    return EmptySetUnexpected(
+        f"BWH candidate set empty for alpha_own={alpha_own}, "
+        f"alpha_opp={alpha_opp}, own_prev={own_prev}, opp_prev={opp_prev}, "
+        f"opp_prescribed={opp_prescribed}"
+    )
 
 
 def retaliate(
@@ -112,33 +182,19 @@ def retaliate(
     Tries FAW first; if no FAW infiltration power deters the deviation, falls
     back to BWH. Outputs no-attack when the "deviation" did not profit the
     opponent (e.g. it skipped a prescribed retaliation), since zero then
-    enters both sets.
+    enters both sets. The one-row case of ``retaliate_cells``.
     """
-    coarse = power_grid(alpha_own, GRID_POINTS)
-    step = coarse[1] - coarse[0]
     # the two profiles both tests compare: the last stage as played, and as it
     # would have been had the opponent followed its prescription
-    stage = (
-        payoff_pair(alpha_own, alpha_opp, own_prev, opp_prev),
-        payoff_pair(alpha_own, alpha_opp, own_prev, opp_prescribed),
+    actual = payoff_pair(alpha_own, alpha_opp, own_prev, opp_prev)
+    prescribed = payoff_pair(alpha_own, alpha_opp, own_prev, opp_prescribed)
+    faw, x, empty = retaliate_cells(
+        np.array([alpha_own], float), np.array([alpha_opp], float),
+        np.array([[actual.u_i], [actual.u_j], [prescribed.u_i], [prescribed.u_j]]), k,
     )
-    for kind, coef in ((AttackKind.FAW, k), (AttackKind.BWH, 1.0)):
-        members, u_under = _candidate_set(kind, stage, alpha_own, alpha_opp, coef, coarse)
-        if members.size:
-            break
-    else:
-        raise EmptySetUnexpected(
-            f"BWH candidate set empty for alpha_own={alpha_own}, "
-            f"alpha_opp={alpha_opp}, own_prev={own_prev}, opp_prev={opp_prev}, "
-            f"opp_prescribed={opp_prescribed}"
-        )
-    optimum = optimal_infiltration(kind, alpha_own, alpha_opp)
-    x = _pick_from_set(stage, members, u_under, optimum)
-    members, u_under = _candidate_set(kind, stage, alpha_own, alpha_opp, coef,
-                                      _refined_grid(x, step, alpha_own))
-    if members.size:
-        x = _pick_from_set(stage, members, u_under, optimum)
-    return Action.of(kind, x)
+    if empty[0]:
+        raise _empty_set_error(alpha_own, alpha_opp, own_prev, opp_prev, opp_prescribed)
+    return Action.of(AttackKind.FAW if faw[0] else AttackKind.BWH, x[0])
 
 
 @dataclass(frozen=True)

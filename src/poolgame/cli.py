@@ -49,19 +49,19 @@ TABLE1_ATTACKER = 0.25
 
 def _parse_config_file(path) -> dict[str, str]:
     try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise PoolGameError(f"cannot read config file: {exc}") from None
     values = {}
-    with fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise PoolGameError(f"config line without '=': {raw.strip()!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            values[key.replace("-", "_")] = val
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise PoolGameError(f"config line without '=': {raw.strip()!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        values[key.replace("-", "_")] = val
     return values
 
 
@@ -279,6 +279,14 @@ def _preference_weight(k):
     return k
 
 
+def _attacker_power(alpha):
+    """``--fixed-alpha1``, checked: a pool's power lies in (0, 0.5]."""
+    # written so that NaN fails the test
+    if not 0.0 < alpha <= 0.5:
+        raise PoolGameError(f"--fixed-alpha1 must be in (0, 0.5], got {alpha}")
+    return alpha
+
+
 def _grid_cells(n):
     """``--cells``, checked: a power grid needs at least one cell per axis."""
     if n < 1:
@@ -293,7 +301,7 @@ def _cmd_sweep(args):
     grid = np.linspace(0.01, 0.5, n)
     if args.fixed_alpha1 is not None:
         ratios = np.linspace(1.0 / n, 1.0, n)
-        cells = two_stage_ratio_sweep(ratios, grid, kind, args.fixed_alpha1, k)
+        cells = two_stage_ratio_sweep(ratios, grid, kind, _attacker_power(args.fixed_alpha1), k)
     else:
         cells = two_stage_sweep(grid, kind, k)
     return list(sweep_csv_rows(cells))

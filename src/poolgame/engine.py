@@ -8,6 +8,11 @@ for two pools, enumeration of withheld-block states for more. The
 Monte-Carlo path samples the same round race (``payoff._sample_rounds``) and
 reports a standard error; the two-pool closed form is the enumeration's
 reduction oracle.
+
+The two-stage sweeps are array expressions over all their cells (batched
+``payoff_pair_raw``, ``ars.retaliate_cells``), bit-identical to a per-cell
+computation. Cells where the model breaks down are masked into error rows;
+invalid powers or attacks raise.
 """
 
 from __future__ import annotations
@@ -19,15 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    ALGEBRAIC_TOL,
     Action,
     AttackKind,
     GameConfig,
     InfiltrationBudgetExceeded,
     InvalidScenario,
-    PoolGameError,
     ZERO_ACTION,
 )
 from .payoff import (
+    NO_LIVE_POWER,
+    _check_powers,
     _pot_matrix,
     _sample_rounds,
     one_sided_attacker,
@@ -35,8 +42,9 @@ from .payoff import (
     optimal_faw_infiltration,
     optimal_infiltration,
     payoff_pair,
+    payoff_pair_raw,
 )
-from .ars import ars_step, initial_state, retaliate
+from .ars import _empty_set_error, ars_step, initial_state, retaliate_cells
 from .equilibrium import golden_max
 
 DEFAULT_K_NEAR_ONE = 0.999  # realizes "preference weight just under 1"
@@ -95,6 +103,7 @@ class OptimalOneShotAttacker:
         victims = [j for j in range(len(alphas)) if j != me]
         if len(victims) == 1:
             (j,) = victims
+            _check_powers(alphas[me], alphas[j])
             return {j: Action.of(self.kind, optimal_infiltration(self.kind, alphas[me], alphas[j]))}
         xs = optimal_simultaneous_attack(alphas, me, self.kind)
         return {j: Action.of(self.kind, xs[j]) for j in victims}
@@ -157,24 +166,52 @@ class SweepCell:
     error: str = ""
 
 
-def _two_stage_cell(alpha_1, alpha_2, attack: Action, k) -> SweepCell:
-    try:
-        u0 = payoff_pair(alpha_1, alpha_2, attack, ZERO_ACTION)
-        r = retaliate(alpha_2, ZERO_ACTION, alpha_1, attack, ZERO_ACTION, k)
-        u1 = payoff_pair(alpha_1, alpha_2, ZERO_ACTION, r)
-        return SweepCell(
-            alpha_1,
-            alpha_2,
-            attack.power / alpha_1,
-            r.faw / alpha_2,
-            r.bwh / alpha_2,
-            (u0.u_i + u1.u_i) / 2.0,
-            (u0.u_j + u1.u_j) / 2.0,
-            ip_faw_empty=r.kind is not AttackKind.FAW and not r.is_zero,
-        )
-    except PoolGameError as exc:  # cell errors recorded, sweep continues
-        return SweepCell(alpha_1, alpha_2, attack.power / alpha_1,
-                         np.nan, np.nan, np.nan, np.nan, False, error=str(exc))
+def _check_cells(alpha_1, alpha_2, power, kind) -> None:
+    """Raise ``payoff_pair``'s error for the first cell whose powers or
+    attack it refuses (the test below is its checks, elementwise)."""
+    valid = ((alpha_1 > 0.0) & (alpha_2 > 0.0) & (alpha_1 <= 0.5) & (alpha_2 <= 0.5)
+             & (alpha_1 + alpha_2 < 1.0) & (power >= 0.0) & (power <= alpha_1))
+    for i in np.flatnonzero(~valid)[:1]:
+        payoff_pair(alpha_1[i], alpha_2[i], Action.of(kind, power[i]), ZERO_ACTION)
+
+
+def _two_stage_cells(alpha_1, alpha_2, power, kind, k) -> list[SweepCell]:
+    """Cells with valid powers and attacks: pool 1 attacks with ``power``,
+    pool 2 retaliates, all as array expressions. A cell with a pool of at
+    most ALGEBRAIC_TOL, where a stage denominator degenerates, and a cell
+    whose BWH candidate set is empty are error rows."""
+    live = (alpha_1 > ALGEBRAIC_TOL) & (alpha_2 > ALGEBRAIC_TOL)
+    a1, a2, p = alpha_1[live], alpha_2[live], power[live]
+    zero = np.zeros_like(p)
+    f, b = (p, zero) if kind is AttackKind.FAW else (zero, p)
+    u0 = payoff_pair_raw(a1, a2, f, b, zero, zero)
+    stage = np.array([*payoff_pair_raw(a2, a1, zero, zero, f, b),
+                      *payoff_pair_raw(a2, a1, zero, zero, zero, zero)])
+    faw, x, empty = retaliate_cells(a2, a1, stage, k)
+    r_faw, r_bwh = np.where(faw, x, 0.0), np.where(faw, 0.0, x)
+    u1 = payoff_pair_raw(a1, a2, zero, zero, r_faw, r_bwh)
+    # the result columns r2F, r2B, u1_avg, u2_avg; error rows keep NaN
+    columns = np.full((4, alpha_1.size), np.nan)
+    flagged = np.zeros(alpha_1.size, bool)  # ip_faw_empty: a nonzero BWH retaliation
+    ok = np.flatnonzero(live)[~empty]
+    columns[:, ok] = np.array([r_faw / a2, r_bwh / a2, (u0[0] + u1[0]) / 2.0,
+                               (u0[1] + u1[1]) / 2.0])[:, ~empty]
+    flagged[ok] = (~faw & (x != 0.0))[~empty]
+    errors = np.where(live, "", NO_LIVE_POWER).tolist()
+    for i in np.flatnonzero(live)[empty]:  # error rows only
+        errors[i] = str(_empty_set_error(alpha_2[i], alpha_1[i], ZERO_ACTION,
+                                         Action.of(kind, power[i]), ZERO_ACTION))
+    return [
+        SweepCell(*cell)
+        for cell in zip(alpha_1.tolist(), alpha_2.tolist(), (power / alpha_1).tolist(),
+                        *columns.tolist(), flagged.tolist(), errors)
+    ]
+
+
+def _pairs(outer, inner):
+    """Row-major pairs of two grids: the sweeps' cell order."""
+    o, i = np.meshgrid(np.asarray(outer, float), np.asarray(inner, float), indexing="ij")
+    return o.ravel(), i.ravel()
 
 
 def two_stage_sweep(
@@ -186,18 +223,15 @@ def two_stage_sweep(
 
     The attacker (pool 1) plays its payoff-maximizing one-sided attack; pool 2
     retaliates at the next stage. Reports retaliation ratios and both pools'
-    two-stage average payoffs.
+    two-stage average payoffs. Raises ``InvalidPowers`` for the first cell
+    with powers ``payoff_pair`` refuses.
     """
-    cells = []
-    for alpha_1 in alpha_grid:
-        for alpha_2 in alpha_grid:
-            if alpha_1 + alpha_2 > SWEEP_POWER_CAP:
-                continue
-            attack = Action.of(
-                attacker_kind, optimal_infiltration(attacker_kind, alpha_1, alpha_2)
-            )
-            cells.append(_two_stage_cell(alpha_1, alpha_2, attack, k))
-    return cells
+    alpha_1, alpha_2 = _pairs(alpha_grid, alpha_grid)
+    keep = ~(alpha_1 + alpha_2 > SWEEP_POWER_CAP)
+    alpha_1, alpha_2 = alpha_1[keep], alpha_2[keep]
+    _check_cells(alpha_1, alpha_2, np.zeros_like(alpha_1), attacker_kind)
+    power = optimal_infiltration(attacker_kind, alpha_1, alpha_2)
+    return _two_stage_cells(alpha_1, alpha_2, power, attacker_kind, k)
 
 
 def two_stage_ratio_sweep(
@@ -208,15 +242,15 @@ def two_stage_ratio_sweep(
     k: float = DEFAULT_K_NEAR_ONE,
 ) -> list[SweepCell]:
     """Same two-stage scenario sweeping the attacker's infiltration ratio at
-    fixed attacker size (heatmaps over attack intensity)."""
-    cells = []
-    for ratio in ratio_grid:
-        for alpha_2 in alpha_2_grid:
-            if alpha_1 + alpha_2 > SWEEP_POWER_CAP:
-                continue
-            attack = Action.of(attacker_kind, ratio * alpha_1)
-            cells.append(_two_stage_cell(alpha_1, alpha_2, attack, k))
-    return cells
+    fixed attacker size (heatmaps over attack intensity). Raises for the
+    first cell whose powers or attack ``payoff_pair`` refuses."""
+    ratio, alpha_2 = _pairs(ratio_grid, alpha_2_grid)
+    keep = ~(alpha_1 + alpha_2 > SWEEP_POWER_CAP)
+    ratio, alpha_2 = ratio[keep], alpha_2[keep]
+    alpha_1 = np.full_like(alpha_2, alpha_1)
+    power = ratio * alpha_1
+    _check_cells(alpha_1, alpha_2, power, attacker_kind)
+    return _two_stage_cells(alpha_1, alpha_2, power, attacker_kind, k)
 
 
 def sweep_csv_rows(cells):

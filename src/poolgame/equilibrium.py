@@ -12,7 +12,9 @@ deviations from mutual adaptive retaliation to never pay? Each subgame class
 contributes a family of payoff ratios (deviation gain over punishment size);
 the bound is the maximum over the class families and a deviation grid, and by
 construction of the candidate sets it stays below 1. Classes sharing a
-stage-0 profile share their outcomes, so each profile is evaluated once.
+stage-0 profile share their outcomes, so each profile is evaluated once,
+as one batch over the deviation grid (``ars.retaliate_cells`` for the
+punisher's retaliations, batched ``payoff_pair_raw`` for the payoffs).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .payoff import (
     payoff_pair,
     payoff_pair_raw,
 )
-from .ars import retaliate
+from .ars import _empty_set_error, retaliate, retaliate_cells
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # best-response dynamics of stage_nash: bracketing grid, stopping step, cap
@@ -161,6 +163,30 @@ def _subgame_cases(alpha_pun, alpha_dev, k, prior_kind: AttackKind):
     )
 
 
+def _deviation_outcomes(case, alpha_pun, alpha_dev, deviations, k):
+    """``deviation_outcome`` for a list of deviations at once: (gain,
+    punishment) arrays in their order and the scalar compliance payoff.
+    The punisher's retaliations are one ``retaliate_cells`` batch."""
+    pun0, prescribed = case.punisher_stage0, case.deviator_prescribed
+    comp = payoff_pair(alpha_pun, alpha_dev, pun0, prescribed)
+    dev_f = np.array([d.faw for d in deviations], float)
+    dev_b = np.array([d.bwh for d in deviations], float)
+    zero = np.zeros_like(dev_f)
+    # the stage as played: the deviator's payoff is its gain
+    u_pun0, gain = payoff_pair_raw(alpha_pun, alpha_dev, np.full_like(dev_f, pun0.faw),
+                                   np.full_like(dev_f, pun0.bwh), dev_f, dev_b)
+    faw, x, empty = retaliate_cells(
+        np.full_like(dev_f, alpha_pun), np.full_like(dev_f, alpha_dev),
+        np.array([u_pun0, gain, np.full_like(dev_f, comp.u_i), np.full_like(dev_f, comp.u_j)]),
+        k,
+    )
+    for i in np.flatnonzero(empty)[:1]:
+        raise _empty_set_error(alpha_pun, alpha_dev, pun0, deviations[i], prescribed)
+    punishment = payoff_pair_raw(alpha_pun, alpha_dev, np.where(faw, x, 0.0),
+                                 np.where(faw, 0.0, x), zero, zero)[1]
+    return gain, punishment, comp.u_j
+
+
 def deviation_outcome(
     case: SubgameCase,
     alpha_pun: float,
@@ -176,15 +202,10 @@ def deviation_outcome(
     terms vanish, so the deviation is profitable at discount d iff
     gain + d * punishment > compliance.
     """
-    u_dev0 = payoff_pair(alpha_pun, alpha_dev, case.punisher_stage0, deviation).u_j
-    u_comp = payoff_pair(alpha_pun, alpha_dev, case.punisher_stage0,
-                         case.deviator_prescribed).u_j
-    r1 = retaliate(
-        alpha_pun, case.punisher_stage0, alpha_dev, deviation,
-        case.deviator_prescribed, k,
-    )
-    u_pun1 = payoff_pair(alpha_pun, alpha_dev, r1, ZERO_ACTION).u_j
-    return u_dev0, u_pun1, u_comp
+    # refuses invalid powers and actions with the errors a per-deviation call raised
+    payoff_pair(alpha_pun, alpha_dev, case.punisher_stage0, deviation)
+    gain, punishment, comp = _deviation_outcomes(case, alpha_pun, alpha_dev, [deviation], k)
+    return float(gain[0]), float(punishment[0]), comp
 
 
 def _deviation_grid(alpha_dev, n):
@@ -195,9 +216,11 @@ def _deviation_grid(alpha_dev, n):
 def _worst_ratio(case, alpha_pun, alpha_dev, deviations, k) -> float:
     """Largest (compliance - gain) / punishment over one class's deviations,
     skipping those whose punishment-stage payoff is (near) zero."""
-    outcomes = (deviation_outcome(case, alpha_pun, alpha_dev, d, k) for d in deviations)
-    return max(((comp - gain) / pun for gain, pun, comp in outcomes
-                if abs(pun) >= OPTIMIZER_TOL), default=-np.inf)
+    gain, punishment, comp = _deviation_outcomes(case, alpha_pun, alpha_dev, deviations, k)
+    counted = np.abs(punishment) >= OPTIMIZER_TOL
+    ratios = (comp - gain[counted]) / punishment[counted]
+    # the first largest, as Python's max over the deviations in order
+    return float(ratios[ratios.argmax()]) if ratios.size else -np.inf
 
 
 def delta_bound(

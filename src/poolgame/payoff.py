@@ -43,6 +43,10 @@ from .model import (
 )
 
 
+#: the error of a profile whose stage payoffs have a degenerate denominator
+NO_LIVE_POWER = "actions leave no live block-finding power"
+
+
 @dataclass(frozen=True)
 class StagePayoffs:
     """Per-pool extra reward densities for one stage."""
@@ -118,7 +122,7 @@ def payoff_pair_raw(alpha_i, alpha_j, f_i, b_i, f_j, b_j):
         degenerate = (np.any(live <= ALGEBRAIC_TOL) or np.any(den_i <= ALGEBRAIC_TOL)
                       or np.any(den_j <= ALGEBRAIC_TOL))
     if degenerate:
-        raise DegenerateDenominator("actions leave no live block-finding power")
+        raise DegenerateDenominator(NO_LIVE_POWER)
 
     d_i = direct(alpha_i, f_i, b_i, f_j, b_j) / den_i
     d_j = direct(alpha_j, f_j, b_j, f_i, b_i) / den_j
@@ -173,30 +177,31 @@ def one_sided_victim(kind: AttackKind, alpha_att, alpha_vic, x):
     return num / ((1.0 - x) * (v + x)) - 1.0
 
 
-def optimal_faw_infiltration(alpha_i: float, alpha_j: float) -> float:
-    """Infiltration power maximizing the one-sided FAW payoff, clamped to [0, alpha_i].
+def optimal_infiltration(kind: AttackKind, alpha_i, alpha_j):
+    """Infiltration power maximizing the one-sided ``kind`` payoff, clamped to
+    [0, alpha_i] (vectorized; the powers are not checked).
 
-    Closed form root of the payoff derivative; it also maximizes the damage
-    inflicted on the host pool.
+    Closed form root of the payoff derivative; the FAW optimum also
+    maximizes the damage inflicted on the host pool.
     """
-    _check_powers(alpha_i, alpha_j)
     a, v = alpha_i, alpha_j
-    m = (np.sqrt(v * (1.0 - a) * (a + v)) - v) / (1.0 - a - v)
-    return float(min(max(m, 0.0), a))
+    if kind is AttackKind.FAW:
+        m = (np.sqrt(v * (1.0 - a) * (a + v)) - v) / (1.0 - a - v)
+    else:
+        m = v * (np.sqrt(1.0 - a - a * v) - (1.0 - a)) / (1.0 - a - v)
+    return np.minimum(np.maximum(m, 0.0), a)
+
+
+def optimal_faw_infiltration(alpha_i: float, alpha_j: float) -> float:
+    """The one-sided FAW optimum of pool i against pool j, powers checked."""
+    _check_powers(alpha_i, alpha_j)
+    return float(optimal_infiltration(AttackKind.FAW, alpha_i, alpha_j))
 
 
 def optimal_bwh_infiltration(alpha_i: float, alpha_j: float) -> float:
-    """Infiltration power maximizing the one-sided BWH payoff, clamped to [0, alpha_i]."""
+    """The one-sided BWH optimum of pool i against pool j, powers checked."""
     _check_powers(alpha_i, alpha_j)
-    a, v = alpha_i, alpha_j
-    m = v * (np.sqrt(1.0 - a - a * v) - (1.0 - a)) / (1.0 - a - v)
-    return float(min(max(m, 0.0), a))
-
-
-def optimal_infiltration(kind: AttackKind, alpha_i: float, alpha_j: float) -> float:
-    if kind is AttackKind.FAW:
-        return optimal_faw_infiltration(alpha_i, alpha_j)
-    return optimal_bwh_infiltration(alpha_i, alpha_j)
+    return float(optimal_infiltration(AttackKind.BWH, alpha_i, alpha_j))
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import retaliation_oracle as oracle
 from poolgame import ars
 from poolgame.model import (
+    ALGEBRAIC_TOL,
     Action,
     AttackKind,
     EmptySetUnexpected,
     InvalidScenario,
+    PoolGameError,
     Standing,
     ZERO_ACTION,
 )
@@ -32,12 +35,16 @@ FAW_AND_FALLBACK = [
 def candidates(kind, alpha_own, alpha_opp, own_prev=ZERO_ACTION, opp_prev=ZERO_ACTION,
                opp_prescribed=ZERO_ACTION, k=K):
     """The members of the coarse candidate set ``retaliate`` builds for ``kind``."""
-    stage = (payoff_pair(alpha_own, alpha_opp, own_prev, opp_prev),
-             payoff_pair(alpha_own, alpha_opp, own_prev, opp_prescribed))
-    coef = k if kind is AttackKind.FAW else 1.0
+    actual = payoff_pair(alpha_own, alpha_opp, own_prev, opp_prev)
+    prescribed = payoff_pair(alpha_own, alpha_opp, own_prev, opp_prescribed)
+    faw = kind is AttackKind.FAW
     grid = np.linspace(0.0, alpha_own, ars.GRID_POINTS)
-    members, _ = ars._candidate_set(kind, stage, alpha_own, alpha_opp, coef, grid)
-    return members
+    ok, _ = ars._candidate_set(
+        np.array([faw]), k if faw else 1.0, np.array([[actual.u_j]]),
+        np.array([[prescribed.u_j + ALGEBRAIC_TOL]]), np.array([[alpha_own]]),
+        np.array([[alpha_opp]]), grid[None, :],
+    )
+    return grid[ok[0]]
 
 
 def punished_state(opp_action: Action, k=K) -> ArsState:
@@ -246,3 +253,38 @@ class TestRetaliate:
         assert r.kind is kind
         tried = [AttackKind.FAW] if kind is AttackKind.FAW else [AttackKind.FAW, AttackKind.BWH]
         assert calls == [*tried, kind]
+
+
+@st.composite
+def retaliation_cases(draw):
+    """(alpha_own, own_prev, alpha_opp, opp_prev, opp_prescribed, k) with
+    valid powers and actions; half-network pools and nonzero own_prev
+    reach the FAW and BWH sets, zero retaliation and empty BWH sets."""
+    power = st.one_of(st.floats(1e-3, 0.5), st.just(0.5))
+    alpha_own = draw(power)
+    alpha_opp = draw(power.filter(lambda a: alpha_own + a < 1.0))
+
+    def action(alpha):
+        x = draw(st.floats(0.0, 1.0)) * alpha
+        return Action(x, 0.0) if draw(st.booleans()) else Action(0.0, x)
+
+    def maybe(alpha):
+        return action(alpha) if draw(st.booleans()) else ZERO_ACTION
+
+    return (alpha_own, maybe(alpha_own), alpha_opp, action(alpha_opp), maybe(alpha_opp),
+            draw(st.floats(0.0, 1.0, exclude_max=True)))
+
+
+def _result(fn, case):
+    try:
+        r = fn(*case)
+    except PoolGameError as exc:
+        return type(exc), str(exc)
+    return float(r.faw).hex(), float(r.bwh).hex()
+
+
+class TestRetaliateAgainstOracle:
+    @given(case=retaliation_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_one_cell_equals_the_scalar_grid_search(self, case):
+        assert _result(retaliate, case) == _result(oracle.retaliate, case)

@@ -194,6 +194,21 @@ class TestSweepCommand:
         assert all(float(r["u1_avg"]) < 0 for r in rows)
 
 
+class TestFixedAttackerPower:
+    @pytest.mark.parametrize("alpha", ["0.0", "-0.1", "nan", "0.6"])
+    def test_outside_pool_power_range_rejected(self, alpha, capsys):
+        code = main(["sweep", "--attack", "faw", "--cells", "3", "--fixed-alpha1", alpha])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"--fixed-alpha1 must be in (0, 0.5], got {float(alpha)}" in captured.err
+
+    def test_half_the_network_accepted(self, capsys):
+        code, out = run_cli(["sweep", "--attack", "bwh", "--cells", "3",
+                             "--fixed-alpha1", "0.5"], capsys)
+        rows = parse_csv(out)
+        assert code == 0 and rows and all(r["error"] == "" for r in rows)
+
+
 class TestGridCells:
     @pytest.mark.parametrize("args", [
         ["audit-ipbwh", "--cells", "0"],
@@ -323,6 +338,15 @@ class TestConfigFile:
                      "--config", str(tmp_path / "absent.cfg")])
         captured = capsys.readouterr()
         assert code == 1 and "cannot read config file" in captured.err
+
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"k = 0.5\n\xff\n")
+        code = main(["retaliate", "--alpha", "0.15", "0.25", "--opp-attack", "0.1", "0",
+                     "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "cannot read config file" in captured.err and "utf-8" in captured.err
 
     def test_output_path_from_file(self, tmp_path, capsys):
         target = tmp_path / "payoff.csv"

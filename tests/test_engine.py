@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import retaliation_oracle as oracle
 from poolgame.model import (
     Action,
     AttackKind,
     GameConfig,
     InfiltrationBudgetExceeded,
+    InvalidAction,
+    InvalidPowers,
     InvalidScenario,
     PoolProfile,
     ZERO_ACTION,
@@ -28,6 +31,7 @@ from poolgame.engine import (
     npool_stage_payoffs_mc,
     optimal_simultaneous_attack,
     run_npool,
+    sweep_csv_rows,
     two_stage_ratio_sweep,
     two_stage_sweep,
 )
@@ -150,6 +154,101 @@ class TestSweeps:
                 assert abs(c.u1_avg) < 1e-12
             else:
                 assert c.u1_avg < 0
+
+
+# powers every drawn grid contains: with 0 < k < 1 the cells among them
+# retaliate with FAW, fall back to BWH and put a pool at half the network;
+# 1e-10 makes the error rows of a degenerate stage denominator
+ANCHORS = (0.02, 0.25, 0.5)
+TINY = 1e-10
+
+
+def _bits(cells):
+    """Every field of every cell, floats by their bits."""
+    return [
+        tuple(float(v).hex() if isinstance(v, (float, np.floating)) else v
+              for v in (c.alpha_1, c.alpha_2, c.attack_ratio, c.r2_faw, c.r2_bwh,
+                        c.u1_avg, c.u2_avg))
+        + (bool(c.ip_faw_empty), c.error)
+        for c in cells
+    ]
+
+
+def _outcome(cell):
+    if cell.error:
+        return "error"
+    if cell.r2_faw > 0:
+        return "faw"
+    return "bwh" if cell.ip_faw_empty else "zero"
+
+
+powers = st.lists(st.floats(1e-3, 0.5), max_size=4)
+tiny = st.sampled_from([(), (TINY,)])
+
+
+class TestBatchedSweepsAgainstOracle:
+    """The batched sweeps equal the per-cell oracle row for row, bit for bit."""
+
+    def assert_same(self, batched, expected):
+        assert list(sweep_csv_rows(batched)) == list(sweep_csv_rows(expected))
+        assert _bits(batched) == _bits(expected)
+
+    @given(grid=powers, extra=tiny, kind=st.sampled_from(AttackKind),
+           k=st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=60, deadline=None)
+    def test_size_sweep(self, grid, extra, kind, k):
+        grid = np.array(sorted({*grid, *ANCHORS, *extra}))
+        self.assert_same(two_stage_sweep(grid, kind, k), oracle.two_stage_sweep(grid, kind, k))
+
+    @given(ratios=st.lists(st.floats(0.0, 1.0), max_size=3), grid=powers, extra=tiny,
+           alpha_1=st.one_of(st.floats(1e-3, 0.5), st.sampled_from([0.5, TINY])),
+           kind=st.sampled_from(AttackKind), k=st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=60, deadline=None)
+    def test_ratio_sweep(self, ratios, grid, extra, alpha_1, kind, k):
+        ratios = np.array([0.0, *ratios, 1.0])
+        grid = np.array(sorted({*grid, *ANCHORS, *extra}))
+        self.assert_same(two_stage_ratio_sweep(ratios, grid, kind, alpha_1, k),
+                         oracle.two_stage_ratio_sweep(ratios, grid, kind, alpha_1, k))
+
+    def test_anchor_cells_reach_every_branch(self):
+        grid = np.array([TINY, *ANCHORS])
+        seen = set()
+        for kind in AttackKind:
+            cells = oracle.two_stage_sweep(grid, kind, 0.5)
+            cells += oracle.two_stage_ratio_sweep(np.array([0.0, 0.5]), grid, kind, 0.25, 0.5)
+            seen |= {_outcome(c) for c in cells}
+            assert any(c.alpha_1 == 0.5 or c.alpha_2 == 0.5 for c in cells if not c.error)
+        assert seen == {"faw", "bwh", "zero", "error"}
+
+    def test_batches_do_not_change_rows(self, monkeypatch):
+        from poolgame import ars
+
+        grid = np.linspace(0.01, 0.5, 12)
+        whole = two_stage_sweep(grid, AttackKind.BWH, 0.7)
+        monkeypatch.setattr(ars, "BATCH_ROWS", 7)
+        assert _bits(two_stage_sweep(grid, AttackKind.BWH, 0.7)) == _bits(whole)
+
+
+class TestSweepInputs:
+    def test_invalid_power_raises_the_first_cells_error(self):
+        grid = [0.2, 0.6, -0.1]
+        with pytest.raises(InvalidPowers) as batched:
+            two_stage_sweep(grid, AttackKind.FAW)
+        with pytest.raises(InvalidPowers) as per_cell:
+            oracle.two_stage_sweep(grid, AttackKind.FAW, 0.999)
+        assert str(batched.value) == str(per_cell.value)
+
+    @pytest.mark.parametrize("ratios, alpha_2_grid, alpha_1, error", [
+        ([0.5, 1.5], [0.2], 0.2, InvalidAction),
+        ([0.5], [0.2, 0.6], 0.2, InvalidPowers),
+        ([0.5], [0.2], 0.0, InvalidPowers),
+        ([0.5], [0.2], float("nan"), InvalidPowers),
+    ])
+    def test_ratio_sweep_refuses_invalid_cells(self, ratios, alpha_2_grid, alpha_1, error):
+        # the per-cell sweep wrote such cells as error rows (alpha_1 = 0
+        # raised ZeroDivisionError); invalid input is now refused whole
+        with pytest.raises(error):
+            two_stage_ratio_sweep(ratios, alpha_2_grid, AttackKind.FAW, alpha_1)
 
 
 class TestNPool:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import retaliation_oracle as oracle
 from poolgame import equilibrium
-from poolgame.model import Action, AttackKind
+from poolgame.model import Action, AttackKind, PoolGameError
 from poolgame.payoff import payoff_pair, payoff_pair_raw
 from poolgame.equilibrium import (
     _subgame_cases,
@@ -74,26 +76,29 @@ class TestDeltaBound:
 
     def test_each_stage0_profile_evaluated_once(self, monkeypatch):
         # classes sharing (punisher stage-0 action, deviator prescription)
-        # share their outcomes, so each side prices each such profile once
+        # share their outcomes, so each side prices each such profile once,
+        # as one batch over the whole deviation grid
         alpha_1, alpha_2, k, n = 0.25, 0.15, 0.5, 10
-        expected = 0
+        expected = []
         for alpha_pun, alpha_dev in ((alpha_1, alpha_2), (alpha_2, alpha_1)):
             profiles = {
                 (c.punisher_stage0, c.deviator_prescribed)
                 for prior in (AttackKind.FAW, AttackKind.BWH)
                 for c in _subgame_cases(alpha_pun, alpha_dev, k, prior)
             }
-            expected += len(profiles) * 2 * (n - 1)
+            expected += [(*p, alpha_pun, alpha_dev) for p in profiles]
         calls = []
+        batched = equilibrium._deviation_outcomes
 
-        def counting(case, *args):
-            calls.append((case.punisher_stage0, case.deviator_prescribed, args))
-            return deviation_outcome(case, *args)
+        def counting(case, alpha_pun, alpha_dev, deviations, k):
+            assert len(deviations) == 2 * (n - 1)
+            calls.append((case.punisher_stage0, case.deviator_prescribed, alpha_pun, alpha_dev))
+            return batched(case, alpha_pun, alpha_dev, deviations, k)
 
-        monkeypatch.setattr(equilibrium, "deviation_outcome", counting)
+        monkeypatch.setattr(equilibrium, "_deviation_outcomes", counting)
         delta_bound(alpha_1, alpha_2, k, deviation_resolution=n)
-        assert len(calls) == expected
-        assert len(set(calls)) == expected
+        assert len(calls) == len(expected)
+        assert set(calls) == set(expected)
 
     def test_one_stage_deviations_unprofitable_above_bound(self):
         k = 0.5
@@ -110,6 +115,48 @@ class TestDeltaBound:
                         case, alpha_pun, alpha_dev, d, k
                     )
                     assert gain + delta * pun <= comp + 1e-9
+
+
+class TestDeviationBatchAgainstOracle:
+    @given(
+        alpha_pun=st.one_of(st.floats(0.01, 0.5), st.just(0.5)),
+        alpha_dev=st.floats(0.01, 0.49),
+        k=st.floats(0.0, 1.0, exclude_max=True),
+        prior=st.sampled_from(AttackKind),
+        which=st.integers(0, 3),
+        n=st.integers(2, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_per_deviation_calls(self, alpha_pun, alpha_dev, k, prior,
+                                              which, n):
+        # delta_bound's batch over a class's deviation grid against the
+        # per-deviation path it replaced, bit for bit
+        try:
+            case = _subgame_cases(alpha_pun, alpha_dev, k, prior)[which]
+        except PoolGameError:
+            return  # no stage-0 retaliation exists for this prior
+        deviations = equilibrium._deviation_grid(alpha_dev, n)
+
+        def outcome(fn, *args):
+            try:
+                return fn(case, alpha_pun, alpha_dev, *args, k)
+            except PoolGameError as exc:
+                return type(exc), str(exc)
+
+        def per_deviation(case, alpha_pun, alpha_dev, deviations, k):
+            return [tuple(float(v).hex() for v in
+                          oracle.deviation_outcome(case, alpha_pun, alpha_dev, d, k))
+                    for d in deviations]
+
+        def batched(case, alpha_pun, alpha_dev, deviations, k):
+            gain, punishment, comp = equilibrium._deviation_outcomes(
+                case, alpha_pun, alpha_dev, deviations, k)
+            return [(g.hex(), p.hex(), comp.hex())
+                    for g, p in zip(gain.tolist(), punishment.tolist())]
+
+        assert outcome(batched, deviations) == outcome(per_deviation, deviations)
+        assert outcome(equilibrium._worst_ratio, deviations) == outcome(
+            oracle._worst_ratio, deviations)
 
 
 class TestAudit:
