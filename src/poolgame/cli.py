@@ -331,6 +331,11 @@ def _cmd_npool(args):
 
 
 def _cmd_detect(args):
+    # every mode describes the same two pools, so every mode checks them
+    # (written so that NaN fails the test)
+    if not (0.0 < args.alpha <= 0.5 and 0.0 < args.beta <= 0.5):
+        raise PoolGameError(
+            f"--alpha and --beta must be in (0, 0.5], got {args.alpha}, {args.beta}")
     kind = AttackKind(args.attack)
     if args.mode == "block-ratio":
         expected, p = detect_bwh_block_ratio(args.beta, args.infiltration, args.blocks)

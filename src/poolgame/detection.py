@@ -253,6 +253,8 @@ def detect_bwh_block_ratio(
         raise InvalidScenario(
             f"invalid victim_power={victim_power}, infiltration={infiltration}"
         )
+    if blocks < 1:
+        raise InvalidScenario(f"blocks must be at least 1, got {blocks}")
     expected = victim_power / (1.0 - infiltration)
     null_p = victim_power + infiltration
     threshold = int(round(expected * blocks))
@@ -265,6 +267,8 @@ def detect_unlucky_miners(suspect_power: float, blocks: int) -> float:
     solution over the given number of blocks."""
     if not (0.0 <= suspect_power < 1.0):
         raise InvalidScenario(f"invalid power {suspect_power}")
+    if blocks < 1:
+        raise InvalidScenario(f"blocks must be at least 1, got {blocks}")
     return float((1.0 - suspect_power) ** blocks)
 
 

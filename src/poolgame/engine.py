@@ -403,6 +403,8 @@ def run_npool(
     n = len(alphas)
     if n < 2 or len(strategies) != n:
         raise InvalidScenario("at least two pools and one strategy per pool required")
+    if stages < 1:
+        raise InvalidScenario(f"the game needs at least 1 stage, got {stages}")
     states = {
         (i, j): initial_state(strategies[i].k)
         for i in range(n)

@@ -15,6 +15,24 @@ construction of the candidate sets it stays below 1. Classes sharing a
 stage-0 profile share their outcomes, so each profile is evaluated once,
 as one batch over the deviation grid (``ars.retaliate_cells`` for the
 punisher's retaliations, batched ``payoff_pair_raw`` for the payoffs).
+
+The BWH audit checks every power cell at once, as one array program. Each
+family of deviation gaps is a least rounded difference fl(p - d) over a
+grid, and IEEE subtraction rounds monotonically, so that least difference is
+exactly fl(min p - max d): family 2 needs two grid rows per cell instead of
+a grid, and family 1 needs, for each of pool 1's FAW powers, only the
+largest of pool 2's deviation payoffs. That row maximum is found by
+bisecting on the sign of the discrete slope down to a bracket of at most 3
+grid points and taking the maximum over a window of ``AUDIT_WINDOW`` grid
+points around it; the window prices the grid's own points, so the maximum
+is the same float. Where an edge of the window inside the row reaches the
+window's maximum, the row could hold a larger value beyond it, and the
+row is priced in full. Rows run in batches of ``AUDIT_ROW_CHUNK`` and index
+each cell's deviation grid, never a copy per row. Cells whose optimal BWH
+power does not deter try larger powers in order: up to the family-1 cap
+they reuse the cap's minimum, one expression for all cells; above it the
+still-open cells get fresh family-1 minima, ``AUDIT_FALLBACK_POWERS`` powers
+per cell and pass, and keep their first deterring power.
 """
 
 from __future__ import annotations
@@ -27,6 +45,7 @@ import numpy as np
 from .model import (
     Action,
     AttackKind,
+    InvalidScenario,
     NonConvergence,
     OPTIMIZER_TOL,
     ZERO_ACTION,
@@ -38,6 +57,7 @@ from .payoff import (
     one_sided_victim,
     optimal_bwh_infiltration,
     optimal_faw_infiltration,
+    optimal_infiltration,
     payoff_pair,
     payoff_pair_raw,
 )
@@ -48,6 +68,11 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 NASH_GRID_POINTS = 100
 NASH_TOL = 1e-7
 NASH_MAX_ITERATIONS = 10_000
+# BWH audit: family-1 rows priced per batch (bounds the evaluation arrays),
+# grid points of a row-maximum window, fallback powers per open cell and pass
+AUDIT_ROW_CHUNK = 2048
+AUDIT_WINDOW = 5
+AUDIT_FALLBACK_POWERS = 4
 
 
 def golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -283,48 +308,124 @@ class AuditReport:
             yield f"{c.alpha_1:.6f},{c.alpha_2:.6f},{c.f_value:.8f},{c.k_chosen:.8f},{int(c.passed)}"
 
 
-def _audit_cell(a1: float, a2: float, n: int) -> AuditCell:
-    """Check one power cell: some BWH power of pool 1 must out-damage every
-    single-stage gain pool 2 can grab by deviating, in both context families."""
-    m1b = optimal_bwh_infiltration(a1, a2)
-    m2b = optimal_bwh_infiltration(a2, a1)
-    f_dmg = optimal_faw_infiltration(a1, a2)
-    f_cap = max(m1b, f_dmg)
+def _row_maxima(u, size: int, n: int) -> np.ndarray:
+    """Maximum of each of ``size`` rows of n grid values. ``u(j)`` prices the
+    grid indices ``j`` (shape (k, size), rows on the last axis) and
+    ``u(j, rows)`` those of the given rows only.
 
-    dev2 = power_grid(a2, n)  # pool 2's deviation (FAW dominates for the gain)
+    Bisects each row on the sign of its discrete slope down to a bracket of
+    at most 3 points, then takes the maximum over a window around the bracket.
+    On a row that never rises after a fall, a window whose edges inside the
+    row both lie strictly below its maximum holds the row's maximum; any other
+    row is priced in full."""
+    lo = np.zeros(size, np.intp)
+    hi = np.full(size, n - 1)
+    while (active := hi - lo > 2).any():
+        mid = (lo + hi) // 2
+        at = u(np.stack([mid, mid + 1]))
+        up = at[1] > at[0]
+        lo = np.where(active & up, mid + 1, lo)
+        hi = np.where(active & ~up, mid, hi)
+    w = min(AUDIT_WINDOW, n)
+    first = np.clip(lo - 1, 0, n - w)
+    vals = u(first + np.arange(w)[:, None])
+    top = vals.max(axis=0)
+    loose = np.flatnonzero(((first > 0) & (vals[0] == top))
+                           | ((first + w < n) & (vals[-1] == top)))
+    if loose.size:
+        top[loose] = u(np.arange(n)[:, None], loose).max(axis=0)
+    return top
+
+
+def _family1_minima(a1, a2, dev, cell, caps) -> np.ndarray:
+    """Family-1 gap of each (cell, cap) pair: the least of pool 2's honest
+    payoff minus its deviation payoff over pool 1's FAW powers
+    ``linspace(0, cap, n)`` and pool 2's deviations ``dev[cell]``.
+
+    Subtraction rounds monotonically, so the least rounded difference over a
+    row is its honest payoff minus the row's largest deviation payoff: one
+    row maximum per FAW power prices the pair's full grid exactly."""
+    n = dev.shape[1]
+    step = max(1, AUDIT_ROW_CHUNK // n)  # pairs per batch
+    minima = np.empty(caps.size)
+    for s in range(0, caps.size, step):
+        c = np.repeat(cell[s:s + step], n)
+        f = np.linspace(0.0, caps[s:s + step], n, axis=-1).ravel()
+        x, y = a1[c], a2[c]
+
+        def u(j, r=slice(None)):
+            return payoff_pair_raw(x[r], y[r], f[r], 0.0, dev[c[r], j], 0.0)[1]
+
+        honest = payoff_pair_raw(x, y, f, 0.0, 0.0, 0.0)[1]
+        gaps = honest - _row_maxima(u, f.size, n)
+        minima[s:s + step] = gaps.reshape(-1, n).min(axis=1)
+    return minima
+
+
+def _lesser(t1, t2):
+    # Python's min(t1, t2), elementwise: t1 unless t2 is smaller
+    return np.where(t2 < t1, t2, t1)
+
+
+def _audit_cells(a1, a2, n: int) -> tuple[AuditCell, ...]:
+    """Audit the cells (a1[i], a2[i]) at once: some BWH power of pool 1 must
+    out-damage every single-stage gain pool 2 can grab by deviating, in both
+    context families. The powers must be valid."""
+    m1b = optimal_infiltration(AttackKind.BWH, a1, a2)
+    m2b = optimal_infiltration(AttackKind.BWH, a2, a1)
+    f_cap = np.maximum(m1b, optimal_infiltration(AttackKind.FAW, a1, a2))
+    dev = np.linspace(0.0, a2, n, axis=-1)  # pool 2's deviation (FAW dominates for the gain)
+    cells = np.arange(a1.size)
+
+    def damage(i, b):
+        return -one_sided_victim(AttackKind.BWH, a1[i], a2[i], b)
 
     # family 1: pool 1 has attacked with (f1, 0); gap between pool 2 staying
     # honest and deviating with (f2, 0)
-    def family1_min(f1_cap):
-        f1 = np.linspace(0.0, f1_cap, n)[:, None]
-        f2 = dev2[None, :]
-        u_honest = payoff_pair_raw(a1, a2, f1, 0.0, 0.0, 0.0)[1]
-        u_dev = payoff_pair_raw(a1, a2, f1, 0.0, f2, 0.0)[1]
-        return float(np.min(u_honest - u_dev))
-
+    t1_cap = _family1_minima(a1, a2, dev, cells, f_cap)
     # family 2: pool 1 honest; gap between pool 2 playing its prescribed BWH
     # retaliation (0, b2) and deviating with (f2, 0)
-    b2 = np.linspace(0.0, m2b, n)[:, None]
-    u_presc = one_sided_attacker(AttackKind.BWH, a2, a1, b2)
-    u_dev = one_sided_attacker(AttackKind.FAW, a2, a1, dev2[None, :])
-    t2 = float(np.min(u_presc - u_dev))
+    t2 = np.empty(a1.size)
+    step = max(1, AUDIT_ROW_CHUNK // n)
+    for s in range(0, a1.size, step):
+        part = slice(s, s + step)
+        y, x = a1[part, None], a2[part, None]
+        b2 = np.linspace(0.0, m2b[part], n, axis=-1)
+        t2[part] = (one_sided_attacker(AttackKind.BWH, x, y, b2).min(axis=1)
+                    - one_sided_attacker(AttackKind.FAW, x, y, dev[part]).max(axis=1))
 
-    def damage_at(b):
-        return -float(one_sided_victim(AttackKind.BWH, a1, a2, b))
+    worst = _lesser(t1_cap, t2)
+    gap = -worst  # worst-case gain pool 2 can secure
+    f_value = damage(cells, m1b) - gap
+    passed = f_value > 0.0
+    k_chosen = np.where(passed, m1b, np.nan)
 
-    t1_cap = family1_min(f_cap)
-    gap = -min(t1_cap, t2)  # worst-case gain pool 2 can secure
-    f_value = damage_at(m1b) - gap
-    if f_value > 0.0:
-        return AuditCell(a1, a2, f_value, m1b, True)
-    for kk in np.linspace(m1b, a1, n):
-        # max(kk, f_cap) is exactly f_cap for kk <= f_cap, so the minimum
-        # computed above is the same float family1_min would return again
-        t1 = t1_cap if kk <= f_cap else family1_min(kk)
-        fk = damage_at(kk) + min(t1, t2)
-        if fk > 0.0:
-            return AuditCell(a1, a2, f_value, float(kk), True)
-    return AuditCell(a1, a2, f_value, float("nan"), False)
+    # fallback: pool 1's powers linspace(m1b, a1, n) in order, the first
+    # whose damage covers the gap. Up to f_cap the family-1 gap is t1_cap;
+    # above it, fresh minima are priced a few powers per open cell and pass.
+    fb = np.flatnonzero(~passed)
+    kk = np.linspace(m1b[fb], a1[fb], n, axis=-1)
+    fresh = ~(kk <= f_cap[fb, None])
+    fk = np.where(fresh, np.nan, damage(fb[:, None], kk) + worst[fb, None])
+    while True:
+        # each cell's first power that passes or is not priced yet
+        stop = (fk > 0.0) | fresh
+        first = stop.argmax(axis=1)
+        open_ = fresh[np.arange(fb.size), first]
+        if not open_.any():
+            break
+        take = fresh & open_[:, None] & (np.arange(n) >= first[:, None])
+        take &= np.cumsum(take, axis=1) <= AUDIT_FALLBACK_POWERS
+        i, j = np.nonzero(take)
+        t1 = _family1_minima(a1, a2, dev, fb[i], kk[i, j])
+        fk[i, j] = damage(fb[i], kk[i, j]) + _lesser(t1, t2[fb[i]])
+        fresh[i, j] = False
+    ok = fk > 0.0
+    hit = np.flatnonzero(ok.any(axis=1))
+    passed[fb[hit]] = True
+    k_chosen[fb[hit]] = kk[hit, ok[hit].argmax(axis=1)]
+    return tuple(map(AuditCell, a1.tolist(), a2.tolist(), f_value.tolist(),
+                     k_chosen.tolist(), passed.tolist()))
 
 
 def audit_ipbwh_nonempty(
@@ -342,13 +443,26 @@ def audit_ipbwh_nonempty(
     size. Cells where no power works are reported as failures (expected: none
     on the default grid; pushing the opponent to exactly half the network,
     power_hi=0.5, produces a sliver of genuine failures where no deterring
-    power exists).
+    power exists). Cells run in row order (alpha_1, then alpha_2) and skip
+    those whose powers sum above ``power_cap``; the first cell with invalid
+    powers raises ``InvalidPowers``.
     """
+    if power_grid_resolution < 1:
+        raise InvalidScenario(
+            f"the power grid needs at least 1 cell per axis, got {power_grid_resolution}")
+    if infiltration_resolution < 2:
+        raise InvalidScenario(
+            f"the infiltration grid needs at least 2 points, got {infiltration_resolution}")
     powers = np.linspace(power_lo, power_hi, power_grid_resolution)
-    cells = []
-    for a1 in powers:
-        for a2 in powers:
-            if a1 + a2 > power_cap:
-                continue
-            cells.append(_audit_cell(float(a1), float(a2), infiltration_resolution))
-    return AuditReport(tuple(cells))
+    a1, a2 = (g.ravel() for g in np.meshgrid(powers, powers, indexing="ij"))
+    kept = ~(a1 + a2 > power_cap)
+    a1, a2 = a1[kept], a2[kept]
+    # written so that NaN fails every test, as the scalar power check
+    valid = (a1 > 0.0) & (a2 > 0.0) & (a1 <= 0.5) & (a2 <= 0.5) & (a1 + a2 < 1.0)
+    bad = np.flatnonzero(~valid)
+    # the cells before the first invalid one are audited (and may raise) first
+    stop = bad[0] if bad.size else a1.size
+    cells = _audit_cells(a1[:stop], a2[:stop], infiltration_resolution)
+    if bad.size:
+        optimal_bwh_infiltration(float(a1[stop]), float(a2[stop]))  # raises InvalidPowers
+    return AuditReport(cells)

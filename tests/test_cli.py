@@ -222,6 +222,56 @@ class TestGridCells:
         assert "at least 1 cell" in captured.err
 
 
+class TestCountInputs:
+    """Stage and block counts below 1 are refused instead of printing an empty
+    table, p = 1 or nan."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["npool", "--powers", "0.2", "0.2", "--attack", "faw", "--stages", "0"],
+         "at least 1 stage, got 0"),
+        (["npool", "--powers", "0.2", "0.2", "--attack", "faw", "--stages", "-2"],
+         "at least 1 stage, got -2"),
+        (["detect", "--mode", "block-ratio", "--blocks", "0"], "at least 1, got 0"),
+        (["detect", "--mode", "block-ratio", "--blocks", "-5"], "at least 1, got -5"),
+        (["detect", "--mode", "unlucky", "--blocks", "0"], "at least 1, got 0"),
+    ])
+    def test_rejected(self, args, message, capsys):
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert message in captured.err
+
+    def test_one_stage_and_one_block_accepted(self, capsys):
+        code, out = run_cli(["npool", "--powers", "0.2", "0.2", "--attack", "faw",
+                             "--stages", "1"], capsys)
+        assert code == 0 and len(parse_csv(out)) == 2
+        code, out = run_cli(["detect", "--mode", "block-ratio", "--blocks", "1"], capsys)
+        assert code == 0 and len(parse_csv(out)) == 1
+
+
+class TestDetectPoolSizes:
+    """Every detect mode refuses a pool above half the network or without
+    power, as every other command does, even a mode that reads neither size."""
+
+    @pytest.mark.parametrize("args", [
+        ["--mode", "unlucky", "--alpha", "0.7"],
+        ["--mode", "geometric", "--alpha", "0.7"],
+        ["--mode", "geometric", "--alpha", "0"],
+        ["--mode", "block-ratio", "--beta", "0.6"],
+        ["--mode", "geometric", "--beta", "nan"],
+    ])
+    def test_outside_pool_power_range_rejected(self, args, capsys):
+        code = main(["detect", *args])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "--alpha and --beta must be in (0, 0.5]" in captured.err
+
+    def test_half_the_network_accepted(self, capsys):
+        code, out = run_cli(["detect", "--mode", "geometric", "--alpha", "0.5",
+                             "--beta", "0.4"], capsys)
+        assert code == 0 and len(parse_csv(out)) == 1
+
+
 class TestPreferenceWeight:
     RETALIATE = ["retaliate", "--alpha", "0.2", "0.2", "--opp-attack", "0.05", "0"]
 

@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import audit_oracle
 import retaliation_oracle as oracle
 from poolgame import equilibrium
-from poolgame.model import Action, AttackKind, PoolGameError
+from poolgame.model import (
+    Action,
+    AttackKind,
+    DegenerateDenominator,
+    InvalidPowers,
+    InvalidScenario,
+    PoolGameError,
+)
 from poolgame.payoff import payoff_pair, payoff_pair_raw
 from poolgame.equilibrium import (
     _subgame_cases,
@@ -197,3 +205,143 @@ class TestAudit:
         )
         failing = {(round(c.alpha_1, 2), round(c.alpha_2, 2)) for c in report.failures}
         assert (0.37, 0.5) in failing
+
+
+def audit_bits(audit, **kw):
+    """Every ``AuditCell`` field, floats as their uint64 bits, or the error."""
+    try:
+        report = audit(**kw)
+    except PoolGameError as exc:
+        return type(exc), str(exc)
+    floats = np.array([[c.alpha_1, c.alpha_2, c.f_value, c.k_chosen] for c in report.cells],
+                      float).reshape(-1, 4)
+    return floats.view(np.uint64).tolist(), [(type(c.passed), c.passed) for c in report.cells]
+
+
+class TestBatchedAuditAgainstOracle:
+    """The batched audit against the per-cell full-grid audit it replaced."""
+
+    @given(
+        lo=st.floats(0.001, 0.5),
+        # opponents at half the network reach the cells where no power deters
+        hi=st.one_of(st.floats(0.001, 0.5), st.just(0.5)),
+        cells=st.integers(1, 4),
+        n=st.integers(2, 150),
+        # caps below 2 * max(lo, hi) drop cells
+        cap=st.one_of(st.just(0.99), st.floats(0.2, 1.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_oracle_bit_for_bit(self, lo, hi, cells, n, cap):
+        kw = dict(power_grid_resolution=cells, infiltration_resolution=n,
+                  power_lo=lo, power_hi=hi, power_cap=cap)
+        assert audit_bits(audit_ipbwh_nonempty, **kw) == audit_bits(
+            audit_oracle.audit_ipbwh_nonempty, **kw)
+
+    @pytest.mark.parametrize("kw", [
+        # the acceptance suite's extended grid, opponents up to half the network
+        dict(power_grid_resolution=8, infiltration_resolution=100,
+             power_lo=0.3, power_hi=0.5),
+        # the sliver of genuine failures: every fallback power priced fresh
+        dict(power_grid_resolution=2, infiltration_resolution=100,
+             power_lo=0.37, power_hi=0.5, power_cap=0.87),
+        dict(power_grid_resolution=12, infiltration_resolution=80),
+    ])
+    def test_pinned_grids(self, kw):
+        bits = audit_bits(audit_ipbwh_nonempty, **kw)
+        assert bits == audit_bits(audit_oracle.audit_ipbwh_nonempty, **kw)
+
+    def test_fallback_with_fresh_family1_minima(self):
+        # (0.01, 0.45) passes only at its 28th fallback power above f_cap,
+        # each with a fresh family-1 minimum
+        kw = dict(power_grid_resolution=2, infiltration_resolution=120,
+                  power_lo=0.01, power_hi=0.45)
+        report = audit_ipbwh_nonempty(**kw)
+        cell = report.cells[1]
+        assert (cell.alpha_1, cell.alpha_2, cell.passed) == (0.01, 0.45, True)
+        assert cell.f_value.hex() == "-0x1.59d906c8870e0p-8"
+        assert cell.k_chosen.hex() == "0x1.ba7eac2b78e48p-8"
+        assert audit_bits(audit_ipbwh_nonempty, **kw) == audit_bits(
+            audit_oracle.audit_ipbwh_nonempty, **kw)
+
+    def test_row_chunks_do_not_change_cells(self, monkeypatch):
+        kw = dict(power_grid_resolution=4, infiltration_resolution=37)
+        want = audit_bits(audit_oracle.audit_ipbwh_nonempty, **kw)
+        monkeypatch.setattr(equilibrium, "AUDIT_ROW_CHUNK", 7)
+        monkeypatch.setattr(equilibrium, "AUDIT_FALLBACK_POWERS", 1)
+        assert audit_bits(audit_ipbwh_nonempty, **kw) == want
+
+
+class TestRowMaxima:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_weakly_unimodal_rows(self, data):
+        # rows that never rise after a fall, with ties (plateaus) on both
+        # sides of the peak: the bracketed search returns each row's maximum
+        n = data.draw(st.integers(2, 40))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            peak = data.draw(st.integers(0, n - 1))
+            steps = data.draw(st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
+            row = np.zeros(n)
+            row[peak + 1:] = -np.cumsum(steps[peak:])
+            row[:peak] = -np.cumsum(steps[:peak][::-1])[::-1]
+            rows.append(row)
+        grid = np.array(rows)
+
+        def u(j, r=slice(None)):
+            return grid[np.arange(len(rows))[r], j]
+
+        top = equilibrium._row_maxima(u, len(rows), n)
+        assert top.tolist() == grid.max(axis=1).tolist()
+
+    def test_plateau_before_the_peak_takes_the_full_row(self):
+        # the bisection steps left on the tie at the midpoint and brackets
+        # the plateau; the window's edge equals its maximum, so the row is
+        # priced in full and the later peak is found
+        row = np.array([0.0] + [1.0] * 10 + [2.0, 0.0])
+        priced = []
+
+        def u(j, r=slice(None)):
+            priced.append(np.size(j))
+            return row[j]
+
+        assert equilibrium._row_maxima(u, 1, row.size).tolist() == [2.0]
+        assert priced[-1] == row.size
+
+
+class TestAuditInputs:
+    @pytest.mark.parametrize("kw, message", [
+        (dict(infiltration_resolution=1), "at least 2 points, got 1"),
+        (dict(infiltration_resolution=0), "at least 2 points, got 0"),
+        (dict(power_grid_resolution=0), "at least 1 cell per axis, got 0"),
+        (dict(power_grid_resolution=-2), "at least 1 cell per axis, got -2"),
+    ])
+    def test_empty_grids_rejected(self, kw, message):
+        with pytest.raises(InvalidScenario, match=message):
+            audit_ipbwh_nonempty(**kw)
+
+    @pytest.mark.parametrize("kw, message", [
+        # the third cell (0.01, 0.6) is the first invalid one in row order
+        (dict(power_grid_resolution=3, power_hi=0.6),
+         "no pool may hold more than half the network"),
+        (dict(power_grid_resolution=3, power_lo=0.0),
+         "powers must be positive numbers, got 0.0, 0.0"),
+        (dict(power_grid_resolution=2, power_lo=0.5, power_hi=0.5, power_cap=1.0),
+         "powers sum to 1.0 >= 1"),
+        (dict(power_grid_resolution=2, power_lo=float("nan")),
+         "powers must be positive numbers, got nan, nan"),
+    ])
+    def test_first_invalid_cell_raises_its_power_error(self, kw, message):
+        with pytest.raises(InvalidPowers) as exc:
+            audit_ipbwh_nonempty(**kw)
+        assert str(exc.value) == message
+        assert audit_bits(audit_oracle.audit_ipbwh_nonempty, **kw) == (InvalidPowers, message)
+
+    def test_cells_before_the_invalid_one_raise_first(self):
+        # (0.4999999999, 0.4999999999) leaves no live power on its fallback
+        # grid and comes before the invalid (0.5, 0.5)
+        kw = dict(power_grid_resolution=2, infiltration_resolution=50,
+                  power_lo=0.4999999999, power_hi=0.5, power_cap=1.0)
+        with pytest.raises(DegenerateDenominator):
+            audit_ipbwh_nonempty(**kw)
+        assert audit_bits(audit_oracle.audit_ipbwh_nonempty, **kw)[0] is DegenerateDenominator
