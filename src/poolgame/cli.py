@@ -1,8 +1,10 @@
 """Command-line front end: scenario parameters in, tables and figure CSVs out.
 
 Every command writes deterministic output for a given (command, config, seed);
-CSV files start with a comment line echoing the seed and the command. A flat
-key=value config file can preload any flag; explicit flags win.
+CSV files start with a comment line echoing the seed and the command. The
+package returns results as values and arrays, and only this module formats
+them. A flat key=value config file can preload any flag, read as the flag
+parses; explicit flags win.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .engine import (
     OptimalOneShotAttacker,
     closed_pool_scenario,
     run_npool,
-    sweep_csv_rows,
     two_stage_ratio_sweep,
     two_stage_sweep,
 )
@@ -65,36 +66,25 @@ def _parse_config_file(path) -> dict[str, str]:
     return values
 
 
-_INT_KEYS = frozenset({"seed", "cells", "blocks", "rounds", "periods", "stages"})
-_TEXT_KEYS = frozenset({"out", "hashrates", "pool", "series_out"})
-_CHOICES = {
-    "attack": ("faw", "bwh"),
-    "mode": ("block-ratio", "unlucky", "variance", "geometric"),
-}
-
-
-def _config_value(key: str, val: str, current):
-    """Typed value of a config entry; ``current`` is the flag's parsed value,
-    whose length a multi-number entry (e.g. ``own_prev = 0 0.02``) must match."""
+def _config_value(key: str, val: str, flag: argparse.Action):
+    """Typed value of a config entry, read as its ``flag`` parses: with its
+    type, its choices and, for a multi-number entry (e.g. ``own_prev = 0
+    0.02``), its number of values. ``powers`` is in percent."""
     try:
-        if key in _INT_KEYS:
-            return int(val)
         if key == "powers":
             return [float(v) / 100.0 for v in val.replace(",", " ").split()]
-        if key in _TEXT_KEYS:
-            return val
-        if key in _CHOICES:
-            if val not in _CHOICES[key]:
-                raise ValueError(val)
-            return val
-        if isinstance(current, (list, tuple)):
-            values = [float(v) for v in val.replace(",", " ").split()]
-            if len(values) != len(current):
+        read = flag.type or str
+        if isinstance(flag.nargs, int):
+            values = [read(v) for v in val.replace(",", " ").split()]
+            if len(values) != flag.nargs:
                 raise PoolGameError(
-                    f"config key {key!r}: needs {len(current)} numbers, got {val!r}"
+                    f"config key {key!r}: needs {flag.nargs} numbers, got {val!r}"
                 )
             return values
-        return float(val)
+        value = read(val)
+        if flag.choices is not None and value not in flag.choices:
+            raise ValueError(val)
+        return value
     except ValueError:
         raise PoolGameError(f"config key {key!r}: cannot read {val!r}") from None
 
@@ -132,6 +122,7 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
         description="Mining-pool FAW/BWH game: payoffs, retaliation, detection.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    attacks = [kind.value for kind in AttackKind]
 
     p = sub.add_parser("payoff", help="stage payoffs for an action profile")
     p.add_argument("--alpha", type=float, nargs=2, required=True)
@@ -159,7 +150,7 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
     _add_common(p)
 
     p = sub.add_parser("sweep", help="two-stage deviation/retaliation heatmap data")
-    p.add_argument("--attack", choices=_CHOICES["attack"], required=True)
+    p.add_argument("--attack", choices=attacks, required=True)
     p.add_argument("--cells", type=int, default=60, help="power grid cells per axis")
     p.add_argument("--fixed-alpha1", type=float, default=None,
                    help="sweep attack ratio at this attacker size instead of sizes")
@@ -170,7 +161,7 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
     p.add_argument("--powers", type=float, nargs="+", default=None,
                    help="pool powers as fractions, attacker first "
                         "(or `powers` config key, in percent)")
-    p.add_argument("--attack", choices=_CHOICES["attack"], required=True)
+    p.add_argument("--attack", choices=attacks, required=True)
     p.add_argument("--stages", type=int, default=2)
     p.add_argument("--rounds", type=int, default=0,
                    help="Monte-Carlo rounds per stage payoff (0 = exact)")
@@ -178,11 +169,12 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
     _add_common(p)
 
     p = sub.add_parser("detect", help="detection and identification quantities")
-    p.add_argument("--mode", choices=_CHOICES["mode"], required=True)
+    p.add_argument("--mode", choices=["block-ratio", "unlucky", "variance", "geometric"],
+                   required=True)
     p.add_argument("--alpha", type=float, default=0.10, help="attacker pool size")
     p.add_argument("--beta", type=float, default=0.20, help="victim pool size")
     p.add_argument("--infiltration", type=float, default=0.005)
-    p.add_argument("--attack", choices=_CHOICES["attack"], default="faw")
+    p.add_argument("--attack", choices=attacks, default="faw")
     p.add_argument("--blocks", type=int, default=2000)
     p.add_argument("--periods", type=int, default=720)
     p.add_argument("--hashrates", default=None, help="hash-rate CSV (default: bundled fixture)")
@@ -226,15 +218,15 @@ def _apply_config(parser, args, argv):
     if not args.config:
         return args
     file_values = _parse_config_file(args.config)
-    valid = sorted(_config_options(parser, args.command))
+    flags = _config_options(parser, args.command)
     values = {}
     for key, val in file_values.items():
-        if key not in valid:
+        if key not in flags:
             raise PoolGameError(
                 f"unknown config key {key!r} for {args.command}; "
-                f"valid keys: {', '.join(valid)}"
+                f"valid keys: {', '.join(sorted(flags))}"
             )
-        values[key] = _config_value(key, val, getattr(args, key))
+        values[key] = _config_value(key, val, flags[key])
     # parse again with the file values as the command's defaults, so any
     # flag on the command line wins, even one equal to its built-in default
     return build_parser({args.command: values}).parse_args(argv)
@@ -301,10 +293,21 @@ def _cmd_sweep(args):
     grid = np.linspace(0.01, 0.5, n)
     if args.fixed_alpha1 is not None:
         ratios = np.linspace(1.0 / n, 1.0, n)
-        cells = two_stage_ratio_sweep(ratios, grid, kind, _attacker_power(args.fixed_alpha1), k)
+        table = two_stage_ratio_sweep(ratios, grid, kind, _attacker_power(args.fixed_alpha1), k)
     else:
-        cells = two_stage_sweep(grid, kind, k)
-    return list(sweep_csv_rows(cells))
+        table = two_stage_sweep(grid, kind, k)
+    return _sweep_rows(table)
+
+
+def _sweep_rows(t):
+    """CSV lines of a sweep's columns: the header, then one row per cell."""
+    columns = (t.alpha_1, t.alpha_2, t.attack_ratio, t.r2_faw, t.r2_bwh, t.u1_avg, t.u2_avg,
+               t.ip_faw_empty)
+    return ["alpha1,alpha2,attack_ratio,r2F,r2B,u1_avg,u2_avg,ip_faw_empty,error"] + [
+        f"{a1:.6f},{a2:.6f},{ratio:.6f},{r_faw:.6f},{r_bwh:.6f},{u1:.8f},{u2:.8f},{flag:d},{error}"
+        for a1, a2, ratio, r_faw, r_bwh, u1, u2, flag, error
+        in zip(*(c.tolist() for c in columns), t.error)
+    ]
 
 
 def _one_shot_strategies(kind, k, n):
@@ -376,9 +379,16 @@ def _cmd_delta_bound(args):
 
 def _cmd_audit(args):
     report = audit_ipbwh_nonempty(_grid_cells(args.cells))
-    lines = list(report.to_csv_rows())
-    lines.append(f"# failures: {len(report.failures)}")
-    return lines
+    return [*_audit_rows(report), f"# failures: {np.count_nonzero(~report.passed)}"]
+
+
+def _audit_rows(r):
+    """CSV lines of the audit's columns: the header, then one row per cell."""
+    columns = (r.alpha_1, r.alpha_2, r.f_value, r.k_chosen, r.passed)
+    return ["alpha1,alpha2,f_value,k_chosen,passed"] + [
+        f"{a1:.6f},{a2:.6f},{f:.8f},{k:.8f},{passed:d}"
+        for a1, a2, f, k, passed in zip(*(c.tolist() for c in columns))
+    ]
 
 
 def _cmd_reproduce_table(args):

@@ -132,12 +132,19 @@ def geometric_param(alpha: float, beta: float, gamma: float, kind: AttackKind) -
 
     N counts victim blocks inside one attacker-block period, support {0,1,2,..},
     Pr(N=n) = (1-p)^n * p. A FAW attacker's withheld releases add fork wins to
-    the victim's block rate, hence the extra term in its denominator.
+    the victim's block rate, hence the extra term in its denominator. The
+    attacker is a pool, in (0, 0.5]; a victim of size 0 is the limit p = 1.
     """
-    if not (0.0 < alpha < 1.0 and 0.0 <= beta and alpha + beta < 1.0):
+    # written so that NaN fails every test
+    if not (0.0 < alpha <= 0.5 and 0.0 <= beta <= 0.5 and alpha + beta < 1.0):
         raise InvalidScenario(f"invalid sizes alpha={alpha}, beta={beta}")
     if not (0.0 <= gamma <= 1.0):
         raise InvalidScenario(f"invalid infiltration fraction {gamma}")
+    return _geometric_p(alpha, beta, gamma, kind)
+
+
+def _geometric_p(alpha, beta, gamma, kind: AttackKind):
+    """``geometric_param``'s formula, unchecked and elementwise."""
     own = (1.0 - gamma) * alpha
     if kind is AttackKind.FAW:
         victim_rate = beta + gamma * alpha * (1.0 - alpha - beta)
@@ -194,7 +201,8 @@ def simulate_reward_density(
     must hold at least ``scenario.periods`` values; its first ones are used,
     and a shorter one raises ``InvalidScenario`` rather than being repeated.
     The infiltration power gamma*alpha is held fixed while the pool size
-    fluctuates.
+    fluctuates, so a per-period size may exceed half the network, but not
+    leave the victim without room.
     """
     if isinstance(honest_baseline, HashrateSeries):
         names = honest_baseline.pools()
@@ -217,10 +225,10 @@ def simulate_reward_density(
     base = 1.0 / alphas
     if w == 0.0:
         return RewardDensitySeries(base.copy(), base=base, extra=np.zeros_like(base))
-    ps = np.array(
-        [geometric_param(a, scenario.beta, g, scenario.kind)
-         for a, g in zip(alphas, gammas)]
-    )
+    # the first period without room for both pools (NaN fails the test too)
+    for a in alphas[~((alphas > 0.0) & (alphas + scenario.beta < 1.0))][:1]:
+        raise InvalidScenario(f"invalid sizes alpha={a}, beta={scenario.beta}")
+    ps = _geometric_p(alphas, scenario.beta, gammas, scenario.kind)
     # numpy's geometric counts trials (support from 1); shift to failures
     n = rng.geometric(ps) - 1
     extra = n * gammas / (scenario.beta + gammas * alphas)

@@ -11,8 +11,8 @@ reduction oracle.
 
 The two-stage sweeps are array expressions over all their cells (batched
 ``payoff_pair_raw``, ``ars.retaliate_cells``), bit-identical to a per-cell
-computation. Cells where the model breaks down are masked into error rows;
-invalid powers or attacks raise.
+computation, and return one ``SweepTable`` of columns. Cells where the model
+breaks down are masked into error rows; invalid powers or attacks raise.
 """
 
 from __future__ import annotations
@@ -154,16 +154,20 @@ def discounted_payoff(history: History, pool: int) -> float:
 
 
 @dataclass(frozen=True)
-class SweepCell:
-    alpha_1: float
-    alpha_2: float
-    attack_ratio: float  # attacker's infiltration / alpha_1
-    r2_faw: float  # retaliation FAW power / alpha_2
-    r2_bwh: float
-    u1_avg: float
-    u2_avg: float
-    ip_faw_empty: bool
-    error: str = ""
+class SweepTable:
+    """A sweep's result as columns, one entry per cell in row order. Error
+    rows have NaN retaliation ratios and payoffs, ``ip_faw_empty`` False and
+    their message in ``error``; other rows have an empty ``error``."""
+
+    alpha_1: np.ndarray
+    alpha_2: np.ndarray
+    attack_ratio: np.ndarray  # attacker's infiltration / alpha_1
+    r2_faw: np.ndarray  # retaliation FAW power / alpha_2
+    r2_bwh: np.ndarray
+    u1_avg: np.ndarray
+    u2_avg: np.ndarray
+    ip_faw_empty: np.ndarray  # bool: a nonzero BWH retaliation
+    error: list[str]
 
 
 def _check_cells(alpha_1, alpha_2, power, kind) -> None:
@@ -175,7 +179,7 @@ def _check_cells(alpha_1, alpha_2, power, kind) -> None:
         payoff_pair(alpha_1[i], alpha_2[i], Action.of(kind, power[i]), ZERO_ACTION)
 
 
-def _two_stage_cells(alpha_1, alpha_2, power, kind, k) -> list[SweepCell]:
+def _two_stage_cells(alpha_1, alpha_2, power, kind, k) -> SweepTable:
     """Cells with valid powers and attacks: pool 1 attacks with ``power``,
     pool 2 retaliates, all as array expressions. A cell with a pool of at
     most ALGEBRAIC_TOL, where a stage denominator degenerates, and a cell
@@ -190,9 +194,9 @@ def _two_stage_cells(alpha_1, alpha_2, power, kind, k) -> list[SweepCell]:
     faw, x, empty = retaliate_cells(a2, a1, stage, k)
     r_faw, r_bwh = np.where(faw, x, 0.0), np.where(faw, 0.0, x)
     u1 = payoff_pair_raw(a1, a2, zero, zero, r_faw, r_bwh)
-    # the result columns r2F, r2B, u1_avg, u2_avg; error rows keep NaN
+    # the columns r2_faw, r2_bwh, u1_avg, u2_avg; error rows keep NaN
     columns = np.full((4, alpha_1.size), np.nan)
-    flagged = np.zeros(alpha_1.size, bool)  # ip_faw_empty: a nonzero BWH retaliation
+    flagged = np.zeros(alpha_1.size, bool)
     ok = np.flatnonzero(live)[~empty]
     columns[:, ok] = np.array([r_faw / a2, r_bwh / a2, (u0[0] + u1[0]) / 2.0,
                                (u0[1] + u1[1]) / 2.0])[:, ~empty]
@@ -201,11 +205,7 @@ def _two_stage_cells(alpha_1, alpha_2, power, kind, k) -> list[SweepCell]:
     for i in np.flatnonzero(live)[empty]:  # error rows only
         errors[i] = str(_empty_set_error(alpha_2[i], alpha_1[i], ZERO_ACTION,
                                          Action.of(kind, power[i]), ZERO_ACTION))
-    return [
-        SweepCell(*cell)
-        for cell in zip(alpha_1.tolist(), alpha_2.tolist(), (power / alpha_1).tolist(),
-                        *columns.tolist(), flagged.tolist(), errors)
-    ]
+    return SweepTable(alpha_1, alpha_2, power / alpha_1, *columns, flagged, errors)
 
 
 def _pairs(outer, inner):
@@ -218,7 +218,7 @@ def two_stage_sweep(
     alpha_grid,
     attacker_kind: AttackKind,
     k: float = DEFAULT_K_NEAR_ONE,
-) -> list[SweepCell]:
+) -> SweepTable:
     """Optimal one-shot deviation followed by retaliation, per power cell.
 
     The attacker (pool 1) plays its payoff-maximizing one-sided attack; pool 2
@@ -240,7 +240,7 @@ def two_stage_ratio_sweep(
     attacker_kind: AttackKind,
     alpha_1: float = 0.2,
     k: float = DEFAULT_K_NEAR_ONE,
-) -> list[SweepCell]:
+) -> SweepTable:
     """Same two-stage scenario sweeping the attacker's infiltration ratio at
     fixed attacker size (heatmaps over attack intensity). Raises for the
     first cell whose powers or attack ``payoff_pair`` refuses."""
@@ -251,16 +251,6 @@ def two_stage_ratio_sweep(
     power = ratio * alpha_1
     _check_cells(alpha_1, alpha_2, power, attacker_kind)
     return _two_stage_cells(alpha_1, alpha_2, power, attacker_kind, k)
-
-
-def sweep_csv_rows(cells):
-    yield "alpha1,alpha2,attack_ratio,r2F,r2B,u1_avg,u2_avg,ip_faw_empty,error"
-    for c in cells:
-        yield (
-            f"{c.alpha_1:.6f},{c.alpha_2:.6f},{c.attack_ratio:.6f},"
-            f"{c.r2_faw:.6f},{c.r2_bwh:.6f},{c.u1_avg:.8f},{c.u2_avg:.8f},"
-            f"{int(c.ip_faw_empty)},{c.error}"
-        )
 
 
 # ---------------------------------------------------------------------------

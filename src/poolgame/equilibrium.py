@@ -53,6 +53,7 @@ from .model import (
 )
 from .payoff import (
     StagePayoffs,
+    _check_powers,
     one_sided_attacker,
     one_sided_victim,
     optimal_bwh_infiltration,
@@ -121,6 +122,7 @@ def stage_nash(
     initial: tuple[float, float] = (0.0, 0.0),
 ) -> StageEquilibrium:
     """Unique pure-FAW stage-game Nash equilibrium by best-response iteration."""
+    _check_powers(alpha_1, alpha_2)
     f1, f2 = initial
     for iterations in range(1, NASH_MAX_ITERATIONS + 1):
         n1 = _best_response(alpha_1, alpha_2, f2)
@@ -286,26 +288,14 @@ def delta_bound(
 
 
 @dataclass(frozen=True)
-class AuditCell:
-    alpha_1: float
-    alpha_2: float
-    f_value: float  # margin under the baseline assumption (may be negative)
-    k_chosen: float  # BWH power whose damage covers the worst-case gap
-    passed: bool
-
-
-@dataclass(frozen=True)
 class AuditReport:
-    cells: tuple[AuditCell, ...]
+    """The audit's result as columns, one entry per cell in row order."""
 
-    @property
-    def failures(self) -> tuple[AuditCell, ...]:
-        return tuple(c for c in self.cells if not c.passed)
-
-    def to_csv_rows(self):
-        yield "alpha1,alpha2,f_value,k_chosen,passed"
-        for c in self.cells:
-            yield f"{c.alpha_1:.6f},{c.alpha_2:.6f},{c.f_value:.8f},{c.k_chosen:.8f},{int(c.passed)}"
+    alpha_1: np.ndarray
+    alpha_2: np.ndarray
+    f_value: np.ndarray  # margin under the baseline assumption (may be negative)
+    k_chosen: np.ndarray  # BWH power whose damage covers the worst-case gap; NaN if none
+    passed: np.ndarray  # bool
 
 
 def _row_maxima(u, size: int, n: int) -> np.ndarray:
@@ -367,7 +357,7 @@ def _lesser(t1, t2):
     return np.where(t2 < t1, t2, t1)
 
 
-def _audit_cells(a1, a2, n: int) -> tuple[AuditCell, ...]:
+def _audit_cells(a1, a2, n: int) -> AuditReport:
     """Audit the cells (a1[i], a2[i]) at once: some BWH power of pool 1 must
     out-damage every single-stage gain pool 2 can grab by deviating, in both
     context families. The powers must be valid."""
@@ -424,8 +414,7 @@ def _audit_cells(a1, a2, n: int) -> tuple[AuditCell, ...]:
     hit = np.flatnonzero(ok.any(axis=1))
     passed[fb[hit]] = True
     k_chosen[fb[hit]] = kk[hit, ok[hit].argmax(axis=1)]
-    return tuple(map(AuditCell, a1.tolist(), a2.tolist(), f_value.tolist(),
-                     k_chosen.tolist(), passed.tolist()))
+    return AuditReport(a1, a2, f_value, k_chosen, passed)
 
 
 def audit_ipbwh_nonempty(
@@ -462,7 +451,7 @@ def audit_ipbwh_nonempty(
     bad = np.flatnonzero(~valid)
     # the cells before the first invalid one are audited (and may raise) first
     stop = bad[0] if bad.size else a1.size
-    cells = _audit_cells(a1[:stop], a2[:stop], infiltration_resolution)
+    report = _audit_cells(a1[:stop], a2[:stop], infiltration_resolution)
     if bad.size:
         optimal_bwh_infiltration(float(a1[stop]), float(a2[stop]))  # raises InvalidPowers
-    return AuditReport(cells)
+    return report

@@ -3,16 +3,20 @@
 
 ``_audit_cell`` and ``audit_ipbwh_nonempty`` are the code the package used
 before the audit became one array program, unchanged apart from their
-imports: every cell prices its family-1 gaps on full infiltration-by-deviation
-grids. Every ``AuditCell`` of the batched audit must equal the oracle's bit
-for bit.
+imports and the cells being returned bare: every cell prices its family-1
+gaps on full infiltration-by-deviation grids. ``AuditCell`` is the per-cell
+record the package's audit returned before it returned columns, and
+``audit_csv_rows`` its per-cell CSV formatter. Every cell of the batched
+audit must equal the oracle's bit for bit, and the CLI's rows must equal
+``audit_csv_rows``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from poolgame.equilibrium import AuditCell, AuditReport
 from poolgame.model import AttackKind, power_grid
 from poolgame.payoff import (
     one_sided_attacker,
@@ -21,6 +25,21 @@ from poolgame.payoff import (
     optimal_faw_infiltration,
     payoff_pair_raw,
 )
+
+
+@dataclass(frozen=True)
+class AuditCell:
+    alpha_1: float
+    alpha_2: float
+    f_value: float  # margin under the baseline assumption (may be negative)
+    k_chosen: float  # BWH power whose damage covers the worst-case gap
+    passed: bool
+
+
+def audit_csv_rows(cells):
+    yield "alpha1,alpha2,f_value,k_chosen,passed"
+    for c in cells:
+        yield f"{c.alpha_1:.6f},{c.alpha_2:.6f},{c.f_value:.8f},{c.k_chosen:.8f},{int(c.passed)}"
 
 
 def _audit_cell(a1: float, a2: float, n: int) -> AuditCell:
@@ -73,7 +92,7 @@ def audit_ipbwh_nonempty(
     power_lo: float = 0.01,
     power_hi: float = 0.45,
     power_cap: float = 0.9,
-) -> AuditReport:
+) -> tuple[AuditCell, ...]:
     """Sweep power cells and verify a deterring BWH power always exists.
 
     For each (alpha_1, alpha_2) the audit first assumes the one-sided BWH
@@ -91,4 +110,4 @@ def audit_ipbwh_nonempty(
             if a1 + a2 > power_cap:
                 continue
             cells.append(_audit_cell(float(a1), float(a2), infiltration_resolution))
-    return AuditReport(tuple(cells))
+    return tuple(cells)

@@ -6,15 +6,19 @@ oracle of the batched kernel (``ars.retaliate_cells``) and the batched sweeps.
 became an array kernel, unchanged apart from their imports;
 ``optimal_infiltration`` is the checked scalar dispatch they called then.
 ``two_stage_sweep`` and ``two_stage_ratio_sweep`` are the cell loops around
-``_two_stage_cell``. Every row of the batched path must equal the oracle's
-bit for bit.
+``_two_stage_cell``. ``SweepCell`` is the per-cell record the package's
+sweeps returned before they returned columns, and ``sweep_csv_rows`` its
+per-cell CSV formatter. Every row of the batched path must equal the
+oracle's bit for bit, and the CLI's rows must equal ``sweep_csv_rows``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from poolgame.engine import SWEEP_POWER_CAP, SweepCell
+from poolgame.engine import SWEEP_POWER_CAP
 from poolgame.equilibrium import SubgameCase
 from poolgame.model import (
     ALGEBRAIC_TOL,
@@ -36,6 +40,29 @@ from poolgame.payoff import (
 
 #: points of the coarse retaliation grid on [0, alpha_own], endpoints included
 GRID_POINTS = 100
+
+
+@dataclass(frozen=True)
+class SweepCell:
+    alpha_1: float
+    alpha_2: float
+    attack_ratio: float  # attacker's infiltration / alpha_1
+    r2_faw: float  # retaliation FAW power / alpha_2
+    r2_bwh: float
+    u1_avg: float
+    u2_avg: float
+    ip_faw_empty: bool
+    error: str = ""
+
+
+def sweep_csv_rows(cells):
+    yield "alpha1,alpha2,attack_ratio,r2F,r2B,u1_avg,u2_avg,ip_faw_empty,error"
+    for c in cells:
+        yield (
+            f"{c.alpha_1:.6f},{c.alpha_2:.6f},{c.attack_ratio:.6f},"
+            f"{c.r2_faw:.6f},{c.r2_bwh:.6f},{c.u1_avg:.8f},{c.u2_avg:.8f},"
+            f"{int(c.ip_faw_empty)},{c.error}"
+        )
 
 
 def optimal_infiltration(kind: AttackKind, alpha_i: float, alpha_j: float) -> float:

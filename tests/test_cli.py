@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poolgame.cli import _CHOICES, _HANDLERS, _INT_KEYS, _TEXT_KEYS, build_parser, main
+from poolgame.cli import main
 
 
 def run_cli(args, capsys):
@@ -134,7 +134,10 @@ class TestGoldenOutputs:
     delta bound before the payoff kernel's fork term became branch-free, the
     retaliations, stage Nash and FAW ratio sweep before scalar payoffs got
     their float path, the 60x60 FAW sweep and the BWH ratio sweep before the
-    retaliation grid became a constant; none of them may move."""
+    retaliation grid became a constant, the 60x60 BWH sweep and the variance
+    detections before the sweeps and the audit returned columns and the
+    reward densities priced their periods as one array; none of them may
+    move."""
 
     FIVE_POOLS = ["--powers", "0.25", "0.15", "0.10", "0.035", "0.02"]
 
@@ -171,6 +174,13 @@ class TestGoldenOutputs:
          "a0cdb812547ac5191ea79a2fc138788d093b071a8258fd95f4c4c7d5c09878a4"),
         (["sweep", "--attack", "bwh", "--fixed-alpha1", "0.2", "--cells", "20"],
          "e18118e908068a30e2ff9464aa8a5d2c03e9acfd7e244d02639b27451b32e605"),
+        (["sweep", "--attack", "bwh", "--cells", "60"],
+         "340e8e6ced8d99d6b4eee9f8717e442e7b0fd827460fd0109d0d5eae27adf85e"),
+        (["detect", "--mode", "variance"],
+         "ac15da6517712fff90da5fd8b96a43b48c7a0571b79acaf13adb9b00860de7ef"),
+        # 358 of the 720 periods price an attacker above half the network
+        (["detect", "--mode", "variance", "--alpha", "0.5"],
+         "1a9b7ccc27ce7abcd73994092c7018a46020b83c5a9a0a8d058e4feca9350b20"),
     ])
     def test_byte_identical_to_pinned_digest(self, args, digest, capsys):
         code, out = run_cli(args, capsys)
@@ -366,23 +376,6 @@ class TestConfigFile:
         assert code == 1 and captured.out == ""
         assert "unknown config key 'table'" in captured.err
 
-    def test_keys_read_as_their_flags_parse(self):
-        from poolgame.cli import _config_options
-
-        parser = build_parser()
-        for command in _HANDLERS:
-            for key, action in _config_options(parser, command).items():
-                where = (command, key)
-                if action.type is int:
-                    assert key in _INT_KEYS, where
-                elif action.choices:
-                    assert tuple(action.choices) == _CHOICES[key], where
-                elif action.type is None:
-                    assert key in _TEXT_KEYS, where
-                else:
-                    assert action.type is float, where
-                    assert key not in _INT_KEYS | _TEXT_KEYS | set(_CHOICES), where
-
     def test_missing_file_rejected(self, tmp_path, capsys):
         code = main(["payoff", "--alpha", "0.2", "0.2", "--a1", "0", "0", "--a2", "0", "0",
                      "--config", str(tmp_path / "absent.cfg")])
@@ -502,6 +495,16 @@ class TestScenarioCommands:
         (row,) = parse_csv(out)
         assert abs(float(row["u1"])) < 1e-4
         assert row["converged"] == "1"
+
+    @pytest.mark.parametrize("alpha, message", [
+        (["0", "0.2"], "powers must be positive numbers, got 0.0, 0.2"),
+        (["0.6", "0.2"], "no pool may hold more than half the network"),
+    ])
+    def test_stage_nash_refuses_invalid_powers(self, alpha, message, capsys):
+        code = main(["stage-nash", "--alpha", *alpha])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_detect_block_ratio(self, capsys):
         code, out = run_cli(

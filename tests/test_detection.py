@@ -48,6 +48,14 @@ class TestGeometricParam:
     def test_no_victim_limit(self):
         assert geometric_param(0.3, 0.0, 0.0, AttackKind.FAW) == 1.0
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.7, 0.2), (0.2, 0.7), (0.5, 0.5), (0.0, 0.2), (float("nan"), 0.2),
+        (0.2, -0.1), (0.2, float("nan")),
+    ])
+    def test_sizes_outside_a_pool_refused(self, alpha, beta):
+        with pytest.raises(InvalidScenario, match="invalid sizes"):
+            geometric_param(alpha, beta, 0.05, AttackKind.FAW)
+
     def test_faw_parameter_smaller_than_bwh(self):
         # withheld releases add victim blocks, stretching the periods
         p_faw = geometric_param(0.1, 0.2, 0.05, AttackKind.FAW)

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from poolgame.model import (
     PoolProfile,
     ZERO_ACTION,
 )
-from poolgame import payoff
+from poolgame import cli, payoff
 from poolgame.payoff import payoff_pair
 from poolgame.engine import (
     AlwaysHonest,
@@ -31,7 +33,6 @@ from poolgame.engine import (
     npool_stage_payoffs_mc,
     optimal_simultaneous_attack,
     run_npool,
-    sweep_csv_rows,
     two_stage_ratio_sweep,
     two_stage_sweep,
 )
@@ -116,15 +117,15 @@ class TestSweeps:
     def test_two_stage_sweep_attacker_always_loses(self):
         grid = np.linspace(0.02, 0.5, 12)
         for kind in (AttackKind.FAW, AttackKind.BWH):
-            cells = two_stage_sweep(grid, kind)
-            assert cells and not any(c.error for c in cells)
-            assert all(c.u1_avg < 0 for c in cells)
+            table = two_stage_sweep(grid, kind)
+            assert table.error and not any(table.error)
+            assert (table.u1_avg < 0).all()
 
     def test_faw_infeasible_region_covered_by_bwh(self):
-        cells = two_stage_sweep(np.linspace(0.02, 0.5, 12), AttackKind.FAW)
-        empty = [c for c in cells if c.ip_faw_empty]
-        assert empty, "some cells must force BWH retaliation"
-        assert all(c.r2_bwh > 0 and c.r2_faw == 0 for c in empty)
+        table = two_stage_sweep(np.linspace(0.02, 0.5, 12), AttackKind.FAW)
+        empty = table.ip_faw_empty
+        assert empty.any(), "some cells must force BWH retaliation"
+        assert (table.r2_bwh[empty] > 0).all() and (table.r2_faw[empty] == 0).all()
 
     def test_victim_loss_monotonicity_sanity_reported(self):
         # sanity scan, not a hard gate: at fixed victim size the victim's
@@ -143,17 +144,15 @@ class TestSweeps:
         assert losses[-1] > losses[0]  # grossly increasing even if not monotone
 
     def test_ratio_sweep_fixed_attacker(self):
-        cells = two_stage_ratio_sweep(
+        table = two_stage_ratio_sweep(
             np.linspace(0.1, 1.0, 6), np.linspace(0.05, 0.45, 6), AttackKind.FAW
         )
-        assert not any(c.error for c in cells)
+        assert not any(table.error)
         # full-power infiltration is exactly payoff-neutral (no gain, no harm),
         # so nothing to retaliate against; every real attack ratio loses
-        for c in cells:
-            if c.attack_ratio == 1.0:
-                assert abs(c.u1_avg) < 1e-12
-            else:
-                assert c.u1_avg < 0
+        full = table.attack_ratio == 1.0
+        assert (abs(table.u1_avg[full]) < 1e-12).all()
+        assert (table.u1_avg[~full] < 0).all()
 
 
 # powers every drawn grid contains: with 0 < k < 1 the cells among them
@@ -163,15 +162,19 @@ ANCHORS = (0.02, 0.25, 0.5)
 TINY = 1e-10
 
 
-def _bits(cells):
-    """Every field of every cell, floats by their bits."""
-    return [
-        tuple(float(v).hex() if isinstance(v, (float, np.floating)) else v
-              for v in (c.alpha_1, c.alpha_2, c.attack_ratio, c.r2_faw, c.r2_bwh,
-                        c.u1_avg, c.u2_avg))
-        + (bool(c.ip_faw_empty), c.error)
-        for c in cells
-    ]
+def _rows(table):
+    """A sweep table's rows as tuples of Python values, in ``SweepCell``'s
+    field order; the flag column must have dtype bool."""
+    assert table.ip_faw_empty.dtype == bool
+    columns = (table.alpha_1, table.alpha_2, table.attack_ratio, table.r2_faw,
+               table.r2_bwh, table.u1_avg, table.u2_avg, table.ip_faw_empty)
+    return list(zip(*(c.tolist() for c in columns), table.error))
+
+
+def _bits(rows):
+    """Every field of every row, floats by their bits."""
+    return [tuple(float(v).hex() if isinstance(v, float) else v for v in row)
+            for row in rows]
 
 
 def _outcome(cell):
@@ -187,11 +190,12 @@ tiny = st.sampled_from([(), (TINY,)])
 
 
 class TestBatchedSweepsAgainstOracle:
-    """The batched sweeps equal the per-cell oracle row for row, bit for bit."""
+    """The batched sweeps equal the per-cell oracle row for row, bit for bit,
+    and the CLI's rows from their columns equal the oracle's per-cell rows."""
 
-    def assert_same(self, batched, expected):
-        assert list(sweep_csv_rows(batched)) == list(sweep_csv_rows(expected))
-        assert _bits(batched) == _bits(expected)
+    def assert_same(self, table, cells):
+        assert cli._sweep_rows(table) == list(oracle.sweep_csv_rows(cells))
+        assert _bits(_rows(table)) == _bits(map(astuple, cells))
 
     @given(grid=powers, extra=tiny, kind=st.sampled_from(AttackKind),
            k=st.floats(0.0, 1.0, exclude_max=True))
@@ -226,7 +230,7 @@ class TestBatchedSweepsAgainstOracle:
         grid = np.linspace(0.01, 0.5, 12)
         whole = two_stage_sweep(grid, AttackKind.BWH, 0.7)
         monkeypatch.setattr(ars, "BATCH_ROWS", 7)
-        assert _bits(two_stage_sweep(grid, AttackKind.BWH, 0.7)) == _bits(whole)
+        assert _bits(_rows(two_stage_sweep(grid, AttackKind.BWH, 0.7))) == _bits(_rows(whole))
 
 
 class TestSweepInputs:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import audit_oracle
 import retaliation_oracle as oracle
-from poolgame import equilibrium
+from poolgame import cli, equilibrium
 from poolgame.model import (
     Action,
     AttackKind,
@@ -66,6 +66,14 @@ class TestStageNash:
         swapped2 = payoff_pair(0.25, 0.15, Action(f1, 0.0), Action(0.0, f2)).u_j
         assert swapped1 < eq.payoffs.u_i
         assert swapped2 < eq.payoffs.u_j
+
+    def test_invalid_powers_refused_before_iterating(self, monkeypatch):
+        def best_response(*args):
+            raise AssertionError("best response computed for invalid powers")
+
+        monkeypatch.setattr(equilibrium, "_best_response", best_response)
+        with pytest.raises(InvalidPowers, match="more than half the network"):
+            stage_nash(0.6, 0.2)
 
 
 class TestDeltaBound:
@@ -170,7 +178,7 @@ class TestDeviationBatchAgainstOracle:
 class TestAudit:
     def test_default_grid_has_no_failures(self):
         report = audit_ipbwh_nonempty(power_grid_resolution=12, infiltration_resolution=80)
-        assert len(report.failures) == 0
+        assert report.passed.all()
 
     def test_boundary_cell_passes(self):
         report = audit_ipbwh_nonempty(
@@ -178,22 +186,22 @@ class TestAudit:
             power_lo=0.01, power_hi=0.45,
         )
         # grid {0.01, 0.45}^2: includes the extreme (0.45, 0.01) cell
-        assert len(report.cells) == 4
-        assert len(report.failures) == 0
+        assert report.passed.size == 4
+        assert report.passed.all()
 
     def test_symmetric_cell_positive(self):
         report = audit_ipbwh_nonempty(
             power_grid_resolution=1, infiltration_resolution=120,
             power_lo=0.2, power_hi=0.2,
         )
-        (cell,) = report.cells
-        assert cell.passed and np.isfinite(cell.k_chosen)
+        (passed,), (k_chosen,) = report.passed, report.k_chosen
+        assert passed and np.isfinite(k_chosen)
 
     def test_csv_rows_schema(self):
         report = audit_ipbwh_nonempty(power_grid_resolution=2, infiltration_resolution=50)
-        rows = list(report.to_csv_rows())
+        rows = cli._audit_rows(report)
         assert rows[0] == "alpha1,alpha2,f_value,k_chosen,passed"
-        assert len(rows) == len(report.cells) + 1
+        assert len(rows) == report.passed.size + 1
 
     def test_half_network_opponent_sliver_is_reported_not_hidden(self):
         # pushing the opponent to exactly half the network exposes genuine
@@ -203,23 +211,37 @@ class TestAudit:
             power_grid_resolution=2, infiltration_resolution=100,
             power_lo=0.37, power_hi=0.5, power_cap=0.87,
         )
-        failing = {(round(c.alpha_1, 2), round(c.alpha_2, 2)) for c in report.failures}
+        failed = ~report.passed
+        failing = {(round(a1, 2), round(a2, 2)) for a1, a2
+                   in zip(report.alpha_1[failed].tolist(), report.alpha_2[failed].tolist())}
         assert (0.37, 0.5) in failing
 
 
 def audit_bits(audit, **kw):
-    """Every ``AuditCell`` field, floats as their uint64 bits, or the error."""
+    """Every cell's fields, floats as their uint64 bits, and the CSV rows, or
+    the error. ``audit`` returns the package's columns, whose ``passed`` must
+    have dtype bool and whose rows the CLI formats, or the oracle's cells,
+    whose ``passed`` must be a bool and whose rows the oracle formats."""
     try:
         report = audit(**kw)
     except PoolGameError as exc:
         return type(exc), str(exc)
-    floats = np.array([[c.alpha_1, c.alpha_2, c.f_value, c.k_chosen] for c in report.cells],
-                      float).reshape(-1, 4)
-    return floats.view(np.uint64).tolist(), [(type(c.passed), c.passed) for c in report.cells]
+    if isinstance(report, tuple):
+        assert all(type(c.passed) is bool for c in report)
+        floats = [(c.alpha_1, c.alpha_2, c.f_value, c.k_chosen) for c in report]
+        passed = [c.passed for c in report]
+        rows = list(audit_oracle.audit_csv_rows(report))
+    else:
+        assert report.passed.dtype == bool
+        floats = list(zip(report.alpha_1, report.alpha_2, report.f_value, report.k_chosen))
+        passed = report.passed.tolist()
+        rows = cli._audit_rows(report)
+    return np.array(floats, float).reshape(-1, 4).view(np.uint64).tolist(), passed, rows
 
 
 class TestBatchedAuditAgainstOracle:
-    """The batched audit against the per-cell full-grid audit it replaced."""
+    """The batched audit against the per-cell full-grid audit it replaced,
+    and the CLI's rows from its columns against the oracle's per-cell rows."""
 
     @given(
         lo=st.floats(0.001, 0.5),
@@ -256,10 +278,9 @@ class TestBatchedAuditAgainstOracle:
         kw = dict(power_grid_resolution=2, infiltration_resolution=120,
                   power_lo=0.01, power_hi=0.45)
         report = audit_ipbwh_nonempty(**kw)
-        cell = report.cells[1]
-        assert (cell.alpha_1, cell.alpha_2, cell.passed) == (0.01, 0.45, True)
-        assert cell.f_value.hex() == "-0x1.59d906c8870e0p-8"
-        assert cell.k_chosen.hex() == "0x1.ba7eac2b78e48p-8"
+        assert (report.alpha_1[1], report.alpha_2[1], report.passed[1]) == (0.01, 0.45, True)
+        assert report.f_value[1].hex() == "-0x1.59d906c8870e0p-8"
+        assert report.k_chosen[1].hex() == "0x1.ba7eac2b78e48p-8"
         assert audit_bits(audit_ipbwh_nonempty, **kw) == audit_bits(
             audit_oracle.audit_ipbwh_nonempty, **kw)
 
