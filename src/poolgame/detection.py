@@ -218,6 +218,9 @@ def simulate_reward_density(
             f"has only {alphas.size}"
         )
     alphas = alphas[: scenario.periods]
+    # the first period without room for both pools (NaN fails the test too)
+    for a in alphas[~((alphas > 0.0) & (alphas + scenario.beta < 1.0))][:1]:
+        raise InvalidScenario(f"invalid sizes alpha={a}, beta={scenario.beta}")
 
     w = scenario.infiltration_power
     gammas = np.minimum(w / alphas, 1.0)
@@ -225,9 +228,6 @@ def simulate_reward_density(
     base = 1.0 / alphas
     if w == 0.0:
         return RewardDensitySeries(base.copy(), base=base, extra=np.zeros_like(base))
-    # the first period without room for both pools (NaN fails the test too)
-    for a in alphas[~((alphas > 0.0) & (alphas + scenario.beta < 1.0))][:1]:
-        raise InvalidScenario(f"invalid sizes alpha={a}, beta={scenario.beta}")
     ps = _geometric_p(alphas, scenario.beta, gammas, scenario.kind)
     # numpy's geometric counts trials (support from 1); shift to failures
     n = rng.geometric(ps) - 1

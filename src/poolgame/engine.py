@@ -4,7 +4,7 @@ One runner, :func:`run_npool`, plays every game with n >= 2 pools. It keeps
 ARS bookkeeping per ordered pair of pools, fills a
 :class:`PairwiseActionMatrix` with the prescriptions and each strategy's
 overrides, and records exact stage payoffs: the ``payoff_pair`` closed form
-for two pools, enumeration of withheld-block states for more. The
+for two pools, an array program over the withheld-block states for more. The
 Monte-Carlo path samples the same round race (``payoff._sample_rounds``) and
 reports a standard error; the two-pool closed form is the enumeration's
 reduction oracle.
@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -271,15 +272,18 @@ class PairwiseActionMatrix:
         return cls(np.zeros((n, n)), np.zeros((n, n)))
 
     def validate(self, alphas) -> "PairwiseActionMatrix":
-        # written so that NaN fails every test
-        if not (np.all(self.faw >= 0) and np.all(self.bwh >= 0)):
-            raise InvalidScenario("infiltration powers must be non-negative numbers")
-        if np.any((self.faw > 0) & (self.bwh > 0)):
+        # per pair the smaller power: NaN if either is, negative if either is
+        # and positive iff both are, so zero everywhere on a valid matrix
+        low = np.minimum(self.faw, self.bwh)
+        if low.any():
+            if not low.min() >= 0:  # written so that NaN fails the test
+                raise InvalidScenario("infiltration powers must be non-negative numbers")
             raise InvalidScenario("FAW and BWH are mutually exclusive per pair")
-        if np.any(np.diag(self.faw + self.bwh) > 0):
+        x = self.faw + self.bwh
+        if x.trace() > 0:  # a sum of non-negative numbers: positive iff one is
             raise InvalidScenario("a pool cannot infiltrate itself")
-        out = (self.faw + self.bwh).sum(axis=1)
-        if not np.all(out <= np.asarray(alphas) + 1e-12):
+        out = x.sum(axis=1)
+        if not (out <= np.asarray(alphas) + 1e-12).all():
             raise InfiltrationBudgetExceeded(
                 f"outgoing infiltration {out} exceeds pool powers {alphas}"
             )
@@ -289,40 +293,101 @@ class PairwiseActionMatrix:
         return Action(float(self.faw[i, j]), float(self.bwh[i, j]))
 
 
+FAW_FLAG_CAP = 16  # most simultaneous FAW infiltrations the exact payoffs price
+_PADDED_SIZES = 5  # released sets of up to this many flags share one padded block
+_BLOCK_ENTRIES = 1 << 18  # larger sets come in blocks of at most this many terms
+
+
+def _subsets(r: int):
+    """The subsets of r positions in ``itertools.combinations`` order, as a
+    (2^r, r) membership matrix, and their signs (-1)^|subset|."""
+    member = np.zeros((1 << r, r), np.int64)
+    subsets = (c for k in range(r + 1) for c in itertools.combinations(range(r), k))
+    for row, c in zip(member, subsets):
+        row[list(c)] = 1
+    return member, (-1.0) ** member.sum(axis=1)
+
+
+@lru_cache(maxsize=8)
+def _release_tables(n_flags: int):
+    """Index tables of the exact revenue with ``n_flags`` FAW flags; flag m
+    is bit m of a flag-set mask.
+
+    A block lists released sets: their idle masks (a column), and per set
+    the masks of its subsets in ``itertools.combinations`` order with their
+    signs, rows padded with mask 0 and sign 0. The sets of at most
+    _PADDED_SIZES flags share the first block; larger ones follow by size in
+    blocks of at most _BLOCK_ENTRIES terms, their masks as uint16, so the
+    tables hold about 3^F entries and a block's temporaries stay small.
+    ``size`` is each set's size, and ``flag`` and ``row`` pair every released
+    set's flags, ascending, with the set's row, sets in ``itertools.product``
+    order.
+    """
+    f = n_flags
+    masks, padded, blocks = [], [], []
+    for r in range(1, f + 1):
+        sets = np.array(list(itertools.combinations(range(f), r)), np.int64)
+        masks.append((1 << sets).sum(axis=1))
+        member, sign = _subsets(r)
+        small = r <= _PADDED_SIZES
+        width = 1 << max(r, min(f, _PADDED_SIZES))
+        sign = np.pad(sign, (0, width - sign.size))[None]
+        step = len(sets) if small else max(1, _BLOCK_ENTRIES >> r)
+        for k in range(0, len(sets), step):
+            chunk = sets[k : k + step]
+            sub = np.zeros((len(chunk), width), np.intp if small else np.uint16)
+            sub[:, : 1 << r] = (1 << chunk) @ member.T
+            idle = (1 << f) - 1 - masks[-1][k : k + step, None]
+            if small:
+                padded.append((idle, sub, np.broadcast_to(sign, sub.shape)))
+            else:
+                blocks.append((idle, sub, sign))
+    blocks.insert(0, tuple(np.concatenate(part) for part in zip(*padded)))
+    size = np.concatenate([np.full(len(m), float(r)) for r, m in enumerate(masks, 1)])
+    row_of = np.zeros(1 << f, np.intp)
+    row_of[np.concatenate(masks)] = np.arange(size.size)
+    # product order: bits[0] varies slowest, so it is the highest counter bit
+    bits = (np.arange(1 << f)[:, None] >> np.arange(f - 1, -1, -1)) & 1
+    at, flag = np.nonzero(bits)
+    return blocks, size, flag, row_of[(bits << np.arange(f)).sum(axis=1)[at]]
+
+
 def _npool_direct_revenue(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
     """Exact expected per-round direct block revenue per pool.
 
     Home finds end rounds outright. FAW detachments withhold; when the first
     round-ending find is external, every withheld block is released and one of
     the released branches wins uniformly (the external block always loses).
+
+    One array program over the F FAW flags (row-major (i, j) order). Per
+    released set R and idle rest I it sums, by inclusion-exclusion over the
+    subsets S of R, (-1)^|S| / ((theta + phi(I)) + phi(S)), where phi is the
+    flags' power summed in flag order, and shares ext times the sum evenly
+    among R's victims. Every sum and share is added in the order of a loop
+    over ``itertools.product`` and ``itertools.combinations``, so the floats
+    are that loop's bit for bit; time and memory grow as 3^F.
     """
     alphas = np.asarray(alphas, float)
-    n = alphas.size
     out = (matrix.faw + matrix.bwh).sum(axis=1)
     home = alphas - out
     ext = 1.0 - alphas.sum()
     theta = ext + home.sum()
-    flags = [
-        (matrix.faw[i, j], j)
-        for i in range(n)
-        for j in range(n)
-        if matrix.faw[i, j] > 0.0
-    ]
-    if len(flags) > 16:
-        raise InvalidScenario("too many simultaneous FAW infiltrations for exact enumeration")
     revenue = home / theta
-    for bits in itertools.product((0, 1), repeat=len(flags)):
-        released = [m for m, on in enumerate(bits) if on]
-        if not released:
-            continue
-        idle = sum(flags[m][0] for m, on in enumerate(bits) if not on)
-        p = 0.0
-        for r in range(len(released) + 1):
-            for sub in itertools.combinations(released, r):
-                p += (-1) ** len(sub) / (theta + idle + sum(flags[m][0] for m in sub))
-        p *= ext
-        for m in released:
-            revenue[flags[m][1]] += p / len(released)
+    i, j = np.nonzero(matrix.faw > 0.0)
+    if j.size > FAW_FLAG_CAP:
+        raise InvalidScenario("too many simultaneous FAW infiltrations for exact enumeration")
+    if not j.size:
+        return revenue
+    phi = [0.0]  # phi[T]: flag set T's power, summed in flag order
+    for f in matrix.faw[i, j].tolist():
+        phi += [s + f for s in phi]
+    phi = np.array(phi)
+    blocks, size, flag, row = _release_tables(j.size)
+    # the last column copied, so that each block's terms are freed
+    p = [(sign / ((theta + phi[idle]) + phi[sub])).cumsum(axis=1)[:, -1].copy()
+         for idle, sub, sign in blocks]
+    p = p[0] if len(p) == 1 else np.concatenate(p)
+    np.add.at(revenue, j[flag], (p * ext / size)[row])
     return revenue
 
 
@@ -350,15 +415,8 @@ def optimal_simultaneous_attack(alphas, attacker: int, kind: AttackKind) -> np.n
     alphas = np.asarray(alphas, float)
     n = alphas.size
     x = np.zeros(n)
-
-    def u_attacker(xs) -> float:
-        m = PairwiseActionMatrix.zeros(n)
-        if kind is AttackKind.FAW:
-            m.faw[attacker, :] = xs
-        else:
-            m.bwh[attacker, :] = xs
-        return float(npool_stage_payoffs(alphas, m)[attacker])
-
+    m = PairwiseActionMatrix.zeros(n)
+    row = (m.faw if kind is AttackKind.FAW else m.bwh)[attacker]  # a view, refilled per point
     for _ in range(ASCENT_SWEEPS):
         for j in range(n):
             if j == attacker:
@@ -366,9 +424,9 @@ def optimal_simultaneous_attack(alphas, attacker: int, kind: AttackKind) -> np.n
             budget = alphas[attacker] - (x.sum() - x[j])
 
             def line(v, j=j):
-                y = x.copy()
-                y[j] = v
-                return u_attacker(y)
+                row[:] = x
+                row[j] = v
+                return float(npool_stage_payoffs(alphas, m)[attacker])
 
             x[j] = golden_max(line, 0.0, budget, tol=1e-9)
     return x

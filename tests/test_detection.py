@@ -131,6 +131,16 @@ class TestRewardDensity:
         with pytest.raises(InvalidScenario, match="only 50"):
             simulate_reward_density(sc, np.full(50, 0.1))
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_invalid_period_sizes_refused_with_and_without_infiltration(self, gamma):
+        # a size of 0 or below, or one leaving the victim no room, is refused
+        # whether or not the pool infiltrates, never priced as inf or negative
+        sc = DetectionScenario(0.1, 0.2, gamma, AttackKind.FAW, periods=3)
+        for sizes, bad in (([0.1, 0.0, -0.2], "0.0"), ([0.1, 0.85, 0.1], "0.85"),
+                           ([0.1, np.nan, 0.1], "nan")):
+            with pytest.raises(InvalidScenario, match=f"alpha={bad}, beta=0.2"):
+                simulate_reward_density(sc, np.array(sizes))
+
     def test_variance_ratio_needs_enough_periods(self):
         sc = DetectionScenario(0.1, 0.2, 0.0, AttackKind.FAW, periods=10, seed=0)
         s = simulate_reward_density(sc, 0.1)

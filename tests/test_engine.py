@@ -2,8 +2,9 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import npool_oracle
 import retaliation_oracle as oracle
 from poolgame.model import (
     Action,
@@ -16,7 +17,7 @@ from poolgame.model import (
     PoolProfile,
     ZERO_ACTION,
 )
-from poolgame import cli, payoff
+from poolgame import cli, engine, payoff
 from poolgame.payoff import payoff_pair
 from poolgame.engine import (
     AlwaysHonest,
@@ -419,6 +420,182 @@ class TestNPoolProperties:
         ref = payoff_pair(alphas[0], alphas[1], m.action(0, 1), m.action(1, 0))
         assert u[0] == pytest.approx(ref.u_i, abs=1e-12)
         assert u[1] == pytest.approx(ref.u_j, abs=1e-12)
+
+
+TABLE3_POWERS = [0.25, 0.15, 0.10, 0.035, 0.02]
+
+
+def _flags_into_few_victims():
+    # three flags into pool 0, two into pool 1, and a BWH detachment
+    m = PairwiseActionMatrix.zeros(4)
+    m.faw[1, 0], m.faw[2, 0], m.faw[3, 0] = 0.05, 0.04, 0.03
+    m.faw[2, 1], m.faw[3, 1], m.bwh[0, 1] = 0.02, 0.01, 0.06
+    return np.array([0.3, 0.25, 0.2, 0.1]), m
+
+
+class TestArrayRevenueAgainstOracle:
+    """The array program of the exact revenue against the loop enumeration it
+    replaced (tests/npool_oracle.py): equal bit for bit, which keeps every
+    exact n-pool output as it was."""
+
+    @given(npool_profiles(n_min=3, max_faw_flags=8))
+    @example(_flags_into_few_victims())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_loop_bit_for_bit(self, profile):
+        alphas, m = profile
+        assert np.array_equal(_npool_direct_revenue(alphas, m),
+                              npool_oracle.npool_direct_revenue(alphas, m))
+
+    def test_every_pair_of_four_pools(self):
+        # twelve flags: the released sets of more than five flags come in
+        # blocks of their own size
+        alphas = np.array([0.3, 0.25, 0.2, 0.15])
+        m = PairwiseActionMatrix.zeros(4)
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    m.faw[i, j] = alphas[i] * (0.05 + 0.02 * j)
+        assert np.array_equal(_npool_direct_revenue(alphas, m),
+                              npool_oracle.npool_direct_revenue(alphas, m))
+
+    @pytest.mark.parametrize("padded_sizes, block_entries", [(5, 128), (1, 64), (9, 1)])
+    def test_block_layout_does_not_change_the_bits(self, padded_sizes, block_entries,
+                                                   monkeypatch):
+        # nine flags, the released sets split into blocks in other ways
+        alphas = np.array([0.3, 0.25, 0.2, 0.15])
+        m = PairwiseActionMatrix.zeros(4)
+        for i, j in [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (2, 0), (2, 3), (3, 1), (3, 2)]:
+            m.faw[i, j] = alphas[i] * (0.04 + 0.03 * j)
+        want = npool_oracle.npool_direct_revenue(alphas, m)
+        monkeypatch.setattr(engine, "_PADDED_SIZES", padded_sizes)
+        monkeypatch.setattr(engine, "_BLOCK_ENTRIES", block_entries)
+        engine._release_tables.cache_clear()
+        try:
+            assert np.array_equal(_npool_direct_revenue(alphas, m), want)
+        finally:
+            engine._release_tables.cache_clear()
+
+    def test_seventeen_flags_refused_before_any_table(self, monkeypatch):
+        def no_tables(n_flags):
+            raise AssertionError(f"tables built for {n_flags} flags")
+
+        monkeypatch.setattr(engine, "_release_tables", no_tables)
+        m = PairwiseActionMatrix.zeros(5)
+        off_diagonal = [(i, j) for i in range(5) for j in range(5) if i != j]
+        for i, j in off_diagonal[:17]:
+            m.faw[i, j] = 0.01
+        alphas = [0.25, 0.2, 0.15, 0.1, 0.05]
+        for fn in (_npool_direct_revenue, npool_stage_payoffs):
+            with pytest.raises(InvalidScenario) as err:
+                fn(alphas, m)
+            assert str(err.value) == (
+                "too many simultaneous FAW infiltrations for exact enumeration")
+
+
+class TestTable3AttackSearch:
+    """The five-pool attack search of Table 3: its bits, pinned, and its call
+    structure (every candidate priced by npool_stage_payoffs)."""
+
+    # float.hex of optimal_simultaneous_attack(TABLE3_POWERS, 0, kind): bits
+    # the 4-decimal CSV cannot see, recorded before the revenue was an array
+    # program
+    PINNED = {
+        AttackKind.FAW: ["0x0.0p+0", "0x1.d04b323ce87f1p-5", "0x1.35bcfba1caabap-5",
+                         "0x1.b204881dc2d7dp-7", "0x1.f01f51d83992ep-8"],
+        AttackKind.BWH: ["0x0.0p+0", "0x1.8721f3875cf9ap-6", "0x1.04c14e8c50b9dp-6",
+                         "0x1.6d0e9cc379af6p-8", "0x1.a13553db9c528p-9"],
+    }
+
+    @pytest.mark.parametrize("kind", list(AttackKind))
+    def test_attack_bits_and_calls(self, kind, monkeypatch):
+        calls = []
+        priced = engine.npool_stage_payoffs
+
+        def counting(alphas, matrix):
+            calls.append(matrix)
+            return priced(alphas, matrix)
+
+        monkeypatch.setattr(engine, "npool_stage_payoffs", counting)
+        xs = optimal_simultaneous_attack(TABLE3_POWERS, 0, kind)
+        assert [float(v).hex() for v in xs] == self.PINNED[kind]
+        # 5 ascent sweeps x 4 victims x (2 + 40 golden-section steps) + 1
+        assert len(calls) == 841
+
+    def test_reused_matrix_holds_only_the_attackers_row(self):
+        seen = []
+        priced = engine.npool_stage_payoffs
+
+        def recording(alphas, matrix):
+            seen.append((matrix.faw.copy(), matrix.bwh.copy()))
+            return priced(alphas, matrix)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "npool_stage_payoffs", recording)
+            optimal_simultaneous_attack(TABLE3_POWERS, 2, AttackKind.FAW)
+        for faw, bwh in seen:
+            assert not bwh.any() and not np.delete(faw, 2, axis=0).any()
+            assert faw[2, 2] == 0.0 and faw[2].sum() <= TABLE3_POWERS[2] + 1e-12
+
+
+_DEFECTS = ("nan", "negative", "inf", "diagonal", "both", "budget", "nan-power")
+
+
+@st.composite
+def checked_matrices(draw):
+    """A valid profile with up to three defects, each of a kind
+    PairwiseActionMatrix.validate refuses or must let through."""
+    alphas, m = draw(npool_profiles(n_min=1, max_faw_flags=20))
+    alphas = alphas.copy()
+    n = alphas.size
+    for defect in draw(st.lists(st.sampled_from(_DEFECTS), max_size=3)):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        side = draw(st.sampled_from([m.faw, m.bwh]))
+        if defect == "nan":
+            side[i, j] = np.nan
+        elif defect == "negative":
+            side[i, j] = -draw(st.floats(5e-324, 0.5))
+        elif defect == "inf":
+            side[i, j] = np.inf
+        elif defect == "diagonal":
+            side[i, i] = draw(st.floats(5e-324, 0.5))
+        elif defect == "both":
+            m.faw[i, j] = m.bwh[i, j] = draw(st.floats(5e-324, 0.2))
+        elif defect == "budget":
+            side[i, j] += alphas[i] * draw(st.floats(1e-9, 1.0))
+        else:
+            alphas[i] = np.nan
+    return list(alphas) if draw(st.booleans()) else alphas, m
+
+
+class TestValidateAgainstOracle:
+    """``PairwiseActionMatrix.validate`` against the checks it replaced: the
+    same exception class with the same message, or a pass where they pass."""
+
+    @given(checked_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_and_message(self, case):
+        alphas, m = case
+        try:
+            npool_oracle.validate(m, alphas)
+        except Exception as want:
+            with pytest.raises(type(want)) as got:
+                m.validate(alphas)
+            assert type(got.value) is type(want) and str(got.value) == str(want)
+        else:
+            assert m.validate(alphas) is m
+
+    @pytest.mark.parametrize("faw, bwh, message", [
+        (np.nan, 0.0, "non-negative"), (0.0, np.nan, "non-negative"),
+        (-0.01, 0.02, "non-negative"), (0.02, -0.01, "non-negative"),
+        (np.nan, 0.01, "non-negative"), (0.01, 0.02, "mutually exclusive"),
+    ])
+    def test_one_pair(self, faw, bwh, message):
+        m = PairwiseActionMatrix.zeros(2)
+        m.faw[0, 1], m.bwh[0, 1] = faw, bwh
+        with pytest.raises(InvalidScenario, match=message):
+            m.validate([0.3, 0.3])
+        with pytest.raises(InvalidScenario, match=message):
+            npool_oracle.validate(m, [0.3, 0.3])
 
 
 def action_matrix(n, faw=(), bwh=()):
