@@ -7,7 +7,11 @@ overrides, and records exact stage payoffs: the ``payoff_pair`` closed form
 for two pools, an array program over the withheld-block states for more. The
 Monte-Carlo path samples the same round race (``payoff._sample_rounds``) and
 reports a standard error; the two-pool closed form is the enumeration's
-reduction oracle.
+reduction oracle. The one-shot attack on several pools at once maximizes a
+closed form of the attacker's own stage payoff by Newton's method: with the
+attacker's row the only attack, the pot system is triangular and the FAW
+revenue a sum over victim sets, so payoff, gradient and Hessian need no
+enumeration and no solve.
 
 The two-stage sweeps are array expressions over all their cells (batched
 ``payoff_pair_raw``, ``ars.retaliate_cells``), bit-identical to a per-cell
@@ -18,6 +22,7 @@ breaks down are masked into error rows; invalid powers or attacks raise.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,6 +36,8 @@ from .model import (
     GameConfig,
     InfiltrationBudgetExceeded,
     InvalidScenario,
+    NonConvergence,
+    PoolProfile,
     ZERO_ACTION,
 )
 from .payoff import (
@@ -46,11 +53,12 @@ from .payoff import (
     payoff_pair_raw,
 )
 from .ars import _empty_set_error, ars_step, initial_state, retaliate_cells
-from .equilibrium import golden_max
 
 DEFAULT_K_NEAR_ONE = 0.999  # realizes "preference weight just under 1"
 SWEEP_POWER_CAP = 0.9  # two-pool sweeps skip cells whose pools hold more together
-ASCENT_SWEEPS = 5  # coordinate-ascent passes of optimal_simultaneous_attack
+ATTACK_STEP_TOL = 1e-12  # optimal_simultaneous_attack ends after a Newton step below this
+ATTACK_PAYOFF_SLACK = 1e-15  # rounding margin of the attacker's revenue in its step test
+ATTACK_MAX_STEPS = 50  # Newton steps before optimal_simultaneous_attack gives up
 CLOSED_POOL_VICTIM = 0.25  # the open pool the closed pools attack
 
 
@@ -91,8 +99,9 @@ class OptimalOneShotAttacker:
     (contrite).
 
     One victim gets the closed-form one-sided optimum; several victims get
-    a simultaneous infiltration vector from coordinate ascent on the exact
-    stage payoff.
+    the simultaneous infiltration vector that maximizes the exact stage
+    payoff (``optimal_simultaneous_attack``, Newton's method on its closed
+    form).
     """
 
     kind: AttackKind
@@ -272,6 +281,11 @@ class PairwiseActionMatrix:
         return cls(np.zeros((n, n)), np.zeros((n, n)))
 
     def validate(self, alphas) -> "PairwiseActionMatrix":
+        n = len(alphas)
+        if not (isinstance(self.faw, np.ndarray) and isinstance(self.bwh, np.ndarray)
+                and self.faw.shape == self.bwh.shape == (n, n)):
+            raise InvalidScenario(f"the FAW and BWH matrices must be ({n}, {n}) arrays "
+                                  f"for {n} pools")
         # per pair the smaller power: NaN if either is, negative if either is
         # and positive iff both are, so zero everywhere on a valid matrix
         low = np.minimum(self.faw, self.bwh)
@@ -409,27 +423,116 @@ def npool_stage_payoffs_mc(
     return u, stderr
 
 
+@lru_cache(maxsize=8)
+def _victim_sets(n_victims: int):
+    """The 2^F sets T of F victims as rows: ``inside[T, k]`` is 1.0 where
+    victim k is in T, ``outside`` its complement, and ``weight[T, j]`` the
+    weight of g(T) = 1/(theta + x(T)) in victim j's FAW revenue over ext.
+
+    The weight is the enumeration's inclusion-exclusion gathered by T: a
+    released set R whose idle rest U = not R lies in T adds
+    (-1)^(t-|U|) / |R| for each victim j in R, where t = |T|. Summed over
+    those U (binomially many of each size), with 1/m as the integral of
+    s^(m-1) over [0, 1], it is -1/(F C(F-1, t-1)) for j in T and
+    1/(F C(F-1, t)) otherwise.
+    """
+    f = n_victims
+    inside = (np.arange(1 << f)[:, None] >> np.arange(f)) & 1
+    t = inside.sum(axis=1)[:, None]
+    w_in = np.array([-1.0 / (f * math.comb(f - 1, s - 1)) if s else 0.0 for s in range(f + 1)])
+    w_out = np.array([1.0 / (f * math.comb(f - 1, s)) if s < f else 0.0 for s in range(f + 1)])
+    weight = np.where(inside == 1, w_in[t], w_out[t])
+    return inside.astype(float), 1.0 - inside, weight
+
+
+def _attack_payoff(alpha, victims, ext, x, faw: bool):
+    """The attacker's stage payoff when its row x is the only attack, with
+    its gradient and Hessian in x.
+
+    With one attacking row the pot system is triangular: each victim pays
+    q_j = R_j / (v_j + x_j) and the attacker q = (R_a + sum_j x_j q_j) / alpha,
+    so u = q - 1 needs no solve. theta = 1 - sum(x), R_a = (alpha - sum(x))
+    / theta and R_j = v_j / theta, plus for FAW ext * sum_T weight[T, j] g(T)
+    over the victim sets of ``_victim_sets``. As theta + x(T) = 1 - x(not T),
+    dg(T)/dx_k = g(T)^2 and d2g(T)/dx_k dx_l = 2 g(T)^3 for k, l outside T,
+    and both are 0 otherwise.
+    """
+    f = victims.size
+    spent = x.sum()
+    theta = 1.0 - spent
+    hosted = victims + x
+    cut = x / hosted  # the attacker's share of each victim's pot
+    d_cut = victims / hosted**2
+    revenue = victims / theta
+    d_revenue = np.repeat((victims / theta**2)[:, None], f, axis=1)  # [j, k]: dR_j/dx_k
+    common = 2.0 * (cut @ victims - (1.0 - alpha)) / theta**3  # in every Hessian entry
+    if faw:
+        inside, outside, weight = _victim_sets(f)
+        g = 1.0 / (theta + inside @ x)
+        revenue = revenue + ext * (g @ weight)
+        d_revenue += ext * ((weight * (g * g)[:, None]).T @ outside)
+    u = ((alpha - spent) / theta + cut @ revenue) / alpha - 1.0
+    grad = d_cut * revenue + cut @ d_revenue - (1.0 - alpha) / theta**2
+    cross = d_cut[:, None] * d_revenue
+    hess = cross + cross.T + np.diag(-2.0 * d_cut * revenue / hosted) + common
+    if faw:
+        hess += outside.T @ ((2.0 * ext * (weight @ cut) * g**3)[:, None] * outside)
+    return u, grad / alpha, hess / alpha
+
+
+def _ascend(alpha, victims, ext, x, faw: bool) -> np.ndarray:
+    """Newton's method on ``_attack_payoff`` from the feasible powers x.
+
+    Each step is halved until it keeps every power non-negative and their
+    sum within the budget alpha, and the payoff does not fall by more than
+    its rounding (ATTACK_PAYOFF_SLACK, in revenue per round); the search
+    ends after a step below ATTACK_STEP_TOL, or when halving reaches it.
+    Newton steps ascend because the payoff is concave on the feasible set
+    (its Hessian was negative definite at 20,000 random feasible points).
+    """
+    u, grad, hess = _attack_payoff(alpha, victims, ext, x, faw)
+    for _ in range(ATTACK_MAX_STEPS):
+        step = np.linalg.solve(hess, -grad)
+        while True:
+            y = x + step
+            if (y >= 0.0).all() and y.sum() <= alpha:
+                trial = _attack_payoff(alpha, victims, ext, y, faw)
+                if trial[0] >= u - ATTACK_PAYOFF_SLACK / alpha:
+                    break
+            step /= 2.0
+            if not np.abs(step).max() >= ATTACK_STEP_TOL:
+                return x
+        x, (u, grad, hess) = y, trial
+        if np.abs(step).max() < ATTACK_STEP_TOL:
+            return x
+    raise NonConvergence(f"the attack search took {ATTACK_MAX_STEPS} steps", x)
+
+
 def optimal_simultaneous_attack(alphas, attacker: int, kind: AttackKind) -> np.ndarray:
-    """Coordinate ascent with golden-section line search over each victim's
-    infiltration power, respecting the attacker's total power budget."""
+    """The attacker's payoff-maximizing infiltration powers into every
+    other pool at once, within its power budget (entry ``attacker`` is 0).
+
+    Newton's method (``_ascend``) on the closed-form payoff, from the
+    one-sided optima with their sum capped at half the budget. Refuses the
+    powers ``GameConfig`` refuses and an attacker that is not a pool.
+    """
+    GameConfig(tuple(PoolProfile(i, float(a)) for i, a in enumerate(alphas)))
     alphas = np.asarray(alphas, float)
     n = alphas.size
-    x = np.zeros(n)
-    m = PairwiseActionMatrix.zeros(n)
-    row = (m.faw if kind is AttackKind.FAW else m.bwh)[attacker]  # a view, refilled per point
-    for _ in range(ASCENT_SWEEPS):
-        for j in range(n):
-            if j == attacker:
-                continue
-            budget = alphas[attacker] - (x.sum() - x[j])
-
-            def line(v, j=j):
-                row[:] = x
-                row[j] = v
-                return float(npool_stage_payoffs(alphas, m)[attacker])
-
-            x[j] = golden_max(line, 0.0, budget, tol=1e-9)
-    return x
+    if n < 2:
+        raise InvalidScenario("an attack needs at least two pools")
+    if not 0 <= attacker < n:
+        raise InvalidScenario(f"attacker {attacker} is not a pool index in [0, {n})")
+    alpha = alphas[attacker]
+    victims = np.delete(alphas, attacker)
+    faw = kind is AttackKind.FAW
+    if faw and victims.size > FAW_FLAG_CAP:
+        raise InvalidScenario("too many simultaneous FAW infiltrations for exact enumeration")
+    with np.errstate(invalid="ignore"):  # a pair holding all power has no one-sided optimum
+        x = optimal_infiltration(kind, alpha, victims)
+    x = np.where(x > 0.0, x, 0.5 * alpha / victims.size)
+    x *= min(1.0, 0.5 * alpha / x.sum())
+    return np.insert(_ascend(alpha, victims, 1.0 - alphas.sum(), x, faw), attacker, 0.0)
 
 
 def run_npool(

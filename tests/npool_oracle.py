@@ -1,12 +1,16 @@
-"""The loop enumeration of the n-pool direct revenue and the first
-``PairwiseActionMatrix.validate``, kept as oracles of the array program
-(``engine._npool_direct_revenue``) and of the cheaper validation.
+"""The loop enumeration of the n-pool direct revenue, the first
+``PairwiseActionMatrix.validate`` and the golden-section attack search,
+kept as oracles of the array program (``engine._npool_direct_revenue``),
+of the cheaper validation and of the Newton attack search.
 
-``npool_direct_revenue`` and ``validate`` are the code the package used
-before, unchanged apart from their imports and ``validate`` taking the
-matrix as an argument. The array program must equal ``npool_direct_revenue``
-bit for bit, and the package's ``validate`` must raise the same exception
-class with the same message as ``validate``, or pass where it passes.
+``npool_direct_revenue``, ``validate`` and ``optimal_simultaneous_attack``
+are the code the package used before, unchanged apart from their imports
+and ``validate`` taking the matrix as an argument. The array program must
+equal ``npool_direct_revenue`` bit for bit, and the package's ``validate``
+must raise the same exception class with the same message as ``validate``
+on well-formed matrices, or pass where it passes. The oracle search prices
+every point with the public ``npool_stage_payoffs``; it resolves the attack
+to about 4e-9, and the package's search must do at least as well.
 """
 
 from __future__ import annotations
@@ -15,8 +19,11 @@ import itertools
 
 import numpy as np
 
-from poolgame.engine import PairwiseActionMatrix
-from poolgame.model import InfiltrationBudgetExceeded, InvalidScenario
+from poolgame.engine import PairwiseActionMatrix, npool_stage_payoffs
+from poolgame.equilibrium import golden_max
+from poolgame.model import AttackKind, InfiltrationBudgetExceeded, InvalidScenario
+
+ASCENT_SWEEPS = 5  # coordinate-ascent passes of optimal_simultaneous_attack
 
 
 def validate(matrix: PairwiseActionMatrix, alphas) -> PairwiseActionMatrix:
@@ -70,3 +77,26 @@ def npool_direct_revenue(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
         for m in released:
             revenue[flags[m][1]] += p / len(released)
     return revenue
+
+
+def optimal_simultaneous_attack(alphas, attacker: int, kind: AttackKind) -> np.ndarray:
+    """Coordinate ascent with golden-section line search over each victim's
+    infiltration power, respecting the attacker's total power budget."""
+    alphas = np.asarray(alphas, float)
+    n = alphas.size
+    x = np.zeros(n)
+    m = PairwiseActionMatrix.zeros(n)
+    row = (m.faw if kind is AttackKind.FAW else m.bwh)[attacker]  # a view, refilled per point
+    for _ in range(ASCENT_SWEEPS):
+        for j in range(n):
+            if j == attacker:
+                continue
+            budget = alphas[attacker] - (x.sum() - x[j])
+
+            def line(v, j=j):
+                row[:] = x
+                row[j] = v
+                return float(npool_stage_payoffs(alphas, m)[attacker])
+
+            x[j] = golden_max(line, 0.0, budget, tol=1e-9)
+    return x
