@@ -10,6 +10,7 @@ parses; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -205,6 +206,12 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
     for command, values in (defaults or {}).items():
         sub.choices[command].set_defaults(**values)
     return ap
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The built-in parser, built once per process; parsing leaves it as it is."""
+    return build_parser()
 
 
 def _config_options(parser, command: str) -> dict[str, argparse.Action]:
@@ -454,7 +461,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -25,7 +25,6 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .model import (
     AttackKind,
@@ -257,7 +256,9 @@ def detect_bwh_block_ratio(
     published blocks; benign infiltration would instead lift its share to
     victim_power + infiltration.
     """
-    if not (0.0 < victim_power < 1.0) or infiltration < 0.0 or victim_power + infiltration >= 1.0:
+    # written so that NaN fails the test
+    if not (0.0 < victim_power < 1.0 and infiltration >= 0.0
+            and victim_power + infiltration < 1.0):
         raise InvalidScenario(
             f"invalid victim_power={victim_power}, infiltration={infiltration}"
         )
@@ -266,6 +267,7 @@ def detect_bwh_block_ratio(
     expected = victim_power / (1.0 - infiltration)
     null_p = victim_power + infiltration
     threshold = int(round(expected * blocks))
+    from scipy import stats  # imported here: no other command needs scipy
     p_value = float(stats.binom.cdf(threshold, blocks, null_p))
     return expected, p_value
 

@@ -2,12 +2,16 @@ import contextlib
 import csv
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poolgame import cli
 from poolgame.cli import main
 
 
@@ -128,6 +132,10 @@ def cli_scenarios(draw):
     }
 
 
+BLOCK_RATIO = ["detect", "--mode", "block-ratio"]
+BLOCK_RATIO_DIGEST = "40c5cfb076cfbffbeae60cfd94639bc4327d6884e4ff9d4d14b07a7133152d37"
+
+
 class TestGoldenOutputs:
     """SHA-256 of the full stdout. The tables and five-pool runs were recorded
     before the two-pool and n-pool runners were merged, the audit, sweeps and
@@ -184,6 +192,12 @@ class TestGoldenOutputs:
         # 358 of the 720 periods price an attacker above half the network
         (["detect", "--mode", "variance", "--alpha", "0.5"],
          "1a9b7ccc27ce7abcd73994092c7018a46020b83c5a9a0a8d058e4feca9350b20"),
+        # the only command that imports scipy; recorded while scipy.stats was
+        # still imported with the package
+        (BLOCK_RATIO, BLOCK_RATIO_DIGEST),
+        (["detect", "--mode", "block-ratio", "--beta", "0.2", "--infiltration", "0.01",
+          "--blocks", "500"],
+         "8bd04df8a080361d86fb8ad6831d88b21dca7d609c7dcf95d30c2ba4f4b778c1"),
     ])
     def test_byte_identical_to_pinned_digest(self, args, digest, capsys):
         code, out = run_cli(args, capsys)
@@ -519,6 +533,12 @@ class TestScenarioCommands:
         (row,) = parse_csv(out)
         assert float(row["expected_fraction"]) == pytest.approx(0.201005, abs=1e-5)
 
+    def test_detect_block_ratio_nan_infiltration_rejected(self, capsys):
+        code = main([*BLOCK_RATIO, "--infiltration", "nan"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: invalid victim_power=0.2, infiltration=nan\n"
+
     def test_detect_variance_uses_bundled_fixture(self, capsys):
         code, out = run_cli(
             ["detect", "--mode", "variance", "--alpha", "0.10", "--beta", "0.2",
@@ -618,3 +638,70 @@ class TestScenarioCommands:
         rows = parse_csv(series.read_text())
         assert len(rows) == 48
         assert set(rows[0]) == {"period_index", "reward_density"}
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process; no call may leave a trace
+    in the next one."""
+
+    def test_built_once(self, monkeypatch, capsys):
+        assert run_cli(BLOCK_RATIO, capsys)[0] == 0
+
+        def rebuilt(defaults=None):
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert run_cli(BLOCK_RATIO, capsys)[0] == 0
+
+    def test_each_config_file_gives_its_own_values(self, tmp_path, capsys):
+        outs = []
+        for blocks in ("500", "100"):
+            cfg = tmp_path / f"{blocks}.cfg"
+            cfg.write_text(f"blocks = {blocks}\n")
+            _, got = run_cli(["detect", "--mode", "unlucky", "--config", str(cfg)], capsys)
+            _, want = run_cli(["detect", "--mode", "unlucky", "--blocks", blocks], capsys)
+            assert got == want
+            outs.append(got)
+        assert outs[0] != outs[1]
+
+    def test_plain_call_after_a_config_call_gets_built_in_defaults(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("blocks = 500\nseed = 7\n")
+        assert run_cli([*BLOCK_RATIO, "--config", str(cfg)], capsys)[0] == 0
+        code, out = run_cli(BLOCK_RATIO, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == BLOCK_RATIO_DIGEST
+
+    @pytest.mark.parametrize("bad", [
+        ["detect", "--mode", "block-ratio", "--blocks", "many"],
+        ["detect", "--mode", "nosuch"],
+        ["detect"],
+    ])
+    def test_usage_error_leaves_no_state(self, bad, capsys):
+        assert main(bad) == 2
+        capsys.readouterr()
+        code, out = run_cli(BLOCK_RATIO, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == BLOCK_RATIO_DIGEST
+
+
+def test_scipy_imported_only_by_block_ratio():
+    """A fresh interpreter: importing the package and building the parser
+    loads no scipy module; ``detect --mode block-ratio`` then loads
+    scipy.stats, so the import moved rather than went away."""
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import poolgame, poolgame.cli",
+        "poolgame.cli.build_parser()",
+        "print('scipy' in sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = poolgame.cli.main(['detect', '--mode', 'block-ratio'])",
+        "print(code, 'scipy.stats' in sys.modules)",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "True"]

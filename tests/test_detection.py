@@ -166,6 +166,13 @@ class TestBlockRatioDetector:
         expected, _ = detect_bwh_block_ratio(0.2, 0.05, 2000)
         assert expected == pytest.approx(0.2 / 0.95, abs=1e-12)
 
+    @pytest.mark.parametrize("victim_power, infiltration", [
+        (0.2, math.nan), (math.nan, 0.01), (0.2, -0.01), (0.2, 0.8), (0.0, 0.01),
+    ])
+    def test_invalid_powers_rejected(self, victim_power, infiltration):
+        with pytest.raises(InvalidScenario):
+            detect_bwh_block_ratio(victim_power, infiltration, 2000)
+
 
 class TestUnluckyMiners:
     def test_published_number(self):
