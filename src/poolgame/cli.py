@@ -293,6 +293,22 @@ def _grid_cells(n):
     return n
 
 
+def _check_seed(seed):
+    """``--seed``: the Monte-Carlo generators take only non-negative seeds."""
+    if seed < 0:
+        raise PoolGameError(f"--seed must be a non-negative integer, got {seed}")
+
+
+def _infiltration_share(args):
+    """``detect --infiltration`` as a share of ``--alpha``, checked before the
+    division: a pool infiltrates with at most its own power."""
+    # written so that NaN fails the test
+    if not 0.0 <= args.infiltration <= args.alpha:
+        raise PoolGameError(
+            f"--infiltration must be in [0, --alpha={args.alpha}], got {args.infiltration}")
+    return args.infiltration / args.alpha
+
+
 def _cmd_sweep(args):
     kind = AttackKind(args.attack)
     n = _grid_cells(args.cells)
@@ -354,12 +370,12 @@ def _cmd_detect(args):
         prob = detect_unlucky_miners(args.infiltration, args.blocks)
         return ["probability_no_fpow", f"{prob:.8e}"]
     if args.mode == "geometric":
-        p = geometric_param(args.alpha, args.beta, args.infiltration / args.alpha, kind)
+        p = geometric_param(args.alpha, args.beta, _infiltration_share(args), kind)
         return ["geometric_p", f"{p:.8f}"]
     series = (ingest_hashrate_csv(args.hashrates) if args.hashrates
               else load_bundled_hashrates())
     pool = args.pool or series.pools()[0]
-    scenario = DetectionScenario(args.alpha, args.beta, args.infiltration / args.alpha,
+    scenario = DetectionScenario(args.alpha, args.beta, _infiltration_share(args),
                                  kind, periods=args.periods, seed=args.seed)
     attack = simulate_reward_density(scenario, series, pool=pool)
     honest = simulate_reward_density(
@@ -468,6 +484,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args = _apply_config(parser, args, argv)
+        _check_seed(args.seed)
         lines = _HANDLERS[args.command](args)
     except PoolGameError as exc:
         print(f"error: {exc}", file=sys.stderr)

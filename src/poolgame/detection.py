@@ -82,6 +82,8 @@ class DetectionScenario:
             raise InvalidScenario("gamma must be in [0, 1]")
         if self.periods < 1:
             raise InvalidScenario("periods must be positive")
+        if not self.seed >= 0:
+            raise InvalidScenario(f"seed must be a non-negative integer, got {self.seed}")
 
     @property
     def infiltration_power(self) -> float:

@@ -19,8 +19,10 @@ for any number of pools; ``simulate_rounds`` (two pools) and the engine's
 ``npool_stage_payoffs_mc`` are result builders over it and serve as the
 independent oracle of the exact models. It draws how all rounds end as one
 multinomial over the input rates and draws round by round only the rounds
-in which a FAW flag fires first, so its cost follows those rounds; it never
-reads a probability the exact models compute.
+in which a FAW flag fires first, so its cost follows those rounds; it
+settles those rounds one flag row at a time, with a running count of fired
+flags picking each round's winner. It never reads a probability the exact
+models compute.
 
 ``U_i`` is pool i's extra reward density: member reward per unit power minus
 the honest baseline 1.
@@ -265,13 +267,21 @@ def _sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
       first firing iff it is below 1 - exp(-phi * tau); and one uniform
       picking the fired flag whose host wins the round.
 
+    A batch is settled one flag row at a time: each row's threshold is
+    computed in one reused buffer, and the first flag is forced on its
+    slice of the sorted rounds. The pick walks the rows with a running count
+    of the flags fired so far: flag f wins the rounds where it fires with
+    that count equal to the pick, so no per-round cumulative sum or
+    ``argmax`` over the flag axis is formed.
+
     Returns the mean extra reward densities, their standard errors, the win
     frequencies and the inverse pot-split matrix.
     """
     if not rounds >= 1:
         raise InvalidScenario(f"Monte-Carlo rounds must be at least 1, got {rounds}")
+    if not seed >= 0:
+        raise InvalidScenario(f"Monte-Carlo seed must be a non-negative integer, got {seed}")
     alphas = np.asarray(alphas, float)
-    n = alphas.size
     # a pool that infiltrates with all its power can leave -1e-17 by rounding
     home = np.maximum(alphas - (faw + bwh).sum(axis=1), 0.0)
     ext = 1.0 - alphas.sum()
@@ -291,13 +301,22 @@ def _sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
     for start in range(0, flag_first, batch):
         stop = min(start + batch, flag_first)
         m = stop - start
-        first = np.repeat(np.arange(n_flags), np.diff(np.clip(edges, start, stop)))
+        span = np.clip(edges, start, stop) - start  # flag f fired first in [span[f], span[f+1])
         tau = rng.exponential(1.0 / theta, m)
-        fired = rng.random((n_flags, m)) < -np.expm1(-phi[:, None] * tau)
-        fired[first, np.arange(m)] = True
+        u = rng.random((n_flags, m))
+        fired = np.empty((n_flags, m), bool)
+        cut = np.empty(m)
+        for f in range(n_flags):
+            # u < -expm1(-phi * tau) in one reused row buffer; negation is exact
+            np.negative(np.expm1(np.multiply(tau, -phi[f], out=cut), out=cut), out=cut)
+            np.less(u[f], cut, out=fired[f])
+            fired[f, span[f]:span[f + 1]] = True
         pick = (rng.random(m) * fired.sum(axis=0)).astype(np.int64)
-        sel = np.argmax(np.cumsum(fired, axis=0) > pick, axis=0)
-        wins += np.bincount(hosts[sel], minlength=n)
+        seen = np.zeros(m, np.int64)  # fired flags before f
+        for f in range(n_flags):
+            # flag f wins where it is the (pick + 1)-th fired flag
+            wins[hosts[f]] += np.count_nonzero(fired[f] & (seen == pick))
+            seen += fired[f]
     p_hat = wins / rounds
     inv = np.linalg.inv(_pot_matrix(alphas, faw, bwh))
     q_mean = inv @ p_hat

@@ -148,7 +148,9 @@ class TestGoldenOutputs:
     move. The two five-pool npool runs were re-recorded when the attack
     search became a convergent Newton search: the golden-section search
     before it resolved the attack only to about 4e-9, which set their
-    eighth decimals."""
+    eighth decimals. The three Monte-Carlo runs were recorded before the
+    sampler settled flag-first rounds one flag row at a time, so they pin
+    its draw order and the winner it picks from each draw."""
 
     FIVE_POOLS = ["--powers", "0.25", "0.15", "0.10", "0.035", "0.02"]
 
@@ -198,6 +200,15 @@ class TestGoldenOutputs:
         (["detect", "--mode", "block-ratio", "--beta", "0.2", "--infiltration", "0.01",
           "--blocks", "500"],
          "8bd04df8a080361d86fb8ad6831d88b21dca7d609c7dcf95d30c2ba4f4b778c1"),
+        # Monte-Carlo: one FAW flag and a BWH detachment, the five-pool Table 3
+        # runs, and a five-pool one-shot FAW run
+        (["simulate", "--alpha", "0.2", "0.2", "--a1", "0.05", "0", "--a2", "0", "0.02",
+          "--rounds", "200000", "--seed", "3"],
+         "a39f8031c3077618868273cc514db5d88b8968e135f235c708e072256f772b1f"),
+        (["reproduce-table", "3", "--rounds", "500000", "--seed", "1"],
+         "28ec4465cc02528d0c0116f4f87c8709b58b18101e1f5dad42865538c0c276ac"),
+        (["npool", *FIVE_POOLS, "--attack", "faw", "--rounds", "200000", "--seed", "2"],
+         "abd0ec7de82b9105006e20305654bce998818838ac67d35ea4a5c1d2e7ebada6"),
     ])
     def test_byte_identical_to_pinned_digest(self, args, digest, capsys):
         code, out = run_cli(args, capsys)
@@ -608,6 +619,45 @@ class TestScenarioCommands:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "rounds must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--alpha", "0.2", "0.2", "--a1", "0.05", "0", "--a2", "0", "0.02",
+         "--seed", "-1"],
+        ["reproduce-table", "3", "--rounds", "1000", "--seed", "-1"],
+        ["npool", "--powers", "0.25", "0.15", "--attack", "faw", "--rounds", "100",
+         "--seed", "-1"],
+        ["detect", "--mode", "variance", "--seed", "-1"],
+    ])
+    def test_negative_seed_rejected(self, args, capsys):
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
+
+    def test_negative_seed_from_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -3\n")
+        code = main(["reproduce-table", "3", "--rounds", "1000", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "--seed must be a non-negative integer, got -3" in captured.err
+
+    @pytest.mark.parametrize("mode", ["geometric", "variance"])
+    @pytest.mark.parametrize("value", ["-0.01", "nan", "0.11"])
+    def test_detect_infiltration_outside_attacker_power_rejected(self, mode, value, capsys):
+        # checked before it is divided by --alpha, so the message names the
+        # value as typed
+        code = main(["detect", "--mode", mode, "--alpha", "0.1", "--infiltration", value])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            f"error: --infiltration must be in [0, --alpha=0.1], got {float(value)}\n")
+
+    @pytest.mark.parametrize("value", ["0", "0.1"])
+    def test_detect_infiltration_at_the_ends_accepted(self, value, capsys):
+        code = main(["detect", "--mode", "geometric", "--alpha", "0.1",
+                     "--infiltration", value])
+        assert code == 0 and capsys.readouterr().out.splitlines()[1] == "geometric_p"
 
     def test_detect_unknown_pool_names_the_pools(self, capsys):
         code = main(["detect", "--mode", "variance", "--pool", "nosuch"])

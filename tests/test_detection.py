@@ -78,6 +78,10 @@ class TestGeometricParam:
 
 
 class TestRewardDensity:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidScenario, match="seed must be a non-negative integer, got -1"):
+            DetectionScenario(0.1, 0.2, 0.05, AttackKind.FAW, periods=100, seed=-1)
+
     def test_honest_constant_baseline_is_flat(self):
         sc = DetectionScenario(0.1, 0.2, 0.0, AttackKind.FAW, periods=100, seed=0)
         series = simulate_reward_density(sc, 0.1)

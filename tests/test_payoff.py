@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from poolgame.model import ALGEBRAIC_TOL, Action, AttackKind, DegenerateDenominator
+import sampler_oracle
+from poolgame import payoff
+from poolgame.model import (
+    ALGEBRAIC_TOL,
+    Action,
+    AttackKind,
+    DegenerateDenominator,
+    InvalidScenario,
+)
 from poolgame.payoff import (
     one_sided_attacker,
     one_sided_victim,
@@ -312,3 +320,72 @@ class TestSimulateRounds:
         r1 = simulate_rounds(0.3, 0.2, Action(0.1, 0), Action(0, 0.05), rounds=50_000, seed=11)
         r2 = simulate_rounds(0.3, 0.2, Action(0.1, 0), Action(0, 0.05), rounds=50_000, seed=11)
         assert r1 == r2
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidScenario, match="seed must be a non-negative integer, got -1"):
+            simulate_rounds(0.2, 0.2, Action(0.05, 0), Action(), rounds=100, seed=-1)
+
+
+def _scenario(alphas, faw=(), bwh=()):
+    """Pool powers and (FAW, BWH) matrices from (attacker, host, power) triples."""
+    n = len(alphas)
+    m = {"faw": np.zeros((n, n)), "bwh": np.zeros((n, n))}
+    for key, triples in (("faw", faw), ("bwh", bwh)):
+        for i, j, x in triples:
+            m[key][i, j] = x
+    return np.array(alphas), m["faw"], m["bwh"]
+
+
+@st.composite
+def sampler_scenarios(draw):
+    """n = 2-5 pools; 1-8 FAW flags and some BWH detachments on distinct
+    pairs, each pool spending at most its power; and either the package's
+    batch size or one small enough that a run spans many batches. No flag
+    and a single round are the explicit examples."""
+    n = draw(st.integers(2, 5))
+    alphas = np.array(draw(st.lists(st.floats(0.02, 0.3), min_size=n, max_size=n)))
+    alphas *= min(1.0, 0.95 / alphas.sum())
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    n_faw = draw(st.integers(1, min(8, len(pairs))))
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=n_faw, unique=True,
+                           max_size=len(pairs)))
+    faw, bwh = [], []
+    for k, (i, j) in enumerate(chosen):
+        x = alphas[i] / (n - 1) * draw(st.floats(0.05, 1.0))
+        (faw if k < n_faw else bwh).append((i, j, x))
+    rounds = draw(st.integers(2, 50_000))
+    chunk = draw(st.one_of(st.none(), st.integers(1, 256)))
+    return (*_scenario(alphas, faw, bwh), rounds, chunk)
+
+
+class TestSamplerAgainstOracle:
+    """The sampler settles flag-first rounds one flag row at a time; the
+    oracle (``tests/sampler_oracle.py``) is the (F, m) cumsum/argmax version
+    it replaced. Both draw the same numbers, so all four returns must be
+    equal bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sampler_scenarios(), st.integers(0, 2**32 - 1))
+    # no FAW flag: every round settles by its multinomial category
+    @example((*_scenario([0.25, 0.2, 0.1], bwh=[(0, 1, 0.03)]), 10_000, None), 1)
+    # a mutual fork where most power forks, one round only, and 8 flags
+    @example((*_scenario([0.4, 0.3], [(0, 1, 0.3), (1, 0, 0.25)]), 1, None), 2)
+    @example((*_scenario([0.4, 0.3], [(0, 1, 0.3), (1, 0, 0.25)]), 5_000, None), 3)
+    @example((*_scenario([0.2, 0.2, 0.15, 0.1, 0.1],
+                         [(i, j, 0.02) for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0),
+                                                    (2, 1), (3, 0), (4, 0))]),
+              5_000, None), 4)
+    # one pool hosts four flags, in batches of 2 rounds whose boundaries fall
+    # inside the flags' spans
+    @example((*_scenario([0.3, 0.1, 0.1, 0.1, 0.05],
+                         [(1, 0, 0.05), (2, 0, 0.04), (3, 0, 0.06), (4, 0, 0.03)]),
+              5_000, 9), 5)
+    def test_bit_identical_to_oracle(self, scenario, seed):
+        alphas, faw, bwh, rounds, chunk = scenario
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(payoff, "_CHUNK", chunk)
+            got = payoff._sample_rounds(alphas, faw, bwh, rounds, seed)
+            want = sampler_oracle.sample_rounds(alphas, faw, bwh, rounds, seed)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
