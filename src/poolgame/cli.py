@@ -326,10 +326,10 @@ def _sweep_rows(t):
     """CSV lines of a sweep's columns: the header, then one row per cell."""
     columns = (t.alpha_1, t.alpha_2, t.attack_ratio, t.r2_faw, t.r2_bwh, t.u1_avg, t.u2_avg,
                t.ip_faw_empty)
+    # one %-format per row: the bytes of {:.Nf} and {:d} fields, about twice as fast
     return ["alpha1,alpha2,attack_ratio,r2F,r2B,u1_avg,u2_avg,ip_faw_empty,error"] + [
-        f"{a1:.6f},{a2:.6f},{ratio:.6f},{r_faw:.6f},{r_bwh:.6f},{u1:.8f},{u2:.8f},{flag:d},{error}"
-        for a1, a2, ratio, r_faw, r_bwh, u1, u2, flag, error
-        in zip(*(c.tolist() for c in columns), t.error)
+        "%.6f,%.6f,%.6f,%.6f,%.6f,%.8f,%.8f,%d,%s" % cells
+        for cells in zip(*(c.tolist() for c in columns), t.error)
     ]
 
 
@@ -409,8 +409,7 @@ def _audit_rows(r):
     """CSV lines of the audit's columns: the header, then one row per cell."""
     columns = (r.alpha_1, r.alpha_2, r.f_value, r.k_chosen, r.passed)
     return ["alpha1,alpha2,f_value,k_chosen,passed"] + [
-        f"{a1:.6f},{a2:.6f},{f:.8f},{k:.8f},{passed:d}"
-        for a1, a2, f, k, passed in zip(*(c.tolist() for c in columns))
+        "%.6f,%.6f,%.8f,%.8f,%d" % cells for cells in zip(*(c.tolist() for c in columns))
     ]
 
 

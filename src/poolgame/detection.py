@@ -154,6 +154,13 @@ def _geometric_p(alpha, beta, gamma, kind: AttackKind):
     return own / (victim_rate + own)
 
 
+def _rng(seed, name: str = "seed") -> np.random.Generator:
+    """numpy's generator for ``seed``; a negative seed is refused as a domain error."""
+    if not seed >= 0:
+        raise InvalidScenario(f"{name} must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def simulate_victim_blocks(
     alpha: float, beta: float, gamma: float, kind: AttackKind,
     periods: int, seed: int = 0,
@@ -165,7 +172,7 @@ def simulate_victim_blocks(
     pool, and external miners; a FAW detachment's withheld block converts an
     external win into a victim-pool win. Used to validate the geometric model.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     infl = gamma * alpha
     live = 1.0 - infl
     ext = 1.0 - alpha - beta
@@ -296,17 +303,17 @@ def evasion_smoothing(
     """
     if window < 1:
         raise InvalidScenario("window must be >= 1")
+    rng = None if random_phase_seed is None else _rng(random_phase_seed, "random_phase_seed")
     extra = series.extra if series.extra is not None else series.samples - series.samples.mean()
     base = series.base if series.base is not None else np.full_like(series.samples, series.samples.mean())
     if window == 1:
         return RewardDensitySeries(base + extra, base=base, extra=extra)
     n = extra.size
-    if random_phase_seed is None:
+    if rng is None:
         kernel = np.ones(window) / window
         padded = np.concatenate([np.repeat(extra[:1], window - 1), extra])
         smoothed = np.convolve(padded, kernel, mode="valid")
     else:
-        rng = np.random.default_rng(random_phase_seed)
         smoothed = np.empty(n)
         for t in range(n):
             w = int(rng.integers(1, window + 1))
@@ -409,7 +416,7 @@ def generate_synthetic_hashrates(
     """
     pools = pools or {"pool_a": 35.0, "pool_b": 87.5}
     start = start or datetime(2019, 1, 21)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     lines = ["timestamp,pool,hashrate"]
     innovation = rel_sd * math.sqrt(1.0 - ar_coefficient**2)
     for pool, mean_rate in pools.items():

@@ -21,18 +21,22 @@ family of deviation gaps is a least rounded difference fl(p - d) over a
 grid, and IEEE subtraction rounds monotonically, so that least difference is
 exactly fl(min p - max d): family 2 needs two grid rows per cell instead of
 a grid, and family 1 needs, for each of pool 1's FAW powers, only the
-largest of pool 2's deviation payoffs. That row maximum is found by
-bisecting on the sign of the discrete slope down to a bracket of at most 3
-grid points and taking the maximum over a window of ``AUDIT_WINDOW`` grid
-points around it; the window prices the grid's own points, so the maximum
-is the same float. Where an edge of the window inside the row reaches the
-window's maximum, the row could hold a larger value beyond it, and the
-row is priced in full. Rows run in batches of ``AUDIT_ROW_CHUNK`` and index
-each cell's deviation grid, never a copy per row. Cells whose optimal BWH
-power does not deter try larger powers in order: up to the family-1 cap
-they reuse the cap's minimum, one expression for all cells; above it the
-still-open cells get fresh family-1 minima, ``AUDIT_FALLBACK_POWERS`` powers
-per cell and pass, and keep their first deterring power.
+largest of pool 2's deviation payoffs. That row maximum is the maximum
+over a window of ``AUDIT_WINDOW`` grid points; the window prices the grid's
+own points, so the maximum is the same float. Where an edge of the window
+inside the row reaches the window's maximum, the row could hold a larger
+value beyond it, and the row is priced in full. The guard certifies a
+window wherever it starts, so the start only decides the cost. Only the
+anchor rows, every ``AUDIT_ANCHOR_STEP``-th FAW power and the last, are
+bisected on the sign of the discrete slope down to a bracket of at most 3
+grid points; every row's window starts at its two anchors' brackets,
+interpolated to its position and rounded. Rows run in batches of
+``AUDIT_ROW_CHUNK`` and index each cell's deviation grid, never a copy per
+row. Cells whose optimal BWH power does not deter try larger powers in
+order: up to the family-1 cap they reuse the cap's minimum, one expression
+for all cells; above it the still-open cells get fresh family-1 minima,
+``AUDIT_FALLBACK_POWERS`` powers per cell and pass, and keep their first
+deterring power.
 """
 
 from __future__ import annotations
@@ -70,9 +74,11 @@ NASH_GRID_POINTS = 100
 NASH_TOL = 1e-7
 NASH_MAX_ITERATIONS = 10_000
 # BWH audit: family-1 rows priced per batch (bounds the evaluation arrays),
-# grid points of a row-maximum window, fallback powers per open cell and pass
+# grid points of a row-maximum window, rows per bisected anchor row, fallback
+# powers per open cell and pass
 AUDIT_ROW_CHUNK = 2048
 AUDIT_WINDOW = 5
+AUDIT_ANCHOR_STEP = 8
 AUDIT_FALLBACK_POWERS = 4
 
 
@@ -298,16 +304,11 @@ class AuditReport:
     passed: np.ndarray  # bool
 
 
-def _row_maxima(u, size: int, n: int) -> np.ndarray:
-    """Maximum of each of ``size`` rows of n grid values. ``u(j)`` prices the
-    grid indices ``j`` (shape (k, size), rows on the last axis) and
-    ``u(j, rows)`` those of the given rows only.
-
-    Bisects each row on the sign of its discrete slope down to a bracket of
-    at most 3 points, then takes the maximum over a window around the bracket.
-    On a row that never rises after a fall, a window whose edges inside the
-    row both lie strictly below its maximum holds the row's maximum; any other
-    row is priced in full."""
+def _brackets(u, size: int, n: int) -> np.ndarray:
+    """Start of a bracket of at most 3 grid points around the maximum of
+    each of ``size`` rows of n grid values, by bisection on the sign of the
+    row's discrete slope. ``u(j)`` prices the grid indices ``j`` (shape
+    (k, size), rows on the last axis)."""
     lo = np.zeros(size, np.intp)
     hi = np.full(size, n - 1)
     while (active := hi - lo > 2).any():
@@ -316,6 +317,18 @@ def _row_maxima(u, size: int, n: int) -> np.ndarray:
         up = at[1] > at[0]
         lo = np.where(active & up, mid + 1, lo)
         hi = np.where(active & ~up, mid, hi)
+    return lo
+
+
+def _window_maxima(u, lo, n: int) -> np.ndarray:
+    """Maximum of each row of n grid values, from a window of
+    ``AUDIT_WINDOW`` points starting just before ``lo`` (one start per row).
+    ``u(j)`` prices the grid indices ``j`` (shape (k, rows)) and ``u(j,
+    rows)`` those of the given rows only.
+
+    On a row that never rises after a fall, a window whose edges inside the
+    row both lie strictly below its maximum holds the row's maximum, wherever
+    it starts; any other row is priced in full."""
     w = min(AUDIT_WINDOW, n)
     first = np.clip(lo - 1, 0, n - w)
     vals = u(first + np.arange(w)[:, None])
@@ -327,6 +340,12 @@ def _row_maxima(u, size: int, n: int) -> np.ndarray:
     return top
 
 
+def _row_maxima(u, size: int, n: int) -> np.ndarray:
+    """Maximum of each of ``size`` rows of n grid values: the window around
+    each row's own bisection bracket."""
+    return _window_maxima(u, _brackets(u, size, n), n)
+
+
 def _family1_minima(a1, a2, dev, cell, caps) -> np.ndarray:
     """Family-1 gap of each (cell, cap) pair: the least of pool 2's honest
     payoff minus its deviation payoff over pool 1's FAW powers
@@ -334,20 +353,43 @@ def _family1_minima(a1, a2, dev, cell, caps) -> np.ndarray:
 
     Subtraction rounds monotonically, so the least rounded difference over a
     row is its honest payoff minus the row's largest deviation payoff: one
-    row maximum per FAW power prices the pair's full grid exactly."""
+    row maximum per FAW power prices the pair's full grid exactly. Only the
+    anchor rows (every ``AUDIT_ANCHOR_STEP``-th FAW power and the last) are
+    bisected; every row's window starts where its two anchors' brackets,
+    interpolated, put it, and the window's guard certifies it as before."""
     n = dev.shape[1]
-    step = max(1, AUDIT_ROW_CHUNK // n)  # pairs per batch
-    minima = np.empty(caps.size)
-    for s in range(0, caps.size, step):
-        c = np.repeat(cell[s:s + step], n)
-        f = np.linspace(0.0, caps[s:s + step], n, axis=-1).ravel()
+    anchors = np.unique(np.append(np.arange(0, n, AUDIT_ANCHOR_STEP), n - 1))
+    # each row's left anchor (by position in ``anchors``) and its weight
+    # toward the right one; an anchor row's start is its own bracket
+    left = np.minimum(np.arange(n) // AUDIT_ANCHOR_STEP, anchors.size - 2)
+    weight = (np.arange(n) - anchors[left]) / (anchors[left + 1] - anchors[left])
+
+    def pricer(c, f):
         x, y = a1[c], a2[c]
 
         def u(j, r=slice(None)):
             return payoff_pair_raw(x[r], y[r], f[r], 0.0, dev[c[r], j], 0.0)[1]
 
-        honest = payoff_pair_raw(x, y, f, 0.0, 0.0, 0.0)[1]
-        gaps = honest - _row_maxima(u, f.size, n)
+        return u
+
+    # pass 1: the anchor rows' brackets, AUDIT_ROW_CHUNK rows per batch
+    brackets = np.empty((caps.size, anchors.size), np.intp)
+    step = max(1, AUDIT_ROW_CHUNK // anchors.size)  # pairs per batch
+    for s in range(0, caps.size, step):
+        c = np.repeat(cell[s:s + step], anchors.size)
+        f = np.linspace(0.0, caps[s:s + step], n, axis=-1)[:, anchors].ravel()
+        brackets[s:s + step] = _brackets(pricer(c, f), f.size, n).reshape(-1, anchors.size)
+
+    # pass 2: every row's window from its interpolated start
+    step = max(1, AUDIT_ROW_CHUNK // n)  # pairs per batch
+    minima = np.empty(caps.size)
+    for s in range(0, caps.size, step):
+        c = np.repeat(cell[s:s + step], n)
+        f = np.linspace(0.0, caps[s:s + step], n, axis=-1).ravel()
+        lo, hi = brackets[s:s + step, left], brackets[s:s + step, left + 1]
+        start = np.rint(lo + weight * (hi - lo)).astype(np.intp).ravel()
+        honest = payoff_pair_raw(a1[c], a2[c], f, 0.0, 0.0, 0.0)[1]
+        gaps = honest - _window_maxima(pricer(c, f), start, n)
         minima[s:s + step] = gaps.reshape(-1, n).min(axis=1)
     return minima
 

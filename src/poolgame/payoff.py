@@ -97,24 +97,6 @@ def payoff_pair_raw(alpha_i, alpha_j, f_i, b_i, f_j, b_j):
     x_i = f_i + b_i
     x_j = f_j + b_j
     ext = 1.0 - alpha_i - alpha_j
-
-    def direct(alpha_own, own_f, own_b, opp_f, opp_b):
-        # expected direct block revenue of the pool, before pot division
-        own_x = own_f + own_b
-        opp_x = opp_f + opp_b
-        d = (alpha_own - own_x) / (1.0 - own_x - opp_x)
-        # fork wins: the opponent's withheld blocks are this pool's blocks.
-        # The first term is +0.0 where opp_f == 0 and the second where either
-        # pool does not fork; where both fork, own_b == 0.0 makes the first
-        # term exactly opp_f * ext / (1 - opp_f).
-        return d + (
-            opp_f / (1.0 - own_b) * ext / (1.0 - own_b - opp_f)
-            + (own_f * opp_f / 2.0)
-            * (1.0 / (1.0 - own_f) + 1.0 / (1.0 - opp_f))
-            * ext
-            / (1.0 - own_f - opp_f)
-        )
-
     den_i = alpha_i + x_j
     den_j = alpha_j + x_i
     live = 1.0 - x_i - x_j
@@ -126,8 +108,22 @@ def payoff_pair_raw(alpha_i, alpha_j, f_i, b_i, f_j, b_j):
     if degenerate:
         raise DegenerateDenominator(NO_LIVE_POWER)
 
-    d_i = direct(alpha_i, f_i, b_i, f_j, b_j) / den_i
-    d_j = direct(alpha_j, f_j, b_j, f_i, b_i) / den_j
+    # Each pool's expected direct block revenue, before pot division, plus
+    # its fork wins: the opponent's withheld blocks are this pool's blocks.
+    # The first fork term is +0.0 where the opponent does not fork and the
+    # second where either pool does not; where both fork, the own BWH power
+    # is 0.0 and the first term is exactly opp_f * ext / (1 - opp_f). The
+    # three-branch fork's numerator is shared: IEEE * and + commute, so
+    # pool j's operand order gives the same bits. The differences
+    # (1 - x_j) - x_i and (1 - f_j) - f_i can differ from pool i's in the
+    # last bit and stay apart.
+    keep_i = 1.0 - b_i
+    keep_j = 1.0 - b_j
+    fork = (f_i * f_j / 2.0) * (1.0 / (1.0 - f_i) + 1.0 / (1.0 - f_j)) * ext
+    d_i = ((alpha_i - x_i) / live
+           + (f_j / keep_i * ext / (keep_i - f_j) + fork / (1.0 - f_i - f_j))) / den_i
+    d_j = ((alpha_j - x_j) / (1.0 - x_j - x_i)
+           + (f_i / keep_j * ext / (keep_j - f_i) + fork / (1.0 - f_j - f_i))) / den_j
     k_i = x_i / den_i
     k_j = x_j / den_j
     c_i = d_i - 1.0 + k_i

@@ -76,6 +76,10 @@ class TestGeometricParam:
         se = math.sqrt((1 - p) / p**2 / n.size)
         assert n.mean() == pytest.approx((1 - p) / p, abs=3 * se)
 
+    def test_negative_simulation_seed_rejected(self):
+        with pytest.raises(InvalidScenario, match="^seed must be a non-negative integer, got -1$"):
+            simulate_victim_blocks(0.1, 0.2, 0.05, AttackKind.FAW, 10, seed=-1)
+
 
 class TestRewardDensity:
     def test_negative_seed_rejected(self):
@@ -216,6 +220,14 @@ class TestEvasion:
         for w in (1, 2, 3, 4, 5):
             assert variance_ratio(evasion_smoothing(attack, w), honest) > 10.0
 
+    def test_negative_random_phase_seed_rejected(self):
+        # refused at the boundary, also where a window of 1 draws nothing
+        attack, _ = self._attack_series()
+        for window in (1, 5):
+            with pytest.raises(InvalidScenario,
+                               match="^random_phase_seed must be a non-negative integer, got -1$"):
+                evasion_smoothing(attack, window, random_phase_seed=-1)
+
     def test_random_phase_variant_still_detectable(self):
         attack, honest = self._attack_series()
         out = evasion_smoothing(attack, 5, random_phase_seed=7)
@@ -304,6 +316,10 @@ class TestHashrateIngestion:
         f.write_text("\n".join(generate_synthetic_hashrates(hours=48)) + "\n")
         hs = ingest_hashrate_csv(f)
         assert all(r.size == 48 for r in hs.rates.values())
+
+    def test_negative_generator_seed_rejected(self):
+        with pytest.raises(InvalidScenario, match="^seed must be a non-negative integer, got -1$"):
+            generate_synthetic_hashrates(hours=2, seed=-1)
 
     def test_bundled_fixture_is_exactly_the_default_generation(self):
         from poolgame.detection import FIXTURE_PATH

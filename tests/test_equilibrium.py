@@ -291,28 +291,79 @@ class TestBatchedAuditAgainstOracle:
         monkeypatch.setattr(equilibrium, "AUDIT_FALLBACK_POWERS", 1)
         assert audit_bits(audit_ipbwh_nonempty, **kw) == want
 
+    @pytest.mark.parametrize("anchor_step", [1, 3, 500])
+    def test_anchor_steps_do_not_change_cells(self, monkeypatch, anchor_step):
+        # every row its own anchor (the bisection of every row), a step that
+        # does not divide n - 1, and only the first and last rows as anchors,
+        # whose interpolated starts miss and send rows to full pricing
+        kw = dict(power_grid_resolution=4, infiltration_resolution=37)
+        want = audit_bits(audit_oracle.audit_ipbwh_nonempty, **kw)
+        full_rows = []
+
+        def pricing(alpha_i, alpha_j, f_i, b_i, f_j, b_j):
+            full_rows.append(np.shape(f_j)[:1] == (37,))
+            return payoff_pair_raw(alpha_i, alpha_j, f_i, b_i, f_j, b_j)
+
+        monkeypatch.setattr(equilibrium, "payoff_pair_raw", pricing)
+        monkeypatch.setattr(equilibrium, "AUDIT_ANCHOR_STEP", anchor_step)
+        assert audit_bits(audit_ipbwh_nonempty, **kw) == want
+        if anchor_step == 500:
+            assert any(full_rows)
+
+    def test_thirty_cell_audit_prices_few_elements(self, monkeypatch, capsys):
+        # anchors bisected, every other row windowed: about 1.08M kernel
+        # elements; bisecting every row priced 2.32M
+        elements = []
+
+        def pricing(alpha_i, alpha_j, f_i, b_i, f_j, b_j):
+            elements.append(np.broadcast(*map(np.asarray, (f_i, b_i, f_j, b_j))).size)
+            return payoff_pair_raw(alpha_i, alpha_j, f_i, b_i, f_j, b_j)
+
+        monkeypatch.setattr(equilibrium, "payoff_pair_raw", pricing)
+        assert cli.main(["audit-ipbwh", "--cells", "30"]) == 0
+        assert "# failures: 0" in capsys.readouterr().out
+        assert sum(elements) <= 1_200_000
+
+
+def weakly_unimodal_rows(data):
+    """Rows that never rise after a fall, with ties (plateaus) on both sides
+    of the peak, and the pricer ``u`` of the row-maximum searches."""
+    n = data.draw(st.integers(2, 40))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        peak = data.draw(st.integers(0, n - 1))
+        steps = data.draw(st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
+        row = np.zeros(n)
+        row[peak + 1:] = -np.cumsum(steps[peak:])
+        row[:peak] = -np.cumsum(steps[:peak][::-1])[::-1]
+        rows.append(row)
+    grid = np.array(rows)
+
+    def u(j, r=slice(None)):
+        return grid[np.arange(len(rows))[r], j]
+
+    return grid, u
+
 
 class TestRowMaxima:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_weakly_unimodal_rows(self, data):
-        # rows that never rise after a fall, with ties (plateaus) on both
-        # sides of the peak: the bracketed search returns each row's maximum
-        n = data.draw(st.integers(2, 40))
-        rows = []
-        for _ in range(data.draw(st.integers(1, 6))):
-            peak = data.draw(st.integers(0, n - 1))
-            steps = data.draw(st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
-            row = np.zeros(n)
-            row[peak + 1:] = -np.cumsum(steps[peak:])
-            row[:peak] = -np.cumsum(steps[:peak][::-1])[::-1]
-            rows.append(row)
-        grid = np.array(rows)
+        # the bracketed search returns each row's maximum
+        grid, u = weakly_unimodal_rows(data)
+        rows, n = grid.shape
+        top = equilibrium._row_maxima(u, rows, n)
+        assert top.tolist() == grid.max(axis=1).tolist()
 
-        def u(j, r=slice(None)):
-            return grid[np.arange(len(rows))[r], j]
-
-        top = equilibrium._row_maxima(u, len(rows), n)
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_window_from_any_start(self, data):
+        # a window started anywhere, as an interpolated start can be, still
+        # returns each row's maximum: its guard prices the missed rows in full
+        grid, u = weakly_unimodal_rows(data)
+        rows, n = grid.shape
+        lo = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows)))
+        top = equilibrium._window_maxima(u, lo, n)
         assert top.tolist() == grid.max(axis=1).tolist()
 
     def test_plateau_before_the_peak_takes_the_full_row(self):
