@@ -21,6 +21,7 @@ from .model import (
     GameConfig,
     PoolGameError,
     PoolProfile,
+    check_seed,
 )
 from .payoff import payoff_pair, simulate_rounds
 from .ars import retaliate
@@ -293,12 +294,6 @@ def _grid_cells(n):
     return n
 
 
-def _check_seed(seed):
-    """``--seed``: the Monte-Carlo generators take only non-negative seeds."""
-    if seed < 0:
-        raise PoolGameError(f"--seed must be a non-negative integer, got {seed}")
-
-
 def _infiltration_share(args):
     """``detect --infiltration`` as a share of ``--alpha``, checked before the
     division: a pool infiltrates with at most its own power."""
@@ -483,7 +478,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args = _apply_config(parser, args, argv)
-        _check_seed(args.seed)
+        check_seed(args.seed, "--seed")
         lines = _HANDLERS[args.command](args)
     except PoolGameError as exc:
         print(f"error: {exc}", file=sys.stderr)

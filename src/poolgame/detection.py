@@ -30,6 +30,7 @@ from .model import (
     AttackKind,
     InvalidScenario,
     PoolGameError,
+    check_seed,
 )
 from .payoff import one_sided_attacker
 
@@ -82,8 +83,7 @@ class DetectionScenario:
             raise InvalidScenario("gamma must be in [0, 1]")
         if self.periods < 1:
             raise InvalidScenario("periods must be positive")
-        if not self.seed >= 0:
-            raise InvalidScenario(f"seed must be a non-negative integer, got {self.seed}")
+        check_seed(self.seed)
 
     @property
     def infiltration_power(self) -> float:
@@ -155,9 +155,9 @@ def _geometric_p(alpha, beta, gamma, kind: AttackKind):
 
 
 def _rng(seed, name: str = "seed") -> np.random.Generator:
-    """numpy's generator for ``seed``; a negative seed is refused as a domain error."""
-    if not seed >= 0:
-        raise InvalidScenario(f"{name} must be a non-negative integer, got {seed}")
+    """numpy's generator for ``seed``; a seed that is not a non-negative
+    integer is refused as a domain error."""
+    check_seed(seed, name)
     return np.random.default_rng(seed)
 
 

@@ -4,9 +4,10 @@ One runner, :func:`run_npool`, plays every game with n >= 2 pools. It keeps
 ARS bookkeeping per ordered pair of pools, fills a
 :class:`PairwiseActionMatrix` with the prescriptions and each strategy's
 overrides, and records exact stage payoffs: the ``payoff_pair`` closed form
-for two pools, an array program over the withheld-block states for more. The
+for two pools, for more a sum over the sets of withheld FAW blocks whose
+weights are the inclusion-exclusion of the round race in closed form. The
 Monte-Carlo path samples the same round race (``payoff._sample_rounds``) and
-reports a standard error; the two-pool closed form is the enumeration's
+reports a standard error; the two-pool closed form is the exact sum's
 reduction oracle. The one-shot attack on several pools at once maximizes a
 closed form of the attacker's own stage payoff by Newton's method: with the
 attacker's row the only attack, the pot system is triangular and the FAW
@@ -21,7 +22,6 @@ breaks down are masked into error rows; invalid powers or attacks raise.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -308,62 +308,31 @@ class PairwiseActionMatrix:
 
 
 FAW_FLAG_CAP = 16  # most simultaneous FAW infiltrations the exact payoffs price
-_PADDED_SIZES = 5  # released sets of up to this many flags share one padded block
-_BLOCK_ENTRIES = 1 << 18  # larger sets come in blocks of at most this many terms
-
-
-def _subsets(r: int):
-    """The subsets of r positions in ``itertools.combinations`` order, as a
-    (2^r, r) membership matrix, and their signs (-1)^|subset|."""
-    member = np.zeros((1 << r, r), np.int64)
-    subsets = (c for k in range(r + 1) for c in itertools.combinations(range(r), k))
-    for row, c in zip(member, subsets):
-        row[list(c)] = 1
-    return member, (-1.0) ** member.sum(axis=1)
 
 
 @lru_cache(maxsize=8)
-def _release_tables(n_flags: int):
-    """Index tables of the exact revenue with ``n_flags`` FAW flags; flag m
-    is bit m of a flag-set mask.
+def _victim_sets(n_flags: int):
+    """The 2^F sets T of F FAW flags as rows: ``inside[T, k]`` is 1.0 where
+    flag k is in T, ``outside`` its complement, and ``weight[T, m]`` the
+    weight of g(T) = 1/(theta + phi(T)) in flag m's share of the FAW revenue
+    over ext, where phi(T) is the flags' power in T. Its two users are
+    ``_npool_direct_revenue``, with a flag per FAW infiltration, and
+    ``_attack_payoff``, with a flag per victim of the attacking row.
 
-    A block lists released sets: their idle masks (a column), and per set
-    the masks of its subsets in ``itertools.combinations`` order with their
-    signs, rows padded with mask 0 and sign 0. The sets of at most
-    _PADDED_SIZES flags share the first block; larger ones follow by size in
-    blocks of at most _BLOCK_ENTRIES terms, their masks as uint16, so the
-    tables hold about 3^F entries and a block's temporaries stay small.
-    ``size`` is each set's size, and ``flag`` and ``row`` pair every released
-    set's flags, ascending, with the set's row, sets in ``itertools.product``
-    order.
+    The weight is the loop enumeration's inclusion-exclusion gathered by T:
+    a released set R whose idle rest U = not R lies in T adds
+    (-1)^(t-|U|) / |R| for each flag m in R, where t = |T|. Summed over
+    those U (binomially many of each size), with 1/r as the integral of
+    s^(r-1) over [0, 1], it is -1/(F C(F-1, t-1)) for m in T and
+    1/(F C(F-1, t)) otherwise.
     """
     f = n_flags
-    masks, padded, blocks = [], [], []
-    for r in range(1, f + 1):
-        sets = np.array(list(itertools.combinations(range(f), r)), np.int64)
-        masks.append((1 << sets).sum(axis=1))
-        member, sign = _subsets(r)
-        small = r <= _PADDED_SIZES
-        width = 1 << max(r, min(f, _PADDED_SIZES))
-        sign = np.pad(sign, (0, width - sign.size))[None]
-        step = len(sets) if small else max(1, _BLOCK_ENTRIES >> r)
-        for k in range(0, len(sets), step):
-            chunk = sets[k : k + step]
-            sub = np.zeros((len(chunk), width), np.intp if small else np.uint16)
-            sub[:, : 1 << r] = (1 << chunk) @ member.T
-            idle = (1 << f) - 1 - masks[-1][k : k + step, None]
-            if small:
-                padded.append((idle, sub, np.broadcast_to(sign, sub.shape)))
-            else:
-                blocks.append((idle, sub, sign))
-    blocks.insert(0, tuple(np.concatenate(part) for part in zip(*padded)))
-    size = np.concatenate([np.full(len(m), float(r)) for r, m in enumerate(masks, 1)])
-    row_of = np.zeros(1 << f, np.intp)
-    row_of[np.concatenate(masks)] = np.arange(size.size)
-    # product order: bits[0] varies slowest, so it is the highest counter bit
-    bits = (np.arange(1 << f)[:, None] >> np.arange(f - 1, -1, -1)) & 1
-    at, flag = np.nonzero(bits)
-    return blocks, size, flag, row_of[(bits << np.arange(f)).sum(axis=1)[at]]
+    inside = (np.arange(1 << f)[:, None] >> np.arange(f)) & 1
+    t = inside.sum(axis=1)[:, None]
+    w_in = np.array([-1.0 / (f * math.comb(f - 1, s - 1)) if s else 0.0 for s in range(f + 1)])
+    w_out = np.array([1.0 / (f * math.comb(f - 1, s)) if s < f else 0.0 for s in range(f + 1)])
+    weight = np.where(inside == 1, w_in[t], w_out[t])
+    return inside.astype(float), 1.0 - inside, weight
 
 
 def _npool_direct_revenue(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
@@ -373,13 +342,9 @@ def _npool_direct_revenue(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
     round-ending find is external, every withheld block is released and one of
     the released branches wins uniformly (the external block always loses).
 
-    One array program over the F FAW flags (row-major (i, j) order). Per
-    released set R and idle rest I it sums, by inclusion-exclusion over the
-    subsets S of R, (-1)^|S| / ((theta + phi(I)) + phi(S)), where phi is the
-    flags' power summed in flag order, and shares ext times the sum evenly
-    among R's victims. Every sum and share is added in the order of a loop
-    over ``itertools.product`` and ``itertools.combinations``, so the floats
-    are that loop's bit for bit; time and memory grow as 3^F.
+    A sum over the 2^F sets T of the F FAW flags (row-major (i, j) order):
+    flag m's host earns ext * sum_T weight[T, m] / (theta + phi(T)), with
+    the weights and phi of ``_victim_sets``. Time and memory grow as 2^F.
     """
     alphas = np.asarray(alphas, float)
     out = (matrix.faw + matrix.bwh).sum(axis=1)
@@ -392,16 +357,9 @@ def _npool_direct_revenue(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
         raise InvalidScenario("too many simultaneous FAW infiltrations for exact enumeration")
     if not j.size:
         return revenue
-    phi = [0.0]  # phi[T]: flag set T's power, summed in flag order
-    for f in matrix.faw[i, j].tolist():
-        phi += [s + f for s in phi]
-    phi = np.array(phi)
-    blocks, size, flag, row = _release_tables(j.size)
-    # the last column copied, so that each block's terms are freed
-    p = [(sign / ((theta + phi[idle]) + phi[sub])).cumsum(axis=1)[:, -1].copy()
-         for idle, sub, sign in blocks]
-    p = p[0] if len(p) == 1 else np.concatenate(p)
-    np.add.at(revenue, j[flag], (p * ext / size)[row])
+    inside, _, weight = _victim_sets(j.size)
+    g = 1.0 / (theta + inside @ matrix.faw[i, j])
+    np.add.at(revenue, j, ext * (g @ weight))
     return revenue
 
 
@@ -421,28 +379,6 @@ def npool_stage_payoffs_mc(
     matrix.validate(alphas)
     u, stderr, _, _ = _sample_rounds(alphas, matrix.faw, matrix.bwh, rounds, seed)
     return u, stderr
-
-
-@lru_cache(maxsize=8)
-def _victim_sets(n_victims: int):
-    """The 2^F sets T of F victims as rows: ``inside[T, k]`` is 1.0 where
-    victim k is in T, ``outside`` its complement, and ``weight[T, j]`` the
-    weight of g(T) = 1/(theta + x(T)) in victim j's FAW revenue over ext.
-
-    The weight is the enumeration's inclusion-exclusion gathered by T: a
-    released set R whose idle rest U = not R lies in T adds
-    (-1)^(t-|U|) / |R| for each victim j in R, where t = |T|. Summed over
-    those U (binomially many of each size), with 1/m as the integral of
-    s^(m-1) over [0, 1], it is -1/(F C(F-1, t-1)) for j in T and
-    1/(F C(F-1, t)) otherwise.
-    """
-    f = n_victims
-    inside = (np.arange(1 << f)[:, None] >> np.arange(f)) & 1
-    t = inside.sum(axis=1)[:, None]
-    w_in = np.array([-1.0 / (f * math.comb(f - 1, s - 1)) if s else 0.0 for s in range(f + 1)])
-    w_out = np.array([1.0 / (f * math.comb(f - 1, s)) if s < f else 0.0 for s in range(f + 1)])
-    weight = np.where(inside == 1, w_in[t], w_out[t])
-    return inside.astype(float), 1.0 - inside, weight
 
 
 def _attack_payoff(alpha, victims, ext, x, faw: bool):

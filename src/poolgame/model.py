@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,13 @@ def validate_action(a: Action, owner: PoolProfile | float) -> Action:
             f"infiltration power {max(a.faw, a.bwh)} exceeds owner power {alpha}"
         )
     return a
+
+
+def check_seed(seed, name: str = "seed") -> None:
+    """Refuse a seed numpy's generators cannot take: only non-negative
+    integers pass (NaN, floats and negatives fail)."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidScenario(f"{name} must be a non-negative integer, got {seed}")
 
 
 def normalize_powers(raw) -> list[float]:

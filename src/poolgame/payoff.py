@@ -41,6 +41,7 @@ from .model import (
     DegenerateDenominator,
     InvalidPowers,
     InvalidScenario,
+    check_seed,
     validate_action,
 )
 
@@ -275,8 +276,7 @@ def _sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
     """
     if not rounds >= 1:
         raise InvalidScenario(f"Monte-Carlo rounds must be at least 1, got {rounds}")
-    if not seed >= 0:
-        raise InvalidScenario(f"Monte-Carlo seed must be a non-negative integer, got {seed}")
+    check_seed(seed, "Monte-Carlo seed")
     alphas = np.asarray(alphas, float)
     # a pool that infiltrates with all its power can leave -1e-17 by rounding
     home = np.maximum(alphas - (faw + bwh).sum(axis=1), 0.0)

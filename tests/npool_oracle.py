@@ -1,12 +1,14 @@
 """The loop enumeration of the n-pool direct revenue, the first
 ``PairwiseActionMatrix.validate`` and the golden-section attack search,
-kept as oracles of the array program (``engine._npool_direct_revenue``),
-of the cheaper validation and of the Newton attack search.
+kept as oracles of the set-weight sum (``engine._npool_direct_revenue``),
+of the cheaper validation and of the Newton attack search, and a
+quadrature of the direct revenue for more flags than the loop can price.
 
 ``npool_direct_revenue``, ``validate`` and ``optimal_simultaneous_attack``
 are the code the package used before, unchanged apart from their imports
-and ``validate`` taking the matrix as an argument. The array program must
-equal ``npool_direct_revenue`` bit for bit, and the package's ``validate``
+and ``validate`` taking the matrix as an argument. The set-weight sum must
+be within 1e-13 of ``npool_direct_revenue`` and of
+``npool_direct_revenue_quadrature``, and the package's ``validate``
 must raise the same exception class with the same message as ``validate``
 on well-formed matrices, or pass where it passes. The oracle search prices
 every point with the public ``npool_stage_payoffs``; it resolves the attack
@@ -76,6 +78,38 @@ def npool_direct_revenue(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
         p *= ext
         for m in released:
             revenue[flags[m][1]] += p / len(released)
+    return revenue
+
+
+def npool_direct_revenue_quadrature(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
+    """The same revenue as a double integral over the round's length t and
+    a share variable s: flag f's host earns
+
+        ext * int_0^inf int_0^1 exp(-theta t) (1 - exp(-phi_f t))
+              * prod_{m != f} (exp(-phi_m t) + s (1 - exp(-phi_m t))) ds dt,
+
+    an external find at t with flag f released, and 1/|R| = int s^(|R|-1) ds
+    of the released set R. The integrand is a polynomial of degree F - 1 in
+    s, so F-point Gauss-Legendre is exact; theta t takes 120-point
+    Gauss-Laguerre (numpy's 200-point nodes overflow to NaN).
+    """
+    alphas = np.asarray(alphas, float)
+    home = alphas - (matrix.faw + matrix.bwh).sum(axis=1)
+    ext = 1.0 - alphas.sum()
+    theta = ext + home.sum()
+    revenue = home / theta
+    i, j = np.nonzero(matrix.faw > 0.0)
+    phi = matrix.faw[i, j]
+    if not phi.size:
+        return revenue
+    u, u_weight = np.polynomial.laguerre.laggauss(120)
+    x, x_weight = np.polynomial.legendre.leggauss(phi.size)
+    s, s_weight = (x + 1.0) / 2.0, x_weight / 2.0
+    fired = -np.expm1(-np.outer(u / theta, phi))  # [t, m]
+    share = (1.0 - fired)[:, None, :] + s[:, None] * fired[:, None, :]  # [t, s, m]
+    for f in range(phi.size):
+        others = np.delete(share, f, axis=2).prod(axis=2)  # [t, s]
+        revenue[j[f]] += ext / theta * (u_weight @ (fired[:, f] * (others @ s_weight)))
     return revenue
 
 

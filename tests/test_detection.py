@@ -77,14 +77,18 @@ class TestGeometricParam:
         assert n.mean() == pytest.approx((1 - p) / p, abs=3 * se)
 
     def test_negative_simulation_seed_rejected(self):
-        with pytest.raises(InvalidScenario, match="^seed must be a non-negative integer, got -1$"):
-            simulate_victim_blocks(0.1, 0.2, 0.05, AttackKind.FAW, 10, seed=-1)
+        for seed in (-1, 1.5):
+            with pytest.raises(InvalidScenario,
+                               match=f"^seed must be a non-negative integer, got {seed}$"):
+                simulate_victim_blocks(0.1, 0.2, 0.05, AttackKind.FAW, 10, seed=seed)
 
 
 class TestRewardDensity:
     def test_negative_seed_rejected(self):
-        with pytest.raises(InvalidScenario, match="seed must be a non-negative integer, got -1"):
-            DetectionScenario(0.1, 0.2, 0.05, AttackKind.FAW, periods=100, seed=-1)
+        for seed in (-1, 1.5):
+            with pytest.raises(InvalidScenario,
+                               match=f"seed must be a non-negative integer, got {seed}"):
+                DetectionScenario(0.1, 0.2, 0.05, AttackKind.FAW, periods=100, seed=seed)
 
     def test_honest_constant_baseline_is_flat(self):
         sc = DetectionScenario(0.1, 0.2, 0.0, AttackKind.FAW, periods=100, seed=0)
@@ -224,9 +228,10 @@ class TestEvasion:
         # refused at the boundary, also where a window of 1 draws nothing
         attack, _ = self._attack_series()
         for window in (1, 5):
-            with pytest.raises(InvalidScenario,
-                               match="^random_phase_seed must be a non-negative integer, got -1$"):
-                evasion_smoothing(attack, window, random_phase_seed=-1)
+            for seed in (-1, 1.5):
+                with pytest.raises(InvalidScenario, match=(
+                        f"^random_phase_seed must be a non-negative integer, got {seed}$")):
+                    evasion_smoothing(attack, window, random_phase_seed=seed)
 
     def test_random_phase_variant_still_detectable(self):
         attack, honest = self._attack_series()
@@ -318,8 +323,10 @@ class TestHashrateIngestion:
         assert all(r.size == 48 for r in hs.rates.values())
 
     def test_negative_generator_seed_rejected(self):
-        with pytest.raises(InvalidScenario, match="^seed must be a non-negative integer, got -1$"):
-            generate_synthetic_hashrates(hours=2, seed=-1)
+        for seed in (-1, 1.5):
+            with pytest.raises(InvalidScenario,
+                               match=f"^seed must be a non-negative integer, got {seed}$"):
+                generate_synthetic_hashrates(hours=2, seed=seed)
 
     def test_bundled_fixture_is_exactly_the_default_generation(self):
         from poolgame.detection import FIXTURE_PATH

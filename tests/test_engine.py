@@ -436,53 +436,52 @@ def _flags_into_few_victims():
     return np.array([0.3, 0.25, 0.2, 0.1]), m
 
 
+def _every_pair(alphas, n_flags):
+    """Pool powers and the FAW flags of the first ``n_flags`` ordered pairs
+    of distinct pools, row-major, each a share of the attacker's power that
+    grows with the host."""
+    alphas = np.array(alphas)
+    m = PairwiseActionMatrix.zeros(alphas.size)
+    pairs = [(i, j) for i in range(alphas.size) for j in range(alphas.size) if i != j]
+    for i, j in pairs[:n_flags]:
+        m.faw[i, j] = alphas[i] * (0.05 + 0.02 * j)
+    return alphas, m
+
+
 class TestArrayRevenueAgainstOracle:
-    """The array program of the exact revenue against the loop enumeration it
-    replaced (tests/npool_oracle.py): equal bit for bit, which keeps every
-    exact n-pool output as it was."""
+    """The set-weight sum of the exact revenue against the loop enumeration
+    it replaced and against a quadrature of the same revenue
+    (tests/npool_oracle.py), within 1e-13 of both. At twelve flags the loop
+    itself is 1.0e-13 from the quadrature and the sum 2.4e-15, so the
+    larger cases take the quadrature."""
 
     @given(npool_profiles(n_min=3, max_faw_flags=8))
     @example(_flags_into_few_victims())
     @settings(max_examples=300, deadline=None)
-    def test_equals_the_loop_bit_for_bit(self, profile):
+    def test_within_1e13_of_the_loop(self, profile):
         alphas, m = profile
-        assert np.array_equal(_npool_direct_revenue(alphas, m),
-                              npool_oracle.npool_direct_revenue(alphas, m))
+        np.testing.assert_allclose(_npool_direct_revenue(alphas, m),
+                                   npool_oracle.npool_direct_revenue(alphas, m),
+                                   rtol=0, atol=1e-13)
 
     def test_every_pair_of_four_pools(self):
-        # twelve flags: the released sets of more than five flags come in
-        # blocks of their own size
-        alphas = np.array([0.3, 0.25, 0.2, 0.15])
-        m = PairwiseActionMatrix.zeros(4)
-        for i in range(4):
-            for j in range(4):
-                if i != j:
-                    m.faw[i, j] = alphas[i] * (0.05 + 0.02 * j)
-        assert np.array_equal(_npool_direct_revenue(alphas, m),
-                              npool_oracle.npool_direct_revenue(alphas, m))
+        alphas, m = _every_pair([0.3, 0.25, 0.2, 0.15], 12)
+        np.testing.assert_allclose(_npool_direct_revenue(alphas, m),
+                                   npool_oracle.npool_direct_revenue_quadrature(alphas, m),
+                                   rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("padded_sizes, block_entries", [(5, 128), (1, 64), (9, 1)])
-    def test_block_layout_does_not_change_the_bits(self, padded_sizes, block_entries,
-                                                   monkeypatch):
-        # nine flags, the released sets split into blocks in other ways
-        alphas = np.array([0.3, 0.25, 0.2, 0.15])
-        m = PairwiseActionMatrix.zeros(4)
-        for i, j in [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (2, 0), (2, 3), (3, 1), (3, 2)]:
-            m.faw[i, j] = alphas[i] * (0.04 + 0.03 * j)
-        want = npool_oracle.npool_direct_revenue(alphas, m)
-        monkeypatch.setattr(engine, "_PADDED_SIZES", padded_sizes)
-        monkeypatch.setattr(engine, "_BLOCK_ENTRIES", block_entries)
-        engine._release_tables.cache_clear()
-        try:
-            assert np.array_equal(_npool_direct_revenue(alphas, m), want)
-        finally:
-            engine._release_tables.cache_clear()
+    def test_sixteen_flags(self):
+        # FAW_FLAG_CAP flags, too many for the loop
+        alphas, m = _every_pair([0.25, 0.2, 0.15, 0.1, 0.05], engine.FAW_FLAG_CAP)
+        np.testing.assert_allclose(_npool_direct_revenue(alphas, m),
+                                   npool_oracle.npool_direct_revenue_quadrature(alphas, m),
+                                   rtol=0, atol=1e-13)
 
     def test_seventeen_flags_refused_before_any_table(self, monkeypatch):
         def no_tables(n_flags):
             raise AssertionError(f"tables built for {n_flags} flags")
 
-        monkeypatch.setattr(engine, "_release_tables", no_tables)
+        monkeypatch.setattr(engine, "_victim_sets", no_tables)
         m = PairwiseActionMatrix.zeros(5)
         off_diagonal = [(i, j) for i in range(5) for j in range(5) if i != j]
         for i, j in off_diagonal[:17]:
@@ -767,10 +766,12 @@ FIVE_POOLS = ([0.25, 0.15, 0.10, 0.035, 0.02], action_matrix(
 # most power forks, so rounds where both flags fire are common
 MUTUAL_FORK = ([0.4, 0.3], action_matrix(2, faw=[(0, 1, 0.3), (1, 0, 0.25)]))
 NO_FAW = ([0.25, 0.2, 0.1], action_matrix(3, bwh=[(0, 1, 0.03), (2, 0, 0.02)]))
+# every ordered pair of four pools forks: twelve flags
+EVERY_PAIR = _every_pair([0.3, 0.25, 0.2, 0.15], 12)
 
 
 class TestMonteCarloSampler:
-    """The sampler against the exact enumeration over many seeds, so that its
+    """The sampler against the exact stage payoffs over many seeds, so that its
     correctness rests on no single pinned stream: per pool, the z-scores
     (estimate - exact) / stderr of the independent runs must have a mean
     within 4 standard errors of 0 and a standard deviation in [0.8, 1.2]."""
@@ -782,9 +783,10 @@ class TestMonteCarloSampler:
         (FIVE_POOLS, None),
         (MUTUAL_FORK, None),
         (NO_FAW, None),
+        (EVERY_PAIR, None),
         # 64 flag-first rounds per batch (6 flags): a run spans about 46 batches
         (FIVE_POOLS, 6 * 64),
-    ], ids=["five-pools", "mutual-fork", "no-faw", "five-pools-small-batches"])
+    ], ids=["five-pools", "mutual-fork", "no-faw", "every-pair", "five-pools-small-batches"])
     def test_z_scores_are_standard_normal(self, profile, chunk, monkeypatch):
         alphas, m = profile
         if chunk is not None:

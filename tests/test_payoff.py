@@ -322,8 +322,10 @@ class TestSimulateRounds:
         assert r1 == r2
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(InvalidScenario, match="seed must be a non-negative integer, got -1"):
-            simulate_rounds(0.2, 0.2, Action(0.05, 0), Action(), rounds=100, seed=-1)
+        for seed in (-1, 1.5):
+            with pytest.raises(InvalidScenario,
+                               match=f"seed must be a non-negative integer, got {seed}"):
+                simulate_rounds(0.2, 0.2, Action(0.05, 0), Action(), rounds=100, seed=seed)
 
 
 def _scenario(alphas, faw=(), bwh=()):
