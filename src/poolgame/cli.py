@@ -48,6 +48,8 @@ from .detection import (
 
 TABLE1_POOLS = {"antpool": 0.15, "viabtc": 0.10, "dpool": 0.035, "bixin": 0.02}
 TABLE1_ATTACKER = 0.25
+#: most ``--cells`` per axis: a sweep or audit holds arrays of cells**2 entries
+MAX_GRID_CELLS = 500
 
 
 def _parse_config_file(path) -> dict[str, str]:
@@ -288,9 +290,13 @@ def _attacker_power(alpha):
 
 
 def _grid_cells(n):
-    """``--cells``, checked: a power grid needs at least one cell per axis."""
+    """``--cells``, checked: a power grid needs at least one cell per axis and
+    allows at most MAX_GRID_CELLS, refused before any grid is allocated."""
     if n < 1:
         raise PoolGameError(f"the power grid needs at least 1 cell per axis, got {n}")
+    if n > MAX_GRID_CELLS:
+        raise PoolGameError(
+            f"the power grid allows at most {MAX_GRID_CELLS} cells per axis, got {n}")
     return n
 
 

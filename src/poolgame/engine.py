@@ -308,6 +308,8 @@ class PairwiseActionMatrix:
 
 
 FAW_FLAG_CAP = 16  # most simultaneous FAW infiltrations the exact payoffs price
+TOO_MANY_FLAGS = ("too many simultaneous FAW infiltrations for the exact payoffs "
+                  f"(at most {FAW_FLAG_CAP})")
 
 
 @lru_cache(maxsize=8)
@@ -354,7 +356,7 @@ def _npool_direct_revenue(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
     revenue = home / theta
     i, j = np.nonzero(matrix.faw > 0.0)
     if j.size > FAW_FLAG_CAP:
-        raise InvalidScenario("too many simultaneous FAW infiltrations for exact enumeration")
+        raise InvalidScenario(TOO_MANY_FLAGS)
     if not j.size:
         return revenue
     inside, _, weight = _victim_sets(j.size)
@@ -463,7 +465,7 @@ def optimal_simultaneous_attack(alphas, attacker: int, kind: AttackKind) -> np.n
     victims = np.delete(alphas, attacker)
     faw = kind is AttackKind.FAW
     if faw and victims.size > FAW_FLAG_CAP:
-        raise InvalidScenario("too many simultaneous FAW infiltrations for exact enumeration")
+        raise InvalidScenario(TOO_MANY_FLAGS)
     with np.errstate(invalid="ignore"):  # a pair holding all power has no one-sided optimum
         x = optimal_infiltration(kind, alpha, victims)
     x = np.where(x > 0.0, x, 0.5 * alpha / victims.size)

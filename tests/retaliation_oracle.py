@@ -3,7 +3,9 @@ oracle of the batched kernel (``ars.retaliate_cells``) and the batched sweeps.
 
 ``retaliate``, its helpers, ``_two_stage_cell``, ``deviation_outcome`` and
 ``_worst_ratio`` are the per-call code the package used before retaliation
-became an array kernel, unchanged apart from their imports;
+became an array kernel, unchanged apart from their imports and from
+``retaliate``'s grid search, which is ``retaliation_on_stage`` so that it
+can run on stage payoffs given directly;
 ``optimal_infiltration`` is the checked scalar dispatch they called then.
 ``two_stage_sweep`` and ``two_stage_ratio_sweep`` are the cell loops around
 ``_two_stage_cell``. ``SweepCell`` is the per-cell record the package's
@@ -117,6 +119,27 @@ def _pick_from_set(
     return selfish if equal is None else min(equal, selfish)
 
 
+def retaliation_on_stage(alpha_own, alpha_opp, stage, k):
+    """The grid search of ``retaliate`` on given stage payoffs (the stage as
+    played and as prescribed): ``(kind, power)``, or None when the BWH
+    candidate set is empty."""
+    coarse = power_grid(alpha_own, GRID_POINTS)
+    step = coarse[1] - coarse[0]
+    for kind, coef in ((AttackKind.FAW, k), (AttackKind.BWH, 1.0)):
+        members, u_under = _candidate_set(kind, stage, alpha_own, alpha_opp, coef, coarse)
+        if members.size:
+            break
+    else:
+        return None
+    optimum = optimal_infiltration(kind, alpha_own, alpha_opp)
+    x = _pick_from_set(stage, members, u_under, optimum)
+    members, u_under = _candidate_set(kind, stage, alpha_own, alpha_opp, coef,
+                                      _refined_grid(x, step, alpha_own))
+    if members.size:
+        x = _pick_from_set(stage, members, u_under, optimum)
+    return kind, x
+
+
 def retaliate(
     alpha_own: float,
     own_prev: Action,
@@ -132,31 +155,20 @@ def retaliate(
     opponent (e.g. it skipped a prescribed retaliation), since zero then
     enters both sets.
     """
-    coarse = power_grid(alpha_own, GRID_POINTS)
-    step = coarse[1] - coarse[0]
     # the two profiles both tests compare: the last stage as played, and as it
     # would have been had the opponent followed its prescription
     stage = (
         payoff_pair(alpha_own, alpha_opp, own_prev, opp_prev),
         payoff_pair(alpha_own, alpha_opp, own_prev, opp_prescribed),
     )
-    for kind, coef in ((AttackKind.FAW, k), (AttackKind.BWH, 1.0)):
-        members, u_under = _candidate_set(kind, stage, alpha_own, alpha_opp, coef, coarse)
-        if members.size:
-            break
-    else:
+    found = retaliation_on_stage(alpha_own, alpha_opp, stage, k)
+    if found is None:
         raise EmptySetUnexpected(
             f"BWH candidate set empty for alpha_own={alpha_own}, "
             f"alpha_opp={alpha_opp}, own_prev={own_prev}, opp_prev={opp_prev}, "
             f"opp_prescribed={opp_prescribed}"
         )
-    optimum = optimal_infiltration(kind, alpha_own, alpha_opp)
-    x = _pick_from_set(stage, members, u_under, optimum)
-    members, u_under = _candidate_set(kind, stage, alpha_own, alpha_opp, coef,
-                                      _refined_grid(x, step, alpha_own))
-    if members.size:
-        x = _pick_from_set(stage, members, u_under, optimum)
-    return Action.of(kind, x)
+    return Action.of(*found)
 
 
 def _two_stage_cell(alpha_1, alpha_2, attack: Action, k) -> SweepCell:

@@ -15,7 +15,9 @@ from poolgame.model import (
     ZERO_ACTION,
 )
 from poolgame.ars import ArsState, ars_step, initial_state, retaliate
+from poolgame.engine import two_stage_sweep
 from poolgame.payoff import (
+    StagePayoffs,
     one_sided_victim,
     optimal_bwh_infiltration,
     optimal_faw_infiltration,
@@ -37,14 +39,10 @@ def candidates(kind, alpha_own, alpha_opp, own_prev=ZERO_ACTION, opp_prev=ZERO_A
     """The members of the coarse candidate set ``retaliate`` builds for ``kind``."""
     actual = payoff_pair(alpha_own, alpha_opp, own_prev, opp_prev)
     prescribed = payoff_pair(alpha_own, alpha_opp, own_prev, opp_prescribed)
-    faw = kind is AttackKind.FAW
     grid = np.linspace(0.0, alpha_own, ars.GRID_POINTS)
-    ok, _ = ars._candidate_set(
-        np.array([faw]), k if faw else 1.0, np.array([[actual.u_j]]),
-        np.array([[prescribed.u_j + ALGEBRAIC_TOL]]), np.array([[alpha_own]]),
-        np.array([[alpha_opp]]), grid[None, :],
-    )
-    return grid[ok[0]]
+    ok, _ = ars._candidate_set(kind, k if kind is AttackKind.FAW else 1.0, actual.u_j,
+                               prescribed.u_j + ALGEBRAIC_TOL, alpha_own, alpha_opp, grid)
+    return grid[ok]
 
 
 def punished_state(opp_action: Action, k=K) -> ArsState:
@@ -288,3 +286,124 @@ class TestRetaliateAgainstOracle:
     @settings(max_examples=300, deadline=None)
     def test_one_cell_equals_the_scalar_grid_search(self, case):
         assert _result(retaliate, case) == _result(oracle.retaliate, case)
+
+
+@st.composite
+def stage_rows(draw, k):
+    """(alpha_own, alpha_opp, (actual u_i, actual u_j, prescribed u_i,
+    prescribed u_j)) for ``retaliate_cells`` with preference weight ``k``.
+    The stage comes from actions, or is set so that the candidate test,
+    equal retaliation's test or both change value where the victim's
+    payoff crosses its value at an edge point: within a step and a half of
+    the payoff's minimum, an interval of at most four grid points, or anywhere.
+    Half-network pools put the windows at the grid's end."""
+    power = st.one_of(st.floats(1e-3, 0.5), st.just(0.5))
+    alpha_own = draw(power)
+    alpha_opp = draw(power.filter(lambda a: alpha_own + a < 1.0))
+    if draw(st.booleans()):
+        def action(alpha):
+            x = draw(st.floats(0.0, 1.0)) * alpha
+            return Action(x, 0.0) if draw(st.booleans()) else Action(0.0, x)
+
+        own_prev = action(alpha_own)
+        actual = payoff_pair(alpha_own, alpha_opp, own_prev, action(alpha_opp))
+        prescribed = payoff_pair(alpha_own, alpha_opp, own_prev, action(alpha_opp))
+        return alpha_own, alpha_opp, (*actual, *prescribed)
+    kind = draw(st.sampled_from(AttackKind))
+    step = alpha_own / (ars.GRID_POINTS - 1)
+    # where the victim's payoff u(x) is least: the FAW optimum, or where
+    # (1 - x)(alpha_opp + x) peaks for BWH
+    low = (optimal_faw_infiltration(alpha_own, alpha_opp) if kind is AttackKind.FAW
+           else (1.0 - alpha_opp) / 2.0)
+
+    def u_at_edge():
+        # near the minimum, or anywhere: with k near 0 the candidate test is
+        # flat, and its float value flips wherever rounding takes it
+        x = draw(st.one_of(st.floats(-1.5, 1.5).map(lambda d: low + d * step),
+                           st.floats(0.0, alpha_own)))
+        return float(one_sided_victim(kind, alpha_own, alpha_opp, min(max(x, 0.0), alpha_own)))
+
+    pre_ui, pre_uj = draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2))
+    gain, loss = draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1))
+    if draw(st.booleans()):  # candidates: coef * u(x) < coef * u(edge)
+        gain = -(k if kind is AttackKind.FAW else 1.0) * u_at_edge()
+    if draw(st.booleans()):  # equal retaliation: u(x) <= u(edge)
+        loss = u_at_edge() - ALGEBRAIC_TOL
+    return alpha_own, alpha_opp, (pre_ui + loss, pre_uj + ALGEBRAIC_TOL + gain, pre_ui, pre_uj)
+
+
+@st.composite
+def stage_batches(draw):
+    """(rows, k): k is 0, nearly 0, small or any weight in [0, 1)."""
+    k = draw(st.one_of(st.sampled_from([0.0, 1e-12, 1e-3]),
+                       st.floats(0.0, 1.0, exclude_max=True)))
+    return draw(st.lists(stage_rows(k), min_size=1, max_size=12)), k
+
+
+def assert_rows_equal_the_grid_search(rows, k):
+    """``retaliate_cells`` on ``rows`` (see ``stage_rows``) against the
+    oracle's grid search, row by row: kind, power bits and empty set."""
+    own, opp, stage = (np.array(z, float) for z in zip(*rows))
+    faw, power, empty = ars.retaliate_cells(own, opp, stage.T.copy(), k)
+    for i, (a_own, a_opp, (act_ui, act_uj, pre_ui, pre_uj)) in enumerate(rows):
+        want = oracle.retaliation_on_stage(
+            a_own, a_opp, (StagePayoffs(act_ui, act_uj), StagePayoffs(pre_ui, pre_uj)), k)
+        if want is None:
+            assert empty[i] and not faw[i]
+        else:
+            assert not empty[i]
+            assert (faw[i], power[i].hex()) == (want[0] is AttackKind.FAW, float(want[1]).hex())
+
+
+class TestWindowsAgainstOracle:
+    """Every row of ``retaliate_cells`` priced on its windows equals the grid
+    search of the oracle bit for bit, kind, power and empty set alike."""
+
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        """Every pass prices windows, so every whole-grid pricing is a guard's
+        refusal; their count."""
+        calls = []
+        coarse = ars._coarse
+        monkeypatch.setattr(ars, "WINDOW_ROWS", 1)
+        monkeypatch.setattr(ars, "_coarse", lambda *args: calls.append(1) or coarse(*args))
+        return calls
+
+    def test_rows_equal_the_grid_search(self, refused):
+        @given(batch=stage_batches())
+        @settings(max_examples=300, deadline=None)
+        def check(batch):
+            assert_rows_equal_the_grid_search(*batch)
+
+        check()
+        assert refused
+
+    # k = 1e-12 and a deviation that gains 1e-12 u(x) at some x: the candidate
+    # test is flat, and rounding flips its float value away from the roots of
+    # its exact form. Windows without the guard take the BWH fallback on each.
+    FLAT = [(0.0163, 0.219, 0.19700000100000029, 0.197),
+            (0.0029, 0.261, -0.023999998999999998, -0.024),
+            (0.0082, 0.378, 0.11000000100000003, 0.11),
+            (0.0104, 0.371, -0.18499999899999997, -0.185),
+            (0.0297, 0.386, 0.13600000100000054, 0.136),
+            (0.0149, 0.176, -0.11199999899999971, -0.112)]
+
+    def test_flat_candidate_tests_are_refused(self, refused):
+        assert_rows_equal_the_grid_search(
+            [(own, opp, (0.05, act_uj, 0.0, pre_uj)) for own, opp, act_uj, pre_uj in self.FLAT],
+            1e-12)
+        assert refused
+
+
+def test_sixty_cell_sweep_prices_few_elements(monkeypatch):
+    # the benchmark's 60x60 FAW sweep; pricing every coarse column took 1,200,078
+    elements = []
+
+    def counting(*args):
+        u = one_sided_victim(*args)
+        elements.append(u.size)
+        return u
+
+    monkeypatch.setattr(ars, "one_sided_victim", counting)
+    two_stage_sweep(np.linspace(0.01, 0.5, 60), AttackKind.FAW)
+    assert sum(elements) <= 300_000

@@ -209,6 +209,17 @@ class TestGoldenOutputs:
          "28ec4465cc02528d0c0116f4f87c8709b58b18101e1f5dad42865538c0c276ac"),
         (["npool", *FIVE_POOLS, "--attack", "faw", "--rounds", "200000", "--seed", "2"],
          "abd0ec7de82b9105006e20305654bce998818838ac67d35ea4a5c1d2e7ebada6"),
+        # flat FAW candidate tests (k = 0 and k near 0) and retaliations at the
+        # end of a half-network pool's grid, recorded before the retaliation
+        # grids were windowed
+        (["sweep", "--attack", "faw", "--cells", "60", "--k", "0"],
+         "c3e963c3a74219eef97e68084a758a958f14fcfd26621b25ff3d5a7120335b78"),
+        (["sweep", "--attack", "faw", "--cells", "30", "--k", "0.001"],
+         "32d63a7b5a5e155994de60dcc988ecab23fd305278139295edea36fac8df43a1"),
+        (["sweep", "--attack", "bwh", "--fixed-alpha1", "0.5", "--cells", "20", "--k", "0.5"],
+         "b8f11dd327ca06c6ab6b3c8f1c97945fd673c9fae1eb7adabd52007954030201"),
+        (["delta-bound", "--alpha", "0.25", "0.15", "--k", "0"],
+         "9bc31b55b573194b28707d31abebb7f26386263feb47d29c37fd0bbf39cdcef7"),
     ])
     def test_byte_identical_to_pinned_digest(self, args, digest, capsys):
         code, out = run_cli(args, capsys)
@@ -258,6 +269,20 @@ class TestGridCells:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "at least 1 cell" in captured.err
+
+    # only refused sizes run here: an accepted size this large would allocate GiB
+    @pytest.mark.parametrize("args", [
+        ["audit-ipbwh", "--cells", "100000"],
+        ["sweep", "--attack", "faw", "--cells", "100000"],
+        ["sweep", "--attack", "faw", "--fixed-alpha1", "0.2", "--cells", "100000"],
+        ["sweep", "--attack", "bwh", "--cells", str(cli.MAX_GRID_CELLS + 1)],
+    ])
+    def test_oversized_grid_refused(self, args, capsys):
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert (f"at most {cli.MAX_GRID_CELLS} cells per axis, got {args[-1]}"
+                in captured.err)
 
 
 class TestCountInputs:

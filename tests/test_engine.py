@@ -370,7 +370,7 @@ def npool_profiles(draw, n_min=2, n_max=5, max_faw_flags=6):
     """Pool powers (each in [0.01, 0.5], total at most 0.95) and an attack
     matrix within every pool's budget; each ordered pair attacks with FAW,
     BWH or not at all. FAW flags beyond ``max_faw_flags`` become BWH, which
-    keeps the exact enumeration (2^flags states) small."""
+    keeps the exact set-weight sum (2^flags sets) small."""
     n = draw(st.integers(n_min, n_max))
     alphas = np.array(draw(st.lists(st.floats(0.01, 0.5), min_size=n, max_size=n)))
     if alphas.sum() > 0.95:
@@ -491,7 +491,7 @@ class TestArrayRevenueAgainstOracle:
             with pytest.raises(InvalidScenario) as err:
                 fn(alphas, m)
             assert str(err.value) == (
-                "too many simultaneous FAW infiltrations for exact enumeration")
+                "too many simultaneous FAW infiltrations for the exact payoffs (at most 16)")
 
 
 class TestTable3AttackSearch:
