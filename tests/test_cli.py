@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -780,3 +781,75 @@ def test_scipy_imported_only_by_block_ratio():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "0", "True"]
+
+
+# values at and past the edge of every numeric domain: zero, negatives, one
+# half, one, NaN, the infinities and integers beyond float precision and int64
+EDGE_VALUES = ["0", "-0.0", "-1", "0.5", "1", "nan", "inf", "-inf", "1e308",
+               str(10**30), str(-10**30)]
+# sizes stay small so that an example is cheap, and still reach 0, negatives
+# and values that are no integer
+SIZES = ["-1", "0", "1", "2", "3", "nan", "1.5"]
+SEEDS = ["0", "7", "-1", "nan", str(10**30)]
+
+
+@st.composite
+def contract_argv(draw):
+    """argv of a command that plays retaliation: ``npool``,
+    ``reproduce-table``, ``retaliate`` or ``delta-bound``. Half the examples
+    draw only plausible values, so that full runs occur as well as refusals;
+    the others draw each value from the edge values too."""
+    edges = draw(st.booleans())
+
+    def pick(plausible, edge_values=EDGE_VALUES):
+        return draw(st.one_of(plausible, st.sampled_from(edge_values)) if edges else plausible)
+
+    def number(top=0.3):
+        return pick(st.floats(0.0, top).map(repr))
+
+    def size(top=3):
+        return pick(st.integers(1, top).map(str), SIZES)
+
+    def option(flag, values):
+        return [flag, *values] if draw(st.booleans()) else []
+
+    k = option("--k", [pick(st.floats(0.0, 1.0, exclude_max=True).map(repr))])
+    seed = option("--seed", [pick(st.integers(0, 10**30).map(str), SEEDS)])
+    command = draw(st.sampled_from(["npool", "reproduce-table", "retaliate", "delta-bound"]))
+    if command == "npool":
+        powers = [number() for _ in range(draw(st.integers(0 if edges else 2, 5)))]
+        return ["npool", *(["--powers", *powers] if powers else []),
+                "--attack", draw(st.sampled_from(["faw", "bwh"])),
+                *option("--stages", [size()]),
+                *option("--rounds", [draw(st.sampled_from(["0", "200"])) if not edges
+                                     else size(200)]), *k, *seed]
+    if command == "reproduce-table":
+        return ["reproduce-table", pick(st.sampled_from(["1", "3"]), ["2", "nan"]),
+                *option("--rounds", [size(200)]), *k, *seed]
+    if command == "retaliate":
+        return ["retaliate", "--alpha", number(0.5), number(0.5),
+                "--opp-attack", *draw(st.permutations([number(), "0"])),
+                *option("--own-prev", [number(), number()]),
+                *option("--opp-prescribed", [number(), number()]), *k, *seed]
+    return ["delta-bound", "--alpha", number(0.5), number(0.5), *k, *seed]
+
+
+class TestCliContract:
+    """Whatever the input, a command exits 0, 1 or 2 and raises nothing out
+    of ``main``; exit 0 prints the header and only finite numbers, exit 1
+    exactly one ``error:`` line on stderr."""
+
+    @given(argv=contract_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_and_output(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert out.startswith(f"# seed=") and len(out.splitlines()) > 1
+            assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+        elif code == 1:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
