@@ -12,9 +12,7 @@ from .model import (
     PoolGameError,
     PoolId,
     PoolProfile,
-    Standing,
     ZERO_ACTION,
-    normalize_powers,
     validate_action,
 )
 from .payoff import (
@@ -27,12 +25,7 @@ from .payoff import (
     payoff_pair,
     simulate_rounds,
 )
-from .ars import (
-    ArsState,
-    ars_step,
-    initial_state,
-    retaliate,
-)
+from .ars import retaliate
 from .equilibrium import (
     DeltaBound,
     StageEquilibrium,

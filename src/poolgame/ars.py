@@ -1,10 +1,13 @@
 """Adaptive retaliation strategy: cooperate, punish deviations, forgive.
 
 An ARS agent starts every relationship with no-attack and keeps cooperating
-as long as the opponent does. Standings record, per pool, whether the last
-action matched what the strategy prescribed. Retaliation happens exactly in
-the (GOOD, BAD) state: the agent in good standing strikes back once against
-the opponent that deviated, then both return to cooperation.
+as long as the opponent does. A pool's standing toward an opponent is good
+when its last action matched what the strategy prescribed. Retaliation
+happens exactly in the (good, bad) state: the agent in good standing strikes
+back once against the opponent that deviated, then both return to
+cooperation. ``engine.run_npool`` keeps the standings and prescriptions of
+every ordered pair of pools as matrices and prices a stage's retaliations
+here, in one batch.
 
 The retaliation subroutine picks the attack vector in two steps. It first
 builds the *infiltration candidate set* of powers that make the opponent's
@@ -42,28 +45,19 @@ grid's, bit for bit. A row the guard refuses, and every row of a smaller
 pass, is priced on the whole grid.
 
 ``retaliate_cells`` is the one implementation, an array kernel over N
-retaliations (rows) given their powers and both profiles' stage payoffs;
-each grid is a (points, rows) array. A row's result does not depend on its
-batch, since windows and the whole grid give the same bits, so it is
-bit-identical to a one-row call. ``retaliate`` is the one-row case; the
-two-stage sweeps and ``equilibrium.delta_bound`` pass whole batches.
+retaliations (rows) given their powers, both profiles' stage payoffs and
+``k``, one weight or one per row; each grid is a (points, rows) array. A
+row's result does not depend on its batch, since windows and the whole grid
+give the same bits, so it is bit-identical to a one-row call. ``retaliate``
+is the one-row case; the two-stage sweeps, ``equilibrium.delta_bound`` and
+``engine.run_npool`` pass whole batches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from .model import (
-    ALGEBRAIC_TOL,
-    Action,
-    AttackKind,
-    EmptySetUnexpected,
-    InvalidScenario,
-    Standing,
-    ZERO_ACTION,
-)
+from .model import ALGEBRAIC_TOL, Action, AttackKind, EmptySetUnexpected
 from .payoff import (
     one_sided_victim,
     optimal_infiltration,
@@ -169,8 +163,8 @@ def _candidate_set(kind, coef, actual_uj, bound_uj, alpha_own, alpha_opp, grid):
             < U_opp(profile had the opponent followed its prescription)
 
     ``coef`` is ``k`` for FAW and 1 for BWH (``1.0 * u`` is exact).
-    ``actual_uj``, ``bound_uj`` (the prescribed U_opp plus ALGEBRAIC_TOL)
-    and the powers are (1, rows).
+    ``coef``, ``actual_uj``, ``bound_uj`` (the prescribed U_opp plus
+    ALGEBRAIC_TOL) and the powers are (1, rows).
     """
     u_under = one_sided_victim(kind, alpha_own, alpha_opp, grid)
     # strict inequality up to a margin, so boundary-equal candidates (e.g. 0
@@ -196,11 +190,11 @@ def _pick_from_set(loss_i, grid, ok, u_under, optimum):
     return (grid + ~(sat | (dist == dist.min(axis=0))) * _FAR).min(axis=0)
 
 
-def _grid_pick(kind, coef, rows):
+def _grid_pick(kind, rows):
     """The coarse pick on the whole grid of ``rows`` (see ``_retaliation``):
     whether each row has a candidate, then the pick and the optimum of the
     rows that do (None if none does)."""
-    own, opp, act_uj, bound_uj, loss_i, step = rows
+    own, opp, act_uj, bound_uj, loss_i, step, coef = rows
     coarse = _coarse(own, step)
     ok, u_under = _candidate_set(kind, coef, act_uj, bound_uj, own, opp, coarse)
     found = np.logical_or.reduce(ok, axis=0)
@@ -214,18 +208,18 @@ def _grid_pick(kind, coef, rows):
     return found, _pick_from_set(loss_i, coarse, ok, u_under, optimum), optimum
 
 
-def _window_pick(kind, coef, rows):
+def _window_pick(kind, rows):
     """``_grid_pick`` for a pass of at least WINDOW_ROWS rows. Rows whose
     tests the guard certifies are priced on the windows of both tests and
     on the optimum's neighbours; the others on the whole grid."""
-    own, opp, act_uj, bound_uj, loss_i, step = rows
+    own, opp, act_uj, bound_uj, loss_i, step, coef = rows
     slope = 1.0 - own - opp if kind is AttackKind.FAW else 0.0  # the victim's N(x) = v + slope x
     # both tests as Q > 0 (see _windowed): the candidate test with
     # a = (bound - actual) + coef and c = coef, and equal retaliation's
     # u(x) <= loss + ALGEBRAIC_TOL with a = (loss + ALGEBRAIC_TOL) + 1 and c = 1
     (windows, equal), sure = _windowed(
         np.concatenate([(bound_uj - act_uj) + coef, (loss_i + ALGEBRAIC_TOL) + 1.0]),
-        np.array([[coef], [1.0]]),
+        np.concatenate([coef, np.ones_like(coef)]),
         CERT_MARGIN * np.concatenate([1.0 + np.abs(act_uj) + np.abs(bound_uj),
                                       1.0 + np.abs(loss_i)]),
         slope, opp, own, step)
@@ -234,7 +228,8 @@ def _window_pick(kind, coef, rows):
     refused = np.flatnonzero(~sure)
     if refused.size:  # priced once on the whole grid, for their candidates and their pick
         grid = _coarse(own[:, refused], step[:, refused])
-        grid_ok, grid_u = _candidate_set(kind, coef, act_uj[:, refused], bound_uj[:, refused],
+        grid_ok, grid_u = _candidate_set(kind, coef[:, refused], act_uj[:, refused],
+                                         bound_uj[:, refused],
                                          own[:, refused], opp[:, refused], grid)
         found[refused] = np.logical_or.reduce(grid_ok, axis=0)
     if not found.any():
@@ -247,9 +242,9 @@ def _window_pick(kind, coef, rows):
                                     optimum[:, refused])
     picked, opt = np.flatnonzero(found & sure), optimum
     if picked.size < found.size:
-        own, opp, act_uj, bound_uj, loss_i, step, windows, ok, u_under, equal, opt = (
-            z[:, picked] for z in (own, opp, act_uj, bound_uj, loss_i, step, windows, ok,
-                                   u_under, equal, optimum))
+        own, opp, act_uj, bound_uj, loss_i, step, coef, windows, ok, u_under, equal, opt = (
+            z[:, picked] for z in (own, opp, act_uj, bound_uj, loss_i, step, coef, windows,
+                                   ok, u_under, equal, optimum))
     # the optimum's neighbours: the columns floor(optimum / step) - 2 to + 2
     near = np.clip(np.floor(opt[0] / step[0]) - WINDOW // 2, 0.0, GRID_POINTS - WINDOW)
     more = np.concatenate([equal, _window_points(near, own, step)])
@@ -260,21 +255,21 @@ def _window_pick(kind, coef, rows):
     return found, x[found], optimum[:, found]
 
 
-def _retaliation(kind, coef, rows):
+def _retaliation(kind, rows):
     """Retaliation with ``kind`` on ``rows``, the (1, n) arrays (own power,
     opponent's power, actual U_opp, the candidate test's bound, my loss,
-    coarse step): whether each row's candidate set is non-empty, and the
-    power picked where it is (0.0 elsewhere). The coarse pick is
-    ``_window_pick``'s in a pass of at least WINDOW_ROWS rows, else
-    ``_grid_pick``'s; then one refinement pass."""
+    coarse step, the candidate test's coefficient): whether each row's
+    candidate set is non-empty, and the power picked where it is (0.0
+    elsewhere). The coarse pick is ``_window_pick``'s in a pass of at least
+    WINDOW_ROWS rows, else ``_grid_pick``'s; then one refinement pass."""
     pick = _window_pick if rows[0].shape[1] >= WINDOW_ROWS else _grid_pick
-    found, x, optimum = pick(kind, coef, rows)
+    found, x, optimum = pick(kind, rows)
     power = np.zeros(found.size)
     if x is None:
         return found, power
     if x.size < found.size:
         rows = [z[:, found] for z in rows]
-    own, opp, act_uj, bound_uj, loss_i, step = rows
+    own, opp, act_uj, bound_uj, loss_i, step, coef = rows
     x = x[None, :]
     # one refinement pass: a 10x denser grid within one coarse step of x.
     # Python's max(0.0, .), min(alpha, .) and round: no operand is -0.0 or
@@ -291,12 +286,12 @@ def _retaliation(kind, coef, rows):
     return found, power
 
 
-def _passes(kind, coef, rows):
+def _passes(kind, rows):
     """``_retaliation`` over ``rows`` in passes of BATCH_ROWS rows."""
     n = rows[0].shape[1]
     if n <= BATCH_ROWS:
-        return _retaliation(kind, coef, rows)
-    parts = [_retaliation(kind, coef, [z[:, i:i + BATCH_ROWS] for z in rows])
+        return _retaliation(kind, rows)
+    parts = [_retaliation(kind, [z[:, i:i + BATCH_ROWS] for z in rows])
              for i in range(0, n, BATCH_ROWS)]
     return tuple(np.concatenate(part) for part in zip(*parts))
 
@@ -307,7 +302,8 @@ def retaliate_cells(alpha_own, alpha_opp, stage, k):
     ``alpha_own`` and ``alpha_opp`` are (N,) float arrays of valid powers;
     ``stage`` is a (4, N) array of (actual u_i, actual u_j, prescribed u_i,
     prescribed u_j): the stage payoffs of the last stage as played and as
-    the opponent's prescription would have had it. Returns ``(faw, power,
+    the opponent's prescription would have had it; ``k`` is one preference
+    weight or an (N,) array of one per row. Returns ``(faw, power,
     empty)``: whether each row retaliates with FAW (else BWH), its power,
     and the rows whose BWH candidate set came out empty (their power is 0.0
     and means nothing), which the callers report. Tries FAW on every row,
@@ -316,17 +312,17 @@ def retaliate_cells(alpha_own, alpha_opp, stage, k):
     """
     act_ui, act_uj, pre_ui, pre_uj = stage[:, None, :]
     own = alpha_own[None, :]
-    # the right side of the candidate test, my loss from the deviation and
-    # the coarse grid's step
+    # the right side of the candidate test, my loss from the deviation, the
+    # coarse grid's step and the FAW candidate test's coefficient k
     rows = [own, alpha_opp[None, :], act_uj, pre_uj + ALGEBRAIC_TOL, act_ui - pre_ui,
-            own / (GRID_POINTS - 1)]
-    faw, power = _passes(AttackKind.FAW, k, rows)
+            own / (GRID_POINTS - 1), np.broadcast_to(np.asarray(k, float), own.shape)]
+    faw, power = _passes(AttackKind.FAW, rows)
     empty = np.zeros_like(faw)
     rest = np.flatnonzero(~faw)
     if rest.size:  # the BWH fallback, on the rows without a FAW candidate
         if rest.size < faw.size:
             rows = [z[:, rest] for z in rows]
-        bwh, power[rest] = _passes(AttackKind.BWH, 1.0, rows)
+        bwh, power[rest] = _passes(AttackKind.BWH, [*rows[:-1], np.ones_like(rows[0])])
         empty[rest] = ~bwh
     return faw, power, empty
 
@@ -366,89 +362,3 @@ def retaliate(
     if empty[0]:
         raise _empty_set_error(alpha_own, alpha_opp, own_prev, opp_prev, opp_prescribed)
     return Action.of(AttackKind.FAW if faw[0] else AttackKind.BWH, x[0])
-
-
-@dataclass(frozen=True)
-class ArsState:
-    """Per-agent bookkeeping between stages.
-
-    Tracks the last stage's actions and prescriptions for both sides; the
-    opponent's prescription is reconstructed from public history, so a pool
-    can judge the opponent's standing without trusting it.
-    """
-
-    k: float
-    own_standing: Standing = Standing.GOOD
-    opp_standing: Standing = Standing.GOOD
-    last_own_action: Action | None = None
-    last_own_prescribed: Action | None = None
-    last_opp_action: Action | None = None
-    last_opp_prescribed: Action | None = None
-
-    def with_observed(self, own_action: Action, opp_action: Action) -> "ArsState":
-        """Replace the provisional last actions with what was actually played."""
-        return replace(self, last_own_action=own_action, last_opp_action=opp_action)
-
-
-def initial_state(k: float) -> ArsState:
-    if not (0.0 <= k < 1.0):
-        raise InvalidScenario(f"k must be in [0, 1), got {k}")
-    return ArsState(k=k)
-
-
-def _standing(action: Action | None, prescribed: Action | None) -> Standing:
-    if action is None or prescribed is None:
-        return Standing.GOOD
-    return Standing.GOOD if action.approx_eq(prescribed) else Standing.BAD
-
-
-def ars_step(
-    state: ArsState,
-    alpha_own: float,
-    alpha_opp: float,
-) -> tuple[Action, ArsState]:
-    """One strategy step: update standings, prescribe this stage's action.
-
-    Returns the prescribed action and the advanced state. The new state
-    assumes both sides play their prescriptions; when the engine injects a
-    deviation it patches the state with :meth:`ArsState.with_observed`.
-    """
-    own_standing = _standing(state.last_own_action, state.last_own_prescribed)
-    opp_standing = _standing(state.last_opp_action, state.last_opp_prescribed)
-
-    if own_standing is Standing.GOOD and opp_standing is Standing.BAD:
-        action = retaliate(
-            alpha_own,
-            state.last_own_action or ZERO_ACTION,
-            alpha_opp,
-            state.last_opp_action or ZERO_ACTION,
-            state.last_opp_prescribed or ZERO_ACTION,
-            state.k,
-        )
-    else:
-        action = ZERO_ACTION
-
-    # what this strategy would prescribe to the opponent, from public history
-    # and judged by this pool's own k (the opponent's k may differ)
-    if opp_standing is Standing.GOOD and own_standing is Standing.BAD:
-        opp_prescribed = retaliate(
-            alpha_opp,
-            state.last_opp_action or ZERO_ACTION,
-            alpha_own,
-            state.last_own_action or ZERO_ACTION,
-            state.last_own_prescribed or ZERO_ACTION,
-            state.k,
-        )
-    else:
-        opp_prescribed = ZERO_ACTION
-
-    new_state = ArsState(
-        k=state.k,
-        own_standing=own_standing,
-        opp_standing=opp_standing,
-        last_own_action=action,
-        last_own_prescribed=action,
-        last_opp_action=opp_prescribed,
-        last_opp_prescribed=opp_prescribed,
-    )
-    return action, new_state

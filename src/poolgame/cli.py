@@ -396,8 +396,13 @@ def _cmd_detect(args):
 
 def _cmd_delta_bound(args):
     b = delta_bound(*args.alpha, _preference_weight(args.k))
+    # a class whose sampled deviations all go unpunished (punishment below
+    # OPTIMIZER_TOL) has no ratio: its maximum is -inf
+    if b.bound == -np.inf:
+        raise PoolGameError("no sampled deviation is punished measurably, so there is no bound")
     lines = ["alpha1,alpha2,k,bound", f"{b.alpha_1},{b.alpha_2},{b.k},{b.bound:.8f}"]
-    lines += [f"# {name}: {v:.8f}" for name, v in sorted(b.case_maxima.items())]
+    lines += [f"# {name}: {v:.8f}" if v > -np.inf else f"# {name}: none"
+              for name, v in sorted(b.case_maxima.items())]
     return lines
 
 

@@ -1,18 +1,19 @@
 """Repeated-game execution, deviation scenarios, sweeps, and the n-pool game.
 
 One runner, :func:`run_npool`, plays every game with n >= 2 pools. It keeps
-ARS bookkeeping per ordered pair of pools, fills a
-:class:`PairwiseActionMatrix` with the prescriptions and each strategy's
-overrides, and records exact stage payoffs: the ``payoff_pair`` closed form
-for two pools, for more a sum over the sets of withheld FAW blocks whose
-weights are the inclusion-exclusion of the round race in closed form. The
-Monte-Carlo path samples the same round race (``payoff._sample_rounds``) and
-reports a standard error; the two-pool closed form is the exact sum's
-reduction oracle. The one-shot attack on several pools at once maximizes a
-closed form of the attacker's own stage payoff by Newton's method: with the
-attacker's row the only attack, the pot system is triangular and the FAW
-revenue a sum over victim sets, so payoff, gradient and Hessian need no
-enumeration and no solve.
+the ARS bookkeeping of every ordered pair of pools as matrices (standings
+from the last actions and prescriptions, one ``ars.retaliate_cells`` batch
+for a stage's retaliations), fills a :class:`PairwiseActionMatrix` with the
+prescriptions and each strategy's overrides, and records exact stage
+payoffs: the ``payoff_pair`` closed form for two pools, for more a sum over
+the sets of withheld FAW blocks whose weights are the inclusion-exclusion
+of the round race in closed form. The Monte-Carlo path samples the same
+round race (``payoff._sample_rounds``) and reports a standard error; the
+two-pool closed form is the exact sum's reduction oracle. The one-shot
+attack on several pools at once maximizes a closed form of the attacker's
+own stage payoff by Newton's method: with the attacker's row the only
+attack, the pot system is triangular and the FAW revenue a sum over victim
+sets, so payoff, gradient and Hessian need no enumeration and no solve.
 
 The two-stage sweeps are array expressions over all their cells (batched
 ``payoff_pair_raw``, ``ars.retaliate_cells``), bit-identical to a per-cell
@@ -30,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import (
+    ACTION_TOL,
     ALGEBRAIC_TOL,
     Action,
     AttackKind,
@@ -52,7 +54,7 @@ from .payoff import (
     payoff_pair,
     payoff_pair_raw,
 )
-from .ars import _empty_set_error, ars_step, initial_state, retaliate_cells
+from .ars import _empty_set_error, retaliate_cells
 
 DEFAULT_K_NEAR_ONE = 0.999  # realizes "preference weight just under 1"
 SWEEP_POWER_CAP = 0.9  # two-pool sweeps skip cells whose pools hold more together
@@ -430,7 +432,10 @@ def _ascend(alpha, victims, ext, x, faw: bool) -> np.ndarray:
     """
     u, grad, hess = _attack_payoff(alpha, victims, ext, x, faw)
     for _ in range(ATTACK_MAX_STEPS):
-        step = np.linalg.solve(hess, -grad)
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:  # seen at powers far below 1e-20
+            raise NonConvergence("the attack search met a singular Hessian", x) from None
         while True:
             y = x + step
             if (y >= 0.0).all() and y.sum() <= alpha:
@@ -473,13 +478,64 @@ def optimal_simultaneous_attack(alphas, attacker: int, kind: AttackKind) -> np.n
     return np.insert(_ascend(alpha, victims, 1.0 - alphas.sum(), x, faw), attacker, 0.0)
 
 
+def _followed(faw, bwh, prescribed: PairwiseActionMatrix) -> np.ndarray:
+    """Where the actions (faw, bwh) matched ``prescribed``: ``Action.approx_eq``
+    entry by entry."""
+    return ((np.abs(faw - prescribed.faw) <= ACTION_TOL)
+            & (np.abs(bwh - prescribed.bwh) <= ACTION_TOL))
+
+
+def _ars_prescriptions(alphas, k, played, own, opp):
+    """One ARS step of every ordered pair (i, j) of pools: this stage's
+    prescriptions ``(own, opp)`` from the last stage's actions ``played``
+    and prescriptions ``own`` and ``opp``.
+
+    ``own[i, j]`` is pool i's prescription toward j, and ``opp[i, j]`` what
+    pool i, by its own k, prescribes j toward i. Pool i is in good standing
+    toward j where ``played[i, j]`` matched ``own[i, j]``, and j in i's eyes
+    where ``played[j, i]`` matched ``opp[i, j]``. A pair in (good, bad)
+    retaliates: ``own[i, j]`` becomes i's retaliation against j. A pair in
+    (bad, good) judges the retaliation j owes i: ``opp[i, j]`` becomes it.
+    The rows of both, in row-major pair order, are one ``retaliate_cells``
+    batch with each pair's ``k[i]``; every other entry is no-attack.
+    """
+    n = len(alphas)
+    new_own, new_opp = PairwiseActionMatrix.zeros(n), PairwiseActionMatrix.zeros(n)
+    good = _followed(played.faw, played.bwh, own)
+    opp_good = _followed(played.faw.T, played.bwh.T, opp)
+    strike = good & ~opp_good
+    i, j = np.nonzero(strike | (opp_good & ~good))
+    if not i.size:
+        return new_own, new_opp
+    # each row's retaliator a against b, and the prescription b's last action
+    # is judged by
+    s = strike[i, j]
+    a, b = np.where(s, i, j), np.where(s, j, i)
+    judged = np.where(s, opp.faw[i, j], own.faw[i, j]), np.where(s, opp.bwh[i, j], own.bwh[i, j])
+    power = np.asarray(alphas, float)
+    last = played.faw[a, b], played.bwh[a, b]
+    actual = payoff_pair_raw(power[a], power[b], *last, played.faw[b, a], played.bwh[b, a])
+    prescribed = payoff_pair_raw(power[a], power[b], *last, *judged)
+    faw, x, empty = retaliate_cells(power[a], power[b], np.array([*actual, *prescribed]), k[i])
+    for r in np.flatnonzero(empty)[:1]:
+        raise _empty_set_error(alphas[a[r]], alphas[b[r]], played.action(a[r], b[r]),
+                               played.action(b[r], a[r]),
+                               Action(float(judged[0][r]), float(judged[1][r])))
+    for rows, m in ((s, new_own), (~s, new_opp)):
+        m.faw[i[rows], j[rows]] = np.where(faw, x, 0.0)[rows]
+        m.bwh[i[rows], j[rows]] = np.where(faw, 0.0, x)[rows]
+    return new_own, new_opp
+
+
 def run_npool(
     config: GameConfig,
     strategies: Sequence[Strategy],
     stages: int,
     payoff_rounds: int | None = None,
 ) -> History:
-    """Play the repeated game of n >= 2 pools with per-pair ARS bookkeeping.
+    """Play the repeated game of n >= 2 pools: every pool follows ARS toward
+    every other (``_ars_prescriptions``, one retaliation batch per stage),
+    then its strategy's overrides replace entries of its row.
 
     Recorded stage payoffs are exact expectations by default; pass
     ``payoff_rounds`` to estimate them by Monte-Carlo instead, each stage
@@ -494,24 +550,21 @@ def run_npool(
         raise InvalidScenario("at least two pools and one strategy per pool required")
     if stages < 1:
         raise InvalidScenario(f"the game needs at least 1 stage, got {stages}")
-    states = {
-        (i, j): initial_state(strategies[i].k)
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    }
+    for strat in strategies:
+        # written so that NaN fails the test
+        if not 0.0 <= strat.k < 1.0:
+            raise InvalidScenario(f"k must be in [0, 1), got {strat.k}")
+    k = np.array([strat.k for strat in strategies], float)
+    # at the start every standing is good: nothing played, nothing prescribed
+    played = own = opp = PairwiseActionMatrix.zeros(n)
     records = []
     for t in range(stages):
-        matrix = PairwiseActionMatrix.zeros(n)
-        for (i, j), st in states.items():
-            a, states[i, j] = ars_step(st, alphas[i], alphas[j])
-            matrix.faw[i, j], matrix.bwh[i, j] = a.faw, a.bwh
+        own, opp = _ars_prescriptions(alphas, k, played, own, opp)
+        matrix = PairwiseActionMatrix(own.faw.copy(), own.bwh.copy())
         for i, strat in enumerate(strategies):
             for j, a in strat.pick(t, i, alphas).items():
                 matrix.faw[i, j], matrix.bwh[i, j] = a.faw, a.bwh
-        matrix.validate(alphas)
-        for (i, j), st in states.items():
-            states[i, j] = st.with_observed(matrix.action(i, j), matrix.action(j, i))
+        played = matrix.validate(alphas)
         if payoff_rounds:
             u, _ = npool_stage_payoffs_mc(alphas, matrix, payoff_rounds, config.seed + t)
         elif n == 2:

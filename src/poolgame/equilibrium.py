@@ -13,8 +13,9 @@ contributes a family of payoff ratios (deviation gain over punishment size);
 the bound is the maximum over the class families and a deviation grid, and by
 construction of the candidate sets it stays below 1. Classes sharing a
 stage-0 profile share their outcomes, so each profile is evaluated once,
-as one batch over the deviation grid (``ars.retaliate_cells`` for the
-punisher's retaliations, batched ``payoff_pair_raw`` for the payoffs).
+and each side's profiles are one batch over the deviation grid
+(``ars.retaliate_cells`` for the punisher's retaliations, batched
+``payoff_pair_raw`` for the payoffs).
 
 The BWH audit checks every power cell at once, as one array program. Each
 family of deviation gaps is a least rounded difference fl(p - d) over a
@@ -196,28 +197,37 @@ def _subgame_cases(alpha_pun, alpha_dev, k, prior_kind: AttackKind):
     )
 
 
-def _deviation_outcomes(case, alpha_pun, alpha_dev, deviations, k):
-    """``deviation_outcome`` for a list of deviations at once: (gain,
-    punishment) arrays in their order and the scalar compliance payoff.
-    The punisher's retaliations are one ``retaliate_cells`` batch."""
-    pun0, prescribed = case.punisher_stage0, case.deviator_prescribed
-    comp = payoff_pair(alpha_pun, alpha_dev, pun0, prescribed)
-    dev_f = np.array([d.faw for d in deviations], float)
-    dev_b = np.array([d.bwh for d in deviations], float)
+def _deviation_outcomes(profiles, alpha_pun, alpha_dev, deviations, k):
+    """``deviation_outcome`` for every deviation under every stage-0 profile
+    (punisher's action, deviator's prescription) at once: (gain, punishment)
+    arrays of shape (profiles, deviations) and the compliance payoffs
+    (profiles,). The punisher's retaliations are one ``retaliate_cells``
+    batch, profile by profile in their order."""
+    comp = [payoff_pair(alpha_pun, alpha_dev, pun0, prescribed) for pun0, prescribed in profiles]
+    shape = (len(profiles), len(deviations))
+    dev_f = np.tile(np.array([d.faw for d in deviations], float), shape[0])
+    dev_b = np.tile(np.array([d.bwh for d in deviations], float), shape[0])
     zero = np.zeros_like(dev_f)
+
+    def per_profile(values):
+        return np.repeat(np.array(values, float), shape[1])
+
     # the stage as played: the deviator's payoff is its gain
-    u_pun0, gain = payoff_pair_raw(alpha_pun, alpha_dev, np.full_like(dev_f, pun0.faw),
-                                   np.full_like(dev_f, pun0.bwh), dev_f, dev_b)
+    u_pun0, gain = payoff_pair_raw(alpha_pun, alpha_dev,
+                                   per_profile([pun0.faw for pun0, _ in profiles]),
+                                   per_profile([pun0.bwh for pun0, _ in profiles]), dev_f, dev_b)
     faw, x, empty = retaliate_cells(
         np.full_like(dev_f, alpha_pun), np.full_like(dev_f, alpha_dev),
-        np.array([u_pun0, gain, np.full_like(dev_f, comp.u_i), np.full_like(dev_f, comp.u_j)]),
+        np.array([u_pun0, gain, per_profile([u.u_i for u in comp]),
+                  per_profile([u.u_j for u in comp])]),
         k,
     )
-    for i in np.flatnonzero(empty)[:1]:
-        raise _empty_set_error(alpha_pun, alpha_dev, pun0, deviations[i], prescribed)
+    for r in np.flatnonzero(empty)[:1]:
+        pun0, prescribed = profiles[r // shape[1]]
+        raise _empty_set_error(alpha_pun, alpha_dev, pun0, deviations[r % shape[1]], prescribed)
     punishment = payoff_pair_raw(alpha_pun, alpha_dev, np.where(faw, x, 0.0),
                                  np.where(faw, 0.0, x), zero, zero)[1]
-    return gain, punishment, comp.u_j
+    return gain.reshape(shape), punishment.reshape(shape), np.array([u.u_j for u in comp])
 
 
 def deviation_outcome(
@@ -237,8 +247,9 @@ def deviation_outcome(
     """
     # refuses invalid powers and actions with the errors a per-deviation call raised
     payoff_pair(alpha_pun, alpha_dev, case.punisher_stage0, deviation)
-    gain, punishment, comp = _deviation_outcomes(case, alpha_pun, alpha_dev, [deviation], k)
-    return float(gain[0]), float(punishment[0]), comp
+    gain, punishment, comp = _deviation_outcomes(
+        [(case.punisher_stage0, case.deviator_prescribed)], alpha_pun, alpha_dev, [deviation], k)
+    return float(gain[0, 0]), float(punishment[0, 0]), float(comp[0])
 
 
 def _deviation_grid(alpha_dev, n):
@@ -246,10 +257,10 @@ def _deviation_grid(alpha_dev, n):
     return [Action(f, 0.0) for f in g] + [Action(0.0, b) for b in g]
 
 
-def _worst_ratio(case, alpha_pun, alpha_dev, deviations, k) -> float:
-    """Largest (compliance - gain) / punishment over one class's deviations,
-    skipping those whose punishment-stage payoff is (near) zero."""
-    gain, punishment, comp = _deviation_outcomes(case, alpha_pun, alpha_dev, deviations, k)
+def _worst_ratio(gain, punishment, comp) -> float:
+    """Largest (compliance - gain) / punishment over one class's deviations
+    (its row of ``_deviation_outcomes``), skipping those whose
+    punishment-stage payoff is (near) zero."""
     counted = np.abs(punishment) >= OPTIMIZER_TOL
     ratios = (comp - gain[counted]) / punishment[counted]
     # the first largest, as Python's max over the deviations in order
@@ -269,20 +280,25 @@ def delta_bound(
     deviation actions for both pools as deviator; ratios whose punishment-stage
     payoff is (near) zero are skipped. A class's outcomes depend only on its
     stage-0 profile (punisher's action, deviator's prescription), so each side
-    evaluates the deviation grid once per distinct profile: cooperating under
-    either prior and mutual-bad all share the no-attack profile.
+    evaluates the deviation grid once per distinct profile, all profiles in
+    one batch: cooperating under either prior and mutual-bad all share the
+    no-attack profile.
     """
     case_maxima: dict[str, float] = {}
     for alpha_pun, alpha_dev, side in ((alpha_1, alpha_2, 2), (alpha_2, alpha_1, 1)):
+        # the cases first: they refuse invalid powers before any grid is built
+        cases = [case for prior in (AttackKind.FAW, AttackKind.BWH)
+                 for case in _subgame_cases(alpha_pun, alpha_dev, k, prior)]
         deviations = _deviation_grid(alpha_dev, deviation_resolution)
-        worst: dict[tuple[Action, Action], float] = {}  # by stage-0 profile
-        for prior in (AttackKind.FAW, AttackKind.BWH):
-            for case in _subgame_cases(alpha_pun, alpha_dev, k, prior):
-                profile = (case.punisher_stage0, case.deviator_prescribed)
-                if profile not in worst:
-                    worst[profile] = _worst_ratio(case, alpha_pun, alpha_dev, deviations, k)
-                key = f"pool{side}:{case.name}"
-                case_maxima[key] = max(case_maxima.get(key, -np.inf), worst[profile])
+        profiles = list(dict.fromkeys((c.punisher_stage0, c.deviator_prescribed) for c in cases))
+        gain, punishment, comp = _deviation_outcomes(profiles, alpha_pun, alpha_dev,
+                                                     deviations, k)
+        worst = {p: _worst_ratio(gain[r], punishment[r], comp[r])
+                 for r, p in enumerate(profiles)}
+        for case in cases:
+            key = f"pool{side}:{case.name}"
+            worst_case = worst[case.punisher_stage0, case.deviator_prescribed]
+            case_maxima[key] = max(case_maxima.get(key, -np.inf), worst_case)
     return DeltaBound(alpha_1=alpha_1, alpha_2=alpha_2, k=k,
                       bound=float(max(case_maxima.values())), case_maxima=case_maxima,
                       duplicate_cases=(("cooperating", "mutual-bad"),))
@@ -338,12 +354,6 @@ def _window_maxima(u, lo, n: int) -> np.ndarray:
     if loose.size:
         top[loose] = u(np.arange(n)[:, None], loose).max(axis=0)
     return top
-
-
-def _row_maxima(u, size: int, n: int) -> np.ndarray:
-    """Maximum of each of ``size`` rows of n grid values: the window around
-    each row's own bisection bracket."""
-    return _window_maxima(u, _brackets(u, size, n), n)
 
 
 def _family1_minima(a1, a2, dev, cell, caps) -> np.ndarray:

@@ -44,14 +44,6 @@ class InvalidPowers(PoolGameError):
     pass
 
 
-class EmptyInput(PoolGameError):
-    pass
-
-
-class NonPositiveEntry(PoolGameError):
-    pass
-
-
 class DegenerateDenominator(PoolGameError):
     pass
 
@@ -72,13 +64,6 @@ class NonConvergence(PoolGameError):
     def __init__(self, message, last_iterate=None):
         super().__init__(message)
         self.last_iterate = last_iterate
-
-
-class Standing(enum.Enum):
-    """Whether a pool followed its prescribed strategy at the last stage."""
-
-    GOOD = "good"
-    BAD = "bad"
 
 
 class AttackKind(enum.Enum):
@@ -188,18 +173,6 @@ def check_seed(seed, name: str = "seed") -> None:
     integers pass (NaN, floats and negatives fail)."""
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise InvalidScenario(f"{name} must be a non-negative integer, got {seed}")
-
-
-def normalize_powers(raw) -> list[float]:
-    """Scale positive mining powers so they sum to 1, preserving order."""
-    values = [float(v) for v in raw]
-    if not values:
-        raise EmptyInput("no powers given")
-    for i, v in enumerate(values):
-        if v <= 0.0 or not np.isfinite(v):
-            raise NonPositiveEntry(f"entry {i} is not a positive number: {v}")
-    total = sum(values)
-    return [v / total for v in values]
 
 
 def power_grid(alpha: float, resolution: int) -> np.ndarray:

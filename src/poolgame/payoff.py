@@ -233,6 +233,9 @@ def _pot_matrix(alphas, faw, bwh) -> np.ndarray:
     flow back to their home pots."""
     x = faw + bwh
     basis = np.asarray(alphas, float) + x.sum(axis=0)
+    # a pot divided over (next to) no power, refused as payoff_pair_raw does
+    if not (basis > ALGEBRAIC_TOL).all():
+        raise DegenerateDenominator(NO_LIVE_POWER)
     return np.diag(basis) - x
 
 

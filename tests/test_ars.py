@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import retaliation_oracle as oracle
+from ars_oracle import ArsState, Standing, ars_step, initial_state
 from poolgame import ars
 from poolgame.model import (
     ALGEBRAIC_TOL,
@@ -11,10 +12,9 @@ from poolgame.model import (
     EmptySetUnexpected,
     InvalidScenario,
     PoolGameError,
-    Standing,
     ZERO_ACTION,
 )
-from poolgame.ars import ArsState, ars_step, initial_state, retaliate
+from poolgame.ars import retaliate
 from poolgame.engine import two_stage_sweep
 from poolgame.payoff import (
     StagePayoffs,
@@ -57,6 +57,8 @@ def punished_state(opp_action: Action, k=K) -> ArsState:
 
 
 class TestArsStep:
+    """The per-pair step of ``ars_oracle``, the oracle of ``engine.run_npool``."""
+
     @pytest.mark.parametrize("k", [-0.2, 1.0, 1.5, float("nan")])
     def test_preference_weight_outside_unit_interval_rejected(self, k):
         with pytest.raises(InvalidScenario):
@@ -288,15 +290,21 @@ class TestRetaliateAgainstOracle:
         assert _result(retaliate, case) == _result(oracle.retaliate, case)
 
 
+#: preference weights: 0, nearly 0, small or any weight in [0, 1)
+WEIGHTS = st.one_of(st.sampled_from([0.0, 1e-12, 1e-3]), st.floats(0.0, 1.0, exclude_max=True))
+
+
 @st.composite
-def stage_rows(draw, k):
+def stage_rows(draw, weights):
     """(alpha_own, alpha_opp, (actual u_i, actual u_j, prescribed u_i,
-    prescribed u_j)) for ``retaliate_cells`` with preference weight ``k``.
+    prescribed u_j), k) for ``retaliate_cells``, with a preference weight k
+    drawn from ``weights``.
     The stage comes from actions, or is set so that the candidate test,
     equal retaliation's test or both change value where the victim's
     payoff crosses its value at an edge point: within a step and a half of
     the payoff's minimum, an interval of at most four grid points, or anywhere.
     Half-network pools put the windows at the grid's end."""
+    k = draw(weights)
     power = st.one_of(st.floats(1e-3, 0.5), st.just(0.5))
     alpha_own = draw(power)
     alpha_opp = draw(power.filter(lambda a: alpha_own + a < 1.0))
@@ -308,7 +316,7 @@ def stage_rows(draw, k):
         own_prev = action(alpha_own)
         actual = payoff_pair(alpha_own, alpha_opp, own_prev, action(alpha_opp))
         prescribed = payoff_pair(alpha_own, alpha_opp, own_prev, action(alpha_opp))
-        return alpha_own, alpha_opp, (*actual, *prescribed)
+        return alpha_own, alpha_opp, (*actual, *prescribed), k
     kind = draw(st.sampled_from(AttackKind))
     step = alpha_own / (ars.GRID_POINTS - 1)
     # where the victim's payoff u(x) is least: the FAW optimum, or where
@@ -329,15 +337,16 @@ def stage_rows(draw, k):
         gain = -(k if kind is AttackKind.FAW else 1.0) * u_at_edge()
     if draw(st.booleans()):  # equal retaliation: u(x) <= u(edge)
         loss = u_at_edge() - ALGEBRAIC_TOL
-    return alpha_own, alpha_opp, (pre_ui + loss, pre_uj + ALGEBRAIC_TOL + gain, pre_ui, pre_uj)
+    return (alpha_own, alpha_opp, (pre_ui + loss, pre_uj + ALGEBRAIC_TOL + gain, pre_ui, pre_uj),
+            k)
 
 
 @st.composite
 def stage_batches(draw):
-    """(rows, k): k is 0, nearly 0, small or any weight in [0, 1)."""
-    k = draw(st.one_of(st.sampled_from([0.0, 1e-12, 1e-3]),
-                       st.floats(0.0, 1.0, exclude_max=True)))
-    return draw(st.lists(stage_rows(k), min_size=1, max_size=12)), k
+    """(rows, k): rows of ``stage_rows`` that share one k from WEIGHTS."""
+    k = draw(WEIGHTS)
+    return [row[:3] for row in draw(st.lists(stage_rows(st.just(k)), min_size=1,
+                                             max_size=12))], k
 
 
 def assert_rows_equal_the_grid_search(rows, k):
@@ -393,6 +402,28 @@ class TestWindowsAgainstOracle:
             [(own, opp, (0.05, act_uj, 0.0, pre_uj)) for own, opp, act_uj, pre_uj in self.FLAT],
             1e-12)
         assert refused
+
+
+class TestPerRowWeight:
+    @given(rows=st.lists(stage_rows(WEIGHTS), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_one_row_calls(self, rows):
+        # retaliate_cells with one k per row, priced on the whole grid and
+        # with windows forced, against one-row calls on the whole grid with
+        # each row's own k: kind, power bits and empty set
+        own, opp, stage, ks = (np.array(z, float) for z in zip(*rows))
+        stage = stage.T.copy()
+        singles = [ars.retaliate_cells(own[i:i + 1], opp[i:i + 1], stage[:, i:i + 1], k)
+                   for i, k in enumerate(ks)]
+        want = [(bool(f[0]), float(p[0]).hex(), bool(e[0])) for f, p, e in singles]
+        saved = ars.WINDOW_ROWS
+        for window_rows in (saved, 1):
+            ars.WINDOW_ROWS = window_rows
+            try:
+                faw, power, empty = ars.retaliate_cells(own, opp, stage, np.array(ks))
+            finally:
+                ars.WINDOW_ROWS = saved
+            assert list(zip(faw.tolist(), map(float.hex, power.tolist()), empty.tolist())) == want
 
 
 def test_sixty_cell_sweep_prices_few_elements(monkeypatch):

@@ -834,6 +834,39 @@ def contract_argv(draw):
     return ["delta-bound", "--alpha", number(0.5), number(0.5), *k, *seed]
 
 
+class TestContractFindings:
+    """Inputs on which the contract property found a traceback or a
+    non-finite number with exit 0."""
+
+    def test_unpunished_class_prints_none(self, capsys):
+        # the 1.2e-7 pool's punishments of the half-network pool are all
+        # below OPTIMIZER_TOL, so pool 1's classes have no ratio
+        code, out = run_cli(["delta-bound", "--alpha", "0.5", "1.192092896e-07"], capsys)
+        assert code == 0
+        assert out.splitlines()[3:7] == [f"# pool1:{name}: none" for name in (
+            "being-punished", "cooperating", "mutual-bad", "prescribed-retaliation")]
+
+    def test_no_punished_class_refused(self, capsys):
+        code = main(["delta-bound", "--alpha", "5e-09", "5e-09"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: no sampled deviation is punished measurably, "
+                                "so there is no bound\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--powers", "3.616427006020063e-22", "6.992851437882808e-213",
+          "1.1125369292536007e-308", "--attack", "faw"],
+         "the attack search met a singular Hessian"),
+        (["--powers", "0.25", "2.225073858507203e-309", "--attack", "faw", "--rounds", "200"],
+         "actions leave no live block-finding power"),
+    ])
+    def test_npool_with_next_to_no_power_refused(self, argv, message, capsys):
+        code = main(["npool", *argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestCliContract:
     """Whatever the input, a command exits 0, 1 or 2 and raises nothing out
     of ``main``; exit 0 prints the header and only finite numbers, exit 1

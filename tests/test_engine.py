@@ -6,21 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import ars_oracle
 import npool_oracle
 import retaliation_oracle as oracle
 from poolgame.model import (
     Action,
     AttackKind,
+    EmptySetUnexpected,
     GameConfig,
     InfiltrationBudgetExceeded,
     InvalidAction,
     InvalidPowers,
     InvalidScenario,
     NonConvergence,
+    PoolGameError,
     PoolProfile,
     ZERO_ACTION,
 )
-from poolgame import cli, engine, payoff
+from poolgame import ars, cli, engine, payoff
 from poolgame.payoff import payoff_pair
 from poolgame.engine import (
     AlwaysHonest,
@@ -392,6 +395,98 @@ def npool_profiles(draw, n_min=2, n_max=5, max_faw_flags=6):
             else:
                 m.bwh[i, j] = x
     return alphas, m
+
+
+@st.composite
+def npool_games(draw):
+    """(config, strategies, stages, payoff_rounds): n = 2 to 6 pools holding
+    at most 0.9 together, each with its own k and one of the four strategy
+    classes (at most two one-shot attackers, so that a stage has few FAW
+    flags); scripted deviations fit their pool's budget on their own. Stage
+    payoffs are exact or 200-round Monte-Carlo estimates."""
+    n = draw(st.integers(2, 6))
+    powers = [draw(st.floats(0.01, 0.9 / n)) for _ in range(n)]
+    stages = draw(st.integers(1, 4))
+    strategies = []
+    for i, alpha in enumerate(powers):
+        k = draw(st.floats(0.0, 1.0, exclude_max=True))
+        kind = draw(st.sampled_from(AttackKind))
+        attackers = sum(isinstance(s, OptimalOneShotAttacker) for s in strategies)
+        choice = draw(st.sampled_from(["ars", "scripted", "honest"]
+                                      + ["one-shot"] * (attackers < 2)))
+        if choice == "scripted":
+            overrides = {}
+            for _ in range(draw(st.integers(1, 3))):
+                victim = draw(st.sampled_from([j for j in range(n) if j != i]))
+                x = draw(st.floats(0.0, 1.0)) * alpha / (n - 1)
+                overrides.setdefault(draw(st.integers(0, stages - 1)), {})[victim] = (
+                    Action.of(draw(st.sampled_from(AttackKind)), x))
+            strategies.append(ScriptedDeviator(overrides, k=k))
+        else:
+            strategies.append({"ars": ArsAgent(k), "honest": AlwaysHonest(k),
+                               "one-shot": OptimalOneShotAttacker(kind, k)}[choice])
+    game = config(*powers, seed=draw(st.integers(0, 1000)))
+    return game, strategies, stages, draw(st.sampled_from([None, 200]))
+
+
+def history_bits(run, game):
+    """A run's ``History`` as exact bits, or its error's class and message."""
+    try:
+        h = run(*game)
+    except PoolGameError as exc:
+        return type(exc), str(exc)
+    return h.discount, [(r.stage, r.actions.faw.tobytes(), r.actions.bwh.tobytes(),
+                         [u.hex() for u in r.payoffs]) for r in h.records]
+
+
+class TestRunnerAgainstOracle:
+    """``run_npool`` against the per-pair runner of ``ars_oracle``."""
+
+    @given(game=npool_games())
+    @settings(max_examples=300, deadline=None)
+    def test_same_history_bits(self, game):
+        assert history_bits(run_npool, game) == history_bits(ars_oracle.run_npool, game)
+
+    @pytest.mark.parametrize("k", [-0.2, 1.0, 1.5, float("nan")])
+    def test_preference_weight_outside_unit_interval_rejected(self, k):
+        game = (config(0.2, 0.2, 0.1), [ArsAgent(), ArsAgent(k), ArsAgent(2.0)], 2)
+        with pytest.raises(InvalidScenario, match=r"^k must be in \[0, 1\), got "):
+            run_npool(*game)
+        assert history_bits(run_npool, game) == history_bits(ars_oracle.run_npool, game)
+
+    def test_first_empty_set_in_pair_order_raises(self, monkeypatch):
+        # the retaliations of the pool with power 0.15 come out empty; the
+        # first in the per-pair loop's order is pool 0's judgement of pool
+        # 2's retaliation, before pool 2's own rows
+        cells = ars.retaliate_cells
+
+        def emptied(alpha_own, *args):
+            faw, power, empty = cells(alpha_own, *args)
+            return faw, power, empty | (alpha_own == 0.15)
+
+        monkeypatch.setattr(ars, "retaliate_cells", emptied)
+        monkeypatch.setattr(engine, "retaliate_cells", emptied)
+        game = (config(0.25, 0.2, 0.15),
+                [OptimalOneShotAttacker(AttackKind.FAW), ArsAgent(), ArsAgent()], 2)
+        error = history_bits(run_npool, game)
+        assert error == history_bits(ars_oracle.run_npool, game)
+        assert error[0] is EmptySetUnexpected
+        assert error[1].startswith("BWH candidate set empty for alpha_own=0.15, alpha_opp=0.25,")
+
+    def test_one_retaliation_batch_per_stage(self, monkeypatch):
+        # 16 equal pools, one BWH attacker: 15 retaliations and the attacker's
+        # 15 judgements of them share one call at stage 1
+        rows = []
+        cells = engine.retaliate_cells
+
+        def counting(alpha_own, *args):
+            rows.append(alpha_own.size)
+            return cells(alpha_own, *args)
+
+        monkeypatch.setattr(engine, "retaliate_cells", counting)
+        strategies = [OptimalOneShotAttacker(AttackKind.BWH)] + [ArsAgent() for _ in range(15)]
+        run_npool(config(*[0.06] * 16), strategies, 10)
+        assert rows == [30]
 
 
 class TestNPoolProperties:

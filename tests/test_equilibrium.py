@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import audit_oracle
 import retaliation_oracle as oracle
-from poolgame import cli, equilibrium
+from poolgame import ars, cli, equilibrium
 from poolgame.model import (
     Action,
     AttackKind,
@@ -93,7 +93,7 @@ class TestDeltaBound:
     def test_each_stage0_profile_evaluated_once(self, monkeypatch):
         # classes sharing (punisher stage-0 action, deviator prescription)
         # share their outcomes, so each side prices each such profile once,
-        # as one batch over the whole deviation grid
+        # all of them in one batch over the whole deviation grid
         alpha_1, alpha_2, k, n = 0.25, 0.15, 0.5, 10
         expected = []
         for alpha_pun, alpha_dev in ((alpha_1, alpha_2), (alpha_2, alpha_1)):
@@ -103,18 +103,33 @@ class TestDeltaBound:
                 for c in _subgame_cases(alpha_pun, alpha_dev, k, prior)
             }
             expected += [(*p, alpha_pun, alpha_dev) for p in profiles]
-        calls = []
+        calls, batches = [], []
         batched = equilibrium._deviation_outcomes
 
-        def counting(case, alpha_pun, alpha_dev, deviations, k):
+        def counting(profiles, alpha_pun, alpha_dev, deviations, k):
             assert len(deviations) == 2 * (n - 1)
-            calls.append((case.punisher_stage0, case.deviator_prescribed, alpha_pun, alpha_dev))
-            return batched(case, alpha_pun, alpha_dev, deviations, k)
+            batches.append(len(profiles))
+            calls.extend((*p, alpha_pun, alpha_dev) for p in profiles)
+            return batched(profiles, alpha_pun, alpha_dev, deviations, k)
 
         monkeypatch.setattr(equilibrium, "_deviation_outcomes", counting)
         delta_bound(alpha_1, alpha_2, k, deviation_resolution=n)
+        assert len(batches) == 2
         assert len(calls) == len(expected)
         assert set(calls) == set(expected)
+
+    def test_one_retaliation_batch_per_side(self, monkeypatch):
+        # all of a side's stage-0 profiles share one retaliate_cells call
+        rows = []
+        batched = equilibrium.retaliate_cells
+
+        def counting(alpha_own, *args):
+            rows.append(alpha_own.size)
+            return batched(alpha_own, *args)
+
+        monkeypatch.setattr(equilibrium, "retaliate_cells", counting)
+        delta_bound(0.25, 0.15, 0.5)
+        assert len(rows) == 2 and min(rows) >= ars.WINDOW_ROWS
 
     def test_one_stage_deviations_unprofitable_above_bound(self):
         k = 0.5
@@ -166,13 +181,19 @@ class TestDeviationBatchAgainstOracle:
 
         def batched(case, alpha_pun, alpha_dev, deviations, k):
             gain, punishment, comp = equilibrium._deviation_outcomes(
-                case, alpha_pun, alpha_dev, deviations, k)
-            return [(g.hex(), p.hex(), comp.hex())
-                    for g, p in zip(gain.tolist(), punishment.tolist())]
+                [(case.punisher_stage0, case.deviator_prescribed)], alpha_pun, alpha_dev,
+                deviations, k)
+            return [(g.hex(), p.hex(), comp[0].hex())
+                    for g, p in zip(gain[0].tolist(), punishment[0].tolist())]
+
+        def worst_ratio(case, alpha_pun, alpha_dev, deviations, k):
+            gain, punishment, comp = equilibrium._deviation_outcomes(
+                [(case.punisher_stage0, case.deviator_prescribed)], alpha_pun, alpha_dev,
+                deviations, k)
+            return equilibrium._worst_ratio(gain[0], punishment[0], comp[0])
 
         assert outcome(batched, deviations) == outcome(per_deviation, deviations)
-        assert outcome(equilibrium._worst_ratio, deviations) == outcome(
-            oracle._worst_ratio, deviations)
+        assert outcome(worst_ratio, deviations) == outcome(oracle._worst_ratio, deviations)
 
 
 class TestAudit:
@@ -345,6 +366,12 @@ def weakly_unimodal_rows(data):
     return grid, u
 
 
+def row_maxima(u, size, n):
+    """Maximum of each of ``size`` rows of n grid values: the window around
+    each row's own bisection bracket."""
+    return equilibrium._window_maxima(u, equilibrium._brackets(u, size, n), n)
+
+
 class TestRowMaxima:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -352,7 +379,7 @@ class TestRowMaxima:
         # the bracketed search returns each row's maximum
         grid, u = weakly_unimodal_rows(data)
         rows, n = grid.shape
-        top = equilibrium._row_maxima(u, rows, n)
+        top = row_maxima(u, rows, n)
         assert top.tolist() == grid.max(axis=1).tolist()
 
     @given(st.data())
@@ -377,7 +404,7 @@ class TestRowMaxima:
             priced.append(np.size(j))
             return row[j]
 
-        assert equilibrium._row_maxima(u, 1, row.size).tolist() == [2.0]
+        assert row_maxima(u, 1, row.size).tolist() == [2.0]
         assert priced[-1] == row.size
 
 

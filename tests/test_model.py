@@ -1,18 +1,14 @@
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from poolgame.model import (
     Action,
     AttackKind,
-    EmptyInput,
     GameConfig,
     InvalidAction,
     InvalidPowers,
     InvalidScenario,
-    NonPositiveEntry,
     PoolProfile,
-    normalize_powers,
     validate_action,
 )
 
@@ -59,32 +55,6 @@ class TestPoolProfile:
 
     def test_half_is_allowed(self):
         assert PoolProfile(0, 0.5).power == 0.5
-
-
-class TestNormalizePowers:
-    def test_symmetric(self):
-        assert normalize_powers([2, 2]) == [0.5, 0.5]
-
-    def test_published_power_distribution(self):
-        got = normalize_powers([25, 15, 10, 3.5, 2, 44.5])
-        assert np.allclose(got, [0.25, 0.15, 0.10, 0.035, 0.02, 0.445])
-
-    def test_hand_arithmetic(self):
-        assert normalize_powers([1, 3]) == [0.25, 0.75]
-
-    def test_errors(self):
-        with pytest.raises(EmptyInput):
-            normalize_powers([])
-        with pytest.raises(NonPositiveEntry):
-            normalize_powers([1.0, 0.0])
-
-    @given(st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=8))
-    def test_idempotent_and_order_preserving(self, raw):
-        once = normalize_powers(raw)
-        assert abs(sum(once) - 1.0) < 1e-9
-        twice = normalize_powers(once)
-        assert np.allclose(once, twice)
-        assert np.allclose(np.argsort(raw), np.argsort(once))
 
 
 class TestGameConfig:
