@@ -226,11 +226,14 @@ def simulate_reward_density(
             f"has only {alphas.size}"
         )
     alphas = alphas[: scenario.periods]
-    # the first period without room for both pools (NaN fails the test too)
-    for a in alphas[~((alphas > 0.0) & (alphas + scenario.beta < 1.0))][:1]:
-        raise InvalidScenario(f"invalid sizes alpha={a}, beta={scenario.beta}")
-
     w = scenario.infiltration_power
+    # the first period without room for both pools, or whose pool keeps no
+    # own power beside its infiltration and so never ends a period (NaN
+    # fails the test too)
+    for a in alphas[~((alphas > w) & (alphas + scenario.beta < 1.0))][:1]:
+        raise InvalidScenario(
+            f"invalid sizes alpha={a}, beta={scenario.beta} for infiltration power {w}")
+
     gammas = np.minimum(w / alphas, 1.0)
     rng = np.random.default_rng(scenario.seed)
     base = 1.0 / alphas
@@ -247,8 +250,12 @@ def variance_ratio(attack: RewardDensitySeries, honest: RewardDensitySeries) -> 
     """Ratio of sample variances (attack / honest); +inf for a flat baseline."""
     if len(attack) < 30 or len(honest) < 30:
         raise DegenerateVariance("series must have at least 30 periods")
-    v_att = attack.variance()
-    v_hon = honest.variance()
+    # a pool of next to no power overflows its densities' squares, refused
+    # below (written so that NaN fails the test)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_att, v_hon = attack.variance(), honest.variance()
+    if not (v_att < math.inf and v_hon < math.inf):
+        raise DegenerateVariance(f"series variances are not finite: {v_att}, {v_hon}")
     if v_hon == 0.0:
         return 1.0 if v_att == 0.0 else math.inf
     return v_att / v_hon

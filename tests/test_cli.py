@@ -834,6 +834,52 @@ def contract_argv(draw):
     return ["delta-bound", "--alpha", number(0.5), number(0.5), *k, *seed]
 
 
+@st.composite
+def other_argv(draw):
+    """argv of a command that plays no retaliation: ``payoff``, ``simulate``,
+    ``stage-nash``, ``sweep``, ``audit-ipbwh`` or one of the four ``detect``
+    modes, drawn as ``contract_argv`` draws. The sizes that default to large
+    values (``--cells``, ``simulate --rounds``) are always given."""
+    edges = draw(st.booleans())
+
+    def pick(plausible, edge_values=EDGE_VALUES):
+        return draw(st.one_of(plausible, st.sampled_from(edge_values)) if edges else plausible)
+
+    def number(top=0.3):
+        return pick(st.floats(0.0, top).map(repr))
+
+    def size(low=1, top=3):
+        return pick(st.integers(low, top).map(str), SIZES)
+
+    def option(flag, values):
+        return [flag, *values] if draw(st.booleans()) else []
+
+    seed = option("--seed", [pick(st.integers(0, 10**30).map(str), SEEDS)])
+    alpha = ["--alpha", number(0.5), number(0.5)]
+    attack = draw(st.sampled_from(["faw", "bwh"]))
+    command = draw(st.sampled_from(["payoff", "simulate", "stage-nash", "sweep",
+                                    "audit-ipbwh", "detect"]))
+    if command in ("payoff", "simulate"):
+        # an action attacks with one kind, the other component 0
+        actions = [part for flag in ("--a1", "--a2")
+                   for part in (flag, *draw(st.permutations([number(0.1), "0"])))]
+        rounds = ["--rounds", size(1, 200)] if command == "simulate" else []
+        return [command, *alpha, *actions, *rounds, *seed]
+    if command == "stage-nash":
+        return ["stage-nash", *alpha, *seed]
+    if command == "sweep":
+        return ["sweep", "--attack", attack, "--cells", size(),
+                *option("--fixed-alpha1", [number(0.5)]),
+                *option("--k", [pick(st.floats(0.0, 1.0, exclude_max=True).map(repr))]), *seed]
+    if command == "audit-ipbwh":
+        return ["audit-ipbwh", "--cells", size(), *seed]
+    mode = draw(st.sampled_from(["block-ratio", "unlucky", "variance", "geometric"]))
+    return ["detect", "--mode", mode, *option("--alpha", [number(0.5)]),
+            *option("--beta", [number(0.5)]), *option("--infiltration", [number(0.05)]),
+            "--attack", attack, *option("--blocks", [size(1, 50)]),
+            *option("--periods", [size(30, 40)]), *seed]
+
+
 class TestContractFindings:
     """Inputs on which the contract property found a traceback or a
     non-finite number with exit 0."""
@@ -866,15 +912,40 @@ class TestContractFindings:
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        # all of the pool's power infiltrates: it finds no block of its own,
+        # so no period ends (numpy's geometric draw refused p = 0)
+        (["--alpha", "0.03125", "--infiltration", "0.03125"],
+         r"invalid sizes alpha=0\.03\d+, beta=0\.2 for infiltration power 0\.03125"),
+        # densities of 1/alpha square to inf: the ratio printed nan
+        (["--alpha", "4.808102888437223e-228", "--infiltration", "0"],
+         "series variances are not finite"),
+    ])
+    def test_detect_variance_without_a_finite_period_refused(self, argv, message, capsys):
+        code = main(["detect", "--mode", "variance", *argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert re.match(f"error: {message}", captured.err) and captured.err.count("\n") == 1
+
 
 class TestCliContract:
     """Whatever the input, a command exits 0, 1 or 2 and raises nothing out
     of ``main``; exit 0 prints the header and only finite numbers, exit 1
-    exactly one ``error:`` line on stderr."""
+    exactly one ``error:`` line on stderr. A sweep's error rows, which end
+    in their message, hold NaN by design and are not read."""
 
     @given(argv=contract_argv())
     @settings(max_examples=300, deadline=None)
     def test_exit_code_and_output(self, argv):
+        self.check(argv)
+
+    @given(argv=other_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_other_commands(self, argv):
+        self.check(argv)
+
+    @staticmethod
+    def check(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -882,6 +953,8 @@ class TestCliContract:
         assert code in (0, 1, 2)
         if code == 0:
             assert out.startswith(f"# seed=") and len(out.splitlines()) > 1
+            if argv[0] == "sweep":
+                out = "\n".join(line for line in out.splitlines() if line.endswith(","))
             assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
         elif code == 1:
             assert out == ""
