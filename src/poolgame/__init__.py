@@ -10,9 +10,8 @@ from .model import (
     InvalidAction,
     InvalidPowers,
     PoolGameError,
-    PoolId,
-    PoolProfile,
     ZERO_ACTION,
+    check_powers,
     validate_action,
 )
 from .payoff import (

@@ -19,8 +19,9 @@ from .model import (
     Action,
     AttackKind,
     GameConfig,
+    InvalidPowers,
     PoolGameError,
-    PoolProfile,
+    check_powers,
     check_seed,
 )
 from .payoff import payoff_pair, simulate_rounds
@@ -281,12 +282,12 @@ def _preference_weight(k):
     return k
 
 
-def _attacker_power(alpha):
-    """``--fixed-alpha1``, checked: a pool's power lies in (0, 0.5]."""
-    # written so that NaN fails the test
-    if not 0.0 < alpha <= 0.5:
-        raise PoolGameError(f"--fixed-alpha1 must be in (0, 0.5], got {alpha}")
-    return alpha
+def _pool_powers(flags, *powers):
+    """``check_powers`` on the powers of ``flags``, named in its message."""
+    try:
+        check_powers(*powers)
+    except InvalidPowers as exc:
+        raise InvalidPowers(f"{flags}: {exc}") from None
 
 
 def _grid_cells(n):
@@ -316,8 +317,9 @@ def _cmd_sweep(args):
     k = _preference_weight(args.k)
     grid = np.linspace(0.01, 0.5, n)
     if args.fixed_alpha1 is not None:
+        _pool_powers("--fixed-alpha1", args.fixed_alpha1)
         ratios = np.linspace(1.0 / n, 1.0, n)
-        table = two_stage_ratio_sweep(ratios, grid, kind, _attacker_power(args.fixed_alpha1), k)
+        table = two_stage_ratio_sweep(ratios, grid, kind, args.fixed_alpha1, k)
     else:
         table = two_stage_sweep(grid, kind, k)
     return _sweep_rows(table)
@@ -343,9 +345,8 @@ def _cmd_npool(args):
     kind = AttackKind(args.attack)
     if not args.powers:
         raise PoolGameError("npool needs --powers or a `powers` config entry")
-    pools = tuple(PoolProfile(i, p) for i, p in enumerate(args.powers))
-    config = GameConfig(pools=pools, seed=args.seed)
-    strategies = _one_shot_strategies(kind, _preference_weight(args.k), len(pools))
+    config = GameConfig(tuple(args.powers), seed=args.seed)
+    strategies = _one_shot_strategies(kind, _preference_weight(args.k), len(args.powers))
     hist = run_npool(config, strategies, args.stages,
                      payoff_rounds=args.rounds or None)
     lines = ["stage,pool,payoff"]
@@ -359,10 +360,7 @@ def _cmd_npool(args):
 
 def _cmd_detect(args):
     # every mode describes the same two pools, so every mode checks them
-    # (written so that NaN fails the test)
-    if not (0.0 < args.alpha <= 0.5 and 0.0 < args.beta <= 0.5):
-        raise PoolGameError(
-            f"--alpha and --beta must be in (0, 0.5], got {args.alpha}, {args.beta}")
+    _pool_powers("--alpha and --beta", args.alpha, args.beta)
     kind = AttackKind(args.attack)
     if args.mode == "block-ratio":
         expected, p = detect_bwh_block_ratio(args.beta, args.infiltration, args.blocks)
@@ -425,8 +423,7 @@ def _cmd_reproduce_table(args):
         lines = ["victim,power,attack,r_faw_pct,r_bwh_pct,attacker_total_pct"]
         for name, power in TABLE1_POOLS.items():
             for kind in (AttackKind.FAW, AttackKind.BWH):
-                pools = (PoolProfile(0, TABLE1_ATTACKER), PoolProfile(1, power))
-                config = GameConfig(pools=pools, seed=args.seed)
+                config = GameConfig((TABLE1_ATTACKER, power), seed=args.seed)
                 hist = run_npool(config, _one_shot_strategies(kind, k, 2), 2)
                 r = hist.records[1].actions.action(1, 0)
                 total = sum(rec.payoffs[0] for rec in hist.records)
@@ -436,11 +433,10 @@ def _cmd_reproduce_table(args):
                 )
         return lines
     # table 3
-    powers = [TABLE1_ATTACKER, *TABLE1_POOLS.values()]
+    powers = (TABLE1_ATTACKER, *TABLE1_POOLS.values())
     lines = ["attack,pool,power,attack_ratio_pct,r_faw_pct,r_bwh_pct,attacker_total_pct"]
     for kind in (AttackKind.FAW, AttackKind.BWH):
-        pools = tuple(PoolProfile(i, p) for i, p in enumerate(powers))
-        config = GameConfig(pools=pools, seed=args.seed)
+        config = GameConfig(powers, seed=args.seed)
         hist = run_npool(config, _one_shot_strategies(kind, k, len(powers)), 2,
                          payoff_rounds=args.rounds or None)
         matrix0 = hist.records[0].actions

@@ -30,6 +30,7 @@ from .model import (
     AttackKind,
     InvalidScenario,
     PoolGameError,
+    check_powers,
     check_seed,
 )
 from .payoff import one_sided_attacker
@@ -75,10 +76,7 @@ class DetectionScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 0.5 and 0.0 < self.beta <= 0.5):
-            raise InvalidScenario("pool sizes must be in (0, 0.5]")
-        if self.alpha + self.beta >= 1.0:
-            raise InvalidScenario("attacker and victim exceed the network")
+        check_powers(self.alpha, self.beta)
         if not (0.0 <= self.gamma <= 1.0):
             raise InvalidScenario("gamma must be in [0, 1]")
         if self.periods < 1:
@@ -136,7 +134,7 @@ def geometric_param(alpha: float, beta: float, gamma: float, kind: AttackKind) -
     the victim's block rate, hence the extra term in its denominator. The
     attacker is a pool, in (0, 0.5]; a victim of size 0 is the limit p = 1.
     """
-    # written so that NaN fails every test
+    # check_powers but for beta = 0, that limit (NaN fails every test)
     if not (0.0 < alpha <= 0.5 and 0.0 <= beta <= 0.5 and alpha + beta < 1.0):
         raise InvalidScenario(f"invalid sizes alpha={alpha}, beta={beta}")
     if not (0.0 <= gamma <= 1.0):
@@ -227,12 +225,10 @@ def simulate_reward_density(
         )
     alphas = alphas[: scenario.periods]
     w = scenario.infiltration_power
-    # the first period without room for both pools, or whose pool keeps no
-    # own power beside its infiltration and so never ends a period (NaN
-    # fails the test too)
+    # not check_powers, as a period may exceed half the network: the first one
+    # leaving no room or no own power beside w (NaN fails the test too)
     for a in alphas[~((alphas > w) & (alphas + scenario.beta < 1.0))][:1]:
-        raise InvalidScenario(
-            f"invalid sizes alpha={a}, beta={scenario.beta} for infiltration power {w}")
+        raise InvalidScenario(f"invalid sizes alpha={a}, beta={scenario.beta}, infiltration {w}")
 
     gammas = np.minimum(w / alphas, 1.0)
     rng = np.random.default_rng(scenario.seed)

@@ -35,16 +35,17 @@ from .model import (
     ALGEBRAIC_TOL,
     Action,
     AttackKind,
+    DegenerateDenominator,
     GameConfig,
     InfiltrationBudgetExceeded,
     InvalidScenario,
     NonConvergence,
-    PoolProfile,
     ZERO_ACTION,
+    check_powers,
+    validate_action,
 )
 from .payoff import (
     NO_LIVE_POWER,
-    _check_powers,
     _pot_matrix,
     _sample_rounds,
     one_sided_attacker,
@@ -115,7 +116,7 @@ class OptimalOneShotAttacker:
         victims = [j for j in range(len(alphas)) if j != me]
         if len(victims) == 1:
             (j,) = victims
-            _check_powers(alphas[me], alphas[j])
+            check_powers(alphas[me], alphas[j])
             return {j: Action.of(self.kind, optimal_infiltration(self.kind, alphas[me], alphas[j]))}
         xs = optimal_simultaneous_attack(alphas, me, self.kind)
         return {j: Action.of(self.kind, xs[j]) for j in victims}
@@ -184,11 +185,12 @@ class SweepTable:
 
 def _check_cells(alpha_1, alpha_2, power, kind) -> None:
     """Raise ``payoff_pair``'s error for the first cell whose powers or
-    attack it refuses (the test below is its checks, elementwise)."""
-    valid = ((alpha_1 > 0.0) & (alpha_2 > 0.0) & (alpha_1 <= 0.5) & (alpha_2 <= 0.5)
-             & (alpha_1 + alpha_2 < 1.0) & (power >= 0.0) & (power <= alpha_1))
-    for i in np.flatnonzero(~valid)[:1]:
-        payoff_pair(alpha_1[i], alpha_2[i], Action.of(kind, power[i]), ZERO_ACTION)
+    attack it refuses (the test below is ``validate_action``'s, elementwise)."""
+    bad = np.flatnonzero(~((power >= 0.0) & (power <= alpha_1)))  # NaN fails too
+    stop = bad[0] + 1 if bad.size else power.size
+    check_powers(alpha_1[:stop], alpha_2[:stop])
+    for i in bad[:1]:
+        validate_action(Action.of(kind, power[i]), alpha_1[i])
 
 
 def _two_stage_cells(alpha_1, alpha_2, power, kind, k) -> SweepTable:
@@ -236,12 +238,12 @@ def two_stage_sweep(
     The attacker (pool 1) plays its payoff-maximizing one-sided attack; pool 2
     retaliates at the next stage. Reports retaliation ratios and both pools'
     two-stage average payoffs. Raises ``InvalidPowers`` for the first cell
-    with powers ``payoff_pair`` refuses.
+    with powers ``check_powers`` refuses.
     """
     alpha_1, alpha_2 = _pairs(alpha_grid, alpha_grid)
     keep = ~(alpha_1 + alpha_2 > SWEEP_POWER_CAP)
     alpha_1, alpha_2 = alpha_1[keep], alpha_2[keep]
-    _check_cells(alpha_1, alpha_2, np.zeros_like(alpha_1), attacker_kind)
+    check_powers(alpha_1, alpha_2)
     power = optimal_infiltration(attacker_kind, alpha_1, alpha_2)
     return _two_stage_cells(alpha_1, alpha_2, power, attacker_kind, k)
 
@@ -457,22 +459,24 @@ def optimal_simultaneous_attack(alphas, attacker: int, kind: AttackKind) -> np.n
 
     Newton's method (``_ascend``) on the closed-form payoff, from the
     one-sided optima with their sum capped at half the budget. Refuses the
-    powers ``GameConfig`` refuses and an attacker that is not a pool.
+    powers ``check_powers`` refuses and an attacker that is not a pool.
     """
-    GameConfig(tuple(PoolProfile(i, float(a)) for i, a in enumerate(alphas)))
+    check_powers(*alphas)
     alphas = np.asarray(alphas, float)
     n = alphas.size
     if n < 2:
         raise InvalidScenario("an attack needs at least two pools")
     if not 0 <= attacker < n:
         raise InvalidScenario(f"attacker {attacker} is not a pool index in [0, {n})")
+    if not (alphas > ALGEBRAIC_TOL).all():  # as the stage payoffs would, before overflows
+        raise DegenerateDenominator(NO_LIVE_POWER)
     alpha = alphas[attacker]
     victims = np.delete(alphas, attacker)
     faw = kind is AttackKind.FAW
     if faw and victims.size > FAW_FLAG_CAP:
         raise InvalidScenario(TOO_MANY_FLAGS)
-    with np.errstate(invalid="ignore"):  # a pair holding all power has no one-sided optimum
-        x = optimal_infiltration(kind, alpha, victims)
+    x = optimal_infiltration(kind, alpha, victims)
+    # two pools an ulp short of the whole network round their optima to 0
     x = np.where(x > 0.0, x, 0.5 * alpha / victims.size)
     x *= min(1.0, 0.5 * alpha / x.sum())
     return np.insert(_ascend(alpha, victims, 1.0 - alphas.sum(), x, faw), attacker, 0.0)

@@ -50,15 +50,16 @@ import numpy as np
 from .model import (
     Action,
     AttackKind,
+    InvalidPowers,
     InvalidScenario,
     NonConvergence,
     OPTIMIZER_TOL,
     ZERO_ACTION,
+    check_powers,
     power_grid,
 )
 from .payoff import (
     StagePayoffs,
-    _check_powers,
     one_sided_attacker,
     one_sided_victim,
     optimal_bwh_infiltration,
@@ -129,7 +130,7 @@ def stage_nash(
     initial: tuple[float, float] = (0.0, 0.0),
 ) -> StageEquilibrium:
     """Unique pure-FAW stage-game Nash equilibrium by best-response iteration."""
-    _check_powers(alpha_1, alpha_2)
+    check_powers(alpha_1, alpha_2)
     f1, f2 = initial
     for iterations in range(1, NASH_MAX_ITERATIONS + 1):
         n1 = _best_response(alpha_1, alpha_2, f2)
@@ -498,12 +499,10 @@ def audit_ipbwh_nonempty(
     a1, a2 = (g.ravel() for g in np.meshgrid(powers, powers, indexing="ij"))
     kept = ~(a1 + a2 > power_cap)
     a1, a2 = a1[kept], a2[kept]
-    # written so that NaN fails every test, as the scalar power check
-    valid = (a1 > 0.0) & (a2 > 0.0) & (a1 <= 0.5) & (a2 <= 0.5) & (a1 + a2 < 1.0)
-    bad = np.flatnonzero(~valid)
-    # the cells before the first invalid one are audited (and may raise) first
-    stop = bad[0] if bad.size else a1.size
-    report = _audit_cells(a1[:stop], a2[:stop], infiltration_resolution)
-    if bad.size:
-        optimal_bwh_infiltration(float(a1[stop]), float(a2[stop]))  # raises InvalidPowers
-    return report
+    try:
+        check_powers(a1, a2)
+    except InvalidPowers as err:
+        # the cells before the first invalid one are audited (and may raise) first
+        _audit_cells(a1[:err.index], a2[:err.index], infiltration_resolution)
+        raise
+    return _audit_cells(a1, a2, infiltration_resolution)

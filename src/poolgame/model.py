@@ -4,7 +4,9 @@ Conventions used throughout the package:
 
 * The total network hash rate is normalized to 1. A pool's ``power`` is its
   fraction of that total; miners not belonging to any modeled pool are
-  implicit with power ``1 - sum(powers)``.
+  implicit with power ``1 - sum(powers)``. Pools are identified by their
+  position in the tuple of powers. :func:`check_powers` is the game's one
+  domain: every power in (0, 0.5], and their sum below 1.
 * An :class:`Action` is one stage's attack choice: the hash power a pool
   diverts into the opponent pool, either as FAW (fork-after-withholding) or
   BWH (block-withholding) infiltration. At most one of the two components is
@@ -20,9 +22,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
-# Pools are identified by small non-negative integers, unique per scenario.
-PoolId = int
 
 #: comparison margin for exact algebraic identities
 ALGEBRAIC_TOL = 1e-9
@@ -41,7 +40,9 @@ class InvalidAction(PoolGameError):
 
 
 class InvalidPowers(PoolGameError):
-    pass
+    def __init__(self, message, index=0):
+        super().__init__(message)
+        self.index = index  # the offending cell's, in row order (0 for floats)
 
 
 class DegenerateDenominator(PoolGameError):
@@ -112,50 +113,52 @@ class Action:
 ZERO_ACTION = Action(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class PoolProfile:
-    """A pool's identity and relative mining power."""
+def check_powers(*powers) -> None:
+    """Refuse pool powers outside the game: each in (0, 0.5], their sum
+    below 1. One argument per pool, a float or an array; arrays broadcast,
+    and the first offending cell in row order raises ``InvalidPowers`` with
+    its index. Plain operators serve floats and arrays alike, so floats that
+    pass make no numpy call."""
+    # written so that NaN fails every test
+    ok = True
+    for p in powers:
+        ok = ok & (p > 0.0) & (p <= 0.5)
+    if _all(ok) and _all(sum(powers) < 1.0):  # powers in range sum to a finite number
+        return
+    with np.errstate(invalid="ignore", over="ignore"):  # others may not
+        ok = ok & (sum(powers) < 1.0)
+    index = int(np.argmin(ok))  # the first False
+    cell = [float(np.broadcast_to(p, np.shape(ok)).flat[index]) for p in powers]
+    if not all(p > 0.0 for p in cell):
+        raise InvalidPowers(f"powers must be positive numbers, got {', '.join(map(str, cell))}",
+                            index)
+    if not all(p <= 0.5 for p in cell):
+        raise InvalidPowers("no pool may hold more than half the network", index)
+    raise InvalidPowers(f"powers sum to {sum(cell)} >= 1", index)
 
-    id: PoolId
-    power: float
 
-    def __post_init__(self):
-        if not (0.0 < self.power <= 0.5):
-            raise InvalidPowers(
-                f"pool {self.id}: power must be in (0, 0.5], got {self.power}"
-            )
+def _all(ok) -> bool:
+    """Whether a test of floats (a bool) or of arrays holds everywhere."""
+    return ok is True or (ok is not False and ok.all())
 
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Scenario-wide parameters of the repeated game: the pools, the discount
-    factor and the Monte-Carlo seed."""
+    """Scenario-wide parameters of the repeated game: the pools' powers, the
+    discount factor and the Monte-Carlo seed."""
 
-    pools: tuple[PoolProfile, ...]
+    powers: tuple[float, ...]
     discount: float = 0.9
     seed: int = 0
 
     def __post_init__(self):
+        check_powers(*self.powers)
         if not (0.0 < self.discount < 1.0):
             raise InvalidScenario(f"discount must be in (0,1), got {self.discount}")
-        ids = [p.id for p in self.pools]
-        if len(set(ids)) != len(ids):
-            raise InvalidScenario("pool ids must be unique")
-        total = sum(p.power for p in self.pools)
-        if total > 1.0 + ALGEBRAIC_TOL:
-            raise InvalidPowers(f"pool powers sum to {total} > 1")
-
-    @property
-    def powers(self) -> tuple[float, ...]:
-        return tuple(p.power for p in self.pools)
 
 
-def validate_action(a: Action, owner: PoolProfile | float) -> Action:
-    """Check all Action invariants for the given owner; return the action.
-
-    ``owner`` may be a PoolProfile or a bare power fraction.
-    """
-    alpha = owner.power if isinstance(owner, PoolProfile) else float(owner)
+def validate_action(a: Action, alpha: float) -> Action:
+    """Check all Action invariants for an owner of power ``alpha``; return it."""
     # written so that NaN fails every test
     if not (a.faw >= 0.0 and a.bwh >= 0.0):
         raise InvalidAction(f"infiltration powers must be non-negative numbers: {a}")

@@ -39,8 +39,8 @@ from .model import (
     Action,
     AttackKind,
     DegenerateDenominator,
-    InvalidPowers,
     InvalidScenario,
+    check_powers,
     check_seed,
     validate_action,
 )
@@ -59,16 +59,6 @@ class StagePayoffs:
 
     def __iter__(self):
         return iter((self.u_i, self.u_j))
-
-
-def _check_powers(alpha_i: float, alpha_j: float) -> None:
-    # written so that NaN fails every test
-    if not (alpha_i > 0.0 and alpha_j > 0.0):
-        raise InvalidPowers(f"powers must be positive numbers, got {alpha_i}, {alpha_j}")
-    if not (alpha_i <= 0.5 and alpha_j <= 0.5):
-        raise InvalidPowers("no pool may hold more than half the network")
-    if not alpha_i + alpha_j < 1.0:
-        raise InvalidPowers(f"powers sum to {alpha_i + alpha_j} >= 1")
 
 
 def payoff_pair_raw(alpha_i, alpha_j, f_i, b_i, f_j, b_j):
@@ -140,7 +130,7 @@ def payoff_pair(
     a_j: Action,
 ) -> StagePayoffs:
     """Exact per-stage extra reward densities for an action profile."""
-    _check_powers(alpha_i, alpha_j)
+    check_powers(alpha_i, alpha_j)
     validate_action(a_i, alpha_i)
     validate_action(a_j, alpha_j)
     # Python floats throughout, so the kernel takes its float path
@@ -193,13 +183,13 @@ def optimal_infiltration(kind: AttackKind, alpha_i, alpha_j):
 
 def optimal_faw_infiltration(alpha_i: float, alpha_j: float) -> float:
     """The one-sided FAW optimum of pool i against pool j, powers checked."""
-    _check_powers(alpha_i, alpha_j)
+    check_powers(alpha_i, alpha_j)
     return float(optimal_infiltration(AttackKind.FAW, alpha_i, alpha_j))
 
 
 def optimal_bwh_infiltration(alpha_i: float, alpha_j: float) -> float:
     """The one-sided BWH optimum of pool i against pool j, powers checked."""
-    _check_powers(alpha_i, alpha_j)
+    check_powers(alpha_i, alpha_j)
     return float(optimal_infiltration(AttackKind.BWH, alpha_i, alpha_j))
 
 
@@ -279,6 +269,8 @@ def _sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
     """
     if not rounds >= 1:
         raise InvalidScenario(f"Monte-Carlo rounds must be at least 1, got {rounds}")
+    if rounds >= 2**63:  # numpy's draws count in int64
+        raise InvalidScenario(f"Monte-Carlo rounds must be below 2**63, got {rounds}")
     check_seed(seed, "Monte-Carlo seed")
     alphas = np.asarray(alphas, float)
     # a pool that infiltrates with all its power can leave -1e-17 by rounding
@@ -337,7 +329,7 @@ def simulate_rounds(
     Samples the n-pool round race of ``_sample_rounds`` with n=2, so it is
     independent of the closed form. Deterministic for a given seed.
     """
-    _check_powers(alpha_i, alpha_j)
+    check_powers(alpha_i, alpha_j)
     validate_action(a_i, alpha_i)
     validate_action(a_j, alpha_j)
     faw = np.array([[0.0, a_i.faw], [a_j.faw, 0.0]])

@@ -21,7 +21,7 @@ import argparse
 import numpy as np
 
 from poolgame.engine import ArsAgent, OptimalOneShotAttacker, run_npool
-from poolgame.model import AttackKind, GameConfig, PoolGameError, PoolProfile
+from poolgame.model import AttackKind, GameConfig, PoolGameError
 
 K = 0.999
 
@@ -36,7 +36,7 @@ def random_profile(rng) -> tuple[float, ...]:
 
 def attacker_total(powers, kind) -> float:
     """The attacker's total stage payoff over the two stages."""
-    config = GameConfig(tuple(PoolProfile(i, p) for i, p in enumerate(powers)))
+    config = GameConfig(tuple(powers))
     strategies = [OptimalOneShotAttacker(kind, K)] + [ArsAgent(K) for _ in powers[1:]]
     return sum(r.payoffs[0] for r in run_npool(config, strategies, 2).records)
 

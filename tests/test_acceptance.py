@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from poolgame.model import Action, AttackKind, GameConfig, PoolProfile
+from poolgame.model import Action, AttackKind, GameConfig
 from poolgame.payoff import (
     one_sided_attacker,
     optimal_bwh_infiltration,
@@ -78,7 +78,7 @@ def report(criterion, ok, detail):
 
 
 def two_pool_config(a1, a2):
-    return GameConfig(pools=(PoolProfile(0, a1), PoolProfile(1, a2)))
+    return GameConfig(powers=(a1, a2))
 
 
 class TestCriterion1StageNash:
@@ -135,9 +135,7 @@ MC_ROUNDS = 45_000_000  # per-stage payoff standard error below 0.02 pp
 
 
 def run_table3(kind: AttackKind):
-    cfg = GameConfig(
-        pools=tuple(PoolProfile(i, p) for i, p in enumerate(TABLE3_POWERS)), seed=2019
-    )
+    cfg = GameConfig(powers=TABLE3_POWERS, seed=2019)
     strategies = [OptimalOneShotAttacker(kind, k=K1)] + [
         ArsAgent(k=K1) for _ in range(4)
     ]

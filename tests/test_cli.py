@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -250,7 +251,9 @@ class TestFixedAttackerPower:
         code = main(["sweep", "--attack", "faw", "--cells", "3", "--fixed-alpha1", alpha])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert f"--fixed-alpha1 must be in (0, 0.5], got {float(alpha)}" in captured.err
+        expected = ("no pool may hold more than half the network" if float(alpha) > 0.5
+                    else f"powers must be positive numbers, got {float(alpha)}")
+        assert captured.err == f"error: --fixed-alpha1: {expected}\n"
 
     def test_half_the_network_accepted(self, capsys):
         code, out = run_cli(["sweep", "--attack", "bwh", "--cells", "3",
@@ -328,7 +331,15 @@ class TestDetectPoolSizes:
         code = main(["detect", *args])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert "--alpha and --beta must be in (0, 0.5]" in captured.err
+        assert re.fullmatch("error: --alpha and --beta: (no pool may hold more than half the "
+                            "network|powers must be positive numbers, got .*)\n", captured.err)
+
+    @pytest.mark.parametrize("mode", ["block-ratio", "unlucky", "variance", "geometric"])
+    def test_whole_network_refused(self, mode, capsys):
+        code = main(["detect", "--mode", mode, "--alpha", "0.5", "--beta", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: --alpha and --beta: powers sum to 1.0 >= 1\n"
 
     def test_half_the_network_accepted(self, capsys):
         code, out = run_cli(["detect", "--mode", "geometric", "--alpha", "0.5",
@@ -790,6 +801,8 @@ EDGE_VALUES = ["0", "-0.0", "-1", "0.5", "1", "nan", "inf", "-inf", "1e308",
 # sizes stay small so that an example is cheap, and still reach 0, negatives
 # and values that are no integer
 SIZES = ["-1", "0", "1", "2", "3", "nan", "1.5"]
+# Monte-Carlo rounds also reach beyond int64, which is refused at once
+ROUNDS = [*SIZES, str(10**30)]
 SEEDS = ["0", "7", "-1", "nan", str(10**30)]
 
 
@@ -807,8 +820,8 @@ def contract_argv(draw):
     def number(top=0.3):
         return pick(st.floats(0.0, top).map(repr))
 
-    def size(top=3):
-        return pick(st.integers(1, top).map(str), SIZES)
+    def size(top=3, edge_values=SIZES):
+        return pick(st.integers(1, top).map(str), edge_values)
 
     def option(flag, values):
         return [flag, *values] if draw(st.booleans()) else []
@@ -822,10 +835,10 @@ def contract_argv(draw):
                 "--attack", draw(st.sampled_from(["faw", "bwh"])),
                 *option("--stages", [size()]),
                 *option("--rounds", [draw(st.sampled_from(["0", "200"])) if not edges
-                                     else size(200)]), *k, *seed]
+                                     else size(200, ROUNDS)]), *k, *seed]
     if command == "reproduce-table":
         return ["reproduce-table", pick(st.sampled_from(["1", "3"]), ["2", "nan"]),
-                *option("--rounds", [size(200)]), *k, *seed]
+                *option("--rounds", [size(200, ROUNDS)]), *k, *seed]
     if command == "retaliate":
         return ["retaliate", "--alpha", number(0.5), number(0.5),
                 "--opp-attack", *draw(st.permutations([number(), "0"])),
@@ -848,8 +861,8 @@ def other_argv(draw):
     def number(top=0.3):
         return pick(st.floats(0.0, top).map(repr))
 
-    def size(low=1, top=3):
-        return pick(st.integers(low, top).map(str), SIZES)
+    def size(low=1, top=3, edge_values=SIZES):
+        return pick(st.integers(low, top).map(str), edge_values)
 
     def option(flag, values):
         return [flag, *values] if draw(st.booleans()) else []
@@ -863,7 +876,7 @@ def other_argv(draw):
         # an action attacks with one kind, the other component 0
         actions = [part for flag in ("--a1", "--a2")
                    for part in (flag, *draw(st.permutations([number(0.1), "0"])))]
-        rounds = ["--rounds", size(1, 200)] if command == "simulate" else []
+        rounds = ["--rounds", size(1, 200, ROUNDS)] if command == "simulate" else []
         return [command, *alpha, *actions, *rounds, *seed]
     if command == "stage-nash":
         return ["stage-nash", *alpha, *seed]
@@ -900,23 +913,44 @@ class TestContractFindings:
                                 "so there is no bound\n")
 
     @pytest.mark.parametrize("argv, message", [
+        # the attack search met a singular Hessian here before it refused
+        # such pools
         (["--powers", "3.616427006020063e-22", "6.992851437882808e-213",
           "1.1125369292536007e-308", "--attack", "faw"],
-         "the attack search met a singular Hessian"),
+         "actions leave no live block-finding power"),
         (["--powers", "0.25", "2.225073858507203e-309", "--attack", "faw", "--rounds", "200"],
+         "actions leave no live block-finding power"),
+        # the attack search printed overflow, divide and invalid warnings
+        # before the stage payoffs refused the pool
+        (["--powers", "1.1125369292536007e-308", "0.25", "0.25", "--attack", "faw"],
          "actions leave no live block-finding power"),
     ])
     def test_npool_with_next_to_no_power_refused(self, argv, message, capsys):
-        code = main(["npool", *argv])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["npool", *argv])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["reproduce-table", "3"],
+        ["npool", "--powers", "0.25", "0.15", "--attack", "faw"],
+        ["simulate", "--alpha", "0.2", "0.2", "--a1", "0.05", "0", "--a2", "0", "0"],
+    ])
+    def test_rounds_beyond_int64_refused(self, argv, capsys):
+        # numpy's multinomial raised OverflowError on these
+        code = main([*argv, "--rounds", str(10**30)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: Monte-Carlo rounds must be below 2**63, "
+                                f"got {10**30}\n")
 
     @pytest.mark.parametrize("argv, message", [
         # all of the pool's power infiltrates: it finds no block of its own,
         # so no period ends (numpy's geometric draw refused p = 0)
         (["--alpha", "0.03125", "--infiltration", "0.03125"],
-         r"invalid sizes alpha=0\.03\d+, beta=0\.2 for infiltration power 0\.03125"),
+         r"invalid sizes alpha=0\.03\d+, beta=0\.2, infiltration 0\.03125"),
         # densities of 1/alpha square to inf: the ratio printed nan
         (["--alpha", "4.808102888437223e-228", "--infiltration", "0"],
          "series variances are not finite"),
