@@ -806,52 +806,16 @@ ROUNDS = [*SIZES, str(10**30)]
 SEEDS = ["0", "7", "-1", "nan", str(10**30)]
 
 
-@st.composite
-def contract_argv(draw):
-    """argv of a command that plays retaliation: ``npool``,
-    ``reproduce-table``, ``retaliate`` or ``delta-bound``. Half the examples
-    draw only plausible values, so that full runs occur as well as refusals;
-    the others draw each value from the edge values too."""
-    edges = draw(st.booleans())
-
-    def pick(plausible, edge_values=EDGE_VALUES):
-        return draw(st.one_of(plausible, st.sampled_from(edge_values)) if edges else plausible)
-
-    def number(top=0.3):
-        return pick(st.floats(0.0, top).map(repr))
-
-    def size(top=3, edge_values=SIZES):
-        return pick(st.integers(1, top).map(str), edge_values)
-
-    def option(flag, values):
-        return [flag, *values] if draw(st.booleans()) else []
-
-    k = option("--k", [pick(st.floats(0.0, 1.0, exclude_max=True).map(repr))])
-    seed = option("--seed", [pick(st.integers(0, 10**30).map(str), SEEDS)])
-    command = draw(st.sampled_from(["npool", "reproduce-table", "retaliate", "delta-bound"]))
-    if command == "npool":
-        powers = [number() for _ in range(draw(st.integers(0 if edges else 2, 5)))]
-        return ["npool", *(["--powers", *powers] if powers else []),
-                "--attack", draw(st.sampled_from(["faw", "bwh"])),
-                *option("--stages", [size()]),
-                *option("--rounds", [draw(st.sampled_from(["0", "200"])) if not edges
-                                     else size(200, ROUNDS)]), *k, *seed]
-    if command == "reproduce-table":
-        return ["reproduce-table", pick(st.sampled_from(["1", "3"]), ["2", "nan"]),
-                *option("--rounds", [size(200, ROUNDS)]), *k, *seed]
-    if command == "retaliate":
-        return ["retaliate", "--alpha", number(0.5), number(0.5),
-                "--opp-attack", *draw(st.permutations([number(), "0"])),
-                *option("--own-prev", [number(), number()]),
-                *option("--opp-prescribed", [number(), number()]), *k, *seed]
-    return ["delta-bound", "--alpha", number(0.5), number(0.5), *k, *seed]
+# the commands that play retaliation, and the others
+RETALIATING = ["npool", "reproduce-table", "retaliate", "delta-bound"]
+OTHERS = ["payoff", "simulate", "stage-nash", "sweep", "audit-ipbwh", "detect"]
 
 
 @st.composite
-def other_argv(draw):
-    """argv of a command that plays no retaliation: ``payoff``, ``simulate``,
-    ``stage-nash``, ``sweep``, ``audit-ipbwh`` or one of the four ``detect``
-    modes, drawn as ``contract_argv`` draws. The sizes that default to large
+def contract_argv(draw, commands):
+    """argv of one of ``commands``. Half the examples draw only plausible
+    values, so that full runs occur as well as refusals; the others draw
+    each value from the edge values too. The sizes that default to large
     values (``--cells``, ``simulate --rounds``) are always given."""
     edges = draw(st.booleans())
 
@@ -861,36 +825,48 @@ def other_argv(draw):
     def number(top=0.3):
         return pick(st.floats(0.0, top).map(repr))
 
-    def size(low=1, top=3, edge_values=SIZES):
+    def size(top=3, edge_values=SIZES, low=1):
         return pick(st.integers(low, top).map(str), edge_values)
 
     def option(flag, values):
         return [flag, *values] if draw(st.booleans()) else []
 
+    k = option("--k", [pick(st.floats(0.0, 1.0, exclude_max=True).map(repr))])
     seed = option("--seed", [pick(st.integers(0, 10**30).map(str), SEEDS)])
     alpha = ["--alpha", number(0.5), number(0.5)]
     attack = draw(st.sampled_from(["faw", "bwh"]))
-    command = draw(st.sampled_from(["payoff", "simulate", "stage-nash", "sweep",
-                                    "audit-ipbwh", "detect"]))
+    command = draw(st.sampled_from(commands))
+    if command == "npool":
+        powers = [number() for _ in range(draw(st.integers(0 if edges else 2, 5)))]
+        return ["npool", *(["--powers", *powers] if powers else []), "--attack", attack,
+                *option("--stages", [size()]),
+                *option("--rounds", [draw(st.sampled_from(["0", "200"])) if not edges
+                                     else size(200, ROUNDS)]), *k, *seed]
+    if command == "reproduce-table":
+        return ["reproduce-table", pick(st.sampled_from(["1", "3"]), ["2", "nan"]),
+                *option("--rounds", [size(200, ROUNDS)]), *k, *seed]
+    if command == "retaliate":
+        return ["retaliate", *alpha, "--opp-attack", *draw(st.permutations([number(), "0"])),
+                *option("--own-prev", [number(), number()]),
+                *option("--opp-prescribed", [number(), number()]), *k, *seed]
+    if command in ("delta-bound", "stage-nash"):
+        return [command, *alpha, *(k if command == "delta-bound" else []), *seed]
     if command in ("payoff", "simulate"):
         # an action attacks with one kind, the other component 0
         actions = [part for flag in ("--a1", "--a2")
                    for part in (flag, *draw(st.permutations([number(0.1), "0"])))]
-        rounds = ["--rounds", size(1, 200, ROUNDS)] if command == "simulate" else []
+        rounds = ["--rounds", size(200, ROUNDS)] if command == "simulate" else []
         return [command, *alpha, *actions, *rounds, *seed]
-    if command == "stage-nash":
-        return ["stage-nash", *alpha, *seed]
     if command == "sweep":
         return ["sweep", "--attack", attack, "--cells", size(),
-                *option("--fixed-alpha1", [number(0.5)]),
-                *option("--k", [pick(st.floats(0.0, 1.0, exclude_max=True).map(repr))]), *seed]
+                *option("--fixed-alpha1", [number(0.5)]), *k, *seed]
     if command == "audit-ipbwh":
         return ["audit-ipbwh", "--cells", size(), *seed]
     mode = draw(st.sampled_from(["block-ratio", "unlucky", "variance", "geometric"]))
     return ["detect", "--mode", mode, *option("--alpha", [number(0.5)]),
             *option("--beta", [number(0.5)]), *option("--infiltration", [number(0.05)]),
-            "--attack", attack, *option("--blocks", [size(1, 50)]),
-            *option("--periods", [size(30, 40)]), *seed]
+            "--attack", attack, *option("--blocks", [size(50)]),
+            *option("--periods", [size(40, low=30)]), *seed]
 
 
 class TestContractFindings:
@@ -968,12 +944,12 @@ class TestCliContract:
     exactly one ``error:`` line on stderr. A sweep's error rows, which end
     in their message, hold NaN by design and are not read."""
 
-    @given(argv=contract_argv())
+    @given(argv=contract_argv(RETALIATING))
     @settings(max_examples=300, deadline=None)
     def test_exit_code_and_output(self, argv):
         self.check(argv)
 
-    @given(argv=other_argv())
+    @given(argv=contract_argv(OTHERS))
     @settings(max_examples=300, deadline=None)
     def test_other_commands(self, argv):
         self.check(argv)

@@ -125,20 +125,16 @@ def power_arguments(draw):
     # a float broadcasts everywhere; a row or a column along one axis of two
     forms = ["float", "array", "row", "column"][:(1, 2, 4)[len(shape)]]
     args = []
-    for k in range(n):
-        values = grid[k:k + 1].reshape(shape)  # a view, so collapsing edits the grid
+    for values in grid:
         form = draw(st.sampled_from(forms))
         if form == "float":
-            values[...] = values.flat[0]
-            args.append(float(values.flat[0]))
+            args.append(float(np.ravel(values)[0]))
         elif form == "row":
-            values[...] = values[0]
-            args.append(values[0].copy())
+            args.append(values[0])
         elif form == "column":
-            values[...] = values[:, :1]
-            args.append(values[:, :1].copy())
+            args.append(values[:, :1])
         else:
-            args.append(values.copy())
+            args.append(values)
     return args
 
 
