@@ -742,9 +742,12 @@ class TestAttackSearchInputs:
         ([0.2, 0.3, 0.1], -1, InvalidScenario, "not a pool index"),
         ([0.6, 0.3, 0.05], 0, InvalidPowers, "no pool may hold more than half the network"),
         ([0.5, 0.4, 0.3], 0, InvalidPowers, "sum to"),
-        ([0.2, np.nan, 0.1], 0, InvalidPowers,
-         "powers must be positive numbers, got 0.2, nan, 0.1"),
-        ([0.2, 0.0, 0.1], 0, InvalidPowers, "powers must be positive numbers, got 0.2, 0.0, 0.1"),
+        pytest.param([0.2, np.nan, 0.1], 0, InvalidPowers,
+                     "powers must be positive numbers, got 0.2, nan, 0.1",
+                     id="alphas4-0-InvalidPowers-power nan"),
+        pytest.param([0.2, 0.0, 0.1], 0, InvalidPowers,
+                     "powers must be positive numbers, got 0.2, 0.0, 0.1",
+                     id="alphas5-0-InvalidPowers-power 0.0"),
         ([0.2], 0, InvalidScenario, "at least two pools"),
     ])
     @pytest.mark.parametrize("kind", list(AttackKind))
