@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ALGEBRAIC_TOL, Action, AttackKind, EmptySetUnexpected
+from .model import ALGEBRAIC_TOL, Action, AttackKind, EmptySetUnexpected, check_weight
 from .payoff import (
     one_sided_victim,
     optimal_infiltration,
@@ -303,13 +303,14 @@ def retaliate_cells(alpha_own, alpha_opp, stage, k):
     ``stage`` is a (4, N) array of (actual u_i, actual u_j, prescribed u_i,
     prescribed u_j): the stage payoffs of the last stage as played and as
     the opponent's prescription would have had it; ``k`` is one preference
-    weight or an (N,) array of one per row. Returns ``(faw, power,
-    empty)``: whether each row retaliates with FAW (else BWH), its power,
-    and the rows whose BWH candidate set came out empty (their power is 0.0
-    and means nothing), which the callers report. Tries FAW on every row,
-    then BWH on the rows without a FAW candidate, each in passes of
-    BATCH_ROWS rows.
+    weight or an (N,) array of one per row, each in [0, 1)
+    (``check_weight``). Returns ``(faw, power, empty)``: whether each row
+    retaliates with FAW (else BWH), its power, and the rows whose BWH
+    candidate set came out empty (their power is 0.0 and means nothing),
+    which the callers report. Tries FAW on every row, then BWH on the rows
+    without a FAW candidate, each in passes of BATCH_ROWS rows.
     """
+    check_weight(k)
     act_ui, act_uj, pre_ui, pre_uj = stage[:, None, :]
     own = alpha_own[None, :]
     # the right side of the candidate test, my loss from the deviation, the

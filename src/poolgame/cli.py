@@ -23,6 +23,7 @@ from .model import (
     PoolGameError,
     check_powers,
     check_seed,
+    check_weight,
 )
 from .payoff import payoff_pair, simulate_rounds
 from .ars import retaliate
@@ -261,7 +262,7 @@ def _cmd_retaliate(args):
     r = retaliate(
         args.alpha[0], _action(args.own_prev), args.alpha[1],
         _action(args.opp_attack), _action(args.opp_prescribed),
-        _preference_weight(args.k),
+        check_weight(args.k, "--k"),
     )
     return ["faw,bwh,ratio_faw,ratio_bwh",
             f"{r.faw:.8f},{r.bwh:.8f},{r.faw/args.alpha[0]:.6f},{r.bwh/args.alpha[0]:.6f}"]
@@ -272,14 +273,6 @@ def _cmd_simulate(args):
                           rounds=args.rounds, seed=args.seed)
     return ["u1,u2,stderr1,stderr2,rounds",
             f"{res.u_i:.8f},{res.u_j:.8f},{res.stderr_i:.2e},{res.stderr_j:.2e},{res.rounds}"]
-
-
-def _preference_weight(k):
-    """``--k``, checked: a retaliation preference weight lies in [0, 1)."""
-    # written so that NaN fails the test
-    if not 0.0 <= k < 1.0:
-        raise PoolGameError(f"--k must be in [0, 1), got {k}")
-    return k
 
 
 def _pool_powers(flags, *powers):
@@ -314,7 +307,7 @@ def _infiltration_share(args):
 def _cmd_sweep(args):
     kind = AttackKind(args.attack)
     n = _grid_cells(args.cells)
-    k = _preference_weight(args.k)
+    k = check_weight(args.k, "--k")
     grid = np.linspace(0.01, 0.5, n)
     if args.fixed_alpha1 is not None:
         _pool_powers("--fixed-alpha1", args.fixed_alpha1)
@@ -346,7 +339,7 @@ def _cmd_npool(args):
     if not args.powers:
         raise PoolGameError("npool needs --powers or a `powers` config entry")
     config = GameConfig(tuple(args.powers), seed=args.seed)
-    strategies = _one_shot_strategies(kind, _preference_weight(args.k), len(args.powers))
+    strategies = _one_shot_strategies(kind, check_weight(args.k, "--k"), len(args.powers))
     hist = run_npool(config, strategies, args.stages,
                      payoff_rounds=args.rounds or None)
     lines = ["stage,pool,payoff"]
@@ -383,17 +376,18 @@ def _cmd_detect(args):
         series, pool=pool,
     )
     ratio = variance_ratio(attack, honest)
+    if honest.variance() == 0.0:
+        raise PoolGameError("the honest series is flat, so there is no variance ratio")
     if args.series_out:
-        rows = ["period_index,reward_density"]
-        rows += [f"{i},{v:.8f}" for i, v in enumerate(attack.samples)]
-        with open(args.series_out, "w", encoding="utf-8") as fh:
-            fh.write(f"# seed={args.seed} command=detect-series\n" + "\n".join(rows) + "\n")
+        _emit(["period_index,reward_density",
+               *(f"{i},{v:.8f}" for i, v in enumerate(attack.samples))],
+              args.series_out, args.seed, "detect-series")
     return ["variance_ratio,attack_var,honest_var",
             f"{ratio:.4f},{attack.variance():.6f},{honest.variance():.6f}"]
 
 
 def _cmd_delta_bound(args):
-    b = delta_bound(*args.alpha, _preference_weight(args.k))
+    b = delta_bound(*args.alpha, check_weight(args.k, "--k"))
     # a class whose sampled deviations all go unpunished (punishment below
     # OPTIMIZER_TOL) has no ratio: its maximum is -inf
     if b.bound == -np.inf:
@@ -418,7 +412,7 @@ def _audit_rows(r):
 
 
 def _cmd_reproduce_table(args):
-    k = _preference_weight(args.k)
+    k = check_weight(args.k, "--k")
     if args.table == 1:
         lines = ["victim,power,attack,r_faw_pct,r_bwh_pct,attacker_total_pct"]
         for name, power in TABLE1_POOLS.items():

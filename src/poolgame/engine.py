@@ -42,6 +42,7 @@ from .model import (
     NonConvergence,
     ZERO_ACTION,
     check_powers,
+    check_weight,
     validate_action,
 )
 from .payoff import (
@@ -285,6 +286,8 @@ class PairwiseActionMatrix:
         return cls(np.zeros((n, n)), np.zeros((n, n)))
 
     def validate(self, alphas) -> "PairwiseActionMatrix":
+        """Refuse what ``check_powers`` refuses, then any action the game refuses."""
+        check_powers(*alphas)
         n = len(alphas)
         if not (isinstance(self.faw, np.ndarray) and isinstance(self.bwh, np.ndarray)
                 and self.faw.shape == self.bwh.shape == (n, n)):
@@ -554,28 +557,24 @@ def run_npool(
         raise InvalidScenario("at least two pools and one strategy per pool required")
     if stages < 1:
         raise InvalidScenario(f"the game needs at least 1 stage, got {stages}")
-    for strat in strategies:
-        # written so that NaN fails the test
-        if not 0.0 <= strat.k < 1.0:
-            raise InvalidScenario(f"k must be in [0, 1), got {strat.k}")
-    k = np.array([strat.k for strat in strategies], float)
+    k = check_weight(np.array([s.k for s in strategies], float))  # also if no one retaliates
     # at the start every standing is good: nothing played, nothing prescribed
     played = own = opp = PairwiseActionMatrix.zeros(n)
     records = []
     for t in range(stages):
         own, opp = _ars_prescriptions(alphas, k, played, own, opp)
-        matrix = PairwiseActionMatrix(own.faw.copy(), own.bwh.copy())
+        played = PairwiseActionMatrix(own.faw.copy(), own.bwh.copy())
         for i, strat in enumerate(strategies):
             for j, a in strat.pick(t, i, alphas).items():
-                matrix.faw[i, j], matrix.bwh[i, j] = a.faw, a.bwh
-        played = matrix.validate(alphas)
+                played.faw[i, j], played.bwh[i, j] = a.faw, a.bwh
         if payoff_rounds:
-            u, _ = npool_stage_payoffs_mc(alphas, matrix, payoff_rounds, config.seed + t)
+            u, _ = npool_stage_payoffs_mc(alphas, played, payoff_rounds, config.seed + t)
         elif n == 2:
-            u = payoff_pair(*alphas, matrix.action(0, 1), matrix.action(1, 0))
+            played.validate(alphas)  # the n-pool payoffs validate their stages themselves
+            u = payoff_pair(*alphas, played.action(0, 1), played.action(1, 0))
         else:
-            u = npool_stage_payoffs(alphas, matrix)
-        records.append(StageRecord(t, matrix, tuple(float(v) for v in u)))
+            u = npool_stage_payoffs(alphas, played)
+        records.append(StageRecord(t, played, tuple(float(v) for v in u)))
     return History(tuple(records), config.discount)
 
 

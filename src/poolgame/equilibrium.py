@@ -56,7 +56,6 @@ from .model import (
     OPTIMIZER_TOL,
     ZERO_ACTION,
     check_powers,
-    power_grid,
 )
 from .payoff import (
     StagePayoffs,
@@ -116,7 +115,7 @@ def _best_response(alpha_own, alpha_opp, f_opp) -> float:
     def u(f):
         return float(payoff_pair_raw(alpha_own, alpha_opp, f, 0.0, f_opp, 0.0)[0])
 
-    grid = power_grid(alpha_own, NASH_GRID_POINTS)
+    grid = np.linspace(0.0, alpha_own, NASH_GRID_POINTS)
     vals = payoff_pair_raw(alpha_own, alpha_opp, grid, 0.0, f_opp, 0.0)[0]
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
@@ -254,7 +253,7 @@ def deviation_outcome(
 
 
 def _deviation_grid(alpha_dev, n):
-    g = power_grid(alpha_dev, n)[1:]  # exclude 0 (compliance, not a deviation)
+    g = np.linspace(0.0, alpha_dev, n)[1:]  # exclude 0 (compliance, not a deviation)
     return [Action(f, 0.0) for f in g] + [Action(0.0, b) for b in g]
 
 
@@ -283,8 +282,11 @@ def delta_bound(
     stage-0 profile (punisher's action, deviator's prescription), so each side
     evaluates the deviation grid once per distinct profile, all profiles in
     one batch: cooperating under either prior and mutual-bad all share the
-    no-attack profile.
+    no-attack profile. Refuses a ``deviation_resolution`` below 2.
     """
+    if deviation_resolution < 2:
+        raise InvalidScenario(
+            f"the deviation grid needs at least 2 points, got {deviation_resolution}")
     case_maxima: dict[str, float] = {}
     for alpha_pun, alpha_dev, side in ((alpha_1, alpha_2, 2), (alpha_2, alpha_1, 1)):
         # the cases first: they refuse invalid powers before any grid is built

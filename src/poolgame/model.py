@@ -6,7 +6,8 @@ Conventions used throughout the package:
   fraction of that total; miners not belonging to any modeled pool are
   implicit with power ``1 - sum(powers)``. Pools are identified by their
   position in the tuple of powers. :func:`check_powers` is the game's one
-  domain: every power in (0, 0.5], and their sum below 1.
+  domain: every power in (0, 0.5], and their sum below 1. :func:`check_weight`
+  is the one rule for the ARS preference weight ``k``: in [0, 1).
 * An :class:`Action` is one stage's attack choice: the hash power a pool
   diverts into the opponent pool, either as FAW (fork-after-withholding) or
   BWH (block-withholding) infiltration. At most one of the two components is
@@ -137,6 +138,15 @@ def check_powers(*powers) -> None:
     raise InvalidPowers(f"powers sum to {sum(cell)} >= 1", index)
 
 
+def check_weight(k, name: str = "k"):
+    """Refuse a preference weight outside [0, 1), or the first such entry of
+    an array, and return ``k``; a float that passes makes no numpy call."""
+    ok = (k >= 0.0) & (k < 1.0)  # written so that NaN fails the test
+    if _all(ok):
+        return k
+    raise InvalidScenario(f"{name} must be in [0, 1), got {np.asarray(k).flat[np.argmin(ok)]}")
+
+
 def _all(ok) -> bool:
     """Whether a test of floats (a bool) or of arrays holds everywhere."""
     return ok is True or (ok is not False and ok.all())
@@ -176,9 +186,3 @@ def check_seed(seed, name: str = "seed") -> None:
     integers pass (NaN, floats and negatives fail)."""
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise InvalidScenario(f"{name} must be a non-negative integer, got {seed}")
-
-
-def power_grid(alpha: float, resolution: int) -> np.ndarray:
-    """Uniform infiltration-power grid on [0, alpha], endpoints included."""
-    return np.linspace(0.0, alpha, resolution)
-

@@ -3,7 +3,8 @@
 
 ``_audit_cell`` and ``audit_ipbwh_nonempty`` are the code the package used
 before the audit became one array program, unchanged apart from their
-imports and the cells being returned bare: every cell prices its family-1
+imports, the ``np.linspace`` that the removed ``model.power_grid``
+wrapped, and the cells being returned bare: every cell prices its family-1
 gaps on full infiltration-by-deviation grids. ``AuditCell`` is the per-cell
 record the package's audit returned before it returned columns, and
 ``audit_csv_rows`` its per-cell CSV formatter. Every cell of the batched
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from poolgame.model import AttackKind, power_grid
+from poolgame.model import AttackKind
 from poolgame.payoff import (
     one_sided_attacker,
     one_sided_victim,
@@ -50,7 +51,7 @@ def _audit_cell(a1: float, a2: float, n: int) -> AuditCell:
     f_dmg = optimal_faw_infiltration(a1, a2)
     f_cap = max(m1b, f_dmg)
 
-    dev2 = power_grid(a2, n)  # pool 2's deviation (FAW dominates for the gain)
+    dev2 = np.linspace(0.0, a2, n)  # pool 2's deviation (FAW dominates for the gain)
 
     # family 1: pool 1 has attacked with (f1, 0); gap between pool 2 staying
     # honest and deviating with (f2, 0)

@@ -3,7 +3,8 @@ oracle of the batched kernel (``ars.retaliate_cells``) and the batched sweeps.
 
 ``retaliate``, its helpers, ``_two_stage_cell``, ``deviation_outcome`` and
 ``_worst_ratio`` are the per-call code the package used before retaliation
-became an array kernel, unchanged apart from their imports and from
+became an array kernel, unchanged apart from their imports, the
+``np.linspace`` that the removed ``model.power_grid`` wrapped, and
 ``retaliate``'s grid search, which is ``retaliation_on_stage`` so that it
 can run on stage payoffs given directly;
 ``optimal_infiltration`` is the checked scalar dispatch they called then.
@@ -30,7 +31,6 @@ from poolgame.model import (
     EmptySetUnexpected,
     PoolGameError,
     ZERO_ACTION,
-    power_grid,
 )
 from poolgame.payoff import (
     StagePayoffs,
@@ -123,7 +123,7 @@ def retaliation_on_stage(alpha_own, alpha_opp, stage, k):
     """The grid search of ``retaliate`` on given stage payoffs (the stage as
     played and as prescribed): ``(kind, power)``, or None when the BWH
     candidate set is empty."""
-    coarse = power_grid(alpha_own, GRID_POINTS)
+    coarse = np.linspace(0.0, alpha_own, GRID_POINTS)
     step = coarse[1] - coarse[0]
     for kind, coef in ((AttackKind.FAW, k), (AttackKind.BWH, 1.0)):
         members, u_under = _candidate_set(kind, stage, alpha_own, alpha_opp, coef, coarse)

@@ -404,6 +404,31 @@ class TestWindowsAgainstOracle:
         assert refused
 
 
+BAD_WEIGHTS = [-0.5, 1.0, 1.5, float("nan")]
+
+
+class TestWeightRefused:
+    """Every retaliation refuses a preference weight outside [0, 1), with
+    ``model.check_weight``'s message, whatever the rows."""
+
+    @pytest.mark.parametrize("k", BAD_WEIGHTS)
+    def test_retaliate(self, k):
+        with pytest.raises(InvalidScenario, match=rf"^k must be in \[0, 1\), got {k}$"):
+            retaliate(0.25, ZERO_ACTION, 0.15, Action(0.05, 0.0), ZERO_ACTION, k)
+
+    @pytest.mark.parametrize("k", BAD_WEIGHTS)
+    def test_retaliate_cells_with_one_weight(self, k):
+        with pytest.raises(InvalidScenario, match=rf"^k must be in \[0, 1\), got {k}$"):
+            ars.retaliate_cells(np.array([0.25, 0.1]), np.array([0.15, 0.2]),
+                                np.zeros((4, 2)), k)
+
+    @pytest.mark.parametrize("k", BAD_WEIGHTS)
+    def test_retaliate_cells_with_one_bad_row(self, k):
+        with pytest.raises(InvalidScenario, match=rf"^k must be in \[0, 1\), got {k}$"):
+            ars.retaliate_cells(np.full(3, 0.25), np.full(3, 0.15), np.zeros((4, 3)),
+                                np.array([0.5, k, 0.999]))
+
+
 class TestPerRowWeight:
     @given(rows=st.lists(stage_rows(WEIGHTS), min_size=1, max_size=6))
     @settings(max_examples=300, deadline=None)

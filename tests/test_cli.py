@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -365,6 +366,7 @@ class TestPreferenceWeight:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "--k must be in [0, 1)" in captured.err
+        assert captured.err == f"error: --k must be in [0, 1), got {float(args[-1])}\n"
 
     def test_config_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
@@ -713,6 +715,19 @@ class TestScenarioCommands:
         assert code == 1 and captured.out == ""
         assert "cannot read hash-rate file" in captured.err
 
+    def test_detect_flat_honest_series_rejected(self, tmp_path, capsys):
+        # a constant hash rate gives the honest series variance 0, so no ratio
+        path, series = tmp_path / "flat.csv", tmp_path / "series.csv"
+        start = datetime(2020, 1, 1)
+        path.write_text("timestamp,pool,hashrate\n" + "".join(
+            f"{(start + timedelta(hours=h)).isoformat()},flat,10.0\n" for h in range(800)))
+        code = main(["detect", "--mode", "variance", "--hashrates", str(path),
+                     "--series-out", str(series)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not series.exists()
+        assert captured.err == (
+            "error: the honest series is flat, so there is no variance ratio\n")
+
     def test_detect_series_out_schema(self, tmp_path, capsys):
         series = tmp_path / "series.csv"
         code, _ = run_cli(
@@ -941,8 +956,9 @@ class TestContractFindings:
 class TestCliContract:
     """Whatever the input, a command exits 0, 1 or 2 and raises nothing out
     of ``main``; exit 0 prints the header and only finite numbers, exit 1
-    exactly one ``error:`` line on stderr. A sweep's error rows, which end
-    in their message, hold NaN by design and are not read."""
+    exactly one ``error:`` line on stderr, and no command warns. A sweep's
+    error rows, which end in their message, hold NaN by design and are not
+    read."""
 
     @given(argv=contract_argv(RETALIATING))
     @settings(max_examples=300, deadline=None)
@@ -957,7 +973,11 @@ class TestCliContract:
     @staticmethod
     def check(argv):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # a warning (numpy's RuntimeWarning, say) is an error, so one printed
+        # before an exit fails the property too
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              warnings.catch_warnings()):
+            warnings.simplefilter("error")
             code = main(argv)
         out, err = out.getvalue(), err.getvalue()
         assert code in (0, 1, 2)

@@ -22,6 +22,7 @@ from poolgame.model import (
     NonConvergence,
     PoolGameError,
     ZERO_ACTION,
+    check_powers,
 )
 from poolgame import ars, cli, engine, payoff
 from poolgame.payoff import payoff_pair
@@ -817,14 +818,16 @@ def checked_matrices(draw):
 
 
 class TestValidateAgainstOracle:
-    """``PairwiseActionMatrix.validate`` against the checks it replaced: the
-    same exception class with the same message, or a pass where they pass."""
+    """``PairwiseActionMatrix.validate`` against the checks it replaced, after
+    ``check_powers``, which it runs first: the same exception class with the
+    same message, or a pass where they pass."""
 
     @given(checked_matrices())
     @settings(max_examples=300, deadline=None)
     def test_same_verdict_and_message(self, case):
         alphas, m = case
         try:
+            check_powers(*alphas)
             npool_oracle.validate(m, alphas)
         except Exception as want:
             with pytest.raises(type(want)) as got:
@@ -922,3 +925,52 @@ class TestClosedPools:
     def test_zero_power_attacker(self):
         (row,) = closed_pool_scenario(attacker_powers=(0.0,))
         assert row.attacker_gain == 0.0 and row.victim_loss == 0.0
+
+
+BAD_WEIGHTS = [-0.5, 1.0, 1.5, float("nan")]
+
+
+class TestOneRulePerInput:
+    """The preference weight is checked where retaliation uses it, and an
+    n-pool stage is checked once, with its powers."""
+
+    @pytest.mark.parametrize("k", BAD_WEIGHTS)
+    def test_sweeps_refuse_the_weight(self, k):
+        message = rf"^k must be in \[0, 1\), got {k}$"
+        with pytest.raises(InvalidScenario, match=message):
+            two_stage_sweep([0.1, 0.2], AttackKind.FAW, k)
+        with pytest.raises(InvalidScenario, match=message):
+            two_stage_ratio_sweep([0.5, 1.0], [0.1, 0.2], AttackKind.BWH, 0.2, k)
+
+    @pytest.mark.parametrize("k", BAD_WEIGHTS)
+    def test_a_game_without_retaliation_refuses_the_weight(self, k):
+        # one stage: every standing is good, so no one retaliates
+        with pytest.raises(InvalidScenario, match=rf"^k must be in \[0, 1\), got {k}$"):
+            run_npool(config(0.25, 0.15), [ArsAgent(), ArsAgent(k)], 1)
+
+    @pytest.mark.parametrize("alphas", [[0.6, 0.5], [0.9, 0.9, 0.9]])
+    def test_stage_payoffs_refuse_the_powers(self, alphas):
+        m = PairwiseActionMatrix.zeros(len(alphas))
+        with pytest.raises(InvalidPowers, match="more than half"):
+            npool_stage_payoffs(alphas, m)
+        with pytest.raises(InvalidPowers, match="more than half"):
+            npool_stage_payoffs_mc(alphas, m, rounds=100)
+
+    @pytest.mark.parametrize("powers, rounds", [
+        ((0.25, 0.15), None),
+        ((0.25, 0.15, 0.10, 0.035, 0.02), None),
+        ((0.25, 0.15, 0.10, 0.035, 0.02), 1000),
+    ], ids=["two-pools", "five-pools", "five-pools-monte-carlo"])
+    def test_each_stage_validated_once(self, powers, rounds, monkeypatch):
+        calls = []
+        validate = PairwiseActionMatrix.validate
+
+        def counting(matrix, alphas):
+            calls.append(len(alphas))
+            return validate(matrix, alphas)
+
+        monkeypatch.setattr(PairwiseActionMatrix, "validate", counting)
+        strategies = [OptimalOneShotAttacker(AttackKind.FAW)]
+        strategies += [ArsAgent() for _ in powers[1:]]
+        run_npool(config(*powers), strategies, 3, payoff_rounds=rounds)
+        assert calls == [len(powers)] * 3

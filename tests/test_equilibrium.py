@@ -82,6 +82,19 @@ class TestDeltaBound:
             b = delta_bound(0.25, 0.15, k, deviation_resolution=20)
             assert 0.0 < b.bound < 1.0
 
+    @pytest.mark.parametrize("k", [-0.5, 1.0, 1.5, float("nan")])
+    def test_weight_outside_unit_interval_rejected(self, k):
+        # k = 1.5 gave a bound of 1.4998, above the 1 the construction promises
+        with pytest.raises(InvalidScenario, match=rf"^k must be in \[0, 1\), got {k}$"):
+            delta_bound(0.25, 0.15, k)
+
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    def test_deviation_grid_below_two_points_rejected(self, n):
+        # 0 and 1 gave a bound of -inf, -5 numpy's ValueError
+        with pytest.raises(InvalidScenario,
+                           match=rf"^the deviation grid needs at least 2 points, got {n}$"):
+            delta_bound(0.25, 0.15, 0.5, deviation_resolution=n)
+
     def test_duplicate_cases_noted(self):
         b = delta_bound(0.3, 0.2, 0.5, deviation_resolution=10)
         assert ("cooperating", "mutual-bad") in b.duplicate_cases

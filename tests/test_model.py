@@ -13,6 +13,7 @@ from poolgame.model import (
     InvalidPowers,
     InvalidScenario,
     check_powers,
+    check_weight,
     validate_action,
 )
 
@@ -164,3 +165,35 @@ class TestCheckPowers:
         with pytest.raises(InvalidPowers, match="powers sum to 1.0 >= 1") as err:
             check_powers(0.5, 0.5)
         assert err.value.index == 0
+
+
+class TestCheckWeight:
+    @pytest.mark.parametrize("k", [0.0, 0.5, 0.999, 1.0 - 2**-53])
+    def test_floats_in_the_interval_pass_unchanged(self, k):
+        assert check_weight(k) is k
+
+    def test_floats_that_pass_make_no_numpy_call(self, monkeypatch):
+        monkeypatch.setattr(model, "np", None)
+        assert check_weight(0.5) == 0.5
+
+    @pytest.mark.parametrize("k", [-0.5, -0.0 - 5e-324, 1.0, 1.5, math.inf, math.nan])
+    def test_floats_outside_refused(self, k):
+        with pytest.raises(InvalidScenario) as err:
+            check_weight(k)
+        assert str(err.value) == f"k must be in [0, 1), got {k}"
+
+    def test_the_name_is_the_callers(self):
+        with pytest.raises(InvalidScenario, match=r"^--k must be in \[0, 1\), got 1.5$"):
+            check_weight(1.5, "--k")
+
+    def test_an_array_passes_unchanged(self):
+        k = np.array([0.0, 0.3, 0.999])
+        assert check_weight(k) is k
+        assert check_weight(np.array([])).size == 0
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.0, 1.5, math.nan])
+    def test_an_array_names_its_first_offending_entry(self, bad):
+        k = np.array([0.2, bad, 0.3, 2.0])
+        with pytest.raises(InvalidScenario) as err:
+            check_weight(k)
+        assert str(err.value) == f"k must be in [0, 1), got {bad}"
