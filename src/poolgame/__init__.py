@@ -11,8 +11,8 @@ from .model import (
     InvalidPowers,
     PoolGameError,
     ZERO_ACTION,
+    check_actions,
     check_powers,
-    validate_action,
 )
 from .payoff import (
     RoundSimResult,
@@ -61,7 +61,6 @@ from .detection import (
     ingest_hashrate_csv,
     load_bundled_hashrates,
     simulate_reward_density,
-    simulate_victim_blocks,
     variance_ratio,
 )
 

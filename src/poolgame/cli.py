@@ -21,6 +21,7 @@ from .model import (
     GameConfig,
     InvalidPowers,
     PoolGameError,
+    check_count,
     check_powers,
     check_seed,
     check_weight,
@@ -286,9 +287,7 @@ def _pool_powers(flags, *powers):
 def _grid_cells(n):
     """``--cells``, checked: a power grid needs at least one cell per axis and
     allows at most MAX_GRID_CELLS, refused before any grid is allocated."""
-    if n < 1:
-        raise PoolGameError(f"the power grid needs at least 1 cell per axis, got {n}")
-    if n > MAX_GRID_CELLS:
+    if check_count(n, "--cells") > MAX_GRID_CELLS:
         raise PoolGameError(
             f"the power grid allows at most {MAX_GRID_CELLS} cells per axis, got {n}")
     return n

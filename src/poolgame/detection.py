@@ -30,6 +30,7 @@ from .model import (
     AttackKind,
     InvalidScenario,
     PoolGameError,
+    check_count,
     check_powers,
     check_seed,
 )
@@ -79,8 +80,7 @@ class DetectionScenario:
         check_powers(self.alpha, self.beta)
         if not (0.0 <= self.gamma <= 1.0):
             raise InvalidScenario("gamma must be in [0, 1]")
-        if self.periods < 1:
-            raise InvalidScenario("periods must be positive")
+        check_count(self.periods, "periods")
         check_seed(self.seed)
 
     @property
@@ -157,41 +157,6 @@ def _rng(seed, name: str = "seed") -> np.random.Generator:
     integer is refused as a domain error."""
     check_seed(seed, name)
     return np.random.default_rng(seed)
-
-
-def simulate_victim_blocks(
-    alpha: float, beta: float, gamma: float, kind: AttackKind,
-    periods: int, seed: int = 0,
-) -> np.ndarray:
-    """Event-level oracle for N: simulate round winners and count victim blocks
-    between consecutive attacker-pool blocks.
-
-    Rounds are independent races between the attacker's home power, the victim
-    pool, and external miners; a FAW detachment's withheld block converts an
-    external win into a victim-pool win. Used to validate the geometric model.
-    """
-    rng = _rng(seed)
-    infl = gamma * alpha
-    live = 1.0 - infl
-    ext = 1.0 - alpha - beta
-    p_att = (1.0 - gamma) * alpha / live
-    if kind is AttackKind.FAW:
-        # external win preceded by a detachment find becomes a victim block
-        p_vic = (beta + infl * ext) / live
-    else:
-        p_vic = beta / live
-    # draw rounds until enough attacker blocks delimit the requested periods
-    need = int((periods + 10) / p_att * 1.3) + 1000
-    wins = rng.choice(3, size=need, p=[p_att, p_vic, 1.0 - p_att - p_vic])
-    att_idx = np.flatnonzero(wins == 0)
-    while att_idx.size < periods + 1:
-        more = rng.choice(3, size=need, p=[p_att, p_vic, 1.0 - p_att - p_vic])
-        wins = np.concatenate([wins, more])
-        att_idx = np.flatnonzero(wins == 0)
-    vic_cum = np.cumsum(wins == 1)
-    start = att_idx[:periods]
-    end = att_idx[1 : periods + 1]
-    return vic_cum[end] - vic_cum[start]
 
 
 def simulate_reward_density(
@@ -274,8 +239,7 @@ def detect_bwh_block_ratio(
         raise InvalidScenario(
             f"invalid victim_power={victim_power}, infiltration={infiltration}"
         )
-    if blocks < 1:
-        raise InvalidScenario(f"blocks must be at least 1, got {blocks}")
+    check_count(blocks, "blocks")
     expected = victim_power / (1.0 - infiltration)
     null_p = victim_power + infiltration
     threshold = int(round(expected * blocks))
@@ -289,8 +253,7 @@ def detect_unlucky_miners(suspect_power: float, blocks: int) -> float:
     solution over the given number of blocks."""
     if not (0.0 <= suspect_power < 1.0):
         raise InvalidScenario(f"invalid power {suspect_power}")
-    if blocks < 1:
-        raise InvalidScenario(f"blocks must be at least 1, got {blocks}")
+    check_count(blocks, "blocks")
     return float((1.0 - suspect_power) ** blocks)
 
 
@@ -304,8 +267,7 @@ def evasion_smoothing(
     window boundaries are jittered per period (random-payout-time variant).
     Series without a stored decomposition are smoothed around their mean.
     """
-    if window < 1:
-        raise InvalidScenario("window must be >= 1")
+    check_count(window, "window")
     rng = None if random_phase_seed is None else _rng(random_phase_seed, "random_phase_seed")
     extra = series.extra if series.extra is not None else series.samples - series.samples.mean()
     base = series.base if series.base is not None else np.full_like(series.samples, series.samples.mean())
@@ -417,6 +379,7 @@ def generate_synthetic_hashrates(
     measurements on live pool data; larger fluctuation would proportionally
     shrink every attack/honest variance ratio.
     """
+    check_count(hours, "hours")
     pools = pools or {"pool_a": 35.0, "pool_b": 87.5}
     start = start or datetime(2019, 1, 21)
     rng = _rng(seed)

@@ -37,13 +37,14 @@ from .model import (
     AttackKind,
     DegenerateDenominator,
     GameConfig,
-    InfiltrationBudgetExceeded,
+    InvalidAction,
     InvalidScenario,
     NonConvergence,
     ZERO_ACTION,
+    check_actions,
+    check_count,
     check_powers,
     check_weight,
-    validate_action,
 )
 from .payoff import (
     NO_LIVE_POWER,
@@ -184,16 +185,6 @@ class SweepTable:
     error: list[str]
 
 
-def _check_cells(alpha_1, alpha_2, power, kind) -> None:
-    """Raise ``payoff_pair``'s error for the first cell whose powers or
-    attack it refuses (the test below is ``validate_action``'s, elementwise)."""
-    bad = np.flatnonzero(~((power >= 0.0) & (power <= alpha_1)))  # NaN fails too
-    stop = bad[0] + 1 if bad.size else power.size
-    check_powers(alpha_1[:stop], alpha_2[:stop])
-    for i in bad[:1]:
-        validate_action(Action.of(kind, power[i]), alpha_1[i])
-
-
 def _two_stage_cells(alpha_1, alpha_2, power, kind, k) -> SweepTable:
     """Cells with valid powers and attacks: pool 1 attacks with ``power``,
     pool 2 retaliates, all as array expressions. A cell with a pool of at
@@ -258,13 +249,15 @@ def two_stage_ratio_sweep(
 ) -> SweepTable:
     """Same two-stage scenario sweeping the attacker's infiltration ratio at
     fixed attacker size (heatmaps over attack intensity). Raises for the
-    first cell whose powers or attack ``payoff_pair`` refuses."""
+    first cell whose powers ``check_powers`` refuses, then for the first
+    attack ``check_actions`` refuses."""
     ratio, alpha_2 = _pairs(ratio_grid, alpha_2_grid)
     keep = ~(alpha_1 + alpha_2 > SWEEP_POWER_CAP)
     ratio, alpha_2 = ratio[keep], alpha_2[keep]
     alpha_1 = np.full_like(alpha_2, alpha_1)
     power = ratio * alpha_1
-    _check_cells(alpha_1, alpha_2, power, attacker_kind)
+    check_powers(alpha_1, alpha_2)
+    check_actions(alpha_1, *((power, 0.0) if attacker_kind is AttackKind.FAW else (0.0, power)))
     return _two_stage_cells(alpha_1, alpha_2, power, attacker_kind, k)
 
 
@@ -286,28 +279,25 @@ class PairwiseActionMatrix:
         return cls(np.zeros((n, n)), np.zeros((n, n)))
 
     def validate(self, alphas) -> "PairwiseActionMatrix":
-        """Refuse what ``check_powers`` refuses, then any action the game refuses."""
+        """Refuse what ``check_powers`` refuses, then any entry ``check_actions``
+        refuses, then a pool infiltrating itself or beyond its power in all."""
         check_powers(*alphas)
         n = len(alphas)
         if not (isinstance(self.faw, np.ndarray) and isinstance(self.bwh, np.ndarray)
                 and self.faw.shape == self.bwh.shape == (n, n)):
             raise InvalidScenario(f"the FAW and BWH matrices must be ({n}, {n}) arrays "
                                   f"for {n} pools")
-        # per pair the smaller power: NaN if either is, negative if either is
-        # and positive iff both are, so zero everywhere on a valid matrix
-        low = np.minimum(self.faw, self.bwh)
-        if low.any():
-            if not low.min() >= 0:  # written so that NaN fails the test
-                raise InvalidScenario("infiltration powers must be non-negative numbers")
-            raise InvalidScenario("FAW and BWH are mutually exclusive per pair")
+        power = np.asarray(alphas, float)
+        check_actions(power[:, None], self.faw, self.bwh)
         x = self.faw + self.bwh
         if x.trace() > 0:  # a sum of non-negative numbers: positive iff one is
             raise InvalidScenario("a pool cannot infiltrate itself")
         out = x.sum(axis=1)
-        if not (out <= np.asarray(alphas) + 1e-12).all():
-            raise InfiltrationBudgetExceeded(
-                f"outgoing infiltration {out} exceeds pool powers {alphas}"
-            )
+        # a margin of n machine epsilons of the power, above the rounding of
+        # an n-term sum: 0.1 + 0.2 spends a pool of 0.3 one ulp over
+        for i in np.flatnonzero(~(out <= power * (1.0 + n * np.finfo(float).eps)))[:1]:
+            raise InvalidAction(f"pool {i}'s outgoing infiltration {out[i]} exceeds "
+                                f"its power {power[i]}")
         return self
 
     def action(self, i: int, j: int) -> Action:
@@ -555,8 +545,7 @@ def run_npool(
     n = len(alphas)
     if n < 2 or len(strategies) != n:
         raise InvalidScenario("at least two pools and one strategy per pool required")
-    if stages < 1:
-        raise InvalidScenario(f"the game needs at least 1 stage, got {stages}")
+    check_count(stages, "stages")
     k = check_weight(np.array([s.k for s in strategies], float))  # also if no one retaliates
     # at the start every standing is good: nothing played, nothing prescribed
     played = own = opp = PairwiseActionMatrix.zeros(n)

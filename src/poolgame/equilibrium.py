@@ -51,10 +51,11 @@ from .model import (
     Action,
     AttackKind,
     InvalidPowers,
-    InvalidScenario,
     NonConvergence,
     OPTIMIZER_TOL,
     ZERO_ACTION,
+    check_actions,
+    check_count,
     check_powers,
 )
 from .payoff import (
@@ -128,9 +129,12 @@ def stage_nash(
     alpha_2: float,
     initial: tuple[float, float] = (0.0, 0.0),
 ) -> StageEquilibrium:
-    """Unique pure-FAW stage-game Nash equilibrium by best-response iteration."""
+    """Unique pure-FAW stage-game Nash equilibrium by best-response iteration
+    from the FAW powers ``initial``."""
     check_powers(alpha_1, alpha_2)
     f1, f2 = initial
+    check_actions(alpha_1, f1, 0.0)
+    check_actions(alpha_2, f2, 0.0)
     for iterations in range(1, NASH_MAX_ITERATIONS + 1):
         n1 = _best_response(alpha_1, alpha_2, f2)
         n2 = _best_response(alpha_2, alpha_1, n1)
@@ -284,9 +288,7 @@ def delta_bound(
     one batch: cooperating under either prior and mutual-bad all share the
     no-attack profile. Refuses a ``deviation_resolution`` below 2.
     """
-    if deviation_resolution < 2:
-        raise InvalidScenario(
-            f"the deviation grid needs at least 2 points, got {deviation_resolution}")
+    check_count(deviation_resolution, "deviation_resolution", least=2)
     case_maxima: dict[str, float] = {}
     for alpha_pun, alpha_dev, side in ((alpha_1, alpha_2, 2), (alpha_2, alpha_1, 1)):
         # the cases first: they refuse invalid powers before any grid is built
@@ -491,12 +493,8 @@ def audit_ipbwh_nonempty(
     those whose powers sum above ``power_cap``; the first cell with invalid
     powers raises ``InvalidPowers``.
     """
-    if power_grid_resolution < 1:
-        raise InvalidScenario(
-            f"the power grid needs at least 1 cell per axis, got {power_grid_resolution}")
-    if infiltration_resolution < 2:
-        raise InvalidScenario(
-            f"the infiltration grid needs at least 2 points, got {infiltration_resolution}")
+    check_count(power_grid_resolution, "power_grid_resolution")
+    check_count(infiltration_resolution, "infiltration_resolution", least=2)
     powers = np.linspace(power_lo, power_hi, power_grid_resolution)
     a1, a2 = (g.ravel() for g in np.meshgrid(powers, powers, indexing="ij"))
     kept = ~(a1 + a2 > power_cap)

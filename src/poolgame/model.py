@@ -7,11 +7,14 @@ Conventions used throughout the package:
   implicit with power ``1 - sum(powers)``. Pools are identified by their
   position in the tuple of powers. :func:`check_powers` is the game's one
   domain: every power in (0, 0.5], and their sum below 1. :func:`check_weight`
-  is the one rule for the ARS preference weight ``k``: in [0, 1).
+  is the one rule for the ARS preference weight ``k``: in [0, 1), and
+  :func:`check_count` the one rule for stages, rounds, periods, blocks and
+  grid points: an integer of at least 1 (or 2).
 * An :class:`Action` is one stage's attack choice: the hash power a pool
   diverts into the opponent pool, either as FAW (fork-after-withholding) or
   BWH (block-withholding) infiltration. At most one of the two components is
-  positive; ``Action(0, 0)`` is honest mining (no attack).
+  positive; ``Action(0, 0)`` is honest mining (no attack). :func:`check_actions`
+  is the one rule for an action's powers.
 * Payoffs are *extra reward densities*: reward earned per unit of own power,
   minus the honest-mining baseline of 1. Zero means "as good as honest".
 """
@@ -56,10 +59,6 @@ class InvalidScenario(PoolGameError):
 
 class EmptySetUnexpected(PoolGameError):
     """The BWH infiltration set came out empty, contradicting its guarantee."""
-
-
-class InfiltrationBudgetExceeded(PoolGameError):
-    pass
 
 
 class NonConvergence(PoolGameError):
@@ -129,7 +128,7 @@ def check_powers(*powers) -> None:
     with np.errstate(invalid="ignore", over="ignore"):  # others may not
         ok = ok & (sum(powers) < 1.0)
     index = int(np.argmin(ok))  # the first False
-    cell = [float(np.broadcast_to(p, np.shape(ok)).flat[index]) for p in powers]
+    cell = list(map(float, np.reshape(np.broadcast_arrays(*powers), (len(powers), -1))[:, index]))
     if not all(p > 0.0 for p in cell):
         raise InvalidPowers(f"powers must be positive numbers, got {', '.join(map(str, cell))}",
                             index)
@@ -145,6 +144,34 @@ def check_weight(k, name: str = "k"):
     if _all(ok):
         return k
     raise InvalidScenario(f"{name} must be in [0, 1), got {np.asarray(k).flat[np.argmin(ok)]}")
+
+
+def check_actions(alpha, faw, bwh) -> None:
+    """Refuse infiltration powers the game does not allow: each must be a
+    non-negative number, a pair may not use both FAW and BWH, and each is at
+    most its owner's power ``alpha``. Floats or arrays that broadcast; the
+    first offending entry in row order raises ``InvalidAction``. Plain
+    operators serve both, so floats that pass make no numpy call."""
+    # comparisons only, which never warn; written so that NaN fails every test
+    ok = (((faw == 0.0) | (bwh == 0.0)) & (faw >= 0.0) & (bwh >= 0.0)
+          & (faw <= alpha) & (bwh <= alpha))
+    if ok is True or _all(ok):
+        return
+    index = int(np.argmin(ok))  # the first False
+    a, f, b = map(float, np.reshape(np.broadcast_arrays(alpha, faw, bwh), (3, -1))[:, index])
+    if not (f >= 0.0 and b >= 0.0):
+        raise InvalidAction(f"infiltration powers must be non-negative numbers, got {f}, {b}")
+    if f > 0.0 and b > 0.0:
+        raise InvalidAction(f"FAW and BWH are mutually exclusive, got {f}, {b}")
+    raise InvalidAction(f"infiltration power {max(f, b)} exceeds owner power {a}")
+
+
+def check_count(n, name: str, least: int = 1):
+    """Refuse a count that is not an integer of at least ``least`` (NaN and
+    floats fail) and return it."""
+    if isinstance(n, numbers.Integral) and n >= least:
+        return n
+    raise InvalidScenario(f"{name} must be an integer of at least {least}, got {n}")
 
 
 def _all(ok) -> bool:
@@ -165,20 +192,6 @@ class GameConfig:
         check_powers(*self.powers)
         if not (0.0 < self.discount < 1.0):
             raise InvalidScenario(f"discount must be in (0,1), got {self.discount}")
-
-
-def validate_action(a: Action, alpha: float) -> Action:
-    """Check all Action invariants for an owner of power ``alpha``; return it."""
-    # written so that NaN fails every test
-    if not (a.faw >= 0.0 and a.bwh >= 0.0):
-        raise InvalidAction(f"infiltration powers must be non-negative numbers: {a}")
-    if a.faw > 0.0 and a.bwh > 0.0:
-        raise InvalidAction(f"FAW and BWH are mutually exclusive, got {a}")
-    if not (a.faw <= alpha and a.bwh <= alpha):
-        raise InvalidAction(
-            f"infiltration power {max(a.faw, a.bwh)} exceeds owner power {alpha}"
-        )
-    return a
 
 
 def check_seed(seed, name: str = "seed") -> None:

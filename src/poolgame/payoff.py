@@ -31,6 +31,7 @@ the honest baseline 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +41,10 @@ from .model import (
     AttackKind,
     DegenerateDenominator,
     InvalidScenario,
+    check_actions,
+    check_count,
     check_powers,
     check_seed,
-    validate_action,
 )
 
 
@@ -50,15 +52,11 @@ from .model import (
 NO_LIVE_POWER = "actions leave no live block-finding power"
 
 
-@dataclass(frozen=True)
-class StagePayoffs:
+class StagePayoffs(NamedTuple):
     """Per-pool extra reward densities for one stage."""
 
     u_i: float
     u_j: float
-
-    def __iter__(self):
-        return iter((self.u_i, self.u_j))
 
 
 def payoff_pair_raw(alpha_i, alpha_j, f_i, b_i, f_j, b_j):
@@ -131,13 +129,11 @@ def payoff_pair(
 ) -> StagePayoffs:
     """Exact per-stage extra reward densities for an action profile."""
     check_powers(alpha_i, alpha_j)
-    validate_action(a_i, alpha_i)
-    validate_action(a_j, alpha_j)
-    # Python floats throughout, so the kernel takes its float path
-    return StagePayoffs(*payoff_pair_raw(
-        float(alpha_i), float(alpha_j), float(a_i.faw), float(a_i.bwh),
-        float(a_j.faw), float(a_j.bwh),
-    ))
+    # Python floats throughout, so the checks and the kernel take their float paths
+    f_i, b_i, f_j, b_j = float(a_i.faw), float(a_i.bwh), float(a_j.faw), float(a_j.bwh)
+    check_actions(alpha_i, f_i, b_i)
+    check_actions(alpha_j, f_j, b_j)
+    return StagePayoffs(*payoff_pair_raw(float(alpha_i), float(alpha_j), f_i, b_i, f_j, b_j))
 
 
 def one_sided_attacker(kind: AttackKind, alpha_att, alpha_vic, x):
@@ -267,9 +263,7 @@ def _sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
     Returns the mean extra reward densities, their standard errors, the win
     frequencies and the inverse pot-split matrix.
     """
-    if not rounds >= 1:
-        raise InvalidScenario(f"Monte-Carlo rounds must be at least 1, got {rounds}")
-    if rounds >= 2**63:  # numpy's draws count in int64
+    if check_count(rounds, "Monte-Carlo rounds") >= 2**63:  # numpy's draws count in int64
         raise InvalidScenario(f"Monte-Carlo rounds must be below 2**63, got {rounds}")
     check_seed(seed, "Monte-Carlo seed")
     alphas = np.asarray(alphas, float)
@@ -330,8 +324,8 @@ def simulate_rounds(
     independent of the closed form. Deterministic for a given seed.
     """
     check_powers(alpha_i, alpha_j)
-    validate_action(a_i, alpha_i)
-    validate_action(a_j, alpha_j)
+    check_actions(alpha_i, a_i.faw, a_i.bwh)
+    check_actions(alpha_j, a_j.faw, a_j.bwh)
     faw = np.array([[0.0, a_i.faw], [a_j.faw, 0.0]])
     bwh = np.array([[0.0, a_i.bwh], [a_j.bwh, 0.0]])
     u, se, p, inv = _sample_rounds((alpha_i, alpha_j), faw, bwh, rounds, seed)

@@ -1,16 +1,18 @@
-"""The loop enumeration of the n-pool direct revenue, the first
-``PairwiseActionMatrix.validate`` and the golden-section attack search,
-kept as oracles of the set-weight sum (``engine._npool_direct_revenue``),
-of the cheaper validation and of the Newton attack search, and a
-quadrature of the direct revenue for more flags than the loop can price.
+"""The loop enumeration of the n-pool direct revenue, the action rules of
+``PairwiseActionMatrix.validate`` entry by entry and the golden-section
+attack search, kept as oracles of the set-weight sum
+(``engine._npool_direct_revenue``), of the array validation and of the
+Newton attack search, and a quadrature of the direct revenue for more flags
+than the loop can price.
 
-``npool_direct_revenue``, ``validate`` and ``optimal_simultaneous_attack``
-are the code the package used before, unchanged apart from their imports
-and ``validate`` taking the matrix as an argument. The set-weight sum must
-be within 1e-13 of ``npool_direct_revenue`` and of
-``npool_direct_revenue_quadrature``, and the package's ``validate``
-must raise the same exception class with the same message as ``validate``
-on well-formed matrices, or pass where it passes. The oracle search prices
+``npool_direct_revenue`` and ``optimal_simultaneous_attack`` are the code
+the package used before, unchanged apart from their imports. ``validate``
+applies the rules of ``model.check_actions`` one entry at a time in row
+order, then the matrix's own rules, with Python comparisons only. The
+set-weight sum must be within 1e-13 of ``npool_direct_revenue`` and of
+``npool_direct_revenue_quadrature``, and the package's ``validate`` must
+raise the same exception class with the same message as ``validate`` on
+well-formed matrices, or pass where it passes. The oracle search prices
 every point with the public ``npool_stage_payoffs``; it resolves the attack
 to about 4e-9, and the package's search must do at least as well.
 """
@@ -23,24 +25,32 @@ import numpy as np
 
 from poolgame.engine import PairwiseActionMatrix, npool_stage_payoffs
 from poolgame.equilibrium import golden_max
-from poolgame.model import AttackKind, InfiltrationBudgetExceeded, InvalidScenario
+from poolgame.model import AttackKind, InvalidAction, InvalidScenario
 
 ASCENT_SWEEPS = 5  # coordinate-ascent passes of optimal_simultaneous_attack
 
 
 def validate(matrix: PairwiseActionMatrix, alphas) -> PairwiseActionMatrix:
     # written so that NaN fails every test
-    if not (np.all(matrix.faw >= 0) and np.all(matrix.bwh >= 0)):
-        raise InvalidScenario("infiltration powers must be non-negative numbers")
-    if np.any((matrix.faw > 0) & (matrix.bwh > 0)):
-        raise InvalidScenario("FAW and BWH are mutually exclusive per pair")
-    if np.any(np.diag(matrix.faw + matrix.bwh) > 0):
+    n = len(alphas)
+    for i in range(n):
+        for j in range(n):
+            f, b = float(matrix.faw[i, j]), float(matrix.bwh[i, j])
+            if not (f >= 0 and b >= 0):
+                raise InvalidAction(
+                    f"infiltration powers must be non-negative numbers, got {f}, {b}")
+            if f > 0 and b > 0:
+                raise InvalidAction(f"FAW and BWH are mutually exclusive, got {f}, {b}")
+            if not (f <= alphas[i] and b <= alphas[i]):
+                raise InvalidAction(
+                    f"infiltration power {max(f, b)} exceeds owner power {float(alphas[i])}")
+    if any(matrix.faw[i, i] + matrix.bwh[i, i] > 0 for i in range(n)):
         raise InvalidScenario("a pool cannot infiltrate itself")
     out = (matrix.faw + matrix.bwh).sum(axis=1)
-    if not np.all(out <= np.asarray(alphas) + 1e-12):
-        raise InfiltrationBudgetExceeded(
-            f"outgoing infiltration {out} exceeds pool powers {alphas}"
-        )
+    for i in range(n):
+        if not out[i] <= alphas[i] * (1.0 + n * 2.0**-52):
+            raise InvalidAction(f"pool {i}'s outgoing infiltration {float(out[i])} exceeds "
+                                f"its power {float(alphas[i])}")
     return matrix
 
 

@@ -1,6 +1,7 @@
 """The Monte-Carlo round sampler as the package had it before flag-first
 rounds were settled one flag row at a time, kept as the oracle of
-``payoff._sample_rounds``.
+``payoff._sample_rounds``, and the event-level sampler of the victim's
+blocks per attacker period, the oracle of the detector's geometric model.
 
 ``sample_rounds`` is that code, unchanged apart from its imports and the
 batch size, which it reads from ``payoff._CHUNK`` at call time so that a test
@@ -9,6 +10,9 @@ every flag at once with (F, m) temporaries, forces each round's first flag
 with a fancy-index store, and picks the winning flag with a cumulative sum
 and an ``argmax`` over the flag axis. The package's sampler must draw the
 same numbers in the same order and return the same four arrays bit for bit.
+
+``simulate_victim_blocks`` is the code ``poolgame.detection`` had, unchanged
+apart from its imports; ``geometric_param`` must match its counts.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from poolgame import payoff
-from poolgame.model import InvalidScenario
+from poolgame.detection import _rng
+from poolgame.model import AttackKind, InvalidScenario
 from poolgame.payoff import _pot_matrix
 
 
@@ -57,3 +62,38 @@ def sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
     # a round's density vector is a column of inv (or zero): categorical variance
     var = (inv**2) @ p_hat - q_mean**2
     return q_mean - 1.0, np.sqrt(np.maximum(var, 0.0) / rounds), p_hat, inv
+
+
+def simulate_victim_blocks(
+    alpha: float, beta: float, gamma: float, kind: AttackKind,
+    periods: int, seed: int = 0,
+) -> np.ndarray:
+    """Event-level oracle for N: simulate round winners and count victim blocks
+    between consecutive attacker-pool blocks.
+
+    Rounds are independent races between the attacker's home power, the victim
+    pool, and external miners; a FAW detachment's withheld block converts an
+    external win into a victim-pool win. Used to validate the geometric model.
+    """
+    rng = _rng(seed)
+    infl = gamma * alpha
+    live = 1.0 - infl
+    ext = 1.0 - alpha - beta
+    p_att = (1.0 - gamma) * alpha / live
+    if kind is AttackKind.FAW:
+        # external win preceded by a detachment find becomes a victim block
+        p_vic = (beta + infl * ext) / live
+    else:
+        p_vic = beta / live
+    # draw rounds until enough attacker blocks delimit the requested periods
+    need = int((periods + 10) / p_att * 1.3) + 1000
+    wins = rng.choice(3, size=need, p=[p_att, p_vic, 1.0 - p_att - p_vic])
+    att_idx = np.flatnonzero(wins == 0)
+    while att_idx.size < periods + 1:
+        more = rng.choice(3, size=need, p=[p_att, p_vic, 1.0 - p_att - p_vic])
+        wins = np.concatenate([wins, more])
+        att_idx = np.flatnonzero(wins == 0)
+    vic_cum = np.cumsum(wins == 1)
+    start = att_idx[:periods]
+    end = att_idx[1 : periods + 1]
+    return vic_cum[end] - vic_cum[start]

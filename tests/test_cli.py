@@ -273,7 +273,7 @@ class TestGridCells:
         code = main(args)
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert "at least 1 cell" in captured.err
+        assert f"--cells must be an integer of at least 1, got {args[-1]}" in captured.err
 
     # only refused sizes run here: an accepted size this large would allocate GiB
     @pytest.mark.parametrize("args", [
@@ -295,13 +295,21 @@ class TestCountInputs:
     table, p = 1 or nan."""
 
     @pytest.mark.parametrize("args, message", [
-        (["npool", "--powers", "0.2", "0.2", "--attack", "faw", "--stages", "0"],
-         "at least 1 stage, got 0"),
-        (["npool", "--powers", "0.2", "0.2", "--attack", "faw", "--stages", "-2"],
-         "at least 1 stage, got -2"),
-        (["detect", "--mode", "block-ratio", "--blocks", "0"], "at least 1, got 0"),
-        (["detect", "--mode", "block-ratio", "--blocks", "-5"], "at least 1, got -5"),
-        (["detect", "--mode", "unlucky", "--blocks", "0"], "at least 1, got 0"),
+        pytest.param(["npool", "--powers", "0.2", "0.2", "--attack", "faw", "--stages", "0"],
+                     "stages must be an integer of at least 1, got 0",
+                     id="args0-at least 1 stage, got 0"),
+        pytest.param(["npool", "--powers", "0.2", "0.2", "--attack", "faw", "--stages", "-2"],
+                     "stages must be an integer of at least 1, got -2",
+                     id="args1-at least 1 stage, got -2"),
+        pytest.param(["detect", "--mode", "block-ratio", "--blocks", "0"],
+                     "blocks must be an integer of at least 1, got 0",
+                     id="args2-at least 1, got 0"),
+        pytest.param(["detect", "--mode", "block-ratio", "--blocks", "-5"],
+                     "blocks must be an integer of at least 1, got -5",
+                     id="args3-at least 1, got -5"),
+        pytest.param(["detect", "--mode", "unlucky", "--blocks", "0"],
+                     "blocks must be an integer of at least 1, got 0",
+                     id="args4-at least 1, got 0"),
     ])
     def test_rejected(self, args, message, capsys):
         code = main(args)
@@ -657,7 +665,7 @@ class TestScenarioCommands:
         code = main(args)
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert "rounds must be at least 1" in captured.err
+        assert "Monte-Carlo rounds must be an integer of at least 1, got" in captured.err
 
     @pytest.mark.parametrize("args", [
         ["simulate", "--alpha", "0.2", "0.2", "--a1", "0.05", "0", "--a2", "0", "0.02",

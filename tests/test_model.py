@@ -5,6 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poolgame import model
+from poolgame.detection import (
+    DetectionScenario,
+    RewardDensitySeries,
+    detect_bwh_block_ratio,
+    detect_unlucky_miners,
+    evasion_smoothing,
+    generate_synthetic_hashrates,
+)
+from poolgame.engine import ArsAgent, PairwiseActionMatrix, npool_stage_payoffs_mc, run_npool
+from poolgame.equilibrium import audit_ipbwh_nonempty, delta_bound
 from poolgame.model import (
     Action,
     AttackKind,
@@ -12,30 +22,37 @@ from poolgame.model import (
     InvalidAction,
     InvalidPowers,
     InvalidScenario,
+    PoolGameError,
+    check_actions,
+    check_count,
     check_powers,
     check_weight,
-    validate_action,
 )
+from poolgame.payoff import simulate_rounds
 
 
 class TestAction:
     def test_no_attack_ok(self):
-        a = validate_action(Action(0.0, 0.0), 0.2)
+        a = Action(0.0, 0.0)
+        assert check_actions(0.2, a.faw, a.bwh) is None
         assert a.is_zero and a.kind is None
 
     def test_one_sided_ok(self):
-        a = validate_action(Action(0.1, 0.0), 0.2)
+        a = Action(0.1, 0.0)
+        assert check_actions(0.2, a.faw, a.bwh) is None
         assert a.kind is AttackKind.FAW and a.power == 0.1
 
     def test_exclusivity_violated(self):
-        with pytest.raises(InvalidAction):
-            validate_action(Action(0.1, 0.05), 0.2)
+        with pytest.raises(InvalidAction,
+                           match=r"^FAW and BWH are mutually exclusive, got 0.1, 0.05$"):
+            check_actions(0.2, 0.1, 0.05)
 
     def test_bounds(self):
-        with pytest.raises(InvalidAction):
-            validate_action(Action(0.25, 0.0), 0.2)
-        with pytest.raises(InvalidAction):
-            validate_action(Action(-0.01, 0.0), 0.2)
+        with pytest.raises(InvalidAction,
+                           match=r"^infiltration power 0.25 exceeds owner power 0.2$"):
+            check_actions(0.2, 0.25, 0.0)
+        with pytest.raises(InvalidAction, match="non-negative numbers, got -0.01, 0.0$"):
+            check_actions(0.2, -0.01, 0.0)
 
     @given(
         f=st.floats(0, 0.5, allow_nan=False),
@@ -44,12 +61,12 @@ class TestAction:
     )
     def test_accepted_actions_satisfy_invariants(self, f, b, alpha):
         try:
-            a = validate_action(Action(f, b), alpha)
+            check_actions(alpha, f, b)
         except InvalidAction:
             assert (f > 0 and b > 0) or f > alpha or b > alpha
         else:
-            assert a.faw * a.bwh == 0.0
-            assert 0.0 <= a.faw <= alpha and 0.0 <= a.bwh <= alpha
+            assert f * b == 0.0
+            assert 0.0 <= f <= alpha and 0.0 <= b <= alpha
 
 
 class TestPoolProfile:
@@ -197,3 +214,140 @@ class TestCheckWeight:
         with pytest.raises(InvalidScenario) as err:
             check_weight(k)
         assert str(err.value) == f"k must be in [0, 1), got {bad}"
+
+
+def action_rule(alpha, f, b):
+    """The action rule on one entry of floats, a test at a time: None if the
+    entry passes, else the message ``check_actions`` raises for it."""
+    if not (f >= 0.0 and b >= 0.0):  # NaN fails too
+        return f"infiltration powers must be non-negative numbers, got {f}, {b}"
+    if f > 0.0 and b > 0.0:
+        return f"FAW and BWH are mutually exclusive, got {f}, {b}"
+    if not (f <= alpha and b <= alpha):
+        return f"infiltration power {max(f, b)} exceeds owner power {alpha}"
+    return None
+
+
+# values at and past every edge of an infiltration power; zeros, small powers
+# and valid owners are common, so that whole sweeps and matrices pass too
+EDGE_ACTIONS = [math.nan, 0.0, -0.0, 5e-324, -5e-324, 0.1, 0.25, math.nextafter(0.25, 1.0),
+                0.5, 1.0, -0.1, math.inf, -math.inf]
+ACTION = st.one_of(st.just(0.0), st.just(0.0), st.just(0.0), st.floats(0.0, 0.01),
+                   st.sampled_from(EDGE_ACTIONS), st.floats())
+OWNER = st.one_of(st.floats(0.01, 0.5), st.floats(0.01, 0.5), POWER)
+
+
+@st.composite
+def action_arguments(draw):
+    """``check_actions`` arguments in the three forms its callers use: three
+    floats; a sweep of one-sided attacks, with the owner's power an array or
+    a float; or (n, n) FAW and BWH matrices with ``alpha[:, None]``."""
+    form = draw(st.sampled_from(["floats", "sweep", "matrix"]))
+    if form == "floats":
+        return [draw(OWNER), draw(ACTION), draw(ACTION)]
+    if form == "sweep":
+        m = draw(st.integers(0, 6))
+        power = np.array(draw(st.lists(ACTION, min_size=m, max_size=m)), float)
+        alpha = (np.array(draw(st.lists(OWNER, min_size=m, max_size=m)), float)
+                 if draw(st.booleans()) else draw(OWNER))
+        return [alpha, power, 0.0] if draw(st.booleans()) else [alpha, 0.0, power]
+    n = draw(st.integers(1, 4))
+    alpha = np.array(draw(st.lists(OWNER, min_size=n, max_size=n)), float)
+    faw, bwh = (np.array(draw(st.lists(ACTION, min_size=n * n, max_size=n * n)),
+                         float).reshape(n, n) for _ in range(2))
+    return [alpha[:, None], faw, bwh]
+
+
+class TestCheckActions:
+    @given(action_arguments())
+    @settings(max_examples=300, deadline=None)
+    def test_entries_follow_the_scalar_rule(self, args):
+        # the entries of the arguments' broadcast, in row order
+        shape = np.broadcast_shapes(*map(np.shape, args))
+        entries = [tuple(float(np.broadcast_to(a, shape)[i]) for a in args)
+                   for i in np.ndindex(shape)]
+        first = next((v for v in (action_rule(*e) for e in entries) if v is not None), None)
+        if first is None:
+            assert check_actions(*args) is None
+            return
+        with pytest.raises(InvalidAction) as err:
+            check_actions(*args)
+        assert str(err.value) == first
+
+    def test_floats_that_pass_make_no_numpy_call(self, monkeypatch):
+        monkeypatch.setattr(model, "np", None)
+        assert check_actions(0.25, 0.25, 0.0) is None
+        assert check_actions(0.25, 0.0, 0.1) is None
+        assert check_actions(0.25, 0, 0) is None
+
+    def test_the_overdraft_is_exact(self):
+        check_actions(0.2, 0.2, 0.0)
+        with pytest.raises(InvalidAction, match="exceeds owner power 0.2$"):
+            check_actions(0.2, 0.0, math.nextafter(0.2, 1.0))
+
+
+COUNTS = st.one_of(st.integers(-3, 5), st.sampled_from([2.5, 3.0, math.nan, math.inf, -math.inf,
+                                                        "3", None]),
+                   st.integers(-3, 5).map(np.int64), st.floats())
+
+
+class TestCheckCount:
+    @given(n=COUNTS, least=st.integers(0, 3))
+    def test_integers_of_at_least_least_pass(self, n, least):
+        if isinstance(n, (int, np.integer)) and n >= least:
+            assert check_count(n, "n", least) is n
+            return
+        with pytest.raises(InvalidScenario) as err:
+            check_count(n, "n", least)
+        assert str(err.value) == f"n must be an integer of at least {least}, got {n}"
+
+    def test_integers_that_pass_make_no_numpy_call(self, monkeypatch):
+        monkeypatch.setattr(model, "np", None)
+        assert check_count(1, "n") == 1
+        assert check_count(2, "n", least=2) == 2
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 1.0, math.nan])
+    def test_the_name_is_the_callers(self, n):
+        with pytest.raises(InvalidScenario, match=rf"^--cells must be an integer of at least 1, "
+                                                  rf"got {n}$"):
+            check_count(n, "--cells")
+
+
+# every count a library function takes: (call with the count, its name, least)
+COUNT_CALLERS = {
+    "run_npool": (lambda n: run_npool(GameConfig((0.25, 0.15)), [ArsAgent(), ArsAgent()], n),
+                  "stages", 1),
+    "simulate_rounds": (lambda n: simulate_rounds(0.2, 0.1, Action(), Action(), rounds=n),
+                        "Monte-Carlo rounds", 1),
+    "npool_stage_payoffs_mc": (
+        lambda n: npool_stage_payoffs_mc([0.2, 0.1], PairwiseActionMatrix.zeros(2), rounds=n),
+        "Monte-Carlo rounds", 1),
+    "DetectionScenario": (lambda n: DetectionScenario(0.1, 0.2, 0.05, AttackKind.FAW, periods=n),
+                          "periods", 1),
+    "detect_bwh_block_ratio": (lambda n: detect_bwh_block_ratio(0.2, 0.01, n), "blocks", 1),
+    "detect_unlucky_miners": (lambda n: detect_unlucky_miners(0.1, n), "blocks", 1),
+    "evasion_smoothing": (lambda n: evasion_smoothing(RewardDensitySeries(np.ones(40)), n),
+                          "window", 1),
+    "generate_synthetic_hashrates": (lambda n: generate_synthetic_hashrates(hours=n), "hours", 1),
+    "delta_bound": (lambda n: delta_bound(0.25, 0.15, 0.5, n), "deviation_resolution", 2),
+    "audit_ipbwh_nonempty:power": (lambda n: audit_ipbwh_nonempty(n, 4),
+                                   "power_grid_resolution", 1),
+    "audit_ipbwh_nonempty:infiltration": (lambda n: audit_ipbwh_nonempty(2, n),
+                                          "infiltration_resolution", 2),
+}
+
+
+class TestCountCallers:
+    """Each count a library function takes goes through ``check_count``: a
+    non-integer, NaN or a count one too small is refused with the rule's
+    message, never with numpy's TypeError, ValueError or IndexError, and
+    never answered."""
+
+    @pytest.mark.parametrize("caller", COUNT_CALLERS)
+    @pytest.mark.parametrize("bad", ["2.5", "nan", "least - 1"])
+    def test_refused_by_the_rule(self, caller, bad):
+        call, name, least = COUNT_CALLERS[caller]
+        n = {"2.5": 2.5, "nan": math.nan, "least - 1": least - 1}[bad]
+        with pytest.raises(PoolGameError) as err:
+            call(n)
+        assert str(err.value) == f"{name} must be an integer of at least {least}, got {n}"
