@@ -15,14 +15,12 @@ from .model import (
     check_powers,
 )
 from .payoff import (
-    RoundSimResult,
     StagePayoffs,
     one_sided_attacker,
     one_sided_victim,
     optimal_bwh_infiltration,
     optimal_faw_infiltration,
     payoff_pair,
-    simulate_rounds,
 )
 from .ars import retaliate
 from .equilibrium import (

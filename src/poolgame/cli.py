@@ -26,14 +26,16 @@ from .model import (
     check_seed,
     check_weight,
 )
-from .payoff import payoff_pair, simulate_rounds
+from .payoff import payoff_pair
 from .ars import retaliate
 from .equilibrium import audit_ipbwh_nonempty, delta_bound, stage_nash
 from .engine import (
     DEFAULT_K_NEAR_ONE,
     ArsAgent,
     OptimalOneShotAttacker,
+    PairwiseActionMatrix,
     closed_pool_scenario,
+    npool_stage_payoffs_mc,
     run_npool,
     two_stage_ratio_sweep,
     two_stage_sweep,
@@ -270,10 +272,12 @@ def _cmd_retaliate(args):
 
 
 def _cmd_simulate(args):
-    res = simulate_rounds(*args.alpha, _action(args.a1), _action(args.a2),
-                          rounds=args.rounds, seed=args.seed)
+    (f1, b1), (f2, b2) = args.a1, args.a2
+    matrix = PairwiseActionMatrix(np.array([[0.0, f1], [f2, 0.0]]),
+                                  np.array([[0.0, b1], [b2, 0.0]]))
+    (u1, u2), (se1, se2) = npool_stage_payoffs_mc(args.alpha, matrix, args.rounds, args.seed)
     return ["u1,u2,stderr1,stderr2,rounds",
-            f"{res.u_i:.8f},{res.u_j:.8f},{res.stderr_i:.2e},{res.stderr_j:.2e},{res.rounds}"]
+            f"{u1:.8f},{u2:.8f},{se1:.2e},{se2:.2e},{args.rounds}"]
 
 
 def _pool_powers(flags, *powers):
@@ -295,11 +299,12 @@ def _grid_cells(n):
 
 def _infiltration_share(args):
     """``detect --infiltration`` as a share of ``--alpha``, checked before the
-    division: a pool infiltrates with at most its own power."""
+    division: a pool infiltrates with less than its own power. With all of
+    it, the pool keeps no home power, so no period ends."""
     # written so that NaN fails the test
-    if not 0.0 <= args.infiltration <= args.alpha:
+    if not 0.0 <= args.infiltration < args.alpha:
         raise PoolGameError(
-            f"--infiltration must be in [0, --alpha={args.alpha}], got {args.infiltration}")
+            f"--infiltration must be in [0, --alpha={args.alpha}), got {args.infiltration}")
     return args.infiltration / args.alpha
 
 

@@ -61,12 +61,20 @@ class DegenerateVariance(PoolGameError):
     pass
 
 
+def _check_share(gamma, name: str = "gamma") -> None:
+    """Refuse an infiltration share of the attacker's power outside [0, 1):
+    at 1 the attacker keeps no home power, so no period ever ends."""
+    if not 0.0 <= gamma < 1.0:  # written so that NaN fails the test
+        raise InvalidScenario(f"{name} must be in [0, 1), got {gamma}")
+
+
 @dataclass(frozen=True)
 class DetectionScenario:
     """An attack configuration for reward-density simulation.
 
     gamma is the fraction of the attacker's power used for infiltration; the
-    absolute infiltration power is gamma * alpha.
+    absolute infiltration power is gamma * alpha. The two pools follow
+    ``check_powers`` and gamma ``_check_share``: the detector's one rule.
     """
 
     alpha: float  # attacker pool size
@@ -78,8 +86,7 @@ class DetectionScenario:
 
     def __post_init__(self):
         check_powers(self.alpha, self.beta)
-        if not (0.0 <= self.gamma <= 1.0):
-            raise InvalidScenario("gamma must be in [0, 1]")
+        _check_share(self.gamma)
         check_count(self.periods, "periods")
         check_seed(self.seed)
 
@@ -132,13 +139,10 @@ def geometric_param(alpha: float, beta: float, gamma: float, kind: AttackKind) -
     N counts victim blocks inside one attacker-block period, support {0,1,2,..},
     Pr(N=n) = (1-p)^n * p. A FAW attacker's withheld releases add fork wins to
     the victim's block rate, hence the extra term in its denominator. The
-    attacker is a pool, in (0, 0.5]; a victim of size 0 is the limit p = 1.
+    inputs follow ``DetectionScenario``'s rule.
     """
-    # check_powers but for beta = 0, that limit (NaN fails every test)
-    if not (0.0 < alpha <= 0.5 and 0.0 <= beta <= 0.5 and alpha + beta < 1.0):
-        raise InvalidScenario(f"invalid sizes alpha={alpha}, beta={beta}")
-    if not (0.0 <= gamma <= 1.0):
-        raise InvalidScenario(f"invalid infiltration fraction {gamma}")
+    check_powers(alpha, beta)
+    _check_share(gamma)
     return _geometric_p(alpha, beta, gamma, kind)
 
 
@@ -302,8 +306,11 @@ def evasion_partial_sharing(
 
     Withholding the victim-derived component entirely would cost the miners
     the infiltration detachment's contribution; the manager must share at
-    least loss/(loss+gain) of the proceeds to keep them whole.
+    least loss/(loss+gain) of the proceeds to keep them whole. The inputs
+    follow ``DetectionScenario``'s rule, with gamma = infiltration_power / alpha.
     """
+    check_powers(alpha, beta)  # before the share divides by alpha
+    _check_share(infiltration_power / alpha, "infiltration_power / alpha")
     if infiltration_power == 0.0:
         return PartialSharingReport(0.0, 0.0, 0.0)
     gain = float(one_sided_attacker(kind, alpha, beta, infiltration_power))

@@ -62,8 +62,6 @@ from .payoff import (
     StagePayoffs,
     one_sided_attacker,
     one_sided_victim,
-    optimal_bwh_infiltration,
-    optimal_faw_infiltration,
     optimal_infiltration,
     payoff_pair,
     payoff_pair_raw,
@@ -183,12 +181,9 @@ def _subgame_cases(alpha_pun, alpha_dev, k, prior_kind: AttackKind):
     """The four standing classes, entered via the deviator's (or punisher's)
     optimal one-shot attack at the previous stage where a punishment context
     is needed."""
-    if prior_kind is AttackKind.FAW:
-        d_prior = Action(optimal_faw_infiltration(alpha_dev, alpha_pun), 0.0)
-        p_prior = Action(optimal_faw_infiltration(alpha_pun, alpha_dev), 0.0)
-    else:
-        d_prior = Action(0.0, optimal_bwh_infiltration(alpha_dev, alpha_pun))
-        p_prior = Action(0.0, optimal_bwh_infiltration(alpha_pun, alpha_dev))
+    check_powers(alpha_dev, alpha_pun)
+    d_prior = Action.of(prior_kind, optimal_infiltration(prior_kind, alpha_dev, alpha_pun))
+    p_prior = Action.of(prior_kind, optimal_infiltration(prior_kind, alpha_pun, alpha_dev))
     # (good, bad): punisher retaliates at stage 0 against the deviator's prior attack
     pun0 = retaliate(alpha_pun, ZERO_ACTION, alpha_dev, d_prior, ZERO_ACTION, k)
     # (bad, good): deviator is prescribed to retaliate against the punisher's prior attack

@@ -15,14 +15,13 @@ by their manager) plus the opponent's infiltration inside it. The infiltrator's
 cut flows back to its home pool's pot, which couples the two pools' reward
 densities. ``payoff_pair`` resolves that coupling exactly as a 2x2 linear
 system. ``_sample_rounds`` is the one Monte-Carlo sampler of the round race,
-for any number of pools; ``simulate_rounds`` (two pools) and the engine's
-``npool_stage_payoffs_mc`` are result builders over it and serve as the
-independent oracle of the exact models. It draws how all rounds end as one
-multinomial over the input rates and draws round by round only the rounds
-in which a FAW flag fires first, so its cost follows those rounds; it
-settles those rounds one flag row at a time, with a running count of fired
-flags picking each round's winner. It never reads a probability the exact
-models compute.
+for any number of pools; the engine's ``npool_stage_payoffs_mc`` is its
+entry point and serves as the independent oracle of the exact models. It
+draws how all rounds end as one multinomial over the input rates and draws
+round by round only the rounds in which a FAW flag fires first, so its cost
+follows those rounds; it settles those rounds one flag row at a time, with
+a running count of fired flags picking each round's winner. It never reads
+a probability the exact models compute.
 
 ``U_i`` is pool i's extra reward density: member reward per unit power minus
 the honest baseline 1.
@@ -30,7 +29,6 @@ the honest baseline 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -189,30 +187,6 @@ def optimal_bwh_infiltration(alpha_i: float, alpha_j: float) -> float:
     return float(optimal_infiltration(AttackKind.BWH, alpha_i, alpha_j))
 
 
-@dataclass(frozen=True)
-class RoundSimResult:
-    """Monte-Carlo estimates of per-stage extra reward densities."""
-
-    u_i: float
-    u_j: float
-    stderr_i: float
-    stderr_j: float
-    rounds: int
-    # fraction of all published blocks won by each pool
-    block_share_i: float = 0.0
-    block_share_j: float = 0.0
-    # mean member reward density split into home-mining-derived and
-    # opponent-pot-derived components (u + 1 == home + cross)
-    home_density_i: float = 0.0
-    cross_density_i: float = 0.0
-    home_density_j: float = 0.0
-    cross_density_j: float = 0.0
-
-    @property
-    def stderr(self) -> float:
-        return max(self.stderr_i, self.stderr_j)
-
-
 def _pot_matrix(alphas, faw, bwh) -> np.ndarray:
     """Pot-split system M with M @ q = R: each pool divides its revenue R over
     its own power plus the infiltration it hosts, and its infiltrators' cuts
@@ -309,37 +283,3 @@ def _sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
     var = (inv**2) @ p_hat - q_mean**2
     return q_mean - 1.0, np.sqrt(np.maximum(var, 0.0) / rounds), p_hat, inv
 
-
-def simulate_rounds(
-    alpha_i: float,
-    alpha_j: float,
-    a_i: Action,
-    a_j: Action,
-    rounds: int = 100_000,
-    seed: int = 0,
-) -> RoundSimResult:
-    """Round-level Monte-Carlo estimate of the two-pool stage game.
-
-    Samples the n-pool round race of ``_sample_rounds`` with n=2, so it is
-    independent of the closed form. Deterministic for a given seed.
-    """
-    check_powers(alpha_i, alpha_j)
-    check_actions(alpha_i, a_i.faw, a_i.bwh)
-    check_actions(alpha_j, a_j.faw, a_j.bwh)
-    faw = np.array([[0.0, a_i.faw], [a_j.faw, 0.0]])
-    bwh = np.array([[0.0, a_i.bwh], [a_j.bwh, 0.0]])
-    u, se, p, inv = _sample_rounds((alpha_i, alpha_j), faw, bwh, rounds, seed)
-    return RoundSimResult(
-        u_i=float(u[0]),
-        u_j=float(u[1]),
-        stderr_i=float(se[0]),
-        stderr_j=float(se[1]),
-        rounds=rounds,
-        block_share_i=float(p[0]),
-        block_share_j=float(p[1]),
-        # own-direct-derived vs routed through the other pot
-        home_density_i=float(inv[0, 0] * p[0]),
-        cross_density_i=float(inv[0, 1] * p[1]),
-        home_density_j=float(inv[1, 1] * p[1]),
-        cross_density_j=float(inv[1, 0] * p[0]),
-    )

@@ -13,6 +13,9 @@ same numbers in the same order and return the same four arrays bit for bit.
 
 ``simulate_victim_blocks`` is the code ``poolgame.detection`` had, unchanged
 apart from its imports; ``geometric_param`` must match its counts.
+
+``pair_matrix`` is the 2x2 action matrix of a two-pool profile, as the
+``simulate`` command builds it for ``npool_stage_payoffs_mc``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,15 @@ import numpy as np
 
 from poolgame import payoff
 from poolgame.detection import _rng
-from poolgame.model import AttackKind, InvalidScenario
+from poolgame.engine import PairwiseActionMatrix
+from poolgame.model import Action, AttackKind, InvalidScenario
 from poolgame.payoff import _pot_matrix
+
+
+def pair_matrix(a_i: Action, a_j: Action) -> PairwiseActionMatrix:
+    """Pool 0 plays ``a_i`` inside pool 1, and pool 1 plays ``a_j`` inside pool 0."""
+    return PairwiseActionMatrix(np.array([[0.0, a_i.faw], [a_j.faw, 0.0]]),
+                                np.array([[0.0, a_i.bwh], [a_j.bwh, 0.0]]))
 
 
 def sample_rounds(alphas, faw, bwh, rounds: int, seed: int):

@@ -30,7 +30,6 @@ from poolgame.payoff import (
     optimal_bwh_infiltration,
     optimal_faw_infiltration,
     payoff_pair,
-    simulate_rounds,
 )
 from poolgame.equilibrium import (
     _subgame_cases,
@@ -43,6 +42,7 @@ from poolgame.engine import (
     ArsAgent,
     OptimalOneShotAttacker,
     closed_pool_scenario,
+    npool_stage_payoffs_mc,
     run_npool,
     two_stage_sweep,
 )
@@ -409,9 +409,10 @@ class TestCriterion11Oracles:
             u = payoff_pair(a1, a2, *acts)
             # pinned stream: the max of 100 z-scores sits near 3 by chance,
             # so an arbitrary seed fails this check about a quarter of the time
-            sim = simulate_rounds(a1, a2, *acts, rounds=150_000, seed=3000 + case)
-            d1 = abs(u.u_i - sim.u_i) / max(sim.stderr_i, 1e-12)
-            d2 = abs(u.u_j - sim.u_j) / max(sim.stderr_j, 1e-12)
+            sim, se = npool_stage_payoffs_mc([a1, a2], sampler_oracle.pair_matrix(*acts),
+                                             rounds=150_000, seed=3000 + case)
+            d1 = abs(u.u_i - sim[0]) / max(se[0], 1e-12)
+            d2 = abs(u.u_j - sim[1]) / max(se[1], 1e-12)
             worst = max(worst, d1, d2)
             assert d1 < 3.0 and d2 < 3.0
         ok_closed = self._closed_forms_match_grid()

@@ -690,7 +690,8 @@ class TestScenarioCommands:
         assert "--seed must be a non-negative integer, got -3" in captured.err
 
     @pytest.mark.parametrize("mode", ["geometric", "variance"])
-    @pytest.mark.parametrize("value", ["-0.01", "nan", "0.11"])
+    # all of --alpha infiltrating leaves no home power, so no period ends
+    @pytest.mark.parametrize("value", ["-0.01", "nan", "0.11", "0.1"])
     def test_detect_infiltration_outside_attacker_power_rejected(self, mode, value, capsys):
         # checked before it is divided by --alpha, so the message names the
         # value as typed
@@ -698,9 +699,9 @@ class TestScenarioCommands:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == (
-            f"error: --infiltration must be in [0, --alpha=0.1], got {float(value)}\n")
+            f"error: --infiltration must be in [0, --alpha=0.1), got {float(value)}\n")
 
-    @pytest.mark.parametrize("value", ["0", "0.1"])
+    @pytest.mark.parametrize("value", ["0"])
     def test_detect_infiltration_at_the_ends_accepted(self, value, capsys):
         code = main(["detect", "--mode", "geometric", "--alpha", "0.1",
                      "--infiltration", value])
@@ -946,9 +947,10 @@ class TestContractFindings:
                                 f"got {10**30}\n")
 
     @pytest.mark.parametrize("argv, message", [
-        # all of the pool's power infiltrates: it finds no block of its own,
-        # so no period ends (numpy's geometric draw refused p = 0)
-        (["--alpha", "0.03125", "--infiltration", "0.03125"],
+        # a period's size fluctuates below the infiltration: the pool finds no
+        # block of its own then, so the period never ends (numpy's geometric
+        # draw refused p = 0)
+        (["--alpha", "0.0313", "--infiltration", "0.03125"],
          r"invalid sizes alpha=0\.03\d+, beta=0\.2, infiltration 0\.03125"),
         # densities of 1/alpha square to inf: the ratio printed nan
         (["--alpha", "4.808102888437223e-228", "--infiltration", "0"],
@@ -959,6 +961,15 @@ class TestContractFindings:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert re.match(f"error: {message}", captured.err) and captured.err.count("\n") == 1
+
+    def test_detect_geometric_without_home_power_refused(self, capsys):
+        # printed geometric_p 0.00000000 with exit 0: an attacker that keeps no
+        # home power never ends a period
+        code = main(["detect", "--mode", "geometric", "--alpha", "0.2", "--beta", "0.2",
+                     "--infiltration", "0.2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: --infiltration must be in [0, --alpha=0.2), got 0.2\n"
 
 
 class TestCliContract:

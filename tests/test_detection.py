@@ -6,9 +6,15 @@ from scipy import stats
 
 import sampler_oracle
 
-from poolgame.model import AttackKind, InvalidScenario, PoolGameError
-from poolgame.payoff import simulate_rounds
-from poolgame.model import Action
+from poolgame import payoff
+from poolgame.model import (
+    Action,
+    AttackKind,
+    InvalidPowers,
+    InvalidScenario,
+    PoolGameError,
+    check_powers,
+)
 from poolgame.detection import (
     DetectionScenario,
     NonMonotoneTimestamp,
@@ -46,16 +52,27 @@ class TestGeometricParam:
         for kind in AttackKind:
             assert geometric_param(0.1, 0.2, 0.0, kind) == pytest.approx(0.1 / 0.3)
 
-    def test_no_victim_limit(self):
-        assert geometric_param(0.3, 0.0, 0.0, AttackKind.FAW) == 1.0
-
     @pytest.mark.parametrize("alpha, beta", [
         (0.7, 0.2), (0.2, 0.7), (0.5, 0.5), (0.0, 0.2), (float("nan"), 0.2),
         (0.2, -0.1), (0.2, float("nan")),
+        (0.3, 0.0),  # no victim: check_powers refuses it, as every detector input
     ])
     def test_sizes_outside_a_pool_refused(self, alpha, beta):
-        with pytest.raises(InvalidScenario, match="invalid sizes"):
+        with pytest.raises(InvalidPowers) as want:
+            check_powers(alpha, beta)
+        with pytest.raises(InvalidPowers) as got:
             geometric_param(alpha, beta, 0.05, AttackKind.FAW)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize("make", [
+        lambda gamma: geometric_param(0.2, 0.2, gamma, AttackKind.FAW),
+        lambda gamma: DetectionScenario(0.2, 0.2, gamma, AttackKind.FAW),
+    ], ids=["geometric_param", "DetectionScenario"])
+    def test_share_outside_the_rule_refused(self, make, gamma):
+        # at gamma = 1 the attacker keeps no home power, so no period ends
+        with pytest.raises(InvalidScenario, match=rf"^gamma must be in \[0, 1\), got {gamma}$"):
+            make(gamma)
 
     def test_faw_parameter_smaller_than_bwh(self):
         # withheld releases add victim blocks, stretching the periods
@@ -251,12 +268,27 @@ class TestEvasion:
 
     def test_partial_sharing_cross_checked_against_round_simulation(self):
         rep = evasion_partial_sharing(0.25, 0.15, 0.01)
-        sim = simulate_rounds(0.25, 0.15, Action(0.01, 0.0), Action(),
-                              rounds=400_000, seed=21)
-        # loyal loss is the shortfall of home-derived density; gain adds the
-        # victim-pot cut back in
-        assert 1.0 - sim.home_density_i == pytest.approx(rep.loyal_loss, abs=3 * sim.stderr_i)
-        assert sim.u_i == pytest.approx(rep.attacker_gain, abs=3 * sim.stderr_i)
+        m = sampler_oracle.pair_matrix(Action(0.01, 0.0), Action())
+        u, se, share, inv = payoff._sample_rounds([0.25, 0.15], m.faw, m.bwh, 400_000, 21)
+        # loyal loss is the shortfall of home-derived density (the attacker's
+        # own blocks through its own pot); gain adds the victim-pot cut back in
+        assert 1.0 - inv[0, 0] * share[0] == pytest.approx(rep.loyal_loss, abs=3 * se[0])
+        assert u[0] == pytest.approx(rep.attacker_gain, abs=3 * se[0])
+
+    @pytest.mark.parametrize("alpha, beta, power, error, message", [
+        (0.2, 0.2, 0.5, InvalidScenario, r"infiltration_power / alpha must be in \[0, 1\), "
+                                         r"got 2\.5"),
+        (0.2, 0.2, -0.1, InvalidScenario, r"infiltration_power / alpha must be in \[0, 1\), "
+                                          r"got -0\.5"),
+        (float("nan"), 0.2, 0.1, InvalidPowers, "powers must be positive numbers, got nan, 0.2"),
+        (0.0, 0.2, 0.1, InvalidPowers, "powers must be positive numbers, got 0.0, 0.2"),
+    ])
+    def test_partial_sharing_follows_the_detector_rule(self, alpha, beta, power, error,
+                                                       message):
+        # an infiltration beyond the attacker's power returned a share above 1,
+        # a NaN pool a NaN report, and a pool of 0 divided by zero
+        with pytest.raises(error, match=f"^{message}$"):
+            evasion_partial_sharing(alpha, beta, power)
 
 
 class TestHashrateIngestion:

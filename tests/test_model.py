@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sampler_oracle import pair_matrix
 from poolgame import model
 from poolgame.detection import (
     DetectionScenario,
@@ -28,7 +29,6 @@ from poolgame.model import (
     check_powers,
     check_weight,
 )
-from poolgame.payoff import simulate_rounds
 
 
 class TestAction:
@@ -317,8 +317,11 @@ class TestCheckCount:
 COUNT_CALLERS = {
     "run_npool": (lambda n: run_npool(GameConfig((0.25, 0.15)), [ArsAgent(), ArsAgent()], n),
                   "stages", 1),
-    "simulate_rounds": (lambda n: simulate_rounds(0.2, 0.1, Action(), Action(), rounds=n),
-                        "Monte-Carlo rounds", 1),
+    # the two-pool simulation `simulate` prints, on an attacking profile
+    "simulate_rounds": (
+        lambda n: npool_stage_payoffs_mc([0.2, 0.1], pair_matrix(Action(0.05, 0.0),
+                                                                 Action(0.0, 0.02)), rounds=n),
+        "Monte-Carlo rounds", 1),
     "npool_stage_payoffs_mc": (
         lambda n: npool_stage_payoffs_mc([0.2, 0.1], PairwiseActionMatrix.zeros(2), rounds=n),
         "Monte-Carlo rounds", 1),

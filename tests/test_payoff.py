@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 import sampler_oracle
+from sampler_oracle import pair_matrix
 from poolgame import payoff
 from poolgame.model import (
     ALGEBRAIC_TOL,
@@ -10,7 +11,13 @@ from poolgame.model import (
     AttackKind,
     DegenerateDenominator,
     InvalidScenario,
+    PoolGameError,
+    check_actions,
+    check_count,
+    check_powers,
+    check_seed,
 )
+from poolgame.engine import npool_stage_payoffs_mc
 from poolgame.payoff import (
     one_sided_attacker,
     one_sided_victim,
@@ -18,7 +25,6 @@ from poolgame.payoff import (
     optimal_faw_infiltration,
     payoff_pair,
     payoff_pair_raw,
-    simulate_rounds,
 )
 
 
@@ -294,38 +300,75 @@ class TestOptimalInfiltration:
             assert 0.0 < fn(0.25, 0.15) < 0.25
 
 
+NAN = float("nan")
+
+
 class TestSimulateRounds:
+    """The two-pool round simulation that ``simulate`` prints: the engine's
+    ``npool_stage_payoffs_mc`` on a 2x2 action matrix."""
+
     def test_no_attack_near_zero(self):
-        res = simulate_rounds(0.2, 0.2, Action(), Action(), rounds=200_000, seed=0)
-        assert abs(res.u_i) <= 3 * max(res.stderr_i, 1e-12)
-        assert abs(res.u_j) <= 3 * max(res.stderr_j, 1e-12)
+        u, se = npool_stage_payoffs_mc([0.2, 0.2], pair_matrix(Action(), Action()),
+                                       rounds=200_000, seed=0)
+        assert abs(u[0]) <= 3 * max(se[0], 1e-12)
+        assert abs(u[1]) <= 3 * max(se[1], 1e-12)
 
     def test_bwh_victim_block_share(self):
         # 20% victim hosting 0.5% withholding power finds 0.2/0.995 of blocks
-        res = simulate_rounds(0.2, 0.2, Action(0.0, 0.005), Action(), rounds=500_000, seed=3)
+        m = pair_matrix(Action(0.0, 0.005), Action())
+        _, _, share, _ = payoff._sample_rounds([0.2, 0.2], m.faw, m.bwh, 500_000, 3)
         expected = 0.2 / 0.995
-        se = np.sqrt(expected * (1 - expected) / res.rounds)
-        assert res.block_share_j == pytest.approx(expected, abs=4 * se)
+        se = np.sqrt(expected * (1 - expected) / 500_000)
+        assert share[1] == pytest.approx(expected, abs=4 * se)
 
     def test_agrees_with_exact_payoffs(self):
         rng = np.random.default_rng(7)
         for _ in range(8):
             a1, a2, act1, act2 = random_profile(rng)
             u = payoff_pair(a1, a2, act1, act2)
-            res = simulate_rounds(a1, a2, act1, act2, rounds=150_000, seed=int(rng.integers(1 << 31)))
-            assert abs(res.u_i - u.u_i) < 3 * max(res.stderr_i, 1e-9)
-            assert abs(res.u_j - u.u_j) < 3 * max(res.stderr_j, 1e-9)
+            sim, se = npool_stage_payoffs_mc([a1, a2], pair_matrix(act1, act2), rounds=150_000,
+                                             seed=int(rng.integers(1 << 31)))
+            assert abs(sim[0] - u.u_i) < 3 * max(se[0], 1e-9)
+            assert abs(sim[1] - u.u_j) < 3 * max(se[1], 1e-9)
 
     def test_deterministic_for_seed(self):
-        r1 = simulate_rounds(0.3, 0.2, Action(0.1, 0), Action(0, 0.05), rounds=50_000, seed=11)
-        r2 = simulate_rounds(0.3, 0.2, Action(0.1, 0), Action(0, 0.05), rounds=50_000, seed=11)
-        assert r1 == r2
+        m = pair_matrix(Action(0.1, 0), Action(0, 0.05))
+        r1 = npool_stage_payoffs_mc([0.3, 0.2], m, rounds=50_000, seed=11)
+        r2 = npool_stage_payoffs_mc([0.3, 0.2], m, rounds=50_000, seed=11)
+        assert all(np.array_equal(a, b) for a, b in zip(r1, r2, strict=True))
 
     def test_negative_seed_rejected(self):
         for seed in (-1, 1.5):
             with pytest.raises(InvalidScenario,
                                match=f"seed must be a non-negative integer, got {seed}"):
-                simulate_rounds(0.2, 0.2, Action(0.05, 0), Action(), rounds=100, seed=seed)
+                npool_stage_payoffs_mc([0.2, 0.2], pair_matrix(Action(0.05, 0), Action()),
+                                       rounds=100, seed=seed)
+
+    @pytest.mark.parametrize("alphas, a1, a2, rounds, seed", [
+        ((0.6, 0.2), Action(), Action(), 100, 0),
+        ((NAN, 0.2), Action(0.05, 0.0), Action(), 100, 0),
+        ((0.2, 0.2), Action(0.3, 0.0), Action(), 100, 0),
+        ((0.2, 0.2), Action(-0.1, 0.0), Action(), 100, 0),
+        ((0.2, 0.2), Action(NAN, 0.0), Action(), 100, 0),
+        ((0.2, 0.2), Action(), Action(0.0, NAN), 100, 0),
+        ((0.2, 0.2), Action(0.05, 0.02), Action(), 100, 0),
+        ((0.2, 0.2), Action(0.0, 0.3), Action(-0.1, 0.0), 100, 0),  # both: pool 0's is named
+        ((0.2, 0.2), Action(0.05, 0.0), Action(), 0, 0),
+        ((0.2, 0.2), Action(0.05, 0.0), Action(), 100, -1),
+    ], ids=["power 0.6", "power nan", "over its power", "negative", "nan in pool 0",
+            "nan in pool 1", "faw and bwh", "both pools", "rounds 0", "seed -1"])
+    def test_refused_as_the_rules_refuse(self, alphas, a1, a2, rounds, seed):
+        # the rules in the order a two-pool simulation applies them
+        with pytest.raises(PoolGameError) as want:
+            check_powers(*alphas)
+            check_actions(alphas[0], a1.faw, a1.bwh)
+            check_actions(alphas[1], a2.faw, a2.bwh)
+            check_count(rounds, "Monte-Carlo rounds")
+            check_seed(seed, "Monte-Carlo seed")
+        with pytest.raises(PoolGameError) as got:
+            npool_stage_payoffs_mc(alphas, pair_matrix(a1, a2), rounds, seed)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 def _scenario(alphas, faw=(), bwh=()):
