@@ -41,16 +41,17 @@ values must clear a rounding margin: ``CERT_MARGIN`` = 2^-40 times the
 size of the test's inputs, over fifty times a bound on the rounding errors
 of the float test and of Q together. Then the smallest candidate passing equal retaliation and the
 candidates nearest the optimum are all priced, and the pick is the whole
-grid's, bit for bit. A row the guard refuses, and every row of a smaller
-pass, is priced on the whole grid.
+grid's, bit for bit. ``_grid_pick``, the one pricing of the whole grid,
+prices the rows the guard refuses and every row of a smaller pass.
 
 ``retaliate_cells`` is the one implementation, an array kernel over N
 retaliations (rows) given their powers, both profiles' stage payoffs and
-``k``, one weight or one per row; each grid is a (points, rows) array. A
-row's result does not depend on its batch, since windows and the whole grid
-give the same bits, so it is bit-identical to a one-row call. ``retaliate``
-is the one-row case; the two-stage sweeps, ``equilibrium.delta_bound`` and
-``engine.run_npool`` pass whole batches.
+``k``, one weight or one per row; each grid is a (points, rows) array. It
+returns each row's FAW and BWH power columns. A row's result does not
+depend on its batch, since windows and the whole grid give the same bits,
+so it is bit-identical to a one-row call. ``retaliate`` is the one-row
+case, ``Action(faw, bwh)``; the two-stage sweeps,
+``equilibrium.delta_bound`` and ``engine.run_npool`` pass whole batches.
 """
 
 from __future__ import annotations
@@ -81,22 +82,15 @@ _FAR = np.finfo(float).max
 _COARSE, _WINDOW, _FINE = (np.arange(n, dtype=float)[:, None] for n in (GRID_POINTS, WINDOW, 21))
 
 
-def _coarse(own, step):
-    """Column i is ``np.linspace(0, own[0, i], GRID_POINTS)``, as numpy
-    computes it from ``step = own / (GRID_POINTS - 1)`` (adding the start
-    0.0 changes no bit, so it is left out)."""
-    coarse = _COARSE * step
-    coarse[-1] = own
-    return coarse
-
-
-def _window_points(starts, own, step):
-    """The coarse points of the windows whose first columns (whole floats)
-    are ``starts`` (..., rows), as (..., WINDOW, rows), the same bits as
-    ``_coarse``: ``j * step``, and ``own`` at the last column, which only a
-    window starting at ``GRID_POINTS - WINDOW`` holds."""
-    grid = (starts[..., None, :] + _WINDOW) * step
-    grid[..., -1, :] = np.where(starts == GRID_POINTS - WINDOW, own, grid[..., -1, :])
+def _window_points(starts, own, step, columns=_WINDOW):
+    """The coarse points of the windows of ``len(columns)`` columns whose
+    first columns (whole floats) are ``starts`` (..., rows), as (...,
+    len(columns), rows): ``j * step`` as numpy's ``linspace(0, own,
+    GRID_POINTS)`` computes column j from ``step = own / (GRID_POINTS - 1)``,
+    and ``own`` at the last column, which only the last window holds. With
+    ``_COARSE`` from column 0 they are the whole coarse grid."""
+    grid = (starts[..., None, :] + columns) * step
+    grid[..., -1, :] = np.where(starts == GRID_POINTS - len(columns), own, grid[..., -1, :])
     return grid
 
 
@@ -195,7 +189,7 @@ def _grid_pick(kind, rows):
     whether each row has a candidate, then the pick and the optimum of the
     rows that do (None if none does)."""
     own, opp, act_uj, bound_uj, loss_i, step, coef = rows
-    coarse = _coarse(own, step)
+    coarse = _window_points(np.zeros(own.shape[1]), own, step, _COARSE)
     ok, u_under = _candidate_set(kind, coef, act_uj, bound_uj, own, opp, coarse)
     found = np.logical_or.reduce(ok, axis=0)
     n_found = np.count_nonzero(found)
@@ -211,7 +205,7 @@ def _grid_pick(kind, rows):
 def _window_pick(kind, rows):
     """``_grid_pick`` for a pass of at least WINDOW_ROWS rows. Rows whose
     tests the guard certifies are priced on the windows of both tests and
-    on the optimum's neighbours; the others on the whole grid."""
+    on the optimum's neighbours; ``_grid_pick`` prices the others."""
     own, opp, act_uj, bound_uj, loss_i, step, coef = rows
     slope = 1.0 - own - opp if kind is AttackKind.FAW else 0.0  # the victim's N(x) = v + slope x
     # both tests as Q > 0 (see _windowed): the candidate test with
@@ -225,33 +219,28 @@ def _window_pick(kind, rows):
         slope, opp, own, step)
     ok, u_under = _candidate_set(kind, coef, act_uj, bound_uj, own, opp, windows)
     found = np.logical_or.reduce(ok, axis=0)
+    x, optimum = np.empty(found.size), np.empty_like(own)  # read only where found
     refused = np.flatnonzero(~sure)
-    if refused.size:  # priced once on the whole grid, for their candidates and their pick
-        grid = _coarse(own[:, refused], step[:, refused])
-        grid_ok, grid_u = _candidate_set(kind, coef[:, refused], act_uj[:, refused],
-                                         bound_uj[:, refused],
-                                         own[:, refused], opp[:, refused], grid)
-        found[refused] = np.logical_or.reduce(grid_ok, axis=0)
+    if refused.size:
+        found[refused], grid_x, grid_opt = _grid_pick(kind, [z[:, refused] for z in rows])
+        if grid_x is not None:
+            refused = refused[found[refused]]
+            x[refused], optimum[:, refused] = grid_x, grid_opt
     if not found.any():
         return found, None, None
-    optimum = np.zeros_like(own)  # read only where found
-    optimum[:, found] = optimal_infiltration(kind, own[0, found], opp[0, found])
-    x = np.empty(found.size)
-    if refused.size:
-        x[refused] = _pick_from_set(loss_i[:, refused], grid, grid_ok, grid_u,
-                                    optimum[:, refused])
-    picked, opt = np.flatnonzero(found & sure), optimum
+    picked = np.flatnonzero(found & sure)
     if picked.size < found.size:
-        own, opp, act_uj, bound_uj, loss_i, step, coef, windows, ok, u_under, equal, opt = (
+        own, opp, act_uj, bound_uj, loss_i, step, coef, windows, ok, u_under, equal = (
             z[:, picked] for z in (own, opp, act_uj, bound_uj, loss_i, step, coef, windows,
-                                   ok, u_under, equal, optimum))
+                                   ok, u_under, equal))
+    opt = optimum[:, picked] = optimal_infiltration(kind, own[0], opp[0])
     # the optimum's neighbours: the columns floor(optimum / step) - 2 to + 2
-    near = np.clip(np.floor(opt[0] / step[0]) - WINDOW // 2, 0.0, GRID_POINTS - WINDOW)
+    near = np.clip(np.floor(opt / step[0]) - WINDOW // 2, 0.0, GRID_POINTS - WINDOW)
     more = np.concatenate([equal, _window_points(near, own, step)])
     more_ok, more_u = _candidate_set(kind, coef, act_uj, bound_uj, own, opp, more)
     x[picked] = _pick_from_set(loss_i, np.concatenate([windows, more]),
                                np.concatenate([ok, more_ok]),
-                               np.concatenate([u_under, more_u]), opt)
+                               np.concatenate([u_under, more_u]), opt[None, :])
     return found, x[found], optimum[:, found]
 
 
@@ -304,11 +293,11 @@ def retaliate_cells(alpha_own, alpha_opp, stage, k):
     prescribed u_j): the stage payoffs of the last stage as played and as
     the opponent's prescription would have had it; ``k`` is one preference
     weight or an (N,) array of one per row, each in [0, 1)
-    (``check_weight``). Returns ``(faw, power, empty)``: whether each row
-    retaliates with FAW (else BWH), its power, and the rows whose BWH
-    candidate set came out empty (their power is 0.0 and means nothing),
-    which the callers report. Tries FAW on every row, then BWH on the rows
-    without a FAW candidate, each in passes of BATCH_ROWS rows.
+    (``check_weight``). Returns ``(faw, bwh, empty)``: each row's FAW and
+    BWH retaliation powers, at most one of them non-zero, and the rows
+    whose BWH candidate set came out empty (both powers 0.0, meaning
+    nothing), which the callers report. Tries FAW on every row, then BWH on
+    the rows without a FAW candidate, each in passes of BATCH_ROWS rows.
     """
     check_weight(k)
     act_ui, act_uj, pre_ui, pre_uj = stage[:, None, :]
@@ -317,15 +306,15 @@ def retaliate_cells(alpha_own, alpha_opp, stage, k):
     # coarse grid's step and the FAW candidate test's coefficient k
     rows = [own, alpha_opp[None, :], act_uj, pre_uj + ALGEBRAIC_TOL, act_ui - pre_ui,
             own / (GRID_POINTS - 1), np.broadcast_to(np.asarray(k, float), own.shape)]
-    faw, power = _passes(AttackKind.FAW, rows)
-    empty = np.zeros_like(faw)
-    rest = np.flatnonzero(~faw)
+    found, faw = _passes(AttackKind.FAW, rows)
+    bwh, empty = np.zeros_like(faw), np.zeros_like(found)
+    rest = np.flatnonzero(~found)
     if rest.size:  # the BWH fallback, on the rows without a FAW candidate
-        if rest.size < faw.size:
+        if rest.size < found.size:
             rows = [z[:, rest] for z in rows]
-        bwh, power[rest] = _passes(AttackKind.BWH, [*rows[:-1], np.ones_like(rows[0])])
-        empty[rest] = ~bwh
-    return faw, power, empty
+        found, bwh[rest] = _passes(AttackKind.BWH, [*rows[:-1], np.ones_like(rows[0])])
+        empty[rest] = ~found
+    return faw, bwh, empty
 
 
 def _empty_set_error(alpha_own, alpha_opp, own_prev, opp_prev, opp_prescribed):
@@ -356,10 +345,10 @@ def retaliate(
     # would have been had the opponent followed its prescription
     actual = payoff_pair(alpha_own, alpha_opp, own_prev, opp_prev)
     prescribed = payoff_pair(alpha_own, alpha_opp, own_prev, opp_prescribed)
-    faw, x, empty = retaliate_cells(
+    faw, bwh, empty = retaliate_cells(
         np.array([alpha_own], float), np.array([alpha_opp], float),
         np.array([[actual.u_i], [actual.u_j], [prescribed.u_i], [prescribed.u_j]]), k,
     )
     if empty[0]:
         raise _empty_set_error(alpha_own, alpha_opp, own_prev, opp_prev, opp_prescribed)
-    return Action.of(AttackKind.FAW if faw[0] else AttackKind.BWH, x[0])
+    return Action(float(faw[0]), float(bwh[0]))

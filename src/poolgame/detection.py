@@ -37,6 +37,13 @@ from .model import (
 from .payoff import one_sided_attacker
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "synthetic_hashrates.csv"
+# the bundled fixture's recipe (``generate_synthetic_hashrates``): each pool's
+# mean rate, the per-hour relative standard deviation and AR(1) coefficient
+# of its multiplier, and the first hour
+FIXTURE_POOLS = (("pool_a", 35.0), ("pool_b", 87.5))
+FIXTURE_REL_SD = 0.006
+FIXTURE_AR_COEFFICIENT = 0.5
+FIXTURE_START = datetime(2019, 1, 21)
 
 
 class ParseError(PoolGameError):
@@ -237,9 +244,8 @@ def detect_bwh_block_ratio(
     published blocks; benign infiltration would instead lift its share to
     victim_power + infiltration.
     """
-    # written so that NaN fails the test
-    if not (0.0 < victim_power < 1.0 and infiltration >= 0.0
-            and victim_power + infiltration < 1.0):
+    check_powers(victim_power)
+    if not (infiltration >= 0.0 and victim_power + infiltration < 1.0):  # NaN fails
         raise InvalidScenario(
             f"invalid victim_power={victim_power}, infiltration={infiltration}"
         )
@@ -370,37 +376,28 @@ def ingest_hashrate_csv(path) -> HashrateSeries:
     )
 
 
-def generate_synthetic_hashrates(
-    hours: int = 720,
-    pools: dict[str, float] | None = None,
-    rel_sd: float = 0.006,
-    ar_coefficient: float = 0.5,
-    seed: int = 20190121,
-    start: datetime | None = None,
-) -> list[str]:
-    """CSV lines for a synthetic hourly hash-rate fixture.
+def generate_synthetic_hashrates(hours: int = 720, seed: int = 20190121) -> list[str]:
+    """CSV lines for a synthetic hourly hash-rate fixture of ``FIXTURE_POOLS``.
 
     Each pool's series is its mean rate times a stationary AR(1) multiplier
-    with the given relative standard deviation. The default 0.6% per-hour
+    with relative standard deviation ``FIXTURE_REL_SD``. Its 0.6% per-hour
     fluctuation matches the scale implied by the published variance-ratio
     measurements on live pool data; larger fluctuation would proportionally
     shrink every attack/honest variance ratio.
     """
     check_count(hours, "hours")
-    pools = pools or {"pool_a": 35.0, "pool_b": 87.5}
-    start = start or datetime(2019, 1, 21)
     rng = _rng(seed)
     lines = ["timestamp,pool,hashrate"]
-    innovation = rel_sd * math.sqrt(1.0 - ar_coefficient**2)
-    for pool, mean_rate in pools.items():
+    innovation = FIXTURE_REL_SD * math.sqrt(1.0 - FIXTURE_AR_COEFFICIENT**2)
+    for pool, mean_rate in FIXTURE_POOLS:
         z = np.empty(hours)
-        z[0] = rng.normal(0.0, rel_sd)
+        z[0] = rng.normal(0.0, FIXTURE_REL_SD)
         eps = rng.normal(0.0, innovation, hours)
         for t in range(1, hours):
-            z[t] = ar_coefficient * z[t - 1] + eps[t]
+            z[t] = FIXTURE_AR_COEFFICIENT * z[t - 1] + eps[t]
         series = mean_rate * (1.0 + z)
         for t in range(hours):
-            ts = (start + timedelta(hours=t)).isoformat()
+            ts = (FIXTURE_START + timedelta(hours=t)).isoformat()
             lines.append(f"{ts},{pool},{series[t]:.6f}")
     return lines
 

@@ -65,6 +65,7 @@ ATTACK_STEP_TOL = 1e-12  # optimal_simultaneous_attack ends after a Newton step 
 ATTACK_PAYOFF_SLACK = 1e-15  # rounding margin of the attacker's revenue in its step test
 ATTACK_MAX_STEPS = 50  # Newton steps before optimal_simultaneous_attack gives up
 CLOSED_POOL_VICTIM = 0.25  # the open pool the closed pools attack
+CLOSED_POOL_ATTACKERS = (0.031, 0.013)  # the closed pools' published powers
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +198,7 @@ def _two_stage_cells(alpha_1, alpha_2, power, kind, k) -> SweepTable:
     u0 = payoff_pair_raw(a1, a2, f, b, zero, zero)
     stage = np.array([*payoff_pair_raw(a2, a1, zero, zero, f, b),
                       *payoff_pair_raw(a2, a1, zero, zero, zero, zero)])
-    faw, x, empty = retaliate_cells(a2, a1, stage, k)
-    r_faw, r_bwh = np.where(faw, x, 0.0), np.where(faw, 0.0, x)
+    r_faw, r_bwh, empty = retaliate_cells(a2, a1, stage, k)
     u1 = payoff_pair_raw(a1, a2, zero, zero, r_faw, r_bwh)
     # the columns r2_faw, r2_bwh, u1_avg, u2_avg; error rows keep NaN
     columns = np.full((4, alpha_1.size), np.nan)
@@ -206,7 +206,7 @@ def _two_stage_cells(alpha_1, alpha_2, power, kind, k) -> SweepTable:
     ok = np.flatnonzero(live)[~empty]
     columns[:, ok] = np.array([r_faw / a2, r_bwh / a2, (u0[0] + u1[0]) / 2.0,
                                (u0[1] + u1[1]) / 2.0])[:, ~empty]
-    flagged[ok] = (~faw & (x != 0.0))[~empty]
+    flagged[ok] = (r_bwh != 0.0)[~empty]
     errors = np.where(live, "", NO_LIVE_POWER).tolist()
     for i in np.flatnonzero(live)[empty]:  # error rows only
         errors[i] = str(_empty_set_error(alpha_2[i], alpha_1[i], ZERO_ACTION,
@@ -513,14 +513,14 @@ def _ars_prescriptions(alphas, k, played, own, opp):
     last = played.faw[a, b], played.bwh[a, b]
     actual = payoff_pair_raw(power[a], power[b], *last, played.faw[b, a], played.bwh[b, a])
     prescribed = payoff_pair_raw(power[a], power[b], *last, *judged)
-    faw, x, empty = retaliate_cells(power[a], power[b], np.array([*actual, *prescribed]), k[i])
+    faw, bwh, empty = retaliate_cells(power[a], power[b], np.array([*actual, *prescribed]), k[i])
     for r in np.flatnonzero(empty)[:1]:
         raise _empty_set_error(alphas[a[r]], alphas[b[r]], played.action(a[r], b[r]),
                                played.action(b[r], a[r]),
                                Action(float(judged[0][r]), float(judged[1][r])))
     for rows, m in ((s, new_own), (~s, new_opp)):
-        m.faw[i[rows], j[rows]] = np.where(faw, x, 0.0)[rows]
-        m.bwh[i[rows], j[rows]] = np.where(faw, 0.0, x)[rows]
+        m.faw[i[rows], j[rows]] = faw[rows]
+        m.bwh[i[rows], j[rows]] = bwh[rows]
     return new_own, new_opp
 
 
@@ -580,17 +580,15 @@ class ClosedPoolRow:
     victim_loss: float
 
 
-def closed_pool_scenario(attacker_powers=(0.031, 0.013)) -> list[ClosedPoolRow]:
-    """Unretaliated optimal FAW by closed pools against a large open pool.
+def closed_pool_scenario() -> list[ClosedPoolRow]:
+    """Unretaliated optimal FAW by the closed pools ``CLOSED_POOL_ATTACKERS``
+    against the large open pool ``CLOSED_POOL_VICTIM``.
 
     Closed pools cannot be counter-infiltrated, so the attack simply stands;
     reports each attacker's extra reward density and the victim's loss.
     """
     rows = []
-    for a in attacker_powers:
-        if a == 0.0:
-            rows.append(ClosedPoolRow(0.0, 0.0, 0.0, 0.0))
-            continue
+    for a in CLOSED_POOL_ATTACKERS:
         f = optimal_faw_infiltration(a, CLOSED_POOL_VICTIM)
         gain = float(one_sided_attacker(AttackKind.FAW, a, CLOSED_POOL_VICTIM, f))
         loss = -float(one_sided_victim(AttackKind.FAW, a, CLOSED_POOL_VICTIM, f))

@@ -215,7 +215,7 @@ def _deviation_outcomes(profiles, alpha_pun, alpha_dev, deviations, k):
     u_pun0, gain = payoff_pair_raw(alpha_pun, alpha_dev,
                                    per_profile([pun0.faw for pun0, _ in profiles]),
                                    per_profile([pun0.bwh for pun0, _ in profiles]), dev_f, dev_b)
-    faw, x, empty = retaliate_cells(
+    faw, bwh, empty = retaliate_cells(
         np.full_like(dev_f, alpha_pun), np.full_like(dev_f, alpha_dev),
         np.array([u_pun0, gain, per_profile([u.u_i for u in comp]),
                   per_profile([u.u_j for u in comp])]),
@@ -224,8 +224,7 @@ def _deviation_outcomes(profiles, alpha_pun, alpha_dev, deviations, k):
     for r in np.flatnonzero(empty)[:1]:
         pun0, prescribed = profiles[r // shape[1]]
         raise _empty_set_error(alpha_pun, alpha_dev, pun0, deviations[r % shape[1]], prescribed)
-    punishment = payoff_pair_raw(alpha_pun, alpha_dev, np.where(faw, x, 0.0),
-                                 np.where(faw, 0.0, x), zero, zero)[1]
+    punishment = payoff_pair_raw(alpha_pun, alpha_dev, faw, bwh, zero, zero)[1]
     return gain.reshape(shape), punishment.reshape(shape), np.array([u.u_j for u in comp])
 
 

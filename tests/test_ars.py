@@ -349,33 +349,40 @@ def stage_batches(draw):
                                              max_size=12))], k
 
 
+def assert_power_columns(faw, bwh, empty):
+    """At most one power per row, and none on a row with an empty set."""
+    assert (faw * bwh == 0.0).all()
+    assert (faw[empty] == 0.0).all() and (bwh[empty] == 0.0).all()
+
+
 def assert_rows_equal_the_grid_search(rows, k):
     """``retaliate_cells`` on ``rows`` (see ``stage_rows``) against the
-    oracle's grid search, row by row: kind, power bits and empty set."""
+    oracle's grid search, row by row: the bits of both power columns and
+    the empty set."""
     own, opp, stage = (np.array(z, float) for z in zip(*rows))
-    faw, power, empty = ars.retaliate_cells(own, opp, stage.T.copy(), k)
+    faw, bwh, empty = ars.retaliate_cells(own, opp, stage.T.copy(), k)
+    assert_power_columns(faw, bwh, empty)
     for i, (a_own, a_opp, (act_ui, act_uj, pre_ui, pre_uj)) in enumerate(rows):
         want = oracle.retaliation_on_stage(
             a_own, a_opp, (StagePayoffs(act_ui, act_uj), StagePayoffs(pre_ui, pre_uj)), k)
-        if want is None:
-            assert empty[i] and not faw[i]
-        else:
-            assert not empty[i]
-            assert (faw[i], power[i].hex()) == (want[0] is AttackKind.FAW, float(want[1]).hex())
+        assert empty[i] == (want is None)
+        if want is not None:
+            want = Action.of(*want)
+            assert (faw[i].hex(), bwh[i].hex()) == (want.faw.hex(), want.bwh.hex())
 
 
 class TestWindowsAgainstOracle:
     """Every row of ``retaliate_cells`` priced on its windows equals the grid
-    search of the oracle bit for bit, kind, power and empty set alike."""
+    search of the oracle bit for bit, both power columns and empty set alike."""
 
     @pytest.fixture
     def refused(self, monkeypatch):
-        """Every pass prices windows, so every whole-grid pricing is a guard's
-        refusal; their count."""
+        """Every pass prices windows, so every ``_grid_pick`` call prices
+        rows the guard refused; their count."""
         calls = []
-        coarse = ars._coarse
+        grid_pick = ars._grid_pick
         monkeypatch.setattr(ars, "WINDOW_ROWS", 1)
-        monkeypatch.setattr(ars, "_coarse", lambda *args: calls.append(1) or coarse(*args))
+        monkeypatch.setattr(ars, "_grid_pick", lambda *args: calls.append(1) or grid_pick(*args))
         return calls
 
     def test_rows_equal_the_grid_search(self, refused):
@@ -435,20 +442,22 @@ class TestPerRowWeight:
     def test_batch_equals_one_row_calls(self, rows):
         # retaliate_cells with one k per row, priced on the whole grid and
         # with windows forced, against one-row calls on the whole grid with
-        # each row's own k: kind, power bits and empty set
+        # each row's own k: the bits of both power columns and empty set
         own, opp, stage, ks = (np.array(z, float) for z in zip(*rows))
         stage = stage.T.copy()
         singles = [ars.retaliate_cells(own[i:i + 1], opp[i:i + 1], stage[:, i:i + 1], k)
                    for i, k in enumerate(ks)]
-        want = [(bool(f[0]), float(p[0]).hex(), bool(e[0])) for f, p, e in singles]
+        want = [(f[0].hex(), b[0].hex(), bool(e[0])) for f, b, e in singles]
         saved = ars.WINDOW_ROWS
         for window_rows in (saved, 1):
             ars.WINDOW_ROWS = window_rows
             try:
-                faw, power, empty = ars.retaliate_cells(own, opp, stage, np.array(ks))
+                faw, bwh, empty = ars.retaliate_cells(own, opp, stage, np.array(ks))
             finally:
                 ars.WINDOW_ROWS = saved
-            assert list(zip(faw.tolist(), map(float.hex, power.tolist()), empty.tolist())) == want
+            assert_power_columns(faw, bwh, empty)
+            assert list(zip(map(float.hex, faw.tolist()), map(float.hex, bwh.tolist()),
+                            empty.tolist())) == want
 
 
 def test_sixty_cell_sweep_prices_few_elements(monkeypatch):

@@ -196,11 +196,17 @@ class TestBlockRatioDetector:
         expected, _ = detect_bwh_block_ratio(0.2, 0.05, 2000)
         assert expected == pytest.approx(0.2 / 0.95, abs=1e-12)
 
-    @pytest.mark.parametrize("victim_power, infiltration", [
-        (0.2, math.nan), (math.nan, 0.01), (0.2, -0.01), (0.2, 0.8), (0.0, 0.01),
+    # a victim power check_powers refuses raises its class; a bad
+    # infiltration the detector's own
+    @pytest.mark.parametrize("victim_power, infiltration, error", [
+        pytest.param(victim, infiltration, error, id=f"{victim}-{infiltration}")
+        for victim, infiltration, error in [
+            (0.2, math.nan, InvalidScenario), (math.nan, 0.01, InvalidPowers),
+            (0.2, -0.01, InvalidScenario), (0.2, 0.8, InvalidScenario),
+            (0.0, 0.01, InvalidPowers), (0.7, 0.1, InvalidPowers)]
     ])
-    def test_invalid_powers_rejected(self, victim_power, infiltration):
-        with pytest.raises(InvalidScenario):
+    def test_invalid_powers_rejected(self, victim_power, infiltration, error):
+        with pytest.raises(error):
             detect_bwh_block_ratio(victim_power, infiltration, 2000)
 
 

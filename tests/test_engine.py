@@ -462,8 +462,8 @@ class TestRunnerAgainstOracle:
         cells = ars.retaliate_cells
 
         def emptied(alpha_own, *args):
-            faw, power, empty = cells(alpha_own, *args)
-            return faw, power, empty | (alpha_own == 0.15)
+            faw, bwh, empty = cells(alpha_own, *args)
+            return faw, bwh, empty | (alpha_own == 0.15)
 
         monkeypatch.setattr(ars, "retaliate_cells", emptied)
         monkeypatch.setattr(engine, "retaliate_cells", emptied)
@@ -922,10 +922,6 @@ class TestClosedPools:
         assert 100 * rows[0].victim_loss == pytest.approx(0.09, abs=0.02)
         assert 100 * rows[1].attacker_gain == pytest.approx(0.32, abs=0.02)
         assert 100 * rows[1].victim_loss == pytest.approx(0.016, abs=0.02)
-
-    def test_zero_power_attacker(self):
-        (row,) = closed_pool_scenario(attacker_powers=(0.0,))
-        assert row.attacker_gain == 0.0 and row.victim_loss == 0.0
 
 
 BAD_WEIGHTS = [-0.5, 1.0, 1.5, float("nan")]
