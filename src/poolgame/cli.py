@@ -356,8 +356,10 @@ def _cmd_npool(args):
 
 
 def _cmd_detect(args):
-    # every mode describes the same two pools, so every mode checks them
+    # every mode describes the same two pools and the first one's
+    # infiltration, so every mode checks them
     _pool_powers("--alpha and --beta", args.alpha, args.beta)
+    share = _infiltration_share(args)
     kind = AttackKind(args.attack)
     if args.mode == "block-ratio":
         expected, p = detect_bwh_block_ratio(args.beta, args.infiltration, args.blocks)
@@ -366,13 +368,13 @@ def _cmd_detect(args):
         prob = detect_unlucky_miners(args.infiltration, args.blocks)
         return ["probability_no_fpow", f"{prob:.8e}"]
     if args.mode == "geometric":
-        p = geometric_param(args.alpha, args.beta, _infiltration_share(args), kind)
+        p = geometric_param(args.alpha, args.beta, share, kind)
         return ["geometric_p", f"{p:.8f}"]
     series = (ingest_hashrate_csv(args.hashrates) if args.hashrates
               else load_bundled_hashrates())
     pool = args.pool or series.pools()[0]
-    scenario = DetectionScenario(args.alpha, args.beta, _infiltration_share(args),
-                                 kind, periods=args.periods, seed=args.seed)
+    scenario = DetectionScenario(args.alpha, args.beta, share, kind,
+                                 periods=args.periods, seed=args.seed)
     attack = simulate_reward_density(scenario, series, pool=pool)
     honest = simulate_reward_density(
         DetectionScenario(args.alpha, args.beta, 0.0, kind,

@@ -40,7 +40,9 @@ from .model import (
     InvalidAction,
     InvalidScenario,
     NonConvergence,
+    SWEEP_POWER_CAP,
     ZERO_ACTION,
+    _grid_pairs,
     check_actions,
     check_count,
     check_powers,
@@ -60,7 +62,6 @@ from .payoff import (
 from .ars import _empty_set_error, retaliate_cells
 
 DEFAULT_K_NEAR_ONE = 0.999  # realizes "preference weight just under 1"
-SWEEP_POWER_CAP = 0.9  # two-pool sweeps skip cells whose pools hold more together
 ATTACK_STEP_TOL = 1e-12  # optimal_simultaneous_attack ends after a Newton step below this
 ATTACK_PAYOFF_SLACK = 1e-15  # rounding margin of the attacker's revenue in its step test
 ATTACK_MAX_STEPS = 50  # Newton steps before optimal_simultaneous_attack gives up
@@ -214,12 +215,6 @@ def _two_stage_cells(alpha_1, alpha_2, power, kind, k) -> SweepTable:
     return SweepTable(alpha_1, alpha_2, power / alpha_1, *columns, flagged, errors)
 
 
-def _pairs(outer, inner):
-    """Row-major pairs of two grids: the sweeps' cell order."""
-    o, i = np.meshgrid(np.asarray(outer, float), np.asarray(inner, float), indexing="ij")
-    return o.ravel(), i.ravel()
-
-
 def two_stage_sweep(
     alpha_grid,
     attacker_kind: AttackKind,
@@ -232,7 +227,7 @@ def two_stage_sweep(
     two-stage average payoffs. Raises ``InvalidPowers`` for the first cell
     with powers ``check_powers`` refuses.
     """
-    alpha_1, alpha_2 = _pairs(alpha_grid, alpha_grid)
+    alpha_1, alpha_2 = _grid_pairs(alpha_grid, alpha_grid)
     keep = ~(alpha_1 + alpha_2 > SWEEP_POWER_CAP)
     alpha_1, alpha_2 = alpha_1[keep], alpha_2[keep]
     check_powers(alpha_1, alpha_2)
@@ -251,7 +246,7 @@ def two_stage_ratio_sweep(
     fixed attacker size (heatmaps over attack intensity). Raises for the
     first cell whose powers ``check_powers`` refuses, then for the first
     attack ``check_actions`` refuses."""
-    ratio, alpha_2 = _pairs(ratio_grid, alpha_2_grid)
+    ratio, alpha_2 = _grid_pairs(ratio_grid, alpha_2_grid)
     keep = ~(alpha_1 + alpha_2 > SWEEP_POWER_CAP)
     ratio, alpha_2 = ratio[keep], alpha_2[keep]
     alpha_1 = np.full_like(alpha_2, alpha_1)

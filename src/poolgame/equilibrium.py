@@ -50,10 +50,11 @@ import numpy as np
 from .model import (
     Action,
     AttackKind,
-    InvalidPowers,
     NonConvergence,
     OPTIMIZER_TOL,
+    SWEEP_POWER_CAP,
     ZERO_ACTION,
+    _grid_pairs,
     check_actions,
     check_count,
     check_powers,
@@ -73,9 +74,13 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 NASH_GRID_POINTS = 100
 NASH_TOL = 1e-7
 NASH_MAX_ITERATIONS = 10_000
-# BWH audit: family-1 rows priced per batch (bounds the evaluation arrays),
-# grid points of a row-maximum window, rows per bisected anchor row, fallback
-# powers per open cell and pass
+# BWH audit: the range of both pools' powers, grid points of each
+# infiltration and deviation grid, family-1 rows priced per batch (bounds the
+# evaluation arrays), grid points of a row-maximum window, rows per bisected
+# anchor row, fallback powers per open cell and pass
+AUDIT_POWER_LO = 0.01
+AUDIT_POWER_HI = 0.45
+AUDIT_INFILTRATION_POINTS = 120
 AUDIT_ROW_CHUNK = 2048
 AUDIT_WINDOW = 5
 AUDIT_ANCHOR_STEP = 8
@@ -163,7 +168,6 @@ class DeltaBound:
     k: float
     bound: float
     case_maxima: dict = field(default_factory=dict, compare=False)
-    duplicate_cases: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -197,10 +201,13 @@ def _subgame_cases(alpha_pun, alpha_dev, k, prior_kind: AttackKind):
 
 
 def _deviation_outcomes(profiles, alpha_pun, alpha_dev, deviations, k):
-    """``deviation_outcome`` for every deviation under every stage-0 profile
-    (punisher's action, deviator's prescription) at once: (gain, punishment)
-    arrays of shape (profiles, deviations) and the compliance payoffs
-    (profiles,). The punisher's retaliations are one ``retaliate_cells``
+    """One-stage deviations inside subgame classes, every deviation under
+    every stage-0 profile (punisher's action, deviator's prescription) at
+    once: the deviator's stage-0 payoff (gain) and its stage-1 payoff under
+    the punisher's retaliation (punishment), arrays of shape (profiles,
+    deviations), and its compliance payoffs (profiles,). Cooperation resumes
+    after stage 1, so a deviation pays at discount d iff gain + d *
+    punishment > compliance. The retaliations are one ``retaliate_cells``
     batch, profile by profile in their order."""
     comp = [payoff_pair(alpha_pun, alpha_dev, pun0, prescribed) for pun0, prescribed in profiles]
     shape = (len(profiles), len(deviations))
@@ -226,28 +233,6 @@ def _deviation_outcomes(profiles, alpha_pun, alpha_dev, deviations, k):
         raise _empty_set_error(alpha_pun, alpha_dev, pun0, deviations[r % shape[1]], prescribed)
     punishment = payoff_pair_raw(alpha_pun, alpha_dev, faw, bwh, zero, zero)[1]
     return gain.reshape(shape), punishment.reshape(shape), np.array([u.u_j for u in comp])
-
-
-def deviation_outcome(
-    case: SubgameCase,
-    alpha_pun: float,
-    alpha_dev: float,
-    deviation: Action,
-    k: float,
-):
-    """Stage payoffs of a one-stage deviation inside a subgame class.
-
-    Returns (gain, punishment, compliance) for the deviator: its stage-0
-    payoffs under deviation and compliance, and its stage-1 payoff under the
-    punisher's retaliation. After stage 1 cooperation resumes and all later
-    terms vanish, so the deviation is profitable at discount d iff
-    gain + d * punishment > compliance.
-    """
-    # refuses invalid powers and actions with the errors a per-deviation call raised
-    payoff_pair(alpha_pun, alpha_dev, case.punisher_stage0, deviation)
-    gain, punishment, comp = _deviation_outcomes(
-        [(case.punisher_stage0, case.deviator_prescribed)], alpha_pun, alpha_dev, [deviation], k)
-    return float(gain[0, 0]), float(punishment[0, 0]), float(comp[0])
 
 
 def _deviation_grid(alpha_dev, n):
@@ -299,8 +284,7 @@ def delta_bound(
             worst_case = worst[case.punisher_stage0, case.deviator_prescribed]
             case_maxima[key] = max(case_maxima.get(key, -np.inf), worst_case)
     return DeltaBound(alpha_1=alpha_1, alpha_2=alpha_2, k=k,
-                      bound=float(max(case_maxima.values())), case_maxima=case_maxima,
-                      duplicate_cases=(("cooperating", "mutual-bad"),))
+                      bound=float(max(case_maxima.values())), case_maxima=case_maxima)
 
 
 # ---------------------------------------------------------------------------
@@ -468,35 +452,21 @@ def _audit_cells(a1, a2, n: int) -> AuditReport:
     return AuditReport(a1, a2, f_value, k_chosen, passed)
 
 
-def audit_ipbwh_nonempty(
-    power_grid_resolution: int = 30,
-    infiltration_resolution: int = 120,
-    power_lo: float = 0.01,
-    power_hi: float = 0.45,
-    power_cap: float = 0.9,
-) -> AuditReport:
+def audit_ipbwh_nonempty(power_grid_resolution: int = 30) -> AuditReport:
     """Sweep power cells and verify a deterring BWH power always exists.
 
-    For each (alpha_1, alpha_2) the audit first assumes the one-sided BWH
-    optimum of pool 1 is available; where its damage fails to cover the
+    Both pools' powers run over ``power_grid_resolution`` points from
+    ``AUDIT_POWER_LO`` to ``AUDIT_POWER_HI``, in the sweeps' row order
+    (alpha_1, then alpha_2), skipping cells whose powers sum above
+    ``SWEEP_POWER_CAP``. For each cell the audit first assumes the one-sided
+    BWH optimum of pool 1 is available; where its damage fails to cover the
     worst-case deviation gap, it searches larger powers up to pool 1's full
-    size. Cells where no power works are reported as failures (expected: none
-    on the default grid; pushing the opponent to exactly half the network,
-    power_hi=0.5, produces a sliver of genuine failures where no deterring
-    power exists). Cells run in row order (alpha_1, then alpha_2) and skip
-    those whose powers sum above ``power_cap``; the first cell with invalid
-    powers raises ``InvalidPowers``.
+    size. Cells where no power works are reported as failures (expected:
+    none; an opponent at exactly half the network, outside this range,
+    leaves a sliver of genuine failures where no deterring power exists).
     """
     check_count(power_grid_resolution, "power_grid_resolution")
-    check_count(infiltration_resolution, "infiltration_resolution", least=2)
-    powers = np.linspace(power_lo, power_hi, power_grid_resolution)
-    a1, a2 = (g.ravel() for g in np.meshgrid(powers, powers, indexing="ij"))
-    kept = ~(a1 + a2 > power_cap)
-    a1, a2 = a1[kept], a2[kept]
-    try:
-        check_powers(a1, a2)
-    except InvalidPowers as err:
-        # the cells before the first invalid one are audited (and may raise) first
-        _audit_cells(a1[:err.index], a2[:err.index], infiltration_resolution)
-        raise
-    return _audit_cells(a1, a2, infiltration_resolution)
+    powers = np.linspace(AUDIT_POWER_LO, AUDIT_POWER_HI, power_grid_resolution)
+    a1, a2 = _grid_pairs(powers, powers)
+    kept = ~(a1 + a2 > SWEEP_POWER_CAP)
+    return _audit_cells(a1[kept], a2[kept], AUDIT_INFILTRATION_POINTS)

@@ -33,6 +33,8 @@ ALGEBRAIC_TOL = 1e-9
 OPTIMIZER_TOL = 1e-4
 #: margin within which two actions count as the same play
 ACTION_TOL = 1e-12
+#: two-pool grids (the sweeps and the BWH audit) skip cells whose pools hold more together
+SWEEP_POWER_CAP = 0.9
 
 
 class PoolGameError(Exception):
@@ -135,6 +137,12 @@ def check_powers(*powers) -> None:
     if not all(p <= 0.5 for p in cell):
         raise InvalidPowers("no pool may hold more than half the network", index)
     raise InvalidPowers(f"powers sum to {sum(cell)} >= 1", index)
+
+
+def _grid_pairs(outer, inner):
+    """Row-major pairs of two grids: the cell order of the two-pool grids."""
+    o, i = np.meshgrid(np.asarray(outer, float), np.asarray(inner, float), indexing="ij")
+    return o.ravel(), i.ravel()
 
 
 def check_weight(k, name: str = "k"):

@@ -4,12 +4,15 @@
 ``_audit_cell`` and ``audit_ipbwh_nonempty`` are the code the package used
 before the audit became one array program, unchanged apart from their
 imports, the ``np.linspace`` that the removed ``model.power_grid``
-wrapped, and the cells being returned bare: every cell prices its family-1
-gaps on full infiltration-by-deviation grids. ``AuditCell`` is the per-cell
-record the package's audit returned before it returned columns, and
-``audit_csv_rows`` its per-cell CSV formatter. Every cell of the batched
-audit must equal the oracle's bit for bit, and the CLI's rows must equal
-``audit_csv_rows``.
+wrapped, the cells being returned bare, and the loop over the power grid
+being split into ``grid_cells`` and ``audit_cells``: every cell prices its
+family-1 gaps on full infiltration-by-deviation grids. ``AuditCell`` is the
+per-cell record the package's audit returned before it returned columns,
+and ``audit_csv_rows`` its per-cell CSV formatter. Every cell of the
+batched audit must equal the oracle's bit for bit, and the CLI's rows must
+equal ``audit_csv_rows``. ``grid_cells`` also builds the cells of the grids
+the package's audit no longer takes, for its kernel
+(``equilibrium._audit_cells``).
 """
 
 from __future__ import annotations
@@ -87,6 +90,30 @@ def _audit_cell(a1: float, a2: float, n: int) -> AuditCell:
     return AuditCell(a1, a2, f_value, float("nan"), False)
 
 
+def grid_cells(
+    power_grid_resolution: int,
+    power_lo: float = 0.01,
+    power_hi: float = 0.45,
+    power_cap: float = 0.9,
+):
+    """The power grid's cells in row order (alpha_1, then alpha_2), skipping
+    those whose powers sum above ``power_cap``, as two arrays."""
+    powers = np.linspace(power_lo, power_hi, power_grid_resolution)
+    cells = []
+    for a1 in powers:
+        for a2 in powers:
+            if a1 + a2 > power_cap:
+                continue
+            cells.append((a1, a2))
+    a1, a2 = np.array(cells, float).reshape(-1, 2).T.copy()
+    return a1, a2
+
+
+def audit_cells(a1, a2, n: int) -> tuple[AuditCell, ...]:
+    """``_audit_cell`` of every cell (a1[i], a2[i]) in order."""
+    return tuple(_audit_cell(float(x), float(y), n) for x, y in zip(a1, a2))
+
+
 def audit_ipbwh_nonempty(
     power_grid_resolution: int = 30,
     infiltration_resolution: int = 120,
@@ -104,11 +131,5 @@ def audit_ipbwh_nonempty(
     power_hi=0.5, produces a sliver of genuine failures where no deterring
     power exists).
     """
-    powers = np.linspace(power_lo, power_hi, power_grid_resolution)
-    cells = []
-    for a1 in powers:
-        for a2 in powers:
-            if a1 + a2 > power_cap:
-                continue
-            cells.append(_audit_cell(float(a1), float(a2), infiltration_resolution))
-    return tuple(cells)
+    cells = grid_cells(power_grid_resolution, power_lo, power_hi, power_cap)
+    return audit_cells(*cells, infiltration_resolution)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from poolgame.engine import SWEEP_POWER_CAP
+from poolgame.model import SWEEP_POWER_CAP
 from poolgame.equilibrium import SubgameCase
 from poolgame.model import (
     ALGEBRAIC_TOL,

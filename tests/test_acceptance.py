@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import audit_oracle
 import sampler_oracle
 
 from poolgame.model import Action, AttackKind, GameConfig
@@ -32,10 +33,10 @@ from poolgame.payoff import (
     payoff_pair,
 )
 from poolgame.equilibrium import (
+    _audit_cells,
+    _deviation_outcomes,
     _subgame_cases,
-    audit_ipbwh_nonempty,
     delta_bound,
-    deviation_outcome,
     stage_nash,
 )
 from poolgame.engine import (
@@ -350,12 +351,9 @@ class TestCriterion10DeltaBoundAndAudit:
         )
 
     def test_audit_thirty_by_thirty(self):
-        rep = audit_ipbwh_nonempty(power_grid_resolution=30, infiltration_resolution=100)
+        rep = _audit_cells(*audit_oracle.grid_cells(30), 100)
         ok = bool(rep.passed.all())
-        extended = audit_ipbwh_nonempty(
-            power_grid_resolution=8, infiltration_resolution=100,
-            power_lo=0.3, power_hi=0.5,
-        )
+        extended = _audit_cells(*audit_oracle.grid_cells(8, power_lo=0.3, power_hi=0.5), 100)
         assert report(
             10, ok,
             f"zero failures on the 30x30 grid up to 0.45 power "
@@ -378,10 +376,10 @@ class TestCriterion10DeltaBoundAndAudit:
                     for _ in range(50):  # 100 per class across the two priors
                         x = rng.uniform(1e-4, alpha_dev)
                         d = Action(x, 0.0) if rng.integers(2) else Action(0.0, x)
-                        gain, pun, comp = deviation_outcome(
-                            case, alpha_pun, alpha_dev, d, k
-                        )
-                        worst = max(worst, gain + delta * pun - comp)
+                        gain, pun, comp = _deviation_outcomes(
+                            [(case.punisher_stage0, case.deviator_prescribed)],
+                            alpha_pun, alpha_dev, [d], k)
+                        worst = max(worst, gain[0, 0] + delta * pun[0, 0] - comp[0])
         ok = worst <= 1e-9
         assert report(
             10, ok,

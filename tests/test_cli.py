@@ -595,7 +595,7 @@ class TestScenarioCommands:
         code = main([*BLOCK_RATIO, "--infiltration", "nan"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err == "error: invalid victim_power=0.2, infiltration=nan\n"
+        assert captured.err == "error: --infiltration must be in [0, --alpha=0.1), got nan\n"
 
     def test_detect_variance_uses_bundled_fixture(self, capsys):
         code, out = run_cli(
@@ -689,7 +689,9 @@ class TestScenarioCommands:
         assert code == 1 and captured.out == ""
         assert "--seed must be a non-negative integer, got -3" in captured.err
 
-    @pytest.mark.parametrize("mode", ["geometric", "variance"])
+    # every mode: block-ratio and unlucky read --infiltration without
+    # --alpha, so only this check keeps their subset inside its pool
+    @pytest.mark.parametrize("mode", ["geometric", "variance", "block-ratio", "unlucky"])
     # all of --alpha infiltrating leaves no home power, so no period ends
     @pytest.mark.parametrize("value", ["-0.01", "nan", "0.11", "0.1"])
     def test_detect_infiltration_outside_attacker_power_rejected(self, mode, value, capsys):

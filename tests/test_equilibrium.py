@@ -8,18 +8,17 @@ from poolgame import ars, cli, equilibrium
 from poolgame.model import (
     Action,
     AttackKind,
-    DegenerateDenominator,
     InvalidAction,
     InvalidPowers,
     InvalidScenario,
     PoolGameError,
+    check_powers,
 )
 from poolgame.payoff import payoff_pair, payoff_pair_raw
 from poolgame.equilibrium import (
     _subgame_cases,
     audit_ipbwh_nonempty,
     delta_bound,
-    deviation_outcome,
     stage_nash,
 )
 
@@ -114,7 +113,6 @@ class TestDeltaBound:
 
     def test_duplicate_cases_noted(self):
         b = delta_bound(0.3, 0.2, 0.5, deviation_resolution=10)
-        assert ("cooperating", "mutual-bad") in b.duplicate_cases
         for side in (1, 2):
             assert b.case_maxima[f"pool{side}:cooperating"] == pytest.approx(
                 b.case_maxima[f"pool{side}:mutual-bad"], abs=1e-12
@@ -172,10 +170,10 @@ class TestDeltaBound:
                 for _ in range(25):
                     x = rng.uniform(1e-4, alpha_dev)
                     d = Action(x, 0.0) if rng.integers(2) else Action(0.0, x)
-                    gain, pun, comp = deviation_outcome(
-                        case, alpha_pun, alpha_dev, d, k
-                    )
-                    assert gain + delta * pun <= comp + 1e-9
+                    gain, pun, comp = equilibrium._deviation_outcomes(
+                        [(case.punisher_stage0, case.deviator_prescribed)],
+                        alpha_pun, alpha_dev, [d], k)
+                    assert gain[0, 0] + delta * pun[0, 0] <= comp[0] + 1e-9
 
 
 class TestDeviationBatchAgainstOracle:
@@ -226,30 +224,30 @@ class TestDeviationBatchAgainstOracle:
         assert outcome(worst_ratio, deviations) == outcome(oracle._worst_ratio, deviations)
 
 
+def grid(power_grid_resolution, infiltration_resolution, **bounds):
+    """The arguments of both audits' kernels: a power grid's cells, built
+    by ``audit_oracle.grid_cells``, and its infiltration grids' points."""
+    return (*audit_oracle.grid_cells(power_grid_resolution, **bounds), infiltration_resolution)
+
+
 class TestAudit:
     def test_default_grid_has_no_failures(self):
-        report = audit_ipbwh_nonempty(power_grid_resolution=12, infiltration_resolution=80)
+        report = equilibrium._audit_cells(*grid(12, 80))
         assert report.passed.all()
 
     def test_boundary_cell_passes(self):
-        report = audit_ipbwh_nonempty(
-            power_grid_resolution=2, infiltration_resolution=100,
-            power_lo=0.01, power_hi=0.45,
-        )
+        report = equilibrium._audit_cells(*grid(2, 100, power_lo=0.01, power_hi=0.45))
         # grid {0.01, 0.45}^2: includes the extreme (0.45, 0.01) cell
         assert report.passed.size == 4
         assert report.passed.all()
 
     def test_symmetric_cell_positive(self):
-        report = audit_ipbwh_nonempty(
-            power_grid_resolution=1, infiltration_resolution=120,
-            power_lo=0.2, power_hi=0.2,
-        )
+        report = equilibrium._audit_cells(*grid(1, 120, power_lo=0.2, power_hi=0.2))
         (passed,), (k_chosen,) = report.passed, report.k_chosen
         assert passed and np.isfinite(k_chosen)
 
     def test_csv_rows_schema(self):
-        report = audit_ipbwh_nonempty(power_grid_resolution=2, infiltration_resolution=50)
+        report = equilibrium._audit_cells(*grid(2, 50))
         rows = cli._audit_rows(report)
         assert rows[0] == "alpha1,alpha2,f_value,k_chosen,passed"
         assert len(rows) == report.passed.size + 1
@@ -258,23 +256,22 @@ class TestAudit:
         # pushing the opponent to exactly half the network exposes genuine
         # failures: no BWH power of a ~0.37 pool out-damages the worst-case
         # counterattack gain of a 0.5 pool; the audit must report, not mask
-        report = audit_ipbwh_nonempty(
-            power_grid_resolution=2, infiltration_resolution=100,
-            power_lo=0.37, power_hi=0.5, power_cap=0.87,
-        )
+        report = equilibrium._audit_cells(
+            *grid(2, 100, power_lo=0.37, power_hi=0.5, power_cap=0.87))
         failed = ~report.passed
         failing = {(round(a1, 2), round(a2, 2)) for a1, a2
                    in zip(report.alpha_1[failed].tolist(), report.alpha_2[failed].tolist())}
         assert (0.37, 0.5) in failing
 
 
-def audit_bits(audit, **kw):
+def audit_bits(audit, *args):
     """Every cell's fields, floats as their uint64 bits, and the CSV rows, or
-    the error. ``audit`` returns the package's columns, whose ``passed`` must
-    have dtype bool and whose rows the CLI formats, or the oracle's cells,
-    whose ``passed`` must be a bool and whose rows the oracle formats."""
+    the error, of ``audit(*args)``. ``audit`` returns the package's columns,
+    whose ``passed`` must have dtype bool and whose rows the CLI formats, or
+    the oracle's cells, whose ``passed`` must be a bool and whose rows the
+    oracle formats."""
     try:
-        report = audit(**kw)
+        report = audit(*args)
     except PoolGameError as exc:
         return type(exc), str(exc)
     if isinstance(report, tuple):
@@ -305,10 +302,18 @@ class TestBatchedAuditAgainstOracle:
     )
     @settings(max_examples=300, deadline=None)
     def test_equals_oracle_bit_for_bit(self, lo, hi, cells, n, cap):
-        kw = dict(power_grid_resolution=cells, infiltration_resolution=n,
-                  power_lo=lo, power_hi=hi, power_cap=cap)
-        assert audit_bits(audit_ipbwh_nonempty, **kw) == audit_bits(
-            audit_oracle.audit_ipbwh_nonempty, **kw)
+        a1, a2, n = grid(cells, n, power_lo=lo, power_hi=hi, power_cap=cap)
+        try:
+            check_powers(a1, a2)
+        except InvalidPowers as err:
+            # the kernel takes valid powers only: the oracle refuses the first
+            # invalid cell with the same error, and the cells before it compare
+            i = err.index
+            assert audit_bits(audit_oracle.audit_cells, a1[i:i + 1], a2[i:i + 1], n) == (
+                InvalidPowers, str(err))
+            a1, a2 = a1[:i], a2[:i]
+        assert audit_bits(equilibrium._audit_cells, a1, a2, n) == audit_bits(
+            audit_oracle.audit_cells, a1, a2, n)
 
     @pytest.mark.parametrize("kw", [
         # the acceptance suite's extended grid, opponents up to half the network
@@ -320,35 +325,34 @@ class TestBatchedAuditAgainstOracle:
         dict(power_grid_resolution=12, infiltration_resolution=80),
     ])
     def test_pinned_grids(self, kw):
-        bits = audit_bits(audit_ipbwh_nonempty, **kw)
-        assert bits == audit_bits(audit_oracle.audit_ipbwh_nonempty, **kw)
+        bits = audit_bits(equilibrium._audit_cells, *grid(**kw))
+        assert bits == audit_bits(audit_oracle.audit_cells, *grid(**kw))
 
     def test_fallback_with_fresh_family1_minima(self):
         # (0.01, 0.45) passes only at its 28th fallback power above f_cap,
-        # each with a fresh family-1 minimum
-        kw = dict(power_grid_resolution=2, infiltration_resolution=120,
-                  power_lo=0.01, power_hi=0.45)
-        report = audit_ipbwh_nonempty(**kw)
+        # each with a fresh family-1 minimum; the oracle's defaults are the
+        # audit's constants
+        report = audit_ipbwh_nonempty(2)
         assert (report.alpha_1[1], report.alpha_2[1], report.passed[1]) == (0.01, 0.45, True)
         assert report.f_value[1].hex() == "-0x1.59d906c8870e0p-8"
         assert report.k_chosen[1].hex() == "0x1.ba7eac2b78e48p-8"
-        assert audit_bits(audit_ipbwh_nonempty, **kw) == audit_bits(
-            audit_oracle.audit_ipbwh_nonempty, **kw)
+        assert audit_bits(audit_ipbwh_nonempty, 2) == audit_bits(
+            audit_oracle.audit_ipbwh_nonempty, 2)
 
     def test_row_chunks_do_not_change_cells(self, monkeypatch):
-        kw = dict(power_grid_resolution=4, infiltration_resolution=37)
-        want = audit_bits(audit_oracle.audit_ipbwh_nonempty, **kw)
+        args = grid(4, 37)
+        want = audit_bits(audit_oracle.audit_cells, *args)
         monkeypatch.setattr(equilibrium, "AUDIT_ROW_CHUNK", 7)
         monkeypatch.setattr(equilibrium, "AUDIT_FALLBACK_POWERS", 1)
-        assert audit_bits(audit_ipbwh_nonempty, **kw) == want
+        assert audit_bits(equilibrium._audit_cells, *args) == want
 
     @pytest.mark.parametrize("anchor_step", [1, 3, 500])
     def test_anchor_steps_do_not_change_cells(self, monkeypatch, anchor_step):
         # every row its own anchor (the bisection of every row), a step that
         # does not divide n - 1, and only the first and last rows as anchors,
         # whose interpolated starts miss and send rows to full pricing
-        kw = dict(power_grid_resolution=4, infiltration_resolution=37)
-        want = audit_bits(audit_oracle.audit_ipbwh_nonempty, **kw)
+        args = grid(4, 37)
+        want = audit_bits(audit_oracle.audit_cells, *args)
         full_rows = []
 
         def pricing(alpha_i, alpha_j, f_i, b_i, f_j, b_j):
@@ -357,7 +361,7 @@ class TestBatchedAuditAgainstOracle:
 
         monkeypatch.setattr(equilibrium, "payoff_pair_raw", pricing)
         monkeypatch.setattr(equilibrium, "AUDIT_ANCHOR_STEP", anchor_step)
-        assert audit_bits(audit_ipbwh_nonempty, **kw) == want
+        assert audit_bits(equilibrium._audit_cells, *args) == want
         if anchor_step == 500:
             assert any(full_rows)
 
@@ -440,12 +444,6 @@ class TestRowMaxima:
 
 class TestAuditInputs:
     @pytest.mark.parametrize("kw, message", [
-        pytest.param(dict(infiltration_resolution=1),
-                     "^infiltration_resolution must be an integer of at least 2, got 1$",
-                     id="kw0-at least 2 points, got 1"),
-        pytest.param(dict(infiltration_resolution=0),
-                     "^infiltration_resolution must be an integer of at least 2, got 0$",
-                     id="kw1-at least 2 points, got 0"),
         pytest.param(dict(power_grid_resolution=0),
                      "^power_grid_resolution must be an integer of at least 1, got 0$",
                      id="kw2-at least 1 cell per axis, got 0"),
@@ -456,29 +454,3 @@ class TestAuditInputs:
     def test_empty_grids_rejected(self, kw, message):
         with pytest.raises(InvalidScenario, match=message):
             audit_ipbwh_nonempty(**kw)
-
-    @pytest.mark.parametrize("kw, message", [
-        # the third cell (0.01, 0.6) is the first invalid one in row order
-        (dict(power_grid_resolution=3, power_hi=0.6),
-         "no pool may hold more than half the network"),
-        (dict(power_grid_resolution=3, power_lo=0.0),
-         "powers must be positive numbers, got 0.0, 0.0"),
-        (dict(power_grid_resolution=2, power_lo=0.5, power_hi=0.5, power_cap=1.0),
-         "powers sum to 1.0 >= 1"),
-        (dict(power_grid_resolution=2, power_lo=float("nan")),
-         "powers must be positive numbers, got nan, nan"),
-    ])
-    def test_first_invalid_cell_raises_its_power_error(self, kw, message):
-        with pytest.raises(InvalidPowers) as exc:
-            audit_ipbwh_nonempty(**kw)
-        assert str(exc.value) == message
-        assert audit_bits(audit_oracle.audit_ipbwh_nonempty, **kw) == (InvalidPowers, message)
-
-    def test_cells_before_the_invalid_one_raise_first(self):
-        # (0.4999999999, 0.4999999999) leaves no live power on its fallback
-        # grid and comes before the invalid (0.5, 0.5)
-        kw = dict(power_grid_resolution=2, infiltration_resolution=50,
-                  power_lo=0.4999999999, power_hi=0.5, power_cap=1.0)
-        with pytest.raises(DegenerateDenominator):
-            audit_ipbwh_nonempty(**kw)
-        assert audit_bits(audit_oracle.audit_ipbwh_nonempty, **kw)[0] is DegenerateDenominator

@@ -333,10 +333,8 @@ COUNT_CALLERS = {
                           "window", 1),
     "generate_synthetic_hashrates": (lambda n: generate_synthetic_hashrates(hours=n), "hours", 1),
     "delta_bound": (lambda n: delta_bound(0.25, 0.15, 0.5, n), "deviation_resolution", 2),
-    "audit_ipbwh_nonempty:power": (lambda n: audit_ipbwh_nonempty(n, 4),
+    "audit_ipbwh_nonempty:power": (lambda n: audit_ipbwh_nonempty(n),
                                    "power_grid_resolution", 1),
-    "audit_ipbwh_nonempty:infiltration": (lambda n: audit_ipbwh_nonempty(2, n),
-                                          "infiltration_resolution", 2),
 }
 
 
