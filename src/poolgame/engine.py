@@ -532,9 +532,11 @@ def run_npool(
     Recorded stage payoffs are exact expectations by default; pass
     ``payoff_rounds`` to estimate them by Monte-Carlo instead, each stage
     with ``npool_stage_payoffs_mc`` seeded ``config.seed + stage``. Its cost
-    follows the rounds in which a FAW flag fires first, so stages without
-    FAW cost one multinomial draw. The standard error is not recorded in
-    the history (``npool_stage_payoffs_mc`` returns it).
+    follows the rounds in which a FAW flag fires first in stages whose flags
+    sit in two or more host pools; a stage without FAW, or whose flags all
+    infiltrate one pool (as ARS retaliations against one deviator do), costs
+    one multinomial draw. The standard error is not recorded in the history
+    (``npool_stage_payoffs_mc`` returns it).
     """
     alphas = config.powers
     n = len(alphas)

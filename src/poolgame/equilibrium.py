@@ -37,7 +37,9 @@ row. Cells whose optimal BWH power does not deter try larger powers in
 order: up to the family-1 cap they reuse the cap's minimum, one expression
 for all cells; above it the still-open cells get fresh family-1 minima,
 ``AUDIT_FALLBACK_POWERS`` powers per cell and pass, and keep their first
-deterring power.
+deterring power. A power's gap is the lesser of its two families' gaps, so
+a power whose damage does not cover the family-2 gap fails whatever its
+family-1 gap, and the fallback never prices its family-1 minimum.
 """
 
 from __future__ import annotations
@@ -430,8 +432,13 @@ def _audit_cells(a1, a2, n: int) -> AuditReport:
     # above it, fresh minima are priced a few powers per open cell and pass.
     fb = np.flatnonzero(~passed)
     kk = np.linspace(m1b[fb], a1[fb], n, axis=-1)
+    dmg = damage(fb[:, None], kk)
     fresh = ~(kk <= f_cap[fb, None])
-    fk = np.where(fresh, np.nan, damage(fb[:, None], kk) + worst[fb, None])
+    fk = np.where(fresh, np.nan, dmg + worst[fb, None])
+    # rounding is monotone, so fl(damage + min(t1, t2)) <= fl(damage + t2):
+    # a fresh power whose damage does not cover t2 fails whatever its
+    # family-1 gap, and is left unpriced (its fk stays nan, which fails too)
+    fresh &= ~(dmg + t2[fb, None] <= 0.0)
     while True:
         # each cell's first power that passes or is not priced yet
         stop = (fk > 0.0) | fresh
@@ -443,7 +450,7 @@ def _audit_cells(a1, a2, n: int) -> AuditReport:
         take &= np.cumsum(take, axis=1) <= AUDIT_FALLBACK_POWERS
         i, j = np.nonzero(take)
         t1 = _family1_minima(a1, a2, dev, fb[i], kk[i, j])
-        fk[i, j] = damage(fb[i], kk[i, j]) + _lesser(t1, t2[fb[i]])
+        fk[i, j] = dmg[i, j] + _lesser(t1, t2[fb[i]])
         fresh[i, j] = False
     ok = fk > 0.0
     hit = np.flatnonzero(ok.any(axis=1))

@@ -17,11 +17,13 @@ densities. ``payoff_pair`` resolves that coupling exactly as a 2x2 linear
 system. ``_sample_rounds`` is the one Monte-Carlo sampler of the round race,
 for any number of pools; the engine's ``npool_stage_payoffs_mc`` is its
 entry point and serves as the independent oracle of the exact models. It
-draws how all rounds end as one multinomial over the input rates and draws
-round by round only the rounds in which a FAW flag fires first, so its cost
-follows those rounds; it settles those rounds one flag row at a time, with
-a running count of fired flags picking each round's winner. It never reads
-a probability the exact models compute.
+draws how all rounds end as one multinomial over the input rates. Where
+every FAW flag sits in one host pool, that host wins every round in which a
+flag fires first, and nothing more is drawn. Otherwise it draws round by
+round only those flag-first rounds, so its cost follows the flag-first
+rounds of stages whose flags sit in two or more hosts; it settles them one
+flag row at a time, with a running count of fired flags picking each
+round's winner. It never reads a probability the exact models compute.
 
 ``U_i`` is pool i's extra reward density: member reward per unit power minus
 the honest baseline 1.
@@ -220,12 +222,15 @@ def _sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
       ``ext / theta * phi_f / (theta + Phi)``; a home ending of pool i,
       ``home_i / theta`` (Phi is the sum of the F flag rates, flags in
       row-major (i, j) order). Rounds of the first and last kinds are
-      settled by their category;
-    * for the flag-first rounds only, in batches sorted by first flag: the
-      remaining round length tau ~ Exp(theta), restarted by memorylessness
-      when the first flag fires; one uniform per flag, a flag other than the
-      first firing iff it is below 1 - exp(-phi * tau); and one uniform
-      picking the fired flag whose host wins the round.
+      settled by their category, and so are the flag-first rounds when
+      every flag has the same host: a fired flag's withheld block counts for
+      its host, so that host wins each of them whatever the pick below;
+    * for the flag-first rounds of flags in two or more hosts only, in
+      batches sorted by first flag: the remaining round length
+      tau ~ Exp(theta), restarted by memorylessness when the first flag
+      fires; one uniform per flag, a flag other than the first firing iff it
+      is below 1 - exp(-phi * tau); and one uniform picking the fired flag
+      whose host wins the round.
 
     A batch is settled one flag row at a time: each row's threshold is
     computed in one reused buffer, and the first flag is forced on its
@@ -256,6 +261,10 @@ def _sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
     # flag-first rounds laid out sorted by first flag; a batch covers [start, stop)
     edges = np.cumsum(np.concatenate(([0], counts[1:1 + n_flags])))
     flag_first = int(edges[-1])
+    if flag_first and (hosts == hosts[0]).all():
+        # one host wins every flag-first round, whatever the draws would pick
+        wins[hosts[0]] += flag_first
+        flag_first = 0  # no round left to draw
     batch = max(1, _CHUNK // max(n_flags, 1))
     for start in range(0, flag_first, batch):
         stop = min(start + batch, flag_first)

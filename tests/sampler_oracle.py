@@ -8,8 +8,10 @@ batch size, which it reads from ``payoff._CHUNK`` at call time so that a test
 that shrinks the package's batches shrinks the oracle's too. It thresholds
 every flag at once with (F, m) temporaries, forces each round's first flag
 with a fancy-index store, and picks the winning flag with a cumulative sum
-and an ``argmax`` over the flag axis. The package's sampler must draw the
-same numbers in the same order and return the same four arrays bit for bit.
+and an ``argmax`` over the flag axis, and it draws the flag-first rounds
+even where every flag has one host, who wins them whatever the draws. The
+package's sampler must draw the same numbers in the same order wherever it
+draws, and return the same four arrays bit for bit.
 
 ``simulate_victim_blocks`` is the code ``poolgame.detection`` had, unchanged
 apart from its imports; ``geometric_param`` must match its counts.

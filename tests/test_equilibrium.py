@@ -14,7 +14,13 @@ from poolgame.model import (
     PoolGameError,
     check_powers,
 )
-from poolgame.payoff import payoff_pair, payoff_pair_raw
+from poolgame.payoff import (
+    one_sided_attacker,
+    one_sided_victim,
+    optimal_bwh_infiltration,
+    payoff_pair,
+    payoff_pair_raw,
+)
 from poolgame.equilibrium import (
     _subgame_cases,
     audit_ipbwh_nonempty,
@@ -230,6 +236,16 @@ def grid(power_grid_resolution, infiltration_resolution, **bounds):
     return (*audit_oracle.grid_cells(power_grid_resolution, **bounds), infiltration_resolution)
 
 
+def family2_gap(a1, a2, n):
+    """The family-2 gap of cell (a1, a2), as the per-cell oracle prices it:
+    pool 2's prescribed BWH retaliation against its FAW deviations, least
+    difference over the full grid."""
+    b2 = np.linspace(0.0, optimal_bwh_infiltration(a2, a1), n)[:, None]
+    dev = np.linspace(0.0, a2, n)[None, :]
+    return float(np.min(one_sided_attacker(AttackKind.BWH, a2, a1, b2)
+                        - one_sided_attacker(AttackKind.FAW, a2, a1, dev)))
+
+
 class TestAudit:
     def test_default_grid_has_no_failures(self):
         report = equilibrium._audit_cells(*grid(12, 80))
@@ -365,8 +381,29 @@ class TestBatchedAuditAgainstOracle:
         if anchor_step == 500:
             assert any(full_rows)
 
+    def test_fallback_prices_no_power_family_2_fails(self, monkeypatch):
+        # a power's gap is fl(damage + min(t1, t2)) <= fl(damage + t2), so a
+        # power whose damage does not cover the family-2 gap t2 fails whatever
+        # its family-1 gap: the fallback must not price its family-1 minimum
+        priced = []
+        minima = equilibrium._family1_minima
+
+        def family1(a1, a2, dev, cell, caps):
+            priced.append((a1[cell], a2[cell], caps, dev.shape[1]))
+            return minima(a1, a2, dev, cell, caps)
+
+        monkeypatch.setattr(equilibrium, "_family1_minima", family1)
+        audit_ipbwh_nonempty(30)
+        fallback = priced[1:]  # the first call prices every cell's family-1 cap
+        assert fallback
+        for a1, a2, caps, n in fallback:
+            for x, y, kk in zip(a1.tolist(), a2.tolist(), caps.tolist()):
+                damage = -one_sided_victim(AttackKind.BWH, x, y, kk)
+                assert damage + family2_gap(x, y, n) > 0.0
+
     def test_thirty_cell_audit_prices_few_elements(self, monkeypatch, capsys):
-        # anchors bisected, every other row windowed: about 1.08M kernel
+        # anchors bisected, every other row windowed, no family-1 minimum
+        # priced for a fallback power family 2 fails: about 0.99M kernel
         # elements; bisecting every row priced 2.32M
         elements = []
 
@@ -377,7 +414,7 @@ class TestBatchedAuditAgainstOracle:
         monkeypatch.setattr(equilibrium, "payoff_pair_raw", pricing)
         assert cli.main(["audit-ipbwh", "--cells", "30"]) == 0
         assert "# failures: 0" in capsys.readouterr().out
-        assert sum(elements) <= 1_200_000
+        assert sum(elements) <= 1_000_000
 
 
 def weakly_unimodal_rows(data):

@@ -381,6 +381,28 @@ def _scenario(alphas, faw=(), bwh=()):
     return np.array(alphas), m["faw"], m["bwh"]
 
 
+# simulate's profile (pool 0 forks in pool 1, pool 1 withholds in pool 0) and
+# Table 3's stages: the FAW scenario's attack, one flag in each of four
+# hosts, and the BWH scenario's retaliation, everything against pool 0
+TABLE3_POWERS = [0.25, 0.15, 0.1, 0.035, 0.02]
+SIMULATE_STAGE = _scenario([0.2, 0.2], [(0, 1, 0.05)], [(1, 0, 0.02)])
+TABLE3_FAW_STAGE = _scenario(TABLE3_POWERS, [(0, 1, 0.0567), (0, 2, 0.0378),
+                                             (0, 3, 0.0132), (0, 4, 0.0076)])
+TABLE3_RETALIATION = _scenario(TABLE3_POWERS, [(1, 0, 0.0692), (2, 0, 0.0471)],
+                               [(3, 0, 0.0045), (4, 0, 0.0025)])
+
+
+class RecordingGenerator:
+    """A numpy generator that records the name of each method it is asked for."""
+
+    def __init__(self, rng, draws):
+        self._rng, self._draws = rng, draws
+
+    def __getattr__(self, name):
+        self._draws.append(name)
+        return getattr(self._rng, name)
+
+
 @st.composite
 def sampler_scenarios(draw):
     """n = 2-5 pools; 1-8 FAW flags and some BWH detachments on distinct
@@ -406,8 +428,9 @@ def sampler_scenarios(draw):
 class TestSamplerAgainstOracle:
     """The sampler settles flag-first rounds one flag row at a time; the
     oracle (``tests/sampler_oracle.py``) is the (F, m) cumsum/argmax version
-    it replaced. Both draw the same numbers, so all four returns must be
-    equal bit for bit."""
+    it replaced. Both draw the same numbers, except that the sampler skips
+    the per-round draws where every flag has one host, so all four returns
+    must be equal bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(sampler_scenarios(), st.integers(0, 2**32 - 1))
@@ -425,6 +448,10 @@ class TestSamplerAgainstOracle:
     @example((*_scenario([0.3, 0.1, 0.1, 0.1, 0.05],
                          [(1, 0, 0.05), (2, 0, 0.04), (3, 0, 0.06), (4, 0, 0.03)]),
               5_000, 9), 5)
+    # simulate's profile: one flag, and BWH back into its attacker
+    @example((*SIMULATE_STAGE, 50_000, None), 6)
+    # Table 3's BWH-scenario retaliation stage: every flag and BWH power in pool 0
+    @example((*TABLE3_RETALIATION, 50_000, None), 7)
     def test_bit_identical_to_oracle(self, scenario, seed):
         alphas, faw, bwh, rounds, chunk = scenario
         with pytest.MonkeyPatch.context() as mp:
@@ -434,3 +461,20 @@ class TestSamplerAgainstOracle:
             want = sampler_oracle.sample_rounds(alphas, faw, bwh, rounds, seed)
         for g, w in zip(got, want, strict=True):
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("scenario, one_host", [
+        (SIMULATE_STAGE, True),
+        (TABLE3_RETALIATION, True),
+        (TABLE3_FAW_STAGE, False),
+        (_scenario([0.4, 0.3], [(0, 1, 0.3), (1, 0, 0.25)]), False),
+    ], ids=["simulate", "table 3 retaliation", "table 3 faw", "mutual fork"])
+    def test_one_host_stage_draws_only_the_multinomial(self, monkeypatch, scenario, one_host):
+        # the host of every flag wins every flag-first round, so no per-round
+        # draw is made for them; flags in two hosts still draw round by round
+        draws = []
+        make = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: RecordingGenerator(make(seed), draws))
+        payoff._sample_rounds(*scenario, 20_000, 5)
+        assert draws[0] == "multinomial"
+        assert (draws == ["multinomial"]) is one_host
