@@ -16,8 +16,6 @@ from .model import (
 )
 from .payoff import (
     StagePayoffs,
-    one_sided_attacker,
-    one_sided_victim,
     optimal_bwh_infiltration,
     optimal_faw_infiltration,
     payoff_pair,

@@ -31,27 +31,30 @@ Q(x) = (bound - actual + coef) D(x) - coef N(x) > 0, and equal
 retaliation's ``u(x) - tol <= loss`` where (loss + tol + 1) D(x) - N(x) >= 0.
 Each Q is concave when its leading coefficient is positive, so each set is
 an interval with closed-form ends. A pass of at least ``WINDOW_ROWS`` rows
-therefore does not price every coarse point. Per row it prices ``WINDOW``
-points around each end of both intervals and ``WINDOW`` points around the
-one-sided optimum, and picks among them with the same operations as on the
-whole grid. The premise is that these points hold the grid's answer, and a
-guard checks it row by row: the float value of each test on every unpriced
-point must follow, by concavity, from Q at the windows' edges, and those
-values must clear a rounding margin: ``CERT_MARGIN`` = 2^-40 times the
-size of the test's inputs, over fifty times a bound on the rounding errors
-of the float test and of Q together. Then the smallest candidate passing equal retaliation and the
-candidates nearest the optimum are all priced, and the pick is the whole
-grid's, bit for bit. ``_grid_pick``, the one pricing of the whole grid,
-prices the rows the guard refuses and every row of a smaller pass.
+therefore prices, per row, only ``WINDOW`` points around each end of both
+intervals and ``WINDOW`` points around the one-sided optimum. A guard checks
+row by row that these points hold the whole grid's answer: the float value
+of each test on every unpriced point must follow, by concavity, from Q at
+the windows' edges, and clear a rounding margin, ``CERT_MARGIN`` = 2^-40
+times the size of the test's inputs, over fifty times a bound on the
+rounding errors of the float test and of Q together. Then the smallest
+candidate passing equal retaliation and the candidates nearest the optimum
+are all priced, and the pick is the whole grid's, bit for bit. The rows the
+guard refuses, and every row of a smaller pass, are priced on the whole
+coarse grid.
 
+One pick, ``_pick_on``, prices every set of points, windows, the whole
+grid and the refined grid alike: the candidate test on the points, then
+the cheaper of equal and selfish retaliation among the candidates.
 ``retaliate_cells`` is the one implementation, an array kernel over N
 retaliations (rows) given their powers, both profiles' stage payoffs and
-``k``, one weight or one per row; each grid is a (points, rows) array. It
-returns each row's FAW and BWH power columns. A row's result does not
-depend on its batch, since windows and the whole grid give the same bits,
-so it is bit-identical to a one-row call. ``retaliate`` is the one-row
-case, ``Action(faw, bwh)``; the two-stage sweeps,
-``equilibrium.delta_bound`` and ``engine.run_npool`` pass whole batches.
+``k``, one weight or one per row. A pass holds its rows as one (7, rows)
+array and each set of points as a (points, rows) array. It returns each
+row's FAW and BWH power columns. A row's result does not depend on its
+batch, since windows and the whole grid give the same bits, so it is
+bit-identical to a one-row call. ``retaliate`` is the one-row case,
+``Action(faw, bwh)``; the two-stage sweeps, ``equilibrium.delta_bound``
+and ``engine.run_npool`` pass whole batches.
 """
 
 from __future__ import annotations
@@ -59,11 +62,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ALGEBRAIC_TOL, Action, AttackKind, EmptySetUnexpected, check_weight
-from .payoff import (
-    one_sided_victim,
-    optimal_infiltration,
-    payoff_pair,
-)
+from .payoff import one_sided_victim, optimal_infiltration, payoff_pair
 
 #: points of the coarse retaliation grid on [0, alpha_own], endpoints included
 GRID_POINTS = 100
@@ -95,7 +94,7 @@ def _window_points(starts, own, step, columns=_WINDOW):
 
 
 def _grids(lo, hi, last):
-    """Column i is ``np.linspace(lo[0, i], hi[0, i], last[0, i] + 1)``, padded
+    """Column i is ``np.linspace(lo[i], hi[i], last[i] + 1)``, padded
     to 21 points with copies of its last point (which change no pick).
     Computed as numpy does, ``j * ((hi - lo) / last) + lo`` then ``hi``
     last, so the bits match; every column has hi > lo, so no special case
@@ -158,7 +157,7 @@ def _candidate_set(kind, coef, actual_uj, bound_uj, alpha_own, alpha_opp, grid):
 
     ``coef`` is ``k`` for FAW and 1 for BWH (``1.0 * u`` is exact).
     ``coef``, ``actual_uj``, ``bound_uj`` (the prescribed U_opp plus
-    ALGEBRAIC_TOL) and the powers are (1, rows).
+    ALGEBRAIC_TOL) and the powers are (rows,).
     """
     u_under = one_sided_victim(kind, alpha_own, alpha_opp, grid)
     # strict inequality up to a margin, so boundary-equal candidates (e.g. 0
@@ -168,8 +167,8 @@ def _candidate_set(kind, coef, actual_uj, bound_uj, alpha_own, alpha_opp, grid):
 
 def _pick_from_set(loss_i, grid, ok, u_under, optimum):
     """Per row, min of equal retaliation and selfish retaliation over the
-    candidates ``grid[ok]`` of its column; ``loss_i`` (1, rows) is my loss
-    from the deviation and ``optimum`` (1, rows) the one-sided optimal
+    candidates ``grid[ok]`` of its column; ``loss_i`` (rows,) is my loss
+    from the deviation and ``optimum`` (rows,) the one-sided optimal
     infiltration of the retaliation. The points may come in any order; a
     row without candidates picks its smallest point."""
     # equal retaliation: the smallest candidate whose damage to the opponent
@@ -184,82 +183,66 @@ def _pick_from_set(loss_i, grid, ok, u_under, optimum):
     return (grid + ~(sat | (dist == dist.min(axis=0))) * _FAR).min(axis=0)
 
 
-def _grid_pick(kind, rows):
-    """The coarse pick on the whole grid of ``rows`` (see ``_retaliation``):
-    whether each row has a candidate, then the pick and the optimum of the
-    rows that do (None if none does)."""
-    own, opp, act_uj, bound_uj, loss_i, step, coef = rows
-    coarse = _window_points(np.zeros(own.shape[1]), own, step, _COARSE)
-    ok, u_under = _candidate_set(kind, coef, act_uj, bound_uj, own, opp, coarse)
+def _pick_on(kind, rows, points, optimum=None):
+    """Retaliation with ``kind`` priced on ``points`` (points, rows) of
+    ``rows`` (see ``_retaliation``): whether each row has a candidate among
+    its points, each such row's pick (the others' mean nothing) and the
+    one-sided optimum it used. Not given, the optimum is computed once a
+    row has a candidate; with none, both are None."""
+    own, opp, act_uj, bound_uj, loss_i, _, coef = rows
+    ok, u_under = _candidate_set(kind, coef, act_uj, bound_uj, own, opp, points)
     found = np.logical_or.reduce(ok, axis=0)
-    n_found = np.count_nonzero(found)
-    if not n_found:
-        return found, None, None
-    if n_found < found.size:
-        own, opp, loss_i, coarse, ok, u_under = (
-            z[:, found] for z in (own, opp, loss_i, coarse, ok, u_under))
-    optimum = optimal_infiltration(kind, own[0], opp[0])[None, :]
-    return found, _pick_from_set(loss_i, coarse, ok, u_under, optimum), optimum
-
-
-def _window_pick(kind, rows):
-    """``_grid_pick`` for a pass of at least WINDOW_ROWS rows. Rows whose
-    tests the guard certifies are priced on the windows of both tests and
-    on the optimum's neighbours; ``_grid_pick`` prices the others."""
-    own, opp, act_uj, bound_uj, loss_i, step, coef = rows
-    slope = 1.0 - own - opp if kind is AttackKind.FAW else 0.0  # the victim's N(x) = v + slope x
-    # both tests as Q > 0 (see _windowed): the candidate test with
-    # a = (bound - actual) + coef and c = coef, and equal retaliation's
-    # u(x) <= loss + ALGEBRAIC_TOL with a = (loss + ALGEBRAIC_TOL) + 1 and c = 1
-    (windows, equal), sure = _windowed(
-        np.concatenate([(bound_uj - act_uj) + coef, (loss_i + ALGEBRAIC_TOL) + 1.0]),
-        np.concatenate([coef, np.ones_like(coef)]),
-        CERT_MARGIN * np.concatenate([1.0 + np.abs(act_uj) + np.abs(bound_uj),
-                                      1.0 + np.abs(loss_i)]),
-        slope, opp, own, step)
-    ok, u_under = _candidate_set(kind, coef, act_uj, bound_uj, own, opp, windows)
-    found = np.logical_or.reduce(ok, axis=0)
-    x, optimum = np.empty(found.size), np.empty_like(own)  # read only where found
-    refused = np.flatnonzero(~sure)
-    if refused.size:
-        found[refused], grid_x, grid_opt = _grid_pick(kind, [z[:, refused] for z in rows])
-        if grid_x is not None:
-            refused = refused[found[refused]]
-            x[refused], optimum[:, refused] = grid_x, grid_opt
-    if not found.any():
-        return found, None, None
-    picked = np.flatnonzero(found & sure)
-    if picked.size < found.size:
-        own, opp, act_uj, bound_uj, loss_i, step, coef, windows, ok, u_under, equal = (
-            z[:, picked] for z in (own, opp, act_uj, bound_uj, loss_i, step, coef, windows,
-                                   ok, u_under, equal))
-    opt = optimum[:, picked] = optimal_infiltration(kind, own[0], opp[0])
-    # the optimum's neighbours: the columns floor(optimum / step) - 2 to + 2
-    near = np.clip(np.floor(opt / step[0]) - WINDOW // 2, 0.0, GRID_POINTS - WINDOW)
-    more = np.concatenate([equal, _window_points(near, own, step)])
-    more_ok, more_u = _candidate_set(kind, coef, act_uj, bound_uj, own, opp, more)
-    x[picked] = _pick_from_set(loss_i, np.concatenate([windows, more]),
-                               np.concatenate([ok, more_ok]),
-                               np.concatenate([u_under, more_u]), opt[None, :])
-    return found, x[found], optimum[:, found]
+    if optimum is None:
+        if not np.count_nonzero(found):
+            return found, None, None
+        optimum = optimal_infiltration(kind, own, opp)
+    return found, _pick_from_set(loss_i, points, ok, u_under, optimum), optimum
 
 
 def _retaliation(kind, rows):
-    """Retaliation with ``kind`` on ``rows``, the (1, n) arrays (own power,
+    """Retaliation with ``kind`` on ``rows``, a (7, n) array of own power,
     opponent's power, actual U_opp, the candidate test's bound, my loss,
-    coarse step, the candidate test's coefficient): whether each row's
+    coarse step and the candidate test's coefficient: whether each row's
     candidate set is non-empty, and the power picked where it is (0.0
-    elsewhere). The coarse pick is ``_window_pick``'s in a pass of at least
-    WINDOW_ROWS rows, else ``_grid_pick``'s; then one refinement pass."""
-    pick = _window_pick if rows[0].shape[1] >= WINDOW_ROWS else _grid_pick
-    found, x, optimum = pick(kind, rows)
-    power = np.zeros(found.size)
-    if x is None:
+    elsewhere). A pass of at least WINDOW_ROWS rows prices the windows of
+    both tests and the optimum's neighbours, and the whole coarse grid of
+    the rows the guard refuses; a smaller pass prices the whole coarse
+    grid. Then one refinement pass around each coarse pick."""
+    n = rows.shape[1]
+    if n < WINDOW_ROWS:
+        found, x, optimum = _pick_on(kind, rows,
+                                     _window_points(np.zeros(n), rows[0], rows[5], _COARSE))
+    else:
+        own, opp, act_uj, bound_uj, loss_i, step, coef = rows
+        # the victim's N(x) = v + slope x
+        slope = 1.0 - own - opp if kind is AttackKind.FAW else 0.0
+        # both tests as Q > 0 (see _windowed): the candidate test with
+        # a = (bound - actual) + coef and c = coef, and equal retaliation's
+        # u(x) <= loss + ALGEBRAIC_TOL with a = (loss + ALGEBRAIC_TOL) + 1 and c = 1
+        windows, sure = _windowed(
+            np.stack([(bound_uj - act_uj) + coef, (loss_i + ALGEBRAIC_TOL) + 1.0]),
+            np.stack([coef, np.ones_like(coef)]),
+            CERT_MARGIN * np.stack([1.0 + np.abs(act_uj) + np.abs(bound_uj),
+                                    1.0 + np.abs(loss_i)]),
+            slope, opp, own, step)
+        optimum = optimal_infiltration(kind, own, opp)
+        # the optimum's neighbours: the columns floor(optimum / step) - 2 to + 2
+        near = np.clip(np.floor(optimum / step) - WINDOW // 2, 0.0, GRID_POINTS - WINDOW)
+        points = np.concatenate([*windows, _window_points(near, own, step)])
+        found, x, _ = _pick_on(kind, rows, points, optimum)
+        refused = np.flatnonzero(~sure)
+        if refused.size:
+            part = rows[:, refused]
+            found[refused], x[refused], _ = _pick_on(
+                kind, part, _window_points(np.zeros(refused.size), part[0], part[5], _COARSE),
+                optimum[refused])
+    power = np.zeros(n)
+    hits = np.count_nonzero(found)
+    if not hits:
         return found, power
-    if x.size < found.size:
-        rows = [z[:, found] for z in rows]
-    own, opp, act_uj, bound_uj, loss_i, step, coef = rows
-    x = x[None, :]
+    if hits < n:
+        rows, x, optimum = rows[:, found], x[found], optimum[found]
+    own, step = rows[0], rows[5]
     # one refinement pass: a 10x denser grid within one coarse step of x.
     # Python's max(0.0, .), min(alpha, .) and round: no operand is -0.0 or
     # NaN, so np.maximum and np.minimum agree with them, and np.rint rounds
@@ -268,20 +251,17 @@ def _retaliation(kind, rows):
     hi = np.minimum(x + step, own)
     last = np.maximum(np.rint((hi - lo) / step * 10), 1.0)  # points - 1, whole
     # hi - lo <= 2 * step, so a refined grid has at most 21 points
-    fine = _grids(lo, hi, last)
-    ok, u_under = _candidate_set(kind, coef, act_uj, bound_uj, own, opp, fine)
-    hit = np.logical_or.reduce(ok, axis=0)
-    power[found] = np.where(hit, _pick_from_set(loss_i, fine, ok, u_under, optimum), x[0])
+    more, fine_x, _ = _pick_on(kind, rows, _grids(lo, hi, last), optimum)
+    power[found] = np.where(more, fine_x, x)
     return found, power
 
 
 def _passes(kind, rows):
     """``_retaliation`` over ``rows`` in passes of BATCH_ROWS rows."""
-    n = rows[0].shape[1]
+    n = rows.shape[1]
     if n <= BATCH_ROWS:
         return _retaliation(kind, rows)
-    parts = [_retaliation(kind, [z[:, i:i + BATCH_ROWS] for z in rows])
-             for i in range(0, n, BATCH_ROWS)]
+    parts = [_retaliation(kind, rows[:, i:i + BATCH_ROWS]) for i in range(0, n, BATCH_ROWS)]
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
@@ -300,19 +280,21 @@ def retaliate_cells(alpha_own, alpha_opp, stage, k):
     the rows without a FAW candidate, each in passes of BATCH_ROWS rows.
     """
     check_weight(k)
-    act_ui, act_uj, pre_ui, pre_uj = stage[:, None, :]
-    own = alpha_own[None, :]
+    act_ui, act_uj, pre_ui, pre_uj = stage
+    rows = np.empty((7, alpha_own.size))
     # the right side of the candidate test, my loss from the deviation, the
     # coarse grid's step and the FAW candidate test's coefficient k
-    rows = [own, alpha_opp[None, :], act_uj, pre_uj + ALGEBRAIC_TOL, act_ui - pre_ui,
-            own / (GRID_POINTS - 1), np.broadcast_to(np.asarray(k, float), own.shape)]
+    rows[:6] = (alpha_own, alpha_opp, act_uj, pre_uj + ALGEBRAIC_TOL, act_ui - pre_ui,
+                alpha_own / (GRID_POINTS - 1))
+    rows[6] = k
     found, faw = _passes(AttackKind.FAW, rows)
     bwh, empty = np.zeros_like(faw), np.zeros_like(found)
     rest = np.flatnonzero(~found)
     if rest.size:  # the BWH fallback, on the rows without a FAW candidate
         if rest.size < found.size:
-            rows = [z[:, rest] for z in rows]
-        found, bwh[rest] = _passes(AttackKind.BWH, [*rows[:-1], np.ones_like(rows[0])])
+            rows = rows[:, rest]
+        rows[6] = 1.0  # the BWH candidate test's coefficient
+        found, bwh[rest] = _passes(AttackKind.BWH, rows)
         empty[rest] = ~found
     return faw, bwh, empty
 

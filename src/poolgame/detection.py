@@ -34,7 +34,6 @@ from .model import (
     check_powers,
     check_seed,
 )
-from .payoff import one_sided_attacker
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "synthetic_hashrates.csv"
 # the bundled fixture's recipe (``generate_synthetic_hashrates``): each pool's
@@ -319,9 +318,13 @@ def evasion_partial_sharing(
     _check_share(infiltration_power / alpha, "infiltration_power / alpha")
     if infiltration_power == 0.0:
         return PartialSharingReport(0.0, 0.0, 0.0)
-    gain = float(one_sided_attacker(kind, alpha, beta, infiltration_power))
-    home_density = (alpha - infiltration_power) / ((1.0 - infiltration_power) * alpha)
-    loss = 1.0 - home_density
+    # the loss 1 - (alpha - x) / ((1 - x) alpha) and the one-sided attacker
+    # payoff, each with the factor x / (alpha (1 - x)) taken out of a
+    # difference that would cancel at small x
+    a, v, x = alpha, beta, infiltration_power
+    scale = x / (a * (1.0 - x))
+    loss = scale * (1.0 - a)
+    gain = scale * (v * (a - x) if kind is AttackKind.FAW else a * v - (1.0 - a) * x) / (v + x)
     return PartialSharingReport(gain, loss, loss / (loss + gain))
 
 

@@ -45,6 +45,7 @@ from .model import (
     _grid_pairs,
     check_actions,
     check_count,
+    check_pool,
     check_powers,
     check_weight,
 )
@@ -158,9 +159,11 @@ class History:
 
 
 def discounted_payoff(history: History, pool: int) -> float:
-    """Discounted sum of the pool's stage payoffs, first stage undiscounted."""
+    """Discounted sum of the pool's stage payoffs, first stage undiscounted;
+    ``pool`` must be one of the history's pools (``check_pool``)."""
     if not history.records:
         raise InvalidScenario("history is empty")
+    check_pool(pool, len(history.records[0].payoffs))
     d = history.discount
     return float(sum(r.payoffs[pool] * d**i for i, r in enumerate(history.records)))
 
@@ -454,8 +457,7 @@ def optimal_simultaneous_attack(alphas, attacker: int, kind: AttackKind) -> np.n
     n = alphas.size
     if n < 2:
         raise InvalidScenario("an attack needs at least two pools")
-    if not 0 <= attacker < n:
-        raise InvalidScenario(f"attacker {attacker} is not a pool index in [0, {n})")
+    check_pool(attacker, n, "attacker")
     if not (alphas > ALGEBRAIC_TOL).all():  # as the stage payoffs would, before overflows
         raise DegenerateDenominator(NO_LIVE_POWER)
     alpha = alphas[attacker]
@@ -552,6 +554,7 @@ def run_npool(
         played = PairwiseActionMatrix(own.faw.copy(), own.bwh.copy())
         for i, strat in enumerate(strategies):
             for j, a in strat.pick(t, i, alphas).items():
+                check_pool(j, n, "victim")
                 played.faw[i, j], played.bwh[i, j] = a.faw, a.bwh
         if payoff_rounds:
             u, _ = npool_stage_payoffs_mc(alphas, played, payoff_rounds, config.seed + t)

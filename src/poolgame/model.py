@@ -5,11 +5,12 @@ Conventions used throughout the package:
 * The total network hash rate is normalized to 1. A pool's ``power`` is its
   fraction of that total; miners not belonging to any modeled pool are
   implicit with power ``1 - sum(powers)``. Pools are identified by their
-  position in the tuple of powers. :func:`check_powers` is the game's one
-  domain: every power in (0, 0.5], and their sum below 1. :func:`check_weight`
-  is the one rule for the ARS preference weight ``k``: in [0, 1), and
-  :func:`check_count` the one rule for stages, rounds, periods, blocks and
-  grid points: an integer of at least 1 (or 2).
+  position in the tuple of powers, and :func:`check_pool` is the one rule
+  for such an index: an integer in [0, n). :func:`check_powers` is the
+  game's one domain: every power in (0, 0.5], and their sum below 1.
+  :func:`check_weight` is the one rule for the ARS preference weight ``k``:
+  in [0, 1), and :func:`check_count` the one rule for stages, rounds,
+  periods, blocks and grid points: an integer of at least 1 (or 2).
 * An :class:`Action` is one stage's attack choice: the hash power a pool
   diverts into the opponent pool, either as FAW (fork-after-withholding) or
   BWH (block-withholding) infiltration. At most one of the two components is
@@ -180,6 +181,13 @@ def check_count(n, name: str, least: int = 1):
     if isinstance(n, numbers.Integral) and n >= least:
         return n
     raise InvalidScenario(f"{name} must be an integer of at least {least}, got {n}")
+
+
+def check_pool(i, n: int, name: str = "pool") -> None:
+    """Refuse a pool index that is not an integer in [0, n): bools, floats
+    and negative indices fail."""
+    if not (isinstance(i, numbers.Integral) and not isinstance(i, bool) and 0 <= i < n):
+        raise InvalidScenario(f"{name} {i} is not a pool index in [0, {n})")
 
 
 def _all(ok) -> bool:

@@ -377,13 +377,19 @@ class TestWindowsAgainstOracle:
 
     @pytest.fixture
     def refused(self, monkeypatch):
-        """Every pass prices windows, so every ``_grid_pick`` call prices
-        rows the guard refused; their count."""
-        calls = []
-        grid_pick = ars._grid_pick
+        """Every pass prices windows; the number of rows the guard refused
+        in each pass, which price the whole coarse grid."""
+        counts = []
+        windowed = ars._windowed
+
+        def counting(*args):
+            points, sure = windowed(*args)
+            counts.append(np.count_nonzero(~sure))
+            return points, sure
+
         monkeypatch.setattr(ars, "WINDOW_ROWS", 1)
-        monkeypatch.setattr(ars, "_grid_pick", lambda *args: calls.append(1) or grid_pick(*args))
-        return calls
+        monkeypatch.setattr(ars, "_windowed", counting)
+        return counts
 
     def test_rows_equal_the_grid_search(self, refused):
         @given(batch=stage_batches())
@@ -392,7 +398,7 @@ class TestWindowsAgainstOracle:
             assert_rows_equal_the_grid_search(*batch)
 
         check()
-        assert refused
+        assert sum(refused)
 
     # k = 1e-12 and a deviation that gains 1e-12 u(x) at some x: the candidate
     # test is flat, and rounding flips its float value away from the roots of
@@ -408,7 +414,35 @@ class TestWindowsAgainstOracle:
         assert_rows_equal_the_grid_search(
             [(own, opp, (0.05, act_uj, 0.0, pre_uj)) for own, opp, act_uj, pre_uj in self.FLAT],
             1e-12)
-        assert refused
+        assert sum(refused)
+
+
+def test_windowed_pass_prices_its_coarse_pick_once(monkeypatch):
+    # a pass of WINDOW_ROWS copies of a FAW retaliation the guard certifies:
+    # one one_sided_victim call prices both tests' windows and the optimum's
+    # neighbours, one more the refined grid
+    calls, sure = [], []
+    windowed = ars._windowed
+
+    def counting_windowed(*args):
+        points, ok = windowed(*args)
+        sure.append(bool(ok.all()))
+        return points, ok
+
+    def counting(*args):
+        calls.append((args[0], args[3].shape))
+        return one_sided_victim(*args)
+
+    monkeypatch.setattr(ars, "_windowed", counting_windowed)
+    monkeypatch.setattr(ars, "one_sided_victim", counting)
+    alpha_own, alpha_opp, dev, _ = FAW_AND_FALLBACK[0]
+    actual = payoff_pair(alpha_own, alpha_opp, ZERO_ACTION, dev)
+    prescribed = payoff_pair(alpha_own, alpha_opp, ZERO_ACTION, ZERO_ACTION)
+    n = ars.WINDOW_ROWS
+    stage = np.repeat([[actual.u_i], [actual.u_j], [prescribed.u_i], [prescribed.u_j]], n, axis=1)
+    faw, bwh, empty = ars.retaliate_cells(np.full(n, alpha_own), np.full(n, alpha_opp), stage, K)
+    assert sure == [True] and (faw > 0.0).all()
+    assert calls == [(AttackKind.FAW, (5 * ars.WINDOW, n)), (AttackKind.FAW, (21, n))]
 
 
 BAD_WEIGHTS = [-0.5, 1.0, 1.5, float("nan")]

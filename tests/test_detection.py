@@ -272,6 +272,16 @@ class TestEvasion:
         rep = evasion_partial_sharing(0.2, 0.2, 0.0)
         assert rep.min_share_fraction == 0.0
 
+    @pytest.mark.parametrize("power", [1e-17, 1e-16])
+    @pytest.mark.parametrize("kind", list(AttackKind))
+    def test_partial_sharing_at_tiny_infiltration(self, power, kind):
+        # the share tends to 1 - alpha; 1e-17 divided by zero and 1e-16
+        # returned 1.0, the loss and the gain each cancelling to rounding noise
+        rep = evasion_partial_sharing(0.2, 0.01, power, kind)
+        assert rep.loyal_loss == pytest.approx(4.0 * power, rel=1e-12)
+        assert rep.attacker_gain == pytest.approx(power, rel=1e-12)
+        assert rep.min_share_fraction == pytest.approx(0.8, rel=1e-12)
+
     def test_partial_sharing_cross_checked_against_round_simulation(self):
         rep = evasion_partial_sharing(0.25, 0.15, 0.01)
         m = sampler_oracle.pair_matrix(Action(0.01, 0.0), Action())

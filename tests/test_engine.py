@@ -750,6 +750,9 @@ class TestAttackSearchInputs:
                      "powers must be positive numbers, got 0.2, 0.0, 0.1",
                      id="alphas5-0-InvalidPowers-power 0.0"),
         ([0.2], 0, InvalidScenario, "at least two pools"),
+        # numpy raised IndexError at 1.5 and ValueError at True
+        ([0.2, 0.2], 1.5, InvalidScenario, r"^attacker 1.5 is not a pool index in \[0, 2\)$"),
+        ([0.2, 0.2], True, InvalidScenario, r"^attacker True is not a pool index in \[0, 2\)$"),
     ])
     @pytest.mark.parametrize("kind", list(AttackKind))
     def test_refused(self, alphas, attacker, error, message, kind):
@@ -928,8 +931,25 @@ BAD_WEIGHTS = [-0.5, 1.0, 1.5, float("nan")]
 
 
 class TestOneRulePerInput:
-    """The preference weight is checked where retaliation uses it, and an
-    n-pool stage is checked once, with its powers."""
+    """The preference weight is checked where retaliation uses it, an
+    n-pool stage is checked once, with its powers, and a pool index by
+    ``check_pool`` wherever one is taken."""
+
+    @pytest.mark.parametrize("pool", [5, 0.5, -1])
+    def test_discounted_payoff_refuses_the_pool(self, pool):
+        # 5 raised IndexError, 0.5 TypeError, and -1 returned the last pool's payoff
+        h = History((StageRecord(0, PairwiseActionMatrix.zeros(2), (0.42, 0.0)),), 0.3)
+        with pytest.raises(InvalidScenario,
+                           match=rf"^pool {pool} is not a pool index in \[0, 2\)$"):
+            discounted_payoff(h, pool)
+
+    @pytest.mark.parametrize("victim", [5, -1])
+    def test_a_scripted_victim_must_be_a_pool(self, victim):
+        # 5 raised IndexError, and -1 attacked pool 1
+        deviator = ScriptedDeviator({0: {victim: Action(0.1, 0.0)}})
+        with pytest.raises(InvalidScenario,
+                           match=rf"^victim {victim} is not a pool index in \[0, 2\)$"):
+            run_npool(config(0.2, 0.2), [deviator, ArsAgent()], 1)
 
     @pytest.mark.parametrize("k", BAD_WEIGHTS)
     def test_sweeps_refuse_the_weight(self, k):

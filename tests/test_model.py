@@ -26,6 +26,7 @@ from poolgame.model import (
     PoolGameError,
     check_actions,
     check_count,
+    check_pool,
     check_powers,
     check_weight,
 )
@@ -289,6 +290,18 @@ class TestCheckActions:
 COUNTS = st.one_of(st.integers(-3, 5), st.sampled_from([2.5, 3.0, math.nan, math.inf, -math.inf,
                                                         "3", None]),
                    st.integers(-3, 5).map(np.int64), st.floats())
+
+
+class TestCheckPool:
+    @pytest.mark.parametrize("i", [0, 2, np.int64(1)])
+    def test_indices_pass(self, i):
+        check_pool(i, 3)
+
+    @pytest.mark.parametrize("i", [3, -1, 1.5, 1.0, True, math.nan, "1", None])
+    def test_others_refused(self, i):
+        with pytest.raises(InvalidScenario) as err:
+            check_pool(i, 3, "victim")
+        assert str(err.value) == f"victim {i} is not a pool index in [0, 3)"
 
 
 class TestCheckCount:
