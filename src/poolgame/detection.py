@@ -31,6 +31,7 @@ from .model import (
     InvalidScenario,
     PoolGameError,
     check_count,
+    check_kind,
     check_powers,
     check_seed,
 )
@@ -93,6 +94,7 @@ class DetectionScenario:
     def __post_init__(self):
         check_powers(self.alpha, self.beta)
         _check_share(self.gamma)
+        check_kind(self.kind)
         check_count(self.periods, "periods")
         check_seed(self.seed)
 
@@ -149,7 +151,7 @@ def geometric_param(alpha: float, beta: float, gamma: float, kind: AttackKind) -
     """
     check_powers(alpha, beta)
     _check_share(gamma)
-    return _geometric_p(alpha, beta, gamma, kind)
+    return _geometric_p(alpha, beta, gamma, check_kind(kind))
 
 
 def _geometric_p(alpha, beta, gamma, kind: AttackKind):
@@ -312,10 +314,13 @@ def evasion_partial_sharing(
     Withholding the victim-derived component entirely would cost the miners
     the infiltration detachment's contribution; the manager must share at
     least loss/(loss+gain) of the proceeds to keep them whole. The inputs
-    follow ``DetectionScenario``'s rule, with gamma = infiltration_power / alpha.
+    follow ``DetectionScenario``'s rule, with gamma = infiltration_power / alpha,
+    and an attack that loses (a negative gain) has no proceeds to share, so
+    it is refused.
     """
     check_powers(alpha, beta)  # before the share divides by alpha
     _check_share(infiltration_power / alpha, "infiltration_power / alpha")
+    check_kind(kind)
     if infiltration_power == 0.0:
         return PartialSharingReport(0.0, 0.0, 0.0)
     # the loss 1 - (alpha - x) / ((1 - x) alpha) and the one-sided attacker
@@ -325,6 +330,8 @@ def evasion_partial_sharing(
     scale = x / (a * (1.0 - x))
     loss = scale * (1.0 - a)
     gain = scale * (v * (a - x) if kind is AttackKind.FAW else a * v - (1.0 - a) * x) / (v + x)
+    if gain < 0.0:
+        raise InvalidScenario(f"the {kind.value.upper()} attack loses: attacker_gain {gain} < 0")
     return PartialSharingReport(gain, loss, loss / (loss + gain))
 
 

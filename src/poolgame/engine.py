@@ -45,6 +45,7 @@ from .model import (
     _grid_pairs,
     check_actions,
     check_count,
+    check_kind,
     check_pool,
     check_powers,
     check_weight,
@@ -114,6 +115,9 @@ class OptimalOneShotAttacker:
 
     kind: AttackKind
     k: float = DEFAULT_K_NEAR_ONE
+
+    def __post_init__(self):
+        check_kind(self.kind)
 
     def pick(self, stage, me, alphas):
         if stage != 0:
@@ -230,6 +234,7 @@ def two_stage_sweep(
     two-stage average payoffs. Raises ``InvalidPowers`` for the first cell
     with powers ``check_powers`` refuses.
     """
+    check_kind(attacker_kind)
     alpha_1, alpha_2 = _grid_pairs(alpha_grid, alpha_grid)
     keep = ~(alpha_1 + alpha_2 > SWEEP_POWER_CAP)
     alpha_1, alpha_2 = alpha_1[keep], alpha_2[keep]
@@ -249,6 +254,7 @@ def two_stage_ratio_sweep(
     fixed attacker size (heatmaps over attack intensity). Raises for the
     first cell whose powers ``check_powers`` refuses, then for the first
     attack ``check_actions`` refuses."""
+    check_kind(attacker_kind)
     ratio, alpha_2 = _grid_pairs(ratio_grid, alpha_2_grid)
     keep = ~(alpha_1 + alpha_2 > SWEEP_POWER_CAP)
     ratio, alpha_2 = ratio[keep], alpha_2[keep]
@@ -299,6 +305,9 @@ class PairwiseActionMatrix:
         return self
 
     def action(self, i: int, j: int) -> Action:
+        """Pool i's action on pool j; both are pool indices (``check_pool``)."""
+        check_pool(i, len(self.faw))
+        check_pool(j, len(self.faw))
         return Action(float(self.faw[i, j]), float(self.bwh[i, j]))
 
 
@@ -462,7 +471,7 @@ def optimal_simultaneous_attack(alphas, attacker: int, kind: AttackKind) -> np.n
         raise DegenerateDenominator(NO_LIVE_POWER)
     alpha = alphas[attacker]
     victims = np.delete(alphas, attacker)
-    faw = kind is AttackKind.FAW
+    faw = check_kind(kind) is AttackKind.FAW
     if faw and victims.size > FAW_FLAG_CAP:
         raise InvalidScenario(TOO_MANY_FLAGS)
     x = optimal_infiltration(kind, alpha, victims)

@@ -11,11 +11,11 @@ The discount bound answers: how patient must both pools be for one-stage
 deviations from mutual adaptive retaliation to never pay? Each subgame class
 contributes a family of payoff ratios (deviation gain over punishment size);
 the bound is the maximum over the class families and a deviation grid, and by
-construction of the candidate sets it stays below 1. Classes sharing a
-stage-0 profile share their outcomes, so each profile is evaluated once,
-and each side's profiles are one batch over the deviation grid
-(``ars.retaliate_cells`` for the punisher's retaliations, batched
-``payoff_pair_raw`` for the payoffs).
+construction of the candidate sets it stays below 1. The classes enter
+through the pool pair's four stage-0 retaliations (each pool's against the
+other's optimal attack of each kind), one ``ars.retaliate_cells`` batch.
+Classes sharing a stage-0 profile share their outcomes, so each side's
+profiles are one more batch over the deviation grid.
 
 The BWH audit checks every power cell at once, as one array program. Each
 family of deviation gaps is a least rounded difference fl(p - d) over a
@@ -69,7 +69,7 @@ from .payoff import (
     payoff_pair,
     payoff_pair_raw,
 )
-from .ars import _empty_set_error, retaliate, retaliate_cells
+from .ars import _empty_set_error, retaliate_cells
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # best-response dynamics of stage_nash: bracketing grid, stopping step, cap
@@ -172,34 +172,26 @@ class DeltaBound:
     case_maxima: dict = field(default_factory=dict, compare=False)
 
 
-@dataclass(frozen=True)
-class SubgameCase:
-    """One subgame class for the one-stage-deviation check, from the deviator's
-    side: the profile if it complies, the punisher's stage-0 action, and the
-    deviator's prescribed stage-0 action."""
-
-    name: str
-    punisher_stage0: Action  # action of the non-deviating pool at stage 0
-    deviator_prescribed: Action  # what the deviator should play at stage 0
-
-
-def _subgame_cases(alpha_pun, alpha_dev, k, prior_kind: AttackKind):
-    """The four standing classes, entered via the deviator's (or punisher's)
-    optimal one-shot attack at the previous stage where a punishment context
-    is needed."""
-    check_powers(alpha_dev, alpha_pun)
-    d_prior = Action.of(prior_kind, optimal_infiltration(prior_kind, alpha_dev, alpha_pun))
-    p_prior = Action.of(prior_kind, optimal_infiltration(prior_kind, alpha_pun, alpha_dev))
-    # (good, bad): punisher retaliates at stage 0 against the deviator's prior attack
-    pun0 = retaliate(alpha_pun, ZERO_ACTION, alpha_dev, d_prior, ZERO_ACTION, k)
-    # (bad, good): deviator is prescribed to retaliate against the punisher's prior attack
-    dev0 = retaliate(alpha_dev, ZERO_ACTION, alpha_pun, p_prior, ZERO_ACTION, k)
-    return (
-        SubgameCase("cooperating", ZERO_ACTION, ZERO_ACTION),
-        SubgameCase("being-punished", pun0, ZERO_ACTION),
-        SubgameCase("prescribed-retaliation", ZERO_ACTION, dev0),
-        SubgameCase("mutual-bad", ZERO_ACTION, ZERO_ACTION),
-    )
+def _stage0_retaliations(alpha_1, alpha_2, k):
+    """The subgame classes' stage-0 retaliations, ([pool 1's, pool 2's]
+    after a FAW attack, the same after a BWH attack): each pool's
+    retaliation against the other's optimal one-shot attack of that kind.
+    They belong to the pool pair, not to a side: one ``retaliate_cells``
+    batch, its rows in that order."""
+    check_powers(alpha_2, alpha_1)
+    rows = [(kind, own, opp) for kind in (AttackKind.FAW, AttackKind.BWH)
+            for own, opp in ((alpha_1, alpha_2), (alpha_2, alpha_1))]
+    attacks = [Action.of(kind, optimal_infiltration(kind, opp, own)) for kind, own, opp in rows]
+    own, opp = (np.array([row[i] for row in rows], float) for i in (1, 2))
+    zero = np.zeros(4)
+    stage = np.array([  # the stage as played (the opponent attacks) and as prescribed
+        *payoff_pair_raw(own, opp, zero, zero, *np.array([[a.faw, a.bwh] for a in attacks]).T),
+        *payoff_pair_raw(own, opp, zero, zero, zero, zero)])
+    faw, bwh, empty = retaliate_cells(own, opp, stage, k)
+    for r in np.flatnonzero(empty)[:1]:
+        raise _empty_set_error(*rows[r][1:], ZERO_ACTION, attacks[r], ZERO_ACTION)
+    actions = list(map(Action, faw.tolist(), bwh.tolist()))
+    return actions[:2], actions[2:]
 
 
 def _deviation_outcomes(profiles, alpha_pun, alpha_dev, deviations, k):
@@ -270,21 +262,26 @@ def delta_bound(
     no-attack profile. Refuses a ``deviation_resolution`` below 2.
     """
     check_count(deviation_resolution, "deviation_resolution", least=2)
+    # the retaliations first: they refuse invalid powers before any grid is built
+    stage0 = _stage0_retaliations(alpha_1, alpha_2, k)
     case_maxima: dict[str, float] = {}
     for alpha_pun, alpha_dev, side in ((alpha_1, alpha_2, 2), (alpha_2, alpha_1, 1)):
-        # the cases first: they refuse invalid powers before any grid is built
-        cases = [case for prior in (AttackKind.FAW, AttackKind.BWH)
-                 for case in _subgame_cases(alpha_pun, alpha_dev, k, prior)]
+        # each prior's classes, (name, (punisher's stage-0 action, deviator's
+        # prescription)); pool i's retaliation is entry i - 1 of a pair
+        cases = [case for pair in stage0 for case in (
+            ("cooperating", (ZERO_ACTION, ZERO_ACTION)),
+            ("being-punished", (pair[2 - side], ZERO_ACTION)),
+            ("prescribed-retaliation", (ZERO_ACTION, pair[side - 1])),
+            ("mutual-bad", (ZERO_ACTION, ZERO_ACTION)))]
         deviations = _deviation_grid(alpha_dev, deviation_resolution)
-        profiles = list(dict.fromkeys((c.punisher_stage0, c.deviator_prescribed) for c in cases))
+        profiles = list(dict.fromkeys(profile for _, profile in cases))
         gain, punishment, comp = _deviation_outcomes(profiles, alpha_pun, alpha_dev,
                                                      deviations, k)
         worst = {p: _worst_ratio(gain[r], punishment[r], comp[r])
                  for r, p in enumerate(profiles)}
-        for case in cases:
-            key = f"pool{side}:{case.name}"
-            worst_case = worst[case.punisher_stage0, case.deviator_prescribed]
-            case_maxima[key] = max(case_maxima.get(key, -np.inf), worst_case)
+        for name, profile in cases:
+            key = f"pool{side}:{name}"
+            case_maxima[key] = max(case_maxima.get(key, -np.inf), worst[profile])
     return DeltaBound(alpha_1=alpha_1, alpha_2=alpha_2, k=k,
                       bound=float(max(case_maxima.values())), case_maxima=case_maxima)
 

@@ -11,6 +11,8 @@ Conventions used throughout the package:
   :func:`check_weight` is the one rule for the ARS preference weight ``k``:
   in [0, 1), and :func:`check_count` the one rule for stages, rounds,
   periods, blocks and grid points: an integer of at least 1 (or 2).
+  :func:`check_kind` is the one rule for an attack kind: an
+  :class:`AttackKind` member, never its string value.
 * An :class:`Action` is one stage's attack choice: the hash power a pool
   diverts into the opponent pool, either as FAW (fork-after-withholding) or
   BWH (block-withholding) infiltration. At most one of the two components is
@@ -88,7 +90,7 @@ class Action:
 
     @classmethod
     def of(cls, kind: AttackKind, power: float) -> "Action":
-        if kind is AttackKind.FAW:
+        if check_kind(kind) is AttackKind.FAW:
             return cls(float(power), 0.0)
         return cls(0.0, float(power))
 
@@ -181,6 +183,14 @@ def check_count(n, name: str, least: int = 1):
     if isinstance(n, numbers.Integral) and n >= least:
         return n
     raise InvalidScenario(f"{name} must be an integer of at least {least}, got {n}")
+
+
+def check_kind(kind):
+    """Refuse an attack kind that is not an ``AttackKind`` member (its
+    string value, None) and return it: every other value would run as BWH."""
+    if isinstance(kind, AttackKind):
+        return kind
+    raise InvalidScenario(f"attack kind must be an AttackKind, got {kind!r}")
 
 
 def check_pool(i, n: int, name: str = "pool") -> None:

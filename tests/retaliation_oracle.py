@@ -8,6 +8,10 @@ became an array kernel, unchanged apart from their imports, the
 ``retaliate``'s grid search, which is ``retaliation_on_stage`` so that it
 can run on stage payoffs given directly;
 ``optimal_infiltration`` is the checked scalar dispatch they called then.
+``SubgameCase`` and ``subgame_cases`` are the discount bound's classes of
+one side and prior as the package built them before it priced their
+stage-0 retaliations as one batch of the pool pair, each class entered
+through one-row retaliations (this module's ``retaliate``).
 ``two_stage_sweep`` and ``two_stage_ratio_sweep`` are the cell loops around
 ``_two_stage_cell``. ``SweepCell`` is the per-cell record the package's
 sweeps returned before they returned columns, and ``sweep_csv_rows`` its
@@ -21,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from poolgame.model import SWEEP_POWER_CAP
-from poolgame.equilibrium import SubgameCase
 from poolgame.model import (
     ALGEBRAIC_TOL,
     OPTIMIZER_TOL,
@@ -30,6 +32,7 @@ from poolgame.model import (
     AttackKind,
     EmptySetUnexpected,
     PoolGameError,
+    SWEEP_POWER_CAP,
     ZERO_ACTION,
 )
 from poolgame.payoff import (
@@ -214,6 +217,35 @@ def two_stage_ratio_sweep(ratio_grid, alpha_2_grid, attacker_kind: AttackKind,
             attack = Action.of(attacker_kind, ratio * alpha_1)
             cells.append(_two_stage_cell(alpha_1, alpha_2, attack, k))
     return cells
+
+
+@dataclass(frozen=True)
+class SubgameCase:
+    """One subgame class for the one-stage-deviation check, from the deviator's
+    side: the profile if it complies, the punisher's stage-0 action, and the
+    deviator's prescribed stage-0 action."""
+
+    name: str
+    punisher_stage0: Action  # action of the non-deviating pool at stage 0
+    deviator_prescribed: Action  # what the deviator should play at stage 0
+
+
+def subgame_cases(alpha_pun, alpha_dev, k, prior_kind: AttackKind):
+    """The four standing classes, entered via the deviator's (or punisher's)
+    optimal one-shot attack at the previous stage where a punishment context
+    is needed."""
+    d_prior = Action.of(prior_kind, optimal_infiltration(prior_kind, alpha_dev, alpha_pun))
+    p_prior = Action.of(prior_kind, optimal_infiltration(prior_kind, alpha_pun, alpha_dev))
+    # (good, bad): punisher retaliates at stage 0 against the deviator's prior attack
+    pun0 = retaliate(alpha_pun, ZERO_ACTION, alpha_dev, d_prior, ZERO_ACTION, k)
+    # (bad, good): deviator is prescribed to retaliate against the punisher's prior attack
+    dev0 = retaliate(alpha_dev, ZERO_ACTION, alpha_pun, p_prior, ZERO_ACTION, k)
+    return (
+        SubgameCase("cooperating", ZERO_ACTION, ZERO_ACTION),
+        SubgameCase("being-punished", pun0, ZERO_ACTION),
+        SubgameCase("prescribed-retaliation", ZERO_ACTION, dev0),
+        SubgameCase("mutual-bad", ZERO_ACTION, ZERO_ACTION),
+    )
 
 
 def deviation_outcome(

@@ -23,6 +23,7 @@ import pytest
 from scipy import stats
 
 import audit_oracle
+import retaliation_oracle
 import sampler_oracle
 
 from poolgame.model import Action, AttackKind, GameConfig
@@ -35,7 +36,6 @@ from poolgame.payoff import (
 from poolgame.equilibrium import (
     _audit_cells,
     _deviation_outcomes,
-    _subgame_cases,
     delta_bound,
     stage_nash,
 )
@@ -371,7 +371,7 @@ class TestCriterion10DeltaBoundAndAudit:
         worst = -np.inf
         for alpha_pun, alpha_dev in ((0.25, 0.15), (0.15, 0.25)):
             for prior in (AttackKind.FAW, AttackKind.BWH):
-                cases = _subgame_cases(alpha_pun, alpha_dev, k, prior)
+                cases = retaliation_oracle.subgame_cases(alpha_pun, alpha_dev, k, prior)
                 for case in cases:
                     for _ in range(50):  # 100 per class across the two priors
                         x = rng.uniform(1e-4, alpha_dev)

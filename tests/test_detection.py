@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import sampler_oracle
@@ -281,6 +282,24 @@ class TestEvasion:
         assert rep.loyal_loss == pytest.approx(4.0 * power, rel=1e-12)
         assert rep.attacker_gain == pytest.approx(power, rel=1e-12)
         assert rep.min_share_fraction == pytest.approx(0.8, rel=1e-12)
+
+    def test_partial_sharing_refuses_a_losing_attack(self):
+        # it returned attacker_gain -0.074 and min_share_fraction 1.2
+        with pytest.raises(InvalidScenario,
+                           match=r"^the BWH attack loses: attacker_gain -0\.07407407407407407 < 0$"):
+            evasion_partial_sharing(0.2, 0.2, 0.1, AttackKind.BWH)
+
+    @given(alpha=st.floats(1e-6, 0.5), beta=st.floats(1e-6, 0.49),
+           share=st.floats(0.0, 0.99), kind=st.sampled_from(AttackKind))
+    @settings(max_examples=100, deadline=None)
+    def test_partial_sharing_share_is_a_fraction(self, alpha, beta, share, kind):
+        # an accepted attack gains, so the share it must pass through is in [0, 1]
+        try:
+            rep = evasion_partial_sharing(alpha, beta, share * alpha, kind)
+        except InvalidScenario as exc:
+            assert kind is AttackKind.BWH and "attack loses" in str(exc)
+            return
+        assert rep.attacker_gain >= 0.0 and 0.0 <= rep.min_share_fraction <= 1.0
 
     def test_partial_sharing_cross_checked_against_round_simulation(self):
         rep = evasion_partial_sharing(0.25, 0.15, 0.01)

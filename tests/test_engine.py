@@ -943,6 +943,18 @@ class TestOneRulePerInput:
                            match=rf"^pool {pool} is not a pool index in \[0, 2\)$"):
             discounted_payoff(h, pool)
 
+    @pytest.mark.parametrize("i, j, bad", [
+        (-2, 1, -2), (0, -1, -1), (5, 0, 5), (0.5, 1, 0.5), (True, 0, True), (1, True, True),
+    ])
+    def test_matrix_action_takes_pool_indices(self, i, j, bad):
+        # (-2, 1) and (0, -1) read pool 0's action on pool 1, and (5, 0)
+        # raised numpy's IndexError
+        m = PairwiseActionMatrix(np.array([[0.0, 0.1], [0.0, 0.0]]), np.zeros((2, 2)))
+        with pytest.raises(InvalidScenario,
+                           match=rf"^pool {bad} is not a pool index in \[0, 2\)$"):
+            m.action(i, j)
+        assert m.action(0, 1) == Action(0.1, 0.0) and m.action(np.int64(1), 0) == ZERO_ACTION
+
     @pytest.mark.parametrize("victim", [5, -1])
     def test_a_scripted_victim_must_be_a_pool(self, victim):
         # 5 raised IndexError, and -1 attacked pool 1

@@ -6,8 +6,10 @@ import audit_oracle
 import retaliation_oracle as oracle
 from poolgame import ars, cli, equilibrium
 from poolgame.model import (
+    ZERO_ACTION,
     Action,
     AttackKind,
+    EmptySetUnexpected,
     InvalidAction,
     InvalidPowers,
     InvalidScenario,
@@ -18,11 +20,11 @@ from poolgame.payoff import (
     one_sided_attacker,
     one_sided_victim,
     optimal_bwh_infiltration,
+    optimal_infiltration,
     payoff_pair,
     payoff_pair_raw,
 )
 from poolgame.equilibrium import (
-    _subgame_cases,
     audit_ipbwh_nonempty,
     delta_bound,
     stage_nash,
@@ -134,7 +136,7 @@ class TestDeltaBound:
             profiles = {
                 (c.punisher_stage0, c.deviator_prescribed)
                 for prior in (AttackKind.FAW, AttackKind.BWH)
-                for c in _subgame_cases(alpha_pun, alpha_dev, k, prior)
+                for c in oracle.subgame_cases(alpha_pun, alpha_dev, k, prior)
             }
             expected += [(*p, alpha_pun, alpha_dev) for p in profiles]
         calls, batches = [], []
@@ -153,7 +155,8 @@ class TestDeltaBound:
         assert set(calls) == set(expected)
 
     def test_one_retaliation_batch_per_side(self, monkeypatch):
-        # all of a side's stage-0 profiles share one retaliate_cells call
+        # the pool pair's four stage-0 retaliations are one batch, then each
+        # side's profiles share one more; no one-row retaliate is called
         rows = []
         batched = equilibrium.retaliate_cells
 
@@ -161,9 +164,41 @@ class TestDeltaBound:
             rows.append(alpha_own.size)
             return batched(alpha_own, *args)
 
+        def one_row(*args):
+            raise AssertionError("one-row retaliate called")
+
         monkeypatch.setattr(equilibrium, "retaliate_cells", counting)
+        monkeypatch.setattr(ars, "retaliate", one_row)
         delta_bound(0.25, 0.15, 0.5)
-        assert len(rows) == 2 and min(rows) >= ars.WINDOW_ROWS
+        assert not hasattr(equilibrium, "retaliate")
+        assert rows[0] == 4 and len(rows) == 3 and min(rows[1:]) >= ars.WINDOW_ROWS
+
+    @pytest.mark.parametrize("empty", [(0,), (1, 3), (2, 3), (3,)])
+    def test_empty_stage0_row_raises_its_one_row_message(self, empty, monkeypatch):
+        # the first stage-0 row reported empty raises what the one-row
+        # retaliate raised for it: rows are (FAW prior, BWH prior) x (pool 1
+        # retaliating, pool 2 retaliating)
+        alphas, k, r = (0.25, 0.15), 0.5, empty[0]
+        kind = (AttackKind.FAW, AttackKind.BWH)[r // 2]
+        own, opp = alphas[r % 2], alphas[1 - r % 2]
+        attack = Action.of(kind, optimal_infiltration(kind, opp, own))
+
+        def reported_empty(size):
+            def retaliate_cells(alpha_own, *args):
+                faw, bwh, flags = batched(alpha_own, *args)
+                if alpha_own.size == size:
+                    flags[list(empty) if size == 4 else 0] = True
+                return faw, bwh, flags
+            return retaliate_cells
+
+        batched = ars.retaliate_cells
+        monkeypatch.setattr(ars, "retaliate_cells", reported_empty(1))
+        with pytest.raises(EmptySetUnexpected) as one_row:
+            ars.retaliate(own, ZERO_ACTION, opp, attack, ZERO_ACTION, k)
+        monkeypatch.setattr(equilibrium, "retaliate_cells", reported_empty(4))
+        with pytest.raises(EmptySetUnexpected) as pair:
+            delta_bound(*alphas, k)
+        assert str(pair.value) == str(one_row.value)
 
     def test_one_stage_deviations_unprofitable_above_bound(self):
         k = 0.5
@@ -172,7 +207,7 @@ class TestDeltaBound:
         delta = b.bound + 0.01
         rng = np.random.default_rng(17)
         for alpha_pun, alpha_dev in ((0.25, 0.15), (0.15, 0.25)):
-            for case in _subgame_cases(alpha_pun, alpha_dev, k, AttackKind.FAW):
+            for case in oracle.subgame_cases(alpha_pun, alpha_dev, k, AttackKind.FAW):
                 for _ in range(25):
                     x = rng.uniform(1e-4, alpha_dev)
                     d = Action(x, 0.0) if rng.integers(2) else Action(0.0, x)
@@ -180,6 +215,60 @@ class TestDeltaBound:
                         [(case.punisher_stage0, case.deviator_prescribed)],
                         alpha_pun, alpha_dev, [d], k)
                     assert gain[0, 0] + delta * pun[0, 0] <= comp[0] + 1e-9
+
+
+POWERS = st.one_of(st.floats(1e-12, 0.5), st.sampled_from([0.5, 1.192092896e-07, 5e-09, 1e-10]))
+WEIGHTS = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 1e-12, 1e-3]))
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the class and message of its error."""
+    try:
+        return fn(*args)
+    except PoolGameError as exc:
+        return type(exc), str(exc)
+
+
+class TestStage0Retaliations:
+    @given(a1=POWERS, a2=POWERS, k=WEIGHTS)
+    @settings(max_examples=100, deadline=None)
+    def test_pair_batch_equals_four_one_row_calls(self, a1, a2, k):
+        # each pool's retaliation against the other's optimal one-shot attack
+        # of each prior kind, bit for bit, or the first one-row call's error
+        if a1 + a2 >= 1.0:
+            return
+
+        def batch():
+            return [[(r.faw.hex(), r.bwh.hex()) for r in pair]
+                    for pair in equilibrium._stage0_retaliations(a1, a2, k)]
+
+        def one_row():
+            return [[(r.faw.hex(), r.bwh.hex()) for r in (
+                ars.retaliate(own, ZERO_ACTION, opp,
+                              Action.of(kind, optimal_infiltration(kind, opp, own)),
+                              ZERO_ACTION, k)
+                for own, opp in ((a1, a2), (a2, a1)))]
+                for kind in (AttackKind.FAW, AttackKind.BWH)]
+
+        assert outcome(batch) == outcome(one_row)
+
+    @given(a1=POWERS, a2=POWERS, k=WEIGHTS)
+    @settings(max_examples=100, deadline=None)
+    def test_swapping_the_pools_swaps_the_case_maxima(self, a1, a2, k):
+        # the bound's classes are the pool pair's: pool 1's classes under
+        # (a1, a2) are pool 2's under (a2, a1), bit for bit
+        if a1 + a2 >= 1.0:
+            return
+
+        def maxima(x, y, swap):
+            maxima = delta_bound(x, y, k, deviation_resolution=3).case_maxima
+            return {f"pool{3 - int(key[4]) if swap else key[4]}{key[5:]}": v.hex()
+                    for key, v in maxima.items()}
+
+        def errors(result):  # the first empty row depends on the pools' order
+            return result if isinstance(result, dict) else result[0]
+
+        assert errors(outcome(maxima, a2, a1, True)) == errors(outcome(maxima, a1, a2, False))
 
 
 class TestDeviationBatchAgainstOracle:
@@ -197,7 +286,7 @@ class TestDeviationBatchAgainstOracle:
         # delta_bound's batch over a class's deviation grid against the
         # per-deviation path it replaced, bit for bit
         try:
-            case = _subgame_cases(alpha_pun, alpha_dev, k, prior)[which]
+            case = oracle.subgame_cases(alpha_pun, alpha_dev, k, prior)[which]
         except PoolGameError:
             return  # no stage-0 retaliation exists for this prior
         deviations = equilibrium._deviation_grid(alpha_dev, n)

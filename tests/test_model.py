@@ -11,10 +11,21 @@ from poolgame.detection import (
     RewardDensitySeries,
     detect_bwh_block_ratio,
     detect_unlucky_miners,
+    evasion_partial_sharing,
     evasion_smoothing,
     generate_synthetic_hashrates,
+    geometric_param,
 )
-from poolgame.engine import ArsAgent, PairwiseActionMatrix, npool_stage_payoffs_mc, run_npool
+from poolgame.engine import (
+    ArsAgent,
+    OptimalOneShotAttacker,
+    PairwiseActionMatrix,
+    npool_stage_payoffs_mc,
+    optimal_simultaneous_attack,
+    run_npool,
+    two_stage_ratio_sweep,
+    two_stage_sweep,
+)
 from poolgame.equilibrium import audit_ipbwh_nonempty, delta_bound
 from poolgame.model import (
     Action,
@@ -26,6 +37,7 @@ from poolgame.model import (
     PoolGameError,
     check_actions,
     check_count,
+    check_kind,
     check_pool,
     check_powers,
     check_weight,
@@ -302,6 +314,33 @@ class TestCheckPool:
         with pytest.raises(InvalidScenario) as err:
             check_pool(i, 3, "victim")
         assert str(err.value) == f"victim {i} is not a pool index in [0, 3)"
+
+
+class TestCheckKind:
+    @pytest.mark.parametrize("kind", list(AttackKind))
+    def test_members_pass(self, kind):
+        assert check_kind(kind) is kind
+
+    # a string or None ran as BWH: two_stage_sweep([0.1], "faw") gave the BWH
+    # attack ratio 0.0542, geometric_param(0.2, 0.2, 0.1, "faw") the BWH
+    # 0.4737, and Action.of("faw", 0.1) was Action(0.0, 0.1)
+    @pytest.mark.parametrize("kind", ["faw", None])
+    @pytest.mark.parametrize("call", [
+        lambda kind: Action.of(kind, 0.1),
+        lambda kind: two_stage_sweep([0.1], kind),
+        lambda kind: two_stage_ratio_sweep([0.5], [0.2], kind),
+        lambda kind: optimal_simultaneous_attack([0.2, 0.2, 0.1], 0, kind),
+        lambda kind: OptimalOneShotAttacker(kind),
+        lambda kind: DetectionScenario(0.1, 0.2, 0.05, kind),
+        lambda kind: geometric_param(0.2, 0.2, 0.1, kind),
+        lambda kind: evasion_partial_sharing(0.2, 0.2, 0.01, kind),
+    ], ids=["Action.of", "two_stage_sweep", "two_stage_ratio_sweep",
+            "optimal_simultaneous_attack", "OptimalOneShotAttacker", "DetectionScenario",
+            "geometric_param", "evasion_partial_sharing"])
+    def test_entries_refuse_other_values(self, call, kind):
+        with pytest.raises(InvalidScenario) as err:
+            call(kind)
+        assert str(err.value) == f"attack kind must be an AttackKind, got {kind!r}"
 
 
 class TestCheckCount:
