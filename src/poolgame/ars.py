@@ -257,11 +257,13 @@ def _retaliation(kind, rows):
 
 
 def _passes(kind, rows):
-    """``_retaliation`` over ``rows`` in passes of BATCH_ROWS rows."""
+    """``_retaliation`` over ``rows`` in the fewest passes of at most
+    BATCH_ROWS rows, equal within one, so no short last pass prices the whole grid."""
     n = rows.shape[1]
     if n <= BATCH_ROWS:
         return _retaliation(kind, rows)
-    parts = [_retaliation(kind, rows[:, i:i + BATCH_ROWS]) for i in range(0, n, BATCH_ROWS)]
+    parts = [_retaliation(kind, part)
+             for part in np.array_split(rows, -(-n // BATCH_ROWS), axis=1)]
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
@@ -277,7 +279,7 @@ def retaliate_cells(alpha_own, alpha_opp, stage, k):
     BWH retaliation powers, at most one of them non-zero, and the rows
     whose BWH candidate set came out empty (both powers 0.0, meaning
     nothing), which the callers report. Tries FAW on every row, then BWH on
-    the rows without a FAW candidate, each in passes of BATCH_ROWS rows.
+    the rows without a FAW candidate, each in passes of BATCH_ROWS or fewer.
     """
     check_weight(k)
     act_ui, act_uj, pre_ui, pre_uj = stage

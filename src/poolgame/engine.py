@@ -53,6 +53,7 @@ from .model import (
 from .payoff import (
     NO_LIVE_POWER,
     _pot_matrix,
+    _race,
     _sample_rounds,
     one_sided_attacker,
     one_sided_victim,
@@ -352,13 +353,8 @@ def _npool_direct_revenue(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
     flag m's host earns ext * sum_T weight[T, m] / (theta + phi(T)), with
     the weights and phi of ``_victim_sets``. Time and memory grow as 2^F.
     """
-    alphas = np.asarray(alphas, float)
-    out = (matrix.faw + matrix.bwh).sum(axis=1)
-    home = alphas - out
-    ext = 1.0 - alphas.sum()
-    theta = ext + home.sum()
+    home, ext, theta, i, j = _race(alphas, matrix.faw, matrix.bwh)
     revenue = home / theta
-    i, j = np.nonzero(matrix.faw > 0.0)
     if j.size > FAW_FLAG_CAP:
         raise InvalidScenario(TOO_MANY_FLAGS)
     if not j.size:

@@ -14,8 +14,9 @@ the bound is the maximum over the class families and a deviation grid, and by
 construction of the candidate sets it stays below 1. The classes enter
 through the pool pair's four stage-0 retaliations (each pool's against the
 other's optimal attack of each kind), one ``ars.retaliate_cells`` batch.
-Classes sharing a stage-0 profile share their outcomes, so each side's
-profiles are one more batch over the deviation grid.
+Classes sharing a stage-0 profile share their outcomes, so the distinct
+profiles of both sides, each under its deviator's grid, are one more
+batch, and each profile's worst ratio is one masked row maximum.
 
 The BWH audit checks every power cell at once, as one array program. Each
 family of deviation gaps is a least rounded difference fl(p - d) over a
@@ -45,6 +46,7 @@ family-1 gap, and the fallback never prices its family-1 minimum.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +54,7 @@ import numpy as np
 from .model import (
     Action,
     AttackKind,
+    InvalidScenario,
     NonConvergence,
     OPTIMIZER_TOL,
     SWEEP_POWER_CAP,
@@ -135,9 +138,14 @@ def stage_nash(
     initial: tuple[float, float] = (0.0, 0.0),
 ) -> StageEquilibrium:
     """Unique pure-FAW stage-game Nash equilibrium by best-response iteration
-    from the FAW powers ``initial``."""
+    from the FAW powers ``initial``, a pair of numbers."""
     check_powers(alpha_1, alpha_2)
-    f1, f2 = initial
+    try:
+        f1, f2 = initial
+    except (TypeError, ValueError):  # not a pair
+        f1 = f2 = None
+    if not (isinstance(f1, numbers.Real) and isinstance(f2, numbers.Real)):
+        raise InvalidScenario(f"initial must be a pair of FAW powers, got {initial!r}")
     check_actions(alpha_1, f1, 0.0)
     check_actions(alpha_2, f2, 0.0)
     for iterations in range(1, NASH_MAX_ITERATIONS + 1):
@@ -194,54 +202,46 @@ def _stage0_retaliations(alpha_1, alpha_2, k):
     return actions[:2], actions[2:]
 
 
-def _deviation_outcomes(profiles, alpha_pun, alpha_dev, deviations, k):
-    """One-stage deviations inside subgame classes, every deviation under
-    every stage-0 profile (punisher's action, deviator's prescription) at
-    once: the deviator's stage-0 payoff (gain) and its stage-1 payoff under
-    the punisher's retaliation (punishment), arrays of shape (profiles,
-    deviations), and its compliance payoffs (profiles,). Cooperation resumes
-    after stage 1, so a deviation pays at discount d iff gain + d *
-    punishment > compliance. The retaliations are one ``retaliate_cells``
-    batch, profile by profile in their order."""
-    comp = [payoff_pair(alpha_pun, alpha_dev, pun0, prescribed) for pun0, prescribed in profiles]
-    shape = (len(profiles), len(deviations))
-    dev_f = np.tile(np.array([d.faw for d in deviations], float), shape[0])
-    dev_b = np.tile(np.array([d.bwh for d in deviations], float), shape[0])
-    zero = np.zeros_like(dev_f)
-
-    def per_profile(values):
-        return np.repeat(np.array(values, float), shape[1])
-
-    # the stage as played: the deviator's payoff is its gain
-    u_pun0, gain = payoff_pair_raw(alpha_pun, alpha_dev,
-                                   per_profile([pun0.faw for pun0, _ in profiles]),
-                                   per_profile([pun0.bwh for pun0, _ in profiles]), dev_f, dev_b)
-    faw, bwh, empty = retaliate_cells(
-        np.full_like(dev_f, alpha_pun), np.full_like(dev_f, alpha_dev),
-        np.array([u_pun0, gain, per_profile([u.u_i for u in comp]),
-                  per_profile([u.u_j for u in comp])]),
-        k,
-    )
+def _deviation_outcomes(profiles, k):
+    """One-stage deviations inside subgame classes, every deviation of every
+    stage-0 profile at once. A profile is (punisher's power, deviator's
+    power, punisher's stage-0 action, deviator's prescription, deviations),
+    all with as many deviations. Returns the deviator's stage-0 payoff
+    (gain) and its stage-1 payoff under the punisher's retaliation
+    (punishment), (profiles, deviations) arrays, and its compliance payoffs
+    (profiles,): cooperation resumes after stage 1, so a deviation pays at
+    discount d iff gain + d * punishment > compliance. The retaliations are
+    one ``retaliate_cells`` batch in profile order; powers are not checked."""
+    shape = (len(profiles), len(profiles[0][4]))
+    # one row per (profile, deviation), profile by profile
+    pun, dev, pun_f, pun_b, pre_f, pre_b = np.repeat(np.array(
+        [(p[0], p[1], p[2].faw, p[2].bwh, p[3].faw, p[3].bwh) for p in profiles], float).T,
+        shape[1], axis=1)
+    deviations = np.array([[d.faw, d.bwh] for p in profiles for d in p[4]], float).T
+    # the stage as played, where the deviator's payoff is its gain, and as prescribed
+    u_pun0, gain = payoff_pair_raw(pun, dev, pun_f, pun_b, *deviations)
+    pre_ui, pre_uj = payoff_pair_raw(pun, dev, pun_f, pun_b, pre_f, pre_b)
+    faw, bwh, empty = retaliate_cells(pun, dev, np.array([u_pun0, gain, pre_ui, pre_uj]), k)
     for r in np.flatnonzero(empty)[:1]:
-        pun0, prescribed = profiles[r // shape[1]]
-        raise _empty_set_error(alpha_pun, alpha_dev, pun0, deviations[r % shape[1]], prescribed)
-    punishment = payoff_pair_raw(alpha_pun, alpha_dev, faw, bwh, zero, zero)[1]
-    return gain.reshape(shape), punishment.reshape(shape), np.array([u.u_j for u in comp])
+        alpha_pun, alpha_dev, pun0, prescribed, devs = profiles[r // shape[1]]
+        raise _empty_set_error(alpha_pun, alpha_dev, pun0, devs[r % shape[1]], prescribed)
+    punishment = payoff_pair_raw(pun, dev, faw, bwh, 0.0, 0.0)[1]
+    return gain.reshape(shape), punishment.reshape(shape), pre_uj[::shape[1]]
 
 
 def _deviation_grid(alpha_dev, n):
-    g = np.linspace(0.0, alpha_dev, n)[1:]  # exclude 0 (compliance, not a deviation)
+    g = np.linspace(0.0, alpha_dev, n)[1:].tolist()  # exclude 0 (compliance, not a deviation)
     return [Action(f, 0.0) for f in g] + [Action(0.0, b) for b in g]
 
 
-def _worst_ratio(gain, punishment, comp) -> float:
-    """Largest (compliance - gain) / punishment over one class's deviations
-    (its row of ``_deviation_outcomes``), skipping those whose
-    punishment-stage payoff is (near) zero."""
-    counted = np.abs(punishment) >= OPTIMIZER_TOL
-    ratios = (comp - gain[counted]) / punishment[counted]
-    # the first largest, as Python's max over the deviations in order
-    return float(ratios[ratios.argmax()]) if ratios.size else -np.inf
+def _worst_ratios(gain, punishment, comp):
+    """Each row's largest (compliance - gain) / punishment over the
+    deviations punished by at least OPTIMIZER_TOL, else -inf (rows of
+    ``_deviation_outcomes``): the first largest, as Python's max."""
+    ratios = np.full_like(gain, -np.inf)
+    np.divide(comp[:, None] - gain, punishment, out=ratios,
+              where=np.abs(punishment) >= OPTIMIZER_TOL)
+    return ratios[np.arange(len(ratios)), ratios.argmax(axis=1)]
 
 
 def delta_bound(
@@ -256,32 +256,31 @@ def delta_bound(
     Maximizes the ratio (deviation gain) / (punishment size) over a grid of
     deviation actions for both pools as deviator; ratios whose punishment-stage
     payoff is (near) zero are skipped. A class's outcomes depend only on its
-    stage-0 profile (punisher's action, deviator's prescription), so each side
-    evaluates the deviation grid once per distinct profile, all profiles in
-    one batch: cooperating under either prior and mutual-bad all share the
-    no-attack profile. Refuses a ``deviation_resolution`` below 2.
+    stage-0 profile (powers, punisher's action, deviator's prescription), so
+    each distinct profile is priced once, all in one batch: cooperating and
+    mutual-bad under either prior share one. Refuses a
+    ``deviation_resolution`` below 2.
     """
     check_count(deviation_resolution, "deviation_resolution", least=2)
     # the retaliations first: they refuse invalid powers before any grid is built
     stage0 = _stage0_retaliations(alpha_1, alpha_2, k)
+    grids = {a: _deviation_grid(a, deviation_resolution) for a in (alpha_2, alpha_1)}
+    # each side's classes under each prior, pool 2 deviating first: (key,
+    # (punisher's power, deviator's power, punisher's stage-0 action,
+    # deviator's prescription)); pool i's retaliation is entry i - 1 of a pair
+    cases = [(f"pool{side}:{name}", (alpha_pun, alpha_dev, pun0, prescribed))
+             for alpha_pun, alpha_dev, side in ((alpha_1, alpha_2, 2), (alpha_2, alpha_1, 1))
+             for pair in stage0 for name, pun0, prescribed in (
+                 ("cooperating", ZERO_ACTION, ZERO_ACTION),
+                 ("being-punished", pair[2 - side], ZERO_ACTION),
+                 ("prescribed-retaliation", ZERO_ACTION, pair[side - 1]),
+                 ("mutual-bad", ZERO_ACTION, ZERO_ACTION))]
+    profiles = list(dict.fromkeys(profile for _, profile in cases))
+    outcomes = _deviation_outcomes([(*p, grids[p[1]]) for p in profiles], k)
+    worst = dict(zip(profiles, _worst_ratios(*outcomes).tolist()))
     case_maxima: dict[str, float] = {}
-    for alpha_pun, alpha_dev, side in ((alpha_1, alpha_2, 2), (alpha_2, alpha_1, 1)):
-        # each prior's classes, (name, (punisher's stage-0 action, deviator's
-        # prescription)); pool i's retaliation is entry i - 1 of a pair
-        cases = [case for pair in stage0 for case in (
-            ("cooperating", (ZERO_ACTION, ZERO_ACTION)),
-            ("being-punished", (pair[2 - side], ZERO_ACTION)),
-            ("prescribed-retaliation", (ZERO_ACTION, pair[side - 1])),
-            ("mutual-bad", (ZERO_ACTION, ZERO_ACTION)))]
-        deviations = _deviation_grid(alpha_dev, deviation_resolution)
-        profiles = list(dict.fromkeys(profile for _, profile in cases))
-        gain, punishment, comp = _deviation_outcomes(profiles, alpha_pun, alpha_dev,
-                                                     deviations, k)
-        worst = {p: _worst_ratio(gain[r], punishment[r], comp[r])
-                 for r, p in enumerate(profiles)}
-        for name, profile in cases:
-            key = f"pool{side}:{name}"
-            case_maxima[key] = max(case_maxima.get(key, -np.inf), worst[profile])
+    for key, profile in cases:
+        case_maxima[key] = max(case_maxima.get(key, -np.inf), worst[profile])
     return DeltaBound(alpha_1=alpha_1, alpha_2=alpha_2, k=k,
                       bound=float(max(case_maxima.values())), case_maxima=case_maxima)
 

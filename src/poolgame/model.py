@@ -149,9 +149,13 @@ def _grid_pairs(outer, inner):
 
 
 def check_weight(k, name: str = "k"):
-    """Refuse a preference weight outside [0, 1), or the first such entry of
-    an array, and return ``k``; a float that passes makes no numpy call."""
-    ok = (k >= 0.0) & (k < 1.0)  # written so that NaN fails the test
+    """Refuse a preference weight outside [0, 1) or not a number, or the
+    first such entry of an array, and return ``k``; a float that passes
+    makes no numpy call."""
+    try:
+        ok = (k >= 0.0) & (k < 1.0)  # written so that NaN fails the test
+    except TypeError:  # a string, None: no comparison with a float
+        raise InvalidScenario(f"{name} must be in [0, 1), got {k!r}") from None
     if _all(ok):
         return k
     raise InvalidScenario(f"{name} must be in [0, 1), got {np.asarray(k).flat[np.argmin(ok)]}")

@@ -23,7 +23,8 @@ flag fires first, and nothing more is drawn. Otherwise it draws round by
 round only those flag-first rounds, so its cost follows the flag-first
 rounds of stages whose flags sit in two or more hosts; it settles them one
 flag row at a time, with a running count of fired flags picking each
-round's winner. It never reads a probability the exact models compute.
+round's winner. It never reads a probability the exact models compute; it
+and the exact n-pool revenue take the race's terms from ``_race``.
 
 ``U_i`` is pool i's extra reward density: member reward per unit power minus
 the honest baseline 1.
@@ -201,6 +202,18 @@ def _pot_matrix(alphas, faw, bwh) -> np.ndarray:
     return np.diag(basis) - x
 
 
+def _race(alphas, faw, bwh):
+    """The round race's terms: each pool's home power (at least 0, where
+    infiltrating all its power leaves -1e-17 by rounding), the external
+    power, the live terminal power theta, and the FAW flags as (attacker,
+    host) index arrays in row-major order."""
+    alphas = np.asarray(alphas, float)
+    home = np.maximum(alphas - (faw + bwh).sum(axis=1), 0.0)
+    ext = 1.0 - alphas.sum()
+    src, hosts = np.nonzero(faw > 0.0)
+    return home, ext, ext + home.sum(), src, hosts
+
+
 _CHUNK = 2_000_000  # per-round FAW-flag uniforms drawn per batch; bounds the batch arrays
 
 
@@ -245,12 +258,7 @@ def _sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
     if check_count(rounds, "Monte-Carlo rounds") >= 2**63:  # numpy's draws count in int64
         raise InvalidScenario(f"Monte-Carlo rounds must be below 2**63, got {rounds}")
     check_seed(seed, "Monte-Carlo seed")
-    alphas = np.asarray(alphas, float)
-    # a pool that infiltrates with all its power can leave -1e-17 by rounding
-    home = np.maximum(alphas - (faw + bwh).sum(axis=1), 0.0)
-    ext = 1.0 - alphas.sum()
-    theta = ext + home.sum()
-    src, hosts = np.nonzero(faw)
+    home, ext, theta, src, hosts = _race(alphas, faw, bwh)
     phi = faw[src, hosts]
     n_flags = phi.size
     race = theta + phi.sum()

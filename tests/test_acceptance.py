@@ -377,8 +377,8 @@ class TestCriterion10DeltaBoundAndAudit:
                         x = rng.uniform(1e-4, alpha_dev)
                         d = Action(x, 0.0) if rng.integers(2) else Action(0.0, x)
                         gain, pun, comp = _deviation_outcomes(
-                            [(case.punisher_stage0, case.deviator_prescribed)],
-                            alpha_pun, alpha_dev, [d], k)
+                            [(alpha_pun, alpha_dev, case.punisher_stage0,
+                              case.deviator_prescribed, [d])], k)
                         worst = max(worst, gain[0, 0] + delta * pun[0, 0] - comp[0])
         ok = worst <= 1e-9
         assert report(

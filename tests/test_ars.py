@@ -445,6 +445,28 @@ def test_windowed_pass_prices_its_coarse_pick_once(monkeypatch):
     assert calls == [(AttackKind.FAW, (5 * ars.WINDOW, n)), (AttackKind.FAW, (21, n))]
 
 
+def test_long_batch_runs_in_equal_passes(monkeypatch):
+    # BATCH_ROWS + 1 rows run as two passes of about half each, both priced
+    # on windows, not as a full pass and a one-row pass on the whole grid
+    passes = []
+    retaliation = ars._retaliation
+
+    def counting(kind, rows):
+        passes.append(rows.shape[1])
+        return retaliation(kind, rows)
+
+    monkeypatch.setattr(ars, "_retaliation", counting)
+    alpha_own, alpha_opp, dev, _ = FAW_AND_FALLBACK[0]
+    actual = payoff_pair(alpha_own, alpha_opp, ZERO_ACTION, dev)
+    prescribed = payoff_pair(alpha_own, alpha_opp, ZERO_ACTION, ZERO_ACTION)
+    n = ars.BATCH_ROWS + 1
+    stage = np.repeat([[actual.u_i], [actual.u_j], [prescribed.u_i], [prescribed.u_j]], n, axis=1)
+    faw, bwh, empty = ars.retaliate_cells(np.full(n, alpha_own), np.full(n, alpha_opp), stage, K)
+    assert sorted(passes) == [n // 2, n - n // 2] and min(passes) >= ars.WINDOW_ROWS
+    one_row = retaliate(alpha_own, ZERO_ACTION, alpha_opp, dev, ZERO_ACTION, K)
+    assert set(faw.tolist()) == {one_row.faw} and not bwh.any() and not empty.any()
+
+
 BAD_WEIGHTS = [-0.5, 1.0, 1.5, float("nan")]
 
 
@@ -452,10 +474,12 @@ class TestWeightRefused:
     """Every retaliation refuses a preference weight outside [0, 1), with
     ``model.check_weight``'s message, whatever the rows."""
 
-    @pytest.mark.parametrize("k", BAD_WEIGHTS)
+    @pytest.mark.parametrize("k", [*BAD_WEIGHTS, "0.5", None])
     def test_retaliate(self, k):
-        with pytest.raises(InvalidScenario, match=rf"^k must be in \[0, 1\), got {k}$"):
+        # "0.5" and None raised TypeError from the comparison
+        with pytest.raises(InvalidScenario) as err:
             retaliate(0.25, ZERO_ACTION, 0.15, Action(0.05, 0.0), ZERO_ACTION, k)
+        assert str(err.value) == f"k must be in [0, 1), got {k!r}"
 
     @pytest.mark.parametrize("k", BAD_WEIGHTS)
     def test_retaliate_cells_with_one_weight(self, k):

@@ -511,6 +511,25 @@ class TestNPoolProperties:
         alphas, m = profile
         assert np.all(npool_stage_payoffs(alphas, m) >= -1.0)
 
+    def test_full_spend_earns_no_less_than_nothing(self):
+        # every pool infiltrates with all its power, so it keeps no home
+        # power; the row sum can exceed the power by an ulp, and the exact
+        # payoff once took that -1e-17 of home power for a loss below -1
+        # (in 472 of 2,000 all-BWH profiles), as the sampler did not
+        rng = np.random.default_rng(2019)
+        for mixed in (False, True):
+            for _ in range(300):
+                n = int(rng.integers(2, 5))
+                alphas = rng.uniform(0.01, min(0.5, 0.99 / n), n)
+                m = PairwiseActionMatrix.zeros(n)
+                for i in range(n):
+                    w = rng.uniform(0.05, 1.0, n)
+                    w[i] = 0.0
+                    x = w / w.sum() * alphas[i]
+                    faw = rng.integers(2, size=n).astype(bool) & mixed
+                    m.faw[i], m.bwh[i] = np.where(faw, x, 0.0), np.where(faw, 0.0, x)
+                assert np.all(npool_stage_payoffs(alphas, m) >= -1.0), (alphas, m)
+
     @given(npool_profiles(n_min=2, n_max=2))
     @settings(max_examples=200, deadline=None)
     def test_two_pools_match_the_closed_form(self, profile):
@@ -519,6 +538,41 @@ class TestNPoolProperties:
         ref = payoff_pair(alphas[0], alphas[1], m.action(0, 1), m.action(1, 0))
         assert u[0] == pytest.approx(ref.u_i, abs=1e-12)
         assert u[1] == pytest.approx(ref.u_j, abs=1e-12)
+
+
+class TestGameInvariants:
+    """Symmetries of the game itself, which no oracle test in one pool order
+    would see broken."""
+
+    @given(n=st.integers(2, 6), data=st.data(), kind=st.sampled_from(AttackKind),
+           k=st.one_of(st.sampled_from([0.0, 1e-12, 1e-3]),
+                       st.floats(0.0, 1.0, exclude_max=True)))
+    @settings(max_examples=200, deadline=None)
+    def test_forgiveness(self, n, data, kind, k):
+        # one pool attacks every other at stage 0 and ARS retaliates at
+        # stage 1; every pool then forgives, so no pool attacks at stage 2
+        # or 3 (600 of 600 runs when measured)
+        powers = tuple(data.draw(st.floats(0.01, 0.9 / n)) for _ in range(n))
+        attacker = data.draw(st.integers(0, n - 1))
+        strategies = [OptimalOneShotAttacker(kind, k) if i == attacker else ArsAgent(k)
+                      for i in range(n)]
+        try:
+            history = run_npool(GameConfig(powers), strategies, 4)
+        except PoolGameError:
+            return  # the runner refused the game
+        for record in history.records[2:]:
+            assert not record.actions.faw.any() and not record.actions.bwh.any()
+
+    @given(profile=npool_profiles(n_max=6), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_relabeling_the_pools_permutes_the_payoffs(self, profile, data):
+        # the terms are summed in pool order, so the match is within 1e-13,
+        # not exact (6.3e-15 at most over 2,000 profiles when measured)
+        alphas, m = profile
+        p = np.array(data.draw(st.permutations(range(alphas.size))))
+        relabeled = PairwiseActionMatrix(m.faw[np.ix_(p, p)], m.bwh[np.ix_(p, p)])
+        u = npool_stage_payoffs(alphas, m)
+        assert npool_stage_payoffs(alphas[p], relabeled) == pytest.approx(u[p], rel=0, abs=1e-13)
 
 
 TABLE3_POWERS = [0.25, 0.15, 0.10, 0.035, 0.02]

@@ -98,6 +98,17 @@ class TestStageNash:
         with pytest.raises(InvalidAction, match=message):
             stage_nash(0.25, 0.15, initial)
 
+    @pytest.mark.parametrize("initial", [(0.1,), None, (0.1, 0.1, 0.1), ("0.1", 0.0), 0.1])
+    def test_start_that_is_not_a_pair_of_numbers_refused(self, initial, monkeypatch):
+        # the first three raised ValueError or TypeError
+        def best_response(*args):
+            raise AssertionError("best response computed from an invalid start")
+
+        monkeypatch.setattr(equilibrium, "_best_response", best_response)
+        with pytest.raises(InvalidScenario) as err:
+            stage_nash(0.25, 0.15, initial)
+        assert str(err.value) == f"initial must be a pair of FAW powers, got {initial!r}"
+
 
 class TestDeltaBound:
     def test_bound_below_one(self):
@@ -105,11 +116,13 @@ class TestDeltaBound:
             b = delta_bound(0.25, 0.15, k, deviation_resolution=20)
             assert 0.0 < b.bound < 1.0
 
-    @pytest.mark.parametrize("k", [-0.5, 1.0, 1.5, float("nan")])
+    @pytest.mark.parametrize("k", [-0.5, 1.0, 1.5, float("nan"), "0.5", None])
     def test_weight_outside_unit_interval_rejected(self, k):
-        # k = 1.5 gave a bound of 1.4998, above the 1 the construction promises
-        with pytest.raises(InvalidScenario, match=rf"^k must be in \[0, 1\), got {k}$"):
+        # k = 1.5 gave a bound of 1.4998, above the 1 the construction
+        # promises; "0.5" and None raised TypeError from the comparison
+        with pytest.raises(InvalidScenario) as err:
             delta_bound(0.25, 0.15, k)
+        assert str(err.value) == f"k must be in [0, 1), got {k!r}"
 
     @pytest.mark.parametrize("n", [1, 0, -5])
     def test_deviation_grid_below_two_points_rejected(self, n):
@@ -127,9 +140,9 @@ class TestDeltaBound:
             )
 
     def test_each_stage0_profile_evaluated_once(self, monkeypatch):
-        # classes sharing (punisher stage-0 action, deviator prescription)
-        # share their outcomes, so each side prices each such profile once,
-        # all of them in one batch over the whole deviation grid
+        # classes sharing (powers, punisher stage-0 action, deviator
+        # prescription) share their outcomes, so each such profile is priced
+        # once, both sides' profiles in one batch, each over its side's grid
         alpha_1, alpha_2, k, n = 0.25, 0.15, 0.5, 10
         expected = []
         for alpha_pun, alpha_dev in ((alpha_1, alpha_2), (alpha_2, alpha_1)):
@@ -142,21 +155,22 @@ class TestDeltaBound:
         calls, batches = [], []
         batched = equilibrium._deviation_outcomes
 
-        def counting(profiles, alpha_pun, alpha_dev, deviations, k):
-            assert len(deviations) == 2 * (n - 1)
+        def counting(profiles, k):
             batches.append(len(profiles))
-            calls.extend((*p, alpha_pun, alpha_dev) for p in profiles)
-            return batched(profiles, alpha_pun, alpha_dev, deviations, k)
+            for alpha_pun, alpha_dev, pun0, prescribed, deviations in profiles:
+                assert deviations == equilibrium._deviation_grid(alpha_dev, n)
+                calls.append((pun0, prescribed, alpha_pun, alpha_dev))
+            return batched(profiles, k)
 
         monkeypatch.setattr(equilibrium, "_deviation_outcomes", counting)
         delta_bound(alpha_1, alpha_2, k, deviation_resolution=n)
-        assert len(batches) == 2
+        assert len(batches) == 1
         assert len(calls) == len(expected)
         assert set(calls) == set(expected)
 
-    def test_one_retaliation_batch_per_side(self, monkeypatch):
-        # the pool pair's four stage-0 retaliations are one batch, then each
-        # side's profiles share one more; no one-row retaliate is called
+    def test_two_retaliation_batches(self, monkeypatch):
+        # the pool pair's four stage-0 retaliations are one batch, then both
+        # sides' profiles share one more; no one-row retaliate is called
         rows = []
         batched = equilibrium.retaliate_cells
 
@@ -171,7 +185,7 @@ class TestDeltaBound:
         monkeypatch.setattr(ars, "retaliate", one_row)
         delta_bound(0.25, 0.15, 0.5)
         assert not hasattr(equilibrium, "retaliate")
-        assert rows[0] == 4 and len(rows) == 3 and min(rows[1:]) >= ars.WINDOW_ROWS
+        assert rows[0] == 4 and len(rows) == 2 and rows[1] >= ars.WINDOW_ROWS
 
     @pytest.mark.parametrize("empty", [(0,), (1, 3), (2, 3), (3,)])
     def test_empty_stage0_row_raises_its_one_row_message(self, empty, monkeypatch):
@@ -200,6 +214,36 @@ class TestDeltaBound:
             delta_bound(*alphas, k)
         assert str(pair.value) == str(one_row.value)
 
+    @pytest.mark.parametrize("side, row", [(2, 0), (1, 0), (1, 40), (2, 161), (1, 239)])
+    def test_empty_deviation_row_raises_its_message(self, side, row, monkeypatch):
+        # the row-th deviation row of a side reported empty raises the error
+        # of its (profile, deviation), whose actions print Python floats:
+        # profiles in the order of their classes, deviations in grid order
+        alphas, k, n = (0.25, 0.15), 0.5, 40
+        alpha_pun, alpha_dev = alphas if side == 2 else alphas[::-1]
+        profiles = list(dict.fromkeys(
+            (c.punisher_stage0, c.deviator_prescribed) for prior in AttackKind
+            for c in oracle.subgame_cases(alpha_pun, alpha_dev, k, prior)))
+        grid = np.linspace(0.0, alpha_dev, n)[1:].tolist()
+        deviations = [Action(f, 0.0) for f in grid] + [Action(0.0, b) for b in grid]
+        pun0, prescribed = profiles[row // len(deviations)]
+        expected = ars._empty_set_error(alpha_pun, alpha_dev, pun0,
+                                        deviations[row % len(deviations)], prescribed)
+        batched = equilibrium.retaliate_cells
+
+        def reported_empty(alpha_own, *args):
+            faw, bwh, empty = batched(alpha_own, *args)
+            side_rows = np.flatnonzero(alpha_own == alpha_pun) if alpha_own.size > 4 else []
+            if len(side_rows) > row:
+                empty[side_rows[row]] = True
+            return faw, bwh, empty
+
+        monkeypatch.setattr(equilibrium, "retaliate_cells", reported_empty)
+        with pytest.raises(EmptySetUnexpected) as err:
+            delta_bound(*alphas, k, deviation_resolution=n)
+        assert str(err.value) == str(expected)
+        assert "np.float64" not in str(err.value)
+
     def test_one_stage_deviations_unprofitable_above_bound(self):
         k = 0.5
         b = delta_bound(0.25, 0.15, k, deviation_resolution=25)
@@ -212,8 +256,8 @@ class TestDeltaBound:
                     x = rng.uniform(1e-4, alpha_dev)
                     d = Action(x, 0.0) if rng.integers(2) else Action(0.0, x)
                     gain, pun, comp = equilibrium._deviation_outcomes(
-                        [(case.punisher_stage0, case.deviator_prescribed)],
-                        alpha_pun, alpha_dev, [d], k)
+                        [(alpha_pun, alpha_dev, case.punisher_stage0,
+                          case.deviator_prescribed, [d])], k)
                     assert gain[0, 0] + delta * pun[0, 0] <= comp[0] + 1e-9
 
 
@@ -302,21 +346,56 @@ class TestDeviationBatchAgainstOracle:
                           oracle.deviation_outcome(case, alpha_pun, alpha_dev, d, k))
                     for d in deviations]
 
-        def batched(case, alpha_pun, alpha_dev, deviations, k):
-            gain, punishment, comp = equilibrium._deviation_outcomes(
-                [(case.punisher_stage0, case.deviator_prescribed)], alpha_pun, alpha_dev,
-                deviations, k)
+        def outcomes(case, alpha_pun, alpha_dev, deviations, k):
+            return equilibrium._deviation_outcomes(
+                [(alpha_pun, alpha_dev, case.punisher_stage0, case.deviator_prescribed,
+                  deviations)], k)
+
+        def batched(*args):
+            gain, punishment, comp = outcomes(*args)
             return [(g.hex(), p.hex(), comp[0].hex())
                     for g, p in zip(gain[0].tolist(), punishment[0].tolist())]
 
-        def worst_ratio(case, alpha_pun, alpha_dev, deviations, k):
-            gain, punishment, comp = equilibrium._deviation_outcomes(
-                [(case.punisher_stage0, case.deviator_prescribed)], alpha_pun, alpha_dev,
-                deviations, k)
-            return equilibrium._worst_ratio(gain[0], punishment[0], comp[0])
+        def worst_ratio(*args):
+            return equilibrium._worst_ratios(*outcomes(*args))[0]
 
         assert outcome(batched, deviations) == outcome(per_deviation, deviations)
         assert outcome(worst_ratio, deviations) == outcome(oracle._worst_ratio, deviations)
+
+
+class TestDeltaBoundAgainstOracle:
+    @given(a1=POWERS, a2=POWERS, k=WEIGHTS)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_per_side_reference(self, a1, a2, k):
+        # the bound and every case maximum against each side's classes
+        # priced one deviation at a time by the oracle, bit for bit
+        if a1 + a2 >= 1.0:
+            return
+        n = 3
+
+        def reference():
+            maxima, worst = {}, {}
+            for alpha_pun, alpha_dev, side in ((a1, a2, 2), (a2, a1, 1)):
+                grid = np.linspace(0.0, alpha_dev, n)[1:].tolist()
+                deviations = [Action(f, 0.0) for f in grid] + [Action(0.0, b) for b in grid]
+                for prior in (AttackKind.FAW, AttackKind.BWH):
+                    for case in oracle.subgame_cases(alpha_pun, alpha_dev, k, prior):
+                        profile = (side, case.punisher_stage0, case.deviator_prescribed)
+                        if profile not in worst:
+                            worst[profile] = oracle._worst_ratio(case, alpha_pun, alpha_dev,
+                                                                 deviations, k)
+                        key = f"pool{side}:{case.name}"
+                        maxima[key] = max(maxima.get(key, -np.inf), worst[profile])
+            return float(max(maxima.values())).hex(), {key: v.hex() for key, v in maxima.items()}
+
+        def batched():
+            b = delta_bound(a1, a2, k, deviation_resolution=n)
+            return b.bound.hex(), {key: v.hex() for key, v in b.case_maxima.items()}
+
+        got, want = outcome(batched), outcome(reference)
+        # the reference prices a prior's classes before the next prior's
+        # stage-0 retaliations, so an error may come from another row
+        assert got[0] == want[0] if got[0] is EmptySetUnexpected else got == want
 
 
 def grid(power_grid_resolution, infiltration_resolution, **bounds):

@@ -212,6 +212,13 @@ class TestCheckWeight:
             check_weight(k)
         assert str(err.value) == f"k must be in [0, 1), got {k}"
 
+    @pytest.mark.parametrize("k", ["0.5", None, [0.5], 0.5j])
+    def test_non_numbers_refused(self, k):
+        # each raised TypeError from the comparison
+        with pytest.raises(InvalidScenario) as err:
+            check_weight(k)
+        assert str(err.value) == f"k must be in [0, 1), got {k!r}"
+
     def test_the_name_is_the_callers(self):
         with pytest.raises(InvalidScenario, match=r"^--k must be in \[0, 1\), got 1.5$"):
             check_weight(1.5, "--k")
