@@ -55,6 +55,9 @@ TABLE1_POOLS = {"antpool": 0.15, "viabtc": 0.10, "dpool": 0.035, "bixin": 0.02}
 TABLE1_ATTACKER = 0.25
 #: most ``--cells`` per axis: a sweep or audit holds arrays of cells**2 entries
 MAX_GRID_CELLS = 500
+# a ``%.Nf`` cell is written from np.rint(|x|·10**N) only when the scaled
+# value lies more than this many spacings from a rounding tie
+_TIE_SPACINGS = 4.0
 
 
 def _parse_config_file(path) -> dict[str, str]:
@@ -247,6 +250,80 @@ def _apply_config(parser, args, argv):
     return build_parser({args.command: values}).parse_args(argv)
 
 
+def _digits(r, negative, places):
+    """Decimal digits of the non-negative integers ``r`` (int64), with a '.'
+    before the last ``places`` digits when ``places`` > 0 and a '-' where
+    ``negative`` holds, as a (characters, rows) uint8 block of one column's
+    cells: 0 marks a place with no character, so the integer part has no
+    leading zeros but at least one digit."""
+    width = max(len(str(int(r.max(initial=0)))), places + 1)
+    point = int(places > 0)
+    last = width + point  # the block's last place, the lowest digit
+    block = np.empty((last + 1, r.size), np.uint8)
+    block[0] = np.where(negative, ord("-"), 0)
+    if point:
+        block[last - places] = ord(".")
+    q = r
+    for k in range(width):
+        d = q + ord("0")
+        q = q // 10  # numpy's divmod is about twice as slow here
+        d -= 10 * q
+        if k > places:
+            d[r < 10**k] = 0  # a leading zero
+        block[last - k - (point and k >= places)] = d
+    return block
+
+
+def _fixed_point(x, places):
+    """The ``%.{places}f`` block of the floats ``x`` (as ``_digits``) and
+    the mask of the cells it writes as ``%`` does.
+
+    ``%`` rounds the exact value |x|·10**places half to even. The product
+    s = fl(|x|·10**places) lies within one spacing of that value, so
+    ``np.rint(s)`` is its rounding wherever s lies more than
+    ``_TIE_SPACINGS`` spacings from a half-integer; the mask holds there,
+    on finite cells below 2**52 / 10**places."""
+    a = np.abs(x)
+    fits = a < 2.0**52 / 10.0**places  # false for NaN and inf
+    s = np.where(fits, a, 0.0) * 10.0**places
+    r = np.rint(s)
+    certified = fits & (0.5 - np.abs(s - r) > _TIE_SPACINGS * np.spacing(s))
+    return _digits(r.astype(np.int64), np.signbit(x), places), certified
+
+
+def _csv_rows(fmt, columns) -> list[str]:
+    """``[fmt % cells for cells in zip(*columns)]``, written a column at a
+    time.
+
+    ``fmt`` is a row of comma-separated ``%.Nf``, ``%d`` and ``%s``
+    fields, and ``columns`` holds one column per field: floats, integers
+    (or bools) and strings. Every cell's characters go into one
+    (characters, rows) byte matrix that is read out row by row. A row with
+    a cell ``_fixed_point`` does not certify, a negative ``%d`` cell or a
+    non-empty ``%s`` cell is formatted by ``fmt`` itself."""
+    rows = len(columns[0])
+    blocks, redo = [], np.zeros(rows, bool)
+    for spec, col in zip(fmt.split(","), columns):
+        if blocks:
+            blocks.append(np.full((1, rows), ord(","), np.uint8))
+        if spec == "%s":
+            redo |= np.fromiter(map(bool, col), bool, rows)  # written empty
+        elif spec == "%d":
+            v = np.asarray(col, np.int64)
+            redo |= v < 0
+            blocks.append(_digits(v, False, 0))
+        else:
+            block, certified = _fixed_point(np.asarray(col, float), int(spec[2:-1]))
+            redo |= ~certified
+            blocks.append(block)
+    blocks.append(np.full((1, rows), ord("\n"), np.uint8))
+    chars = np.concatenate(blocks).T
+    lines = chars[chars != 0].tobytes().decode().split("\n")[:-1]
+    for i in np.flatnonzero(redo).tolist():
+        lines[i] = fmt % tuple(col[i] for col in columns)
+    return lines
+
+
 def _cmd_payoff(args):
     u = payoff_pair(*args.alpha, _action(args.a1), _action(args.a2))
     return ["u1,u2", f"{u.u_i:.10f},{u.u_j:.10f}"]
@@ -325,12 +402,9 @@ def _cmd_sweep(args):
 def _sweep_rows(t):
     """CSV lines of a sweep's columns: the header, then one row per cell."""
     columns = (t.alpha_1, t.alpha_2, t.attack_ratio, t.r2_faw, t.r2_bwh, t.u1_avg, t.u2_avg,
-               t.ip_faw_empty)
-    # one %-format per row: the bytes of {:.Nf} and {:d} fields, about twice as fast
-    return ["alpha1,alpha2,attack_ratio,r2F,r2B,u1_avg,u2_avg,ip_faw_empty,error"] + [
-        "%.6f,%.6f,%.6f,%.6f,%.6f,%.8f,%.8f,%d,%s" % cells
-        for cells in zip(*(c.tolist() for c in columns), t.error)
-    ]
+               t.ip_faw_empty, t.error)
+    return ["alpha1,alpha2,attack_ratio,r2F,r2B,u1_avg,u2_avg,ip_faw_empty,error",
+            *_csv_rows("%.6f,%.6f,%.6f,%.6f,%.6f,%.8f,%.8f,%d,%s", columns)]
 
 
 def _one_shot_strategies(kind, k, n):
@@ -385,8 +459,9 @@ def _cmd_detect(args):
     if honest.variance() == 0.0:
         raise PoolGameError("the honest series is flat, so there is no variance ratio")
     if args.series_out:
+        samples = attack.samples
         _emit(["period_index,reward_density",
-               *(f"{i},{v:.8f}" for i, v in enumerate(attack.samples))],
+               *_csv_rows("%d,%.8f", (np.arange(samples.size), samples))],
               args.series_out, args.seed, "detect-series")
     return ["variance_ratio,attack_var,honest_var",
             f"{ratio:.4f},{attack.variance():.6f},{honest.variance():.6f}"]
@@ -412,9 +487,8 @@ def _cmd_audit(args):
 def _audit_rows(r):
     """CSV lines of the audit's columns: the header, then one row per cell."""
     columns = (r.alpha_1, r.alpha_2, r.f_value, r.k_chosen, r.passed)
-    return ["alpha1,alpha2,f_value,k_chosen,passed"] + [
-        "%.6f,%.6f,%.8f,%.8f,%d" % cells for cells in zip(*(c.tolist() for c in columns))
-    ]
+    return ["alpha1,alpha2,f_value,k_chosen,passed",
+            *_csv_rows("%.6f,%.6f,%.8f,%.8f,%d", columns)]
 
 
 def _cmd_reproduce_table(args):

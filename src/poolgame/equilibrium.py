@@ -52,8 +52,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
+    ALGEBRAIC_TOL,
     Action,
     AttackKind,
+    DegenerateDenominator,
     InvalidScenario,
     NonConvergence,
     OPTIMIZER_TOL,
@@ -65,6 +67,7 @@ from .model import (
     check_powers,
 )
 from .payoff import (
+    NO_LIVE_POWER,
     StagePayoffs,
     one_sided_attacker,
     one_sided_victim,
@@ -337,6 +340,14 @@ def _window_maxima(u, lo, n: int) -> np.ndarray:
     return top
 
 
+def _no_live_power(caps, dev_top):
+    """Where a family-1 grid leaves no live power: at its corner, pool 1's
+    FAW power ``caps`` against pool 2's largest deviation ``dev_top``, whose
+    live power, by monotone rounding, is the grid's least. The full grid
+    prices that corner and raises there; the windows may not price it."""
+    return 1.0 - caps - dev_top <= ALGEBRAIC_TOL
+
+
 def _family1_minima(a1, a2, dev, cell, caps) -> np.ndarray:
     """Family-1 gap of each (cell, cap) pair: the least of pool 2's honest
     payoff minus its deviation payoff over pool 1's FAW powers
@@ -349,6 +360,8 @@ def _family1_minima(a1, a2, dev, cell, caps) -> np.ndarray:
     bisected; every row's window starts where its two anchors' brackets,
     interpolated, put it, and the window's guard certifies it as before."""
     n = dev.shape[1]
+    if _no_live_power(caps, dev[cell, -1]).any():
+        raise DegenerateDenominator(NO_LIVE_POWER)
     anchors = np.unique(np.append(np.arange(0, n, AUDIT_ANCHOR_STEP), n - 1))
     # each row's left anchor (by position in ``anchors``) and its weight
     # toward the right one; an anchor row's start is its own bracket
@@ -431,10 +444,14 @@ def _audit_cells(a1, a2, n: int) -> AuditReport:
     dmg = damage(fb[:, None], kk)
     fresh = ~(kk <= f_cap[fb, None])
     fk = np.where(fresh, np.nan, dmg + worst[fb, None])
+    # a fresh power whose grid leaves no live power raises once it is
+    # priced, which the per-power search does on reaching it whatever its
+    # damage; it is priced only as its cell's first open power
+    dead = fresh & _no_live_power(kk, dev[fb, -1:])
     # rounding is monotone, so fl(damage + min(t1, t2)) <= fl(damage + t2):
     # a fresh power whose damage does not cover t2 fails whatever its
     # family-1 gap, and is left unpriced (its fk stays nan, which fails too)
-    fresh &= ~(dmg + t2[fb, None] <= 0.0)
+    fresh &= ~(dmg + t2[fb, None] <= 0.0) | dead
     while True:
         # each cell's first power that passes or is not priced yet
         stop = (fk > 0.0) | fresh
@@ -443,6 +460,7 @@ def _audit_cells(a1, a2, n: int) -> AuditReport:
         if not open_.any():
             break
         take = fresh & open_[:, None] & (np.arange(n) >= first[:, None])
+        take &= ~dead | (np.arange(n) == first[:, None])
         take &= np.cumsum(take, axis=1) <= AUDIT_FALLBACK_POWERS
         i, j = np.nonzero(take)
         t1 = _family1_minima(a1, a2, dev, fb[i], kk[i, j])

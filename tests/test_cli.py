@@ -11,6 +11,7 @@ import warnings
 from datetime import datetime, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -158,6 +159,90 @@ class TestGoldenOutputs:
         code, out = run_cli(args, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_series_file_byte_identical_to_pinned_digest(self, tmp_path, capsys):
+        # recorded while the series was written one f-string per period
+        series = tmp_path / "series.csv"
+        code, _ = run_cli(["detect", "--mode", "variance", "--series-out", str(series)], capsys)
+        assert code == 0
+        assert hashlib.sha256(series.read_bytes()).hexdigest() == (
+            "49e203bb99c8f9176b69f2606de10ce7dde3e9cc8fed31418dc75f2eb68937ff")
+
+
+def tie(places):
+    """Odd multiples of 2**-(places + 1): each times 10**places is exactly
+    k + 1/2, a tie that ``%`` rounds half to even on the exact value."""
+    return st.integers(-10**6, 10**6).map(lambda c: (2 * c + 1) / 2 ** (places + 1))
+
+
+def half(places):
+    """The nearest doubles to (k + 1/2) / 10**places: within an ulp of a tie,
+    on either side of it."""
+    return st.integers(-10**9, 10**9).map(lambda k: (k + 0.5) / 10**places)
+
+
+def column_values(places):
+    return st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.floats(-1e3, 1e3),
+        tie(places),
+        half(places),
+        # around 2**52 / 10**places, where the writer leaves the cell to "%"
+        st.floats(0.5, 2.0).map(lambda m: m * 2.0**52 / 10**places),
+    )
+
+
+def edge_values(places):
+    return [0.0, -0.0, -1e-300, 5e-324, -5e-324, 2.2250738585072014e-308,
+            2.0 ** -(places + 1), -(2.0 ** -(places + 1)), 3 * 2.0 ** -(places + 1),
+            0.5 / 10**places, 2.5 / 10**places, 1234.5 / 10**places,
+            float("nan"), float("-nan"), float("inf"), float("-inf"),
+            2.0**52 / 10**places, np.nextafter(2.0**52 / 10**places, 0.0),
+            2.0**53, 1e300, -1e300]
+
+
+class TestColumnWriter:
+    """``cli._csv_rows`` writes columns as ``fmt % cells`` writes each row,
+    byte for byte, and raises no numpy warning on any cell."""
+
+    @staticmethod
+    def rows(fmt, columns):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return cli._csv_rows(fmt, columns)
+
+    @pytest.mark.parametrize("places", [6, 8])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_percent_format(self, places, data):
+        xs = data.draw(st.lists(column_values(places), min_size=1, max_size=40))
+        fmt = f"%.{places}f"
+        assert self.rows(fmt, (np.array(xs),)) == [fmt % x for x in xs]
+
+    @pytest.mark.parametrize("places", [6, 8])
+    def test_edge_values(self, places):
+        xs = edge_values(places)
+        fmt = f"%.{places}f"
+        assert self.rows(fmt, (np.array(xs),)) == [fmt % x for x in xs]
+
+    def test_exact_ties_are_not_certified(self):
+        for places in (4, 6, 8):
+            x = (2 * np.arange(-500, 500) + 1) / 2.0 ** (places + 1)
+            assert not cli._fixed_point(x, places)[1].any()
+
+    @given(st.lists(st.tuples(
+        st.floats(allow_nan=True, allow_infinity=True), st.integers(-10**12, 10**12),
+        st.booleans(), st.sampled_from(["", "", "no live power, x"]),
+        column_values(8)), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_whole_tables_with_error_rows(self, cells):
+        fmt = "%.6f,%d,%d,%s,%.8f"
+        columns = [np.array([c[0] for c in cells], float),
+                   np.array([c[1] for c in cells], np.int64),
+                   np.array([c[2] for c in cells], bool),
+                   [c[3] for c in cells],
+                   np.array([c[4] for c in cells], float)]
+        assert self.rows(fmt, columns) == [fmt % c for c in cells]
 
 
 class TestSweepCommand:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import audit_oracle
 import retaliation_oracle as oracle
@@ -9,6 +9,7 @@ from poolgame.model import (
     ZERO_ACTION,
     Action,
     AttackKind,
+    DegenerateDenominator,
     EmptySetUnexpected,
     InvalidAction,
     InvalidPowers,
@@ -484,6 +485,9 @@ class TestBatchedAuditAgainstOracle:
         # caps below 2 * max(lo, hi) drop cells
         cap=st.one_of(st.just(0.99), st.floats(0.2, 1.0)),
     )
+    # both pools at half the network: no power deters, and the full grid of
+    # the last fallback power leaves no live power, so the oracle raises
+    @example(lo=0.49999999999999994, hi=0.5, cells=1, n=2, cap=1.0)
     @settings(max_examples=300, deadline=None)
     def test_equals_oracle_bit_for_bit(self, lo, hi, cells, n, cap):
         a1, a2, n = grid(cells, n, power_lo=lo, power_hi=hi, power_cap=cap)
@@ -498,6 +502,20 @@ class TestBatchedAuditAgainstOracle:
             a1, a2 = a1[:i], a2[:i]
         assert audit_bits(equilibrium._audit_cells, a1, a2, n) == audit_bits(
             audit_oracle.audit_cells, a1, a2, n)
+
+    @pytest.mark.parametrize("a1, a2, n", [
+        (0.49999999999999994, 0.49999999999999994, 2),
+        (0.4999999999669447, 0.5, 32),
+        (0.49999999963457525, 0.499999999999, 35),
+        (0.5, 0.49999999963457525, 35),
+    ])
+    def test_no_live_power_raises_where_the_oracle_raises(self, a1, a2, n):
+        # powers summing to within 1e-9 of the network: a fallback power's
+        # full family-1 grid leaves no live power at its corner
+        args = np.array([a1]), np.array([a2]), n
+        want = audit_bits(audit_oracle.audit_cells, *args)
+        assert want[0] is DegenerateDenominator
+        assert audit_bits(equilibrium._audit_cells, *args) == want
 
     @pytest.mark.parametrize("kw", [
         # the acceptance suite's extended grid, opponents up to half the network
