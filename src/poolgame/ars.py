@@ -44,8 +44,9 @@ guard refuses, and every row of a smaller pass, are priced on the whole
 coarse grid.
 
 One pick, ``_pick_on``, prices every set of points, windows, the whole
-grid and the refined grid alike: the candidate test on the points, then
-the cheaper of equal and selfish retaliation among the candidates.
+grid and the refined grid alike, all from one linspace rule, ``_points``:
+the candidate test on the points, then the cheaper of equal and selfish
+retaliation among the candidates.
 ``retaliate_cells`` is the one implementation, an array kernel over N
 retaliations (rows) given their powers, both profiles' stage payoffs and
 ``k``, one weight or one per row. A pass holds its rows as one (7, rows)
@@ -81,26 +82,18 @@ _FAR = np.finfo(float).max
 _COARSE, _WINDOW, _FINE = (np.arange(n, dtype=float)[:, None] for n in (GRID_POINTS, WINDOW, 21))
 
 
-def _window_points(starts, own, step, columns=_WINDOW):
-    """The coarse points of the windows of ``len(columns)`` columns whose
-    first columns (whole floats) are ``starts`` (..., rows), as (...,
-    len(columns), rows): ``j * step`` as numpy's ``linspace(0, own,
-    GRID_POINTS)`` computes column j from ``step = own / (GRID_POINTS - 1)``,
-    and ``own`` at the last column, which only the last window holds. With
-    ``_COARSE`` from column 0 they are the whole coarse grid."""
-    grid = (starts[..., None, :] + columns) * step
-    grid[..., -1, :] = np.where(starts == GRID_POINTS - len(columns), own, grid[..., -1, :])
-    return grid
-
-
-def _grids(lo, hi, last):
-    """Column i is ``np.linspace(lo[i], hi[i], last[i] + 1)``, padded
-    to 21 points with copies of its last point (which change no pick).
-    Computed as numpy does, ``j * ((hi - lo) / last) + lo`` then ``hi``
-    last, so the bits match; every column has hi > lo, so no special case
-    applies.
-    """
-    return np.where(_FINE >= last, hi, _FINE * ((hi - lo) / last) + lo)
+def _points(columns, lo, hi, last):
+    """Columns ``columns`` (whole floats) of ``np.linspace(lo, hi, last + 1)``
+    as numpy computes them, ``j * ((hi - lo) / last) + lo`` below column
+    ``last`` and ``hi`` from it on, so the bits match: the coarse grid (from
+    ``_COARSE``) and its windows with ``lo = 0.0``, ``hi = own`` and ``last =
+    GRID_POINTS - 1``, and the refined grids (``_FINE``), padded to 21
+    points with copies of ``hi``, which change no pick. Every refined grid
+    has hi > lo, so no special case of numpy's applies."""
+    points = columns * ((hi - lo) / last) + lo
+    # in place: np.where on the broadcast columns costs several times more
+    np.copyto(points, hi, where=columns >= last)
+    return points
 
 
 def _windowed(a, c, m, slope, v, own, step):
@@ -132,7 +125,7 @@ def _windowed(a, c, m, slope, v, own, step):
     # NaN (a = 0) and ends off the grid go to its first or last window
     half = WINDOW // 2
     starts = np.minimum(np.rint(np.fmax(ends, half)) - half, GRID_POINTS - WINDOW)
-    x = _window_points(starts, own, step)
+    x = _points(starts[..., None, :] + _WINDOW, 0.0, own, GRID_POINTS - 1)
     q = (beta[:, None, None] - a[:, None, None] * x) * x + gamma[:, None, None]
     edge, m4 = q[:, :, ::WINDOW - 1], m[:, None, None]  # Q at each window's first and last column
     # Q below -m at a window's end and rising into the window
@@ -210,8 +203,7 @@ def _retaliation(kind, rows):
     grid. Then one refinement pass around each coarse pick."""
     n = rows.shape[1]
     if n < WINDOW_ROWS:
-        found, x, optimum = _pick_on(kind, rows,
-                                     _window_points(np.zeros(n), rows[0], rows[5], _COARSE))
+        found, x, optimum = _pick_on(kind, rows, _points(_COARSE, 0.0, rows[0], GRID_POINTS - 1))
     else:
         own, opp, act_uj, bound_uj, loss_i, step, coef = rows
         # the victim's N(x) = v + slope x
@@ -228,14 +220,13 @@ def _retaliation(kind, rows):
         optimum = optimal_infiltration(kind, own, opp)
         # the optimum's neighbours: the columns floor(optimum / step) - 2 to + 2
         near = np.clip(np.floor(optimum / step) - WINDOW // 2, 0.0, GRID_POINTS - WINDOW)
-        points = np.concatenate([*windows, _window_points(near, own, step)])
+        points = np.concatenate([*windows, _points(near + _WINDOW, 0.0, own, GRID_POINTS - 1)])
         found, x, _ = _pick_on(kind, rows, points, optimum)
         refused = np.flatnonzero(~sure)
         if refused.size:
             part = rows[:, refused]
             found[refused], x[refused], _ = _pick_on(
-                kind, part, _window_points(np.zeros(refused.size), part[0], part[5], _COARSE),
-                optimum[refused])
+                kind, part, _points(_COARSE, 0.0, part[0], GRID_POINTS - 1), optimum[refused])
     power = np.zeros(n)
     hits = np.count_nonzero(found)
     if not hits:
@@ -251,7 +242,7 @@ def _retaliation(kind, rows):
     hi = np.minimum(x + step, own)
     last = np.maximum(np.rint((hi - lo) / step * 10), 1.0)  # points - 1, whole
     # hi - lo <= 2 * step, so a refined grid has at most 21 points
-    more, fine_x, _ = _pick_on(kind, rows, _grids(lo, hi, last), optimum)
+    more, fine_x, _ = _pick_on(kind, rows, _points(_FINE, lo, hi, last), optimum)
     power[found] = np.where(more, fine_x, x)
     return found, power
 

@@ -20,6 +20,7 @@ variance ratios measured on live data (real series can be ingested with
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -182,7 +183,8 @@ def simulate_reward_density(
     explicit array, or a hash-rate series (normalized so its mean equals the
     scenario's alpha; pass ``pool`` to select the column). An array or series
     must hold at least ``scenario.periods`` values; its first ones are used,
-    and a shorter one raises ``InvalidScenario`` rather than being repeated.
+    and a shorter one raises ``InvalidScenario`` rather than being repeated,
+    as does a baseline of any other kind or shape.
     The infiltration power gamma*alpha is held fixed while the pool size
     fluctuates, so a per-period size may exceed half the network, but not
     leave the victim without room.
@@ -191,10 +193,15 @@ def simulate_reward_density(
         names = honest_baseline.pools()
         name = pool if pool is not None else names[0]
         alphas = honest_baseline.normalized(name, scenario.alpha)
-    elif isinstance(honest_baseline, np.ndarray):
+    elif (isinstance(honest_baseline, np.ndarray) and honest_baseline.ndim == 1
+          and honest_baseline.dtype.kind in "biuf"):
         alphas = honest_baseline.astype(float)
-    else:
+    elif isinstance(honest_baseline, numbers.Real):
         alphas = np.full(scenario.periods, float(honest_baseline))
+    else:
+        raise InvalidScenario("the honest baseline must be a real number, a 1-D array of real "
+                              f"numbers or a HashrateSeries, got {type(honest_baseline).__name__}"
+                              f" of shape {np.shape(honest_baseline)}")
     if alphas.size < scenario.periods:
         raise InvalidScenario(
             f"{scenario.periods} periods requested, but the hash-rate baseline "
@@ -279,6 +286,8 @@ def evasion_smoothing(
     Series without a stored decomposition are smoothed around their mean.
     """
     check_count(window, "window")
+    if not len(series):
+        raise InvalidScenario("cannot smooth an empty reward-density series")
     rng = None if random_phase_seed is None else _rng(random_phase_seed, "random_phase_seed")
     extra = series.extra if series.extra is not None else series.samples - series.samples.mean()
     base = series.base if series.base is not None else np.full_like(series.samples, series.samples.mean())

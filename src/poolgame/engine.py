@@ -52,7 +52,6 @@ from .model import (
 )
 from .payoff import (
     NO_LIVE_POWER,
-    _pot_matrix,
     _race,
     _sample_rounds,
     one_sided_attacker,
@@ -342,7 +341,7 @@ def _victim_sets(n_flags: int):
     return inside.astype(float), 1.0 - inside, weight
 
 
-def _npool_direct_revenue(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
+def _npool_direct_revenue(race) -> np.ndarray:
     """Exact expected per-round direct block revenue per pool.
 
     Home finds end rounds outright. FAW detachments withhold; when the first
@@ -352,15 +351,16 @@ def _npool_direct_revenue(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
     A sum over the 2^F sets T of the F FAW flags (row-major (i, j) order):
     flag m's host earns ext * sum_T weight[T, m] / (theta + phi(T)), with
     the weights and phi of ``_victim_sets``. Time and memory grow as 2^F.
+    ``race`` is the stage's ``payoff._race``.
     """
-    home, ext, theta, i, j = _race(alphas, matrix.faw, matrix.bwh)
+    home, ext, theta, j, phi, _ = race
     revenue = home / theta
     if j.size > FAW_FLAG_CAP:
         raise InvalidScenario(TOO_MANY_FLAGS)
     if not j.size:
         return revenue
     inside, _, weight = _victim_sets(j.size)
-    g = 1.0 / (theta + inside @ matrix.faw[i, j])
+    g = 1.0 / (theta + inside @ phi)
     np.add.at(revenue, j, ext * (g @ weight))
     return revenue
 
@@ -368,9 +368,11 @@ def _npool_direct_revenue(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
 def npool_stage_payoffs(alphas, matrix: PairwiseActionMatrix) -> np.ndarray:
     """Exact expected extra reward densities for one n-pool stage."""
     matrix.validate(alphas)
-    revenue = _npool_direct_revenue(alphas, matrix)
-    q = np.linalg.solve(_pot_matrix(alphas, matrix.faw, matrix.bwh), revenue)
-    return q - 1.0
+    race = _race(alphas, matrix.faw, matrix.bwh)
+    revenue = _npool_direct_revenue(race)
+    if race[-1] is None:  # refused as payoff_pair_raw does, after the flag cap
+        raise DegenerateDenominator(NO_LIVE_POWER)
+    return np.linalg.solve(race[-1], revenue) - 1.0
 
 
 def npool_stage_payoffs_mc(

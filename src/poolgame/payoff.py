@@ -24,7 +24,8 @@ round only those flag-first rounds, so its cost follows the flag-first
 rounds of stages whose flags sit in two or more hosts; it settles them one
 flag row at a time, with a running count of fired flags picking each
 round's winner. It never reads a probability the exact models compute; it
-and the exact n-pool revenue take the race's terms from ``_race``.
+and the exact n-pool revenue take the race's terms, and its pot-split system,
+from ``_race``.
 
 ``U_i`` is pool i's extra reward density: member reward per unit power minus
 the honest baseline 1.
@@ -190,28 +191,22 @@ def optimal_bwh_infiltration(alpha_i: float, alpha_j: float) -> float:
     return float(optimal_infiltration(AttackKind.BWH, alpha_i, alpha_j))
 
 
-def _pot_matrix(alphas, faw, bwh) -> np.ndarray:
-    """Pot-split system M with M @ q = R: each pool divides its revenue R over
-    its own power plus the infiltration it hosts, and its infiltrators' cuts
-    flow back to their home pots."""
-    x = faw + bwh
-    basis = np.asarray(alphas, float) + x.sum(axis=0)
-    # a pot divided over (next to) no power, refused as payoff_pair_raw does
-    if not (basis > ALGEBRAIC_TOL).all():
-        raise DegenerateDenominator(NO_LIVE_POWER)
-    return np.diag(basis) - x
-
-
 def _race(alphas, faw, bwh):
     """The round race's terms: each pool's home power (at least 0, where
     infiltrating all its power leaves -1e-17 by rounding), the external
-    power, the live terminal power theta, and the FAW flags as (attacker,
-    host) index arrays in row-major order."""
+    power, the live terminal power theta, the FAW flags' hosts and powers
+    in row-major (attacker, host) order, and the pot-split system M with
+    M @ q = R (each pool divides its revenue R over its own power plus the
+    infiltration it hosts; its infiltrators' cuts flow back to their home
+    pots), None where a pot is divided over (next to) no power."""
     alphas = np.asarray(alphas, float)
-    home = np.maximum(alphas - (faw + bwh).sum(axis=1), 0.0)
+    x = faw + bwh
+    home = np.maximum(alphas - x.sum(axis=1), 0.0)
     ext = 1.0 - alphas.sum()
     src, hosts = np.nonzero(faw > 0.0)
-    return home, ext, ext + home.sum(), src, hosts
+    basis = alphas + x.sum(axis=0)
+    pot = np.diag(basis) - x if (basis > ALGEBRAIC_TOL).all() else None
+    return home, ext, ext + home.sum(), hosts, faw[src, hosts], pot
 
 
 _CHUNK = 2_000_000  # per-round FAW-flag uniforms drawn per batch; bounds the batch arrays
@@ -258,8 +253,7 @@ def _sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
     if check_count(rounds, "Monte-Carlo rounds") >= 2**63:  # numpy's draws count in int64
         raise InvalidScenario(f"Monte-Carlo rounds must be below 2**63, got {rounds}")
     check_seed(seed, "Monte-Carlo seed")
-    home, ext, theta, src, hosts = _race(alphas, faw, bwh)
-    phi = faw[src, hosts]
+    home, ext, theta, hosts, phi, pot = _race(alphas, faw, bwh)
     n_flags = phi.size
     race = theta + phi.sum()
     rng = np.random.default_rng(seed)
@@ -294,7 +288,9 @@ def _sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
             wins[hosts[f]] += np.count_nonzero(fired[f] & (seen == pick))
             seen += fired[f]
     p_hat = wins / rounds
-    inv = np.linalg.inv(_pot_matrix(alphas, faw, bwh))
+    if pot is None:  # refused as payoff_pair_raw does, after the draws
+        raise DegenerateDenominator(NO_LIVE_POWER)
+    inv = np.linalg.inv(pot)
     q_mean = inv @ p_hat
     # a round's density vector is a column of inv (or zero): categorical variance
     var = (inv**2) @ p_hat - q_mean**2

@@ -15,8 +15,10 @@ command it prints "identical", or:
 * NEW's digest, and whether it still matches the pinned one.
 
 Monte-Carlo commands get the same report; judge their moves against the
-standard errors they print. Exits 1 when any output moved or any command
-failed in either tree.
+standard errors they print. A footer gives the count of identical commands
+and each tree's ``src/poolgame`` line count, as ``wc -l`` counts it, with
+the modules whose count moved. Exits 1 when any output moved or any
+command failed in either tree.
 """
 
 from __future__ import annotations
@@ -107,6 +109,21 @@ def report(label: str, base_run, new_run, pinned: str, skip_header: bool) -> boo
     return False
 
 
+def line_counts(tree: Path) -> dict[str, int]:
+    """Lines per module of ``src/poolgame`` in ``tree``, as ``wc -l`` counts them."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in (tree / "src" / "poolgame").glob("*.py")}
+
+
+def lines_report(base: Path, new: Path) -> str:
+    """Both trees' ``src/poolgame`` line counts, and the modules that moved."""
+    old, now = line_counts(base), line_counts(new)
+    moved = [f"{name} {old.get(name, 0)} -> {now.get(name, 0)}"
+             for name in sorted(old.keys() | now.keys()) if old.get(name) != now.get(name)]
+    return (f"src/poolgame: {sum(old.values())} lines in BASE, {sum(now.values())} in NEW"
+            + (f" ({', '.join(moved)})" if moved else ""))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -122,6 +139,7 @@ def main(argv=None) -> int:
     same = [report(label, run(base, args), run(new, args), digest, skip_header)
             for label, args, digest, skip_header in commands]
     print(f"{sum(same)} of {len(same)} commands identical")
+    print(lines_report(base, new))
     return 0 if all(same) else 1
 
 

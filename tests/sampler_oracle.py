@@ -16,6 +16,9 @@ draws, and return the same four arrays bit for bit.
 ``simulate_victim_blocks`` is the code ``poolgame.detection`` had, unchanged
 apart from its imports; ``geometric_param`` must match its counts.
 
+``pot_matrix`` is the pot-split system the sampler's densities solve,
+built entry by entry.
+
 ``pair_matrix`` is the 2x2 action matrix of a two-pool profile, as the
 ``simulate`` command builds it for ``npool_stage_payoffs_mc``.
 """
@@ -27,14 +30,31 @@ import numpy as np
 from poolgame import payoff
 from poolgame.detection import _rng
 from poolgame.engine import PairwiseActionMatrix
-from poolgame.model import Action, AttackKind, InvalidScenario
-from poolgame.payoff import _pot_matrix
+from poolgame.model import ALGEBRAIC_TOL, Action, AttackKind, DegenerateDenominator, InvalidScenario
 
 
 def pair_matrix(a_i: Action, a_j: Action) -> PairwiseActionMatrix:
     """Pool 0 plays ``a_i`` inside pool 1, and pool 1 plays ``a_j`` inside pool 0."""
     return PairwiseActionMatrix(np.array([[0.0, a_i.faw], [a_j.faw, 0.0]]),
                                 np.array([[0.0, a_i.bwh], [a_j.bwh, 0.0]]))
+
+
+def pot_matrix(alphas, faw, bwh) -> np.ndarray:
+    """M with M @ q = R, entry by entry: pool j divides its revenue over its
+    own power plus every infiltration it hosts, and pool i's cut of pool j's
+    pot, (faw + bwh)[i, j] q_j, flows back to pool i's pot."""
+    n = len(alphas)
+    m = np.empty((n, n))
+    for j in range(n):
+        hosted = 0.0
+        for i in range(n):
+            hosted += faw[i, j] + bwh[i, j]
+        basis = alphas[j] + hosted
+        if not basis > ALGEBRAIC_TOL:
+            raise DegenerateDenominator("actions leave no live block-finding power")
+        for i in range(n):
+            m[i, j] = (basis if i == j else 0.0) - (faw[i, j] + bwh[i, j])
+    return m
 
 
 def sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
@@ -69,7 +89,7 @@ def sample_rounds(alphas, faw, bwh, rounds: int, seed: int):
         sel = np.argmax(np.cumsum(fired, axis=0) > pick, axis=0)
         wins += np.bincount(hosts[sel], minlength=n)
     p_hat = wins / rounds
-    inv = np.linalg.inv(_pot_matrix(alphas, faw, bwh))
+    inv = np.linalg.inv(pot_matrix(alphas, faw, bwh))
     q_mean = inv @ p_hat
     # a round's density vector is a column of inv (or zero): categorical variance
     var = (inv**2) @ p_hat - q_mean**2

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import retaliation_oracle as oracle
 from ars_oracle import ArsState, Standing, ars_step, initial_state
@@ -369,6 +371,47 @@ def assert_rows_equal_the_grid_search(rows, k):
         if want is not None:
             want = Action.of(*want)
             assert (faw[i].hex(), bwh[i].hex()) == (want.faw.hex(), want.bwh.hex())
+
+
+#: the least normal double
+TINY = np.finfo(float).tiny
+
+
+class TestPointsAgainstNumpy:
+    """``_points`` is numpy's ``linspace`` bit for bit on every point set the
+    kernel prices. The domain is normal powers, and a normal width hi - lo:
+    numpy divides before it multiplies (its ``step == 0`` branch) only where
+    ``(hi - lo) / last`` underflows to zero, which takes a subnormal width,
+    so only subnormal powers reach it."""
+
+    @given(own=st.floats(TINY, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_windows_and_whole_grid(self, own):
+        last = ars.GRID_POINTS - 1
+        want = np.linspace(0.0, own, ars.GRID_POINTS)
+        # every window start, one per row, as _windowed and the optimum's
+        # neighbours ask for them
+        starts = np.arange(ars.GRID_POINTS - ars.WINDOW + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            windows = ars._points(starts[None, :] + ars._WINDOW, 0.0, np.full(starts.size, own),
+                                  last)
+            grid = ars._points(ars._COARSE, 0.0, np.array([own]), last)[:, 0]
+        columns = starts.astype(int) + np.arange(ars.WINDOW)[:, None]
+        assert windows.tobytes() == want[columns].tobytes()
+        assert grid.tobytes() == want.tobytes()
+
+    @given(lo=st.one_of(st.just(0.0), st.floats(TINY, 1.0)), hi=st.floats(TINY, 1.0),
+           last=st.integers(1, 20))
+    @settings(max_examples=200, deadline=None)
+    def test_refined_grids(self, lo, hi, last):
+        lo, hi = min(lo, hi), max(lo, hi)
+        assume(hi - lo >= TINY)
+        want = np.concatenate([np.linspace(lo, hi, last + 1), np.full(20 - last, hi)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ars._points(ars._FINE, np.array([lo]), np.array([hi]), np.array([float(last)]))
+        assert got[:, 0].tobytes() == want.tobytes()
 
 
 class TestWindowsAgainstOracle:

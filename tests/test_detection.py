@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from poolgame.detection import (
     NonMonotoneTimestamp,
     NonPositiveRate,
     ParseError,
+    RewardDensitySeries,
     detect_bwh_block_ratio,
     detect_unlucky_miners,
     evasion_partial_sharing,
@@ -172,6 +174,27 @@ class TestRewardDensity:
             with pytest.raises(InvalidScenario, match=f"alpha={bad}, beta=0.2"):
                 simulate_reward_density(sc, np.array(sizes))
 
+    BASELINE_REFUSED = ("^the honest baseline must be a real number, a 1-D array of real "
+                        "numbers or a HashrateSeries")
+
+    @pytest.mark.parametrize("baseline, shape", [
+        (np.array([[0.1, 0.1], [0.1, 0.1]]), r"\(2, 2\)"),  # not 4 samples for 2 periods
+        (np.array([0.1 + 0.5j, 0.1]), r"\(2,\)"),  # not numpy's ComplexWarning
+        (np.array(["0.1", "0.1"]), r"\(2,\)"),  # not a ValueError from astype
+    ], ids=["2-D", "complex", "strings"])
+    def test_array_other_than_real_one_dimensional_refused(self, baseline, shape):
+        sc = DetectionScenario(0.1, 0.2, 0.05, AttackKind.FAW, periods=2)
+        with pytest.raises(InvalidScenario,
+                           match=self.BASELINE_REFUSED + f", got ndarray of shape {shape}$"):
+            simulate_reward_density(sc, baseline)
+
+    def test_list_baseline_refused(self):
+        # not a TypeError from float()
+        sc = DetectionScenario(0.1, 0.2, 0.05, AttackKind.FAW, periods=2)
+        with pytest.raises(InvalidScenario, match=self.BASELINE_REFUSED + r", got list of "
+                                                  r"shape \(2,\)$"):
+            simulate_reward_density(sc, [0.1, 0.1])
+
     def test_variance_ratio_needs_enough_periods(self):
         sc = DetectionScenario(0.1, 0.2, 0.0, AttackKind.FAW, periods=10, seed=0)
         s = simulate_reward_density(sc, 0.1)
@@ -257,6 +280,15 @@ class TestEvasion:
                 with pytest.raises(InvalidScenario, match=(
                         f"^random_phase_seed must be a non-negative integer, got {seed}$")):
                     evasion_smoothing(attack, window, random_phase_seed=seed)
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_empty_series_refused(self, window):
+        # not the mean of an empty slice, then numpy's "a cannot be empty"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidScenario, match="^cannot smooth an empty reward-density "
+                                                      "series$"):
+                evasion_smoothing(RewardDensitySeries(np.ones(0)), window)
 
     def test_random_phase_variant_still_detectable(self):
         attack, honest = self._attack_series()

@@ -14,6 +14,7 @@ from poolgame.model import (
     ALGEBRAIC_TOL,
     Action,
     AttackKind,
+    DegenerateDenominator,
     EmptySetUnexpected,
     GameConfig,
     InvalidAction,
@@ -399,6 +400,11 @@ def npool_profiles(draw, n_min=2, n_max=5, max_faw_flags=6):
     return alphas, m
 
 
+def direct_revenue(alphas, m):
+    """``_npool_direct_revenue`` of the stage ``m`` on ``alphas``."""
+    return _npool_direct_revenue(payoff._race(alphas, m.faw, m.bwh))
+
+
 @st.composite
 def npool_games(draw):
     """(config, strategies, stages, payoff_rounds): n = 2 to 6 pools holding
@@ -503,7 +509,7 @@ class TestNPoolProperties:
         # sum_i alpha_i (U_i + 1) = sum_i R_i
         alphas, m = profile
         u = npool_stage_payoffs(alphas, m)
-        revenue = _npool_direct_revenue(alphas, m)
+        revenue = direct_revenue(alphas, m)
         assert np.sum(alphas * (u + 1.0)) == pytest.approx(revenue.sum(), abs=1e-12)
 
     @given(npool_profiles())
@@ -642,20 +648,20 @@ class TestArrayRevenueAgainstOracle:
     @settings(max_examples=300, deadline=None)
     def test_within_1e13_of_the_loop(self, profile):
         alphas, m = profile
-        np.testing.assert_allclose(_npool_direct_revenue(alphas, m),
+        np.testing.assert_allclose(direct_revenue(alphas, m),
                                    npool_oracle.npool_direct_revenue(alphas, m),
                                    rtol=0, atol=1e-13)
 
     def test_every_pair_of_four_pools(self):
         alphas, m = _every_pair([0.3, 0.25, 0.2, 0.15], 12)
-        np.testing.assert_allclose(_npool_direct_revenue(alphas, m),
+        np.testing.assert_allclose(direct_revenue(alphas, m),
                                    npool_oracle.npool_direct_revenue_quadrature(alphas, m),
                                    rtol=0, atol=1e-13)
 
     def test_sixteen_flags(self):
         # FAW_FLAG_CAP flags, too many for the loop
         alphas, m = _every_pair([0.25, 0.2, 0.15, 0.1, 0.05], engine.FAW_FLAG_CAP)
-        np.testing.assert_allclose(_npool_direct_revenue(alphas, m),
+        np.testing.assert_allclose(direct_revenue(alphas, m),
                                    npool_oracle.npool_direct_revenue_quadrature(alphas, m),
                                    rtol=0, atol=1e-13)
 
@@ -669,11 +675,26 @@ class TestArrayRevenueAgainstOracle:
         for i, j in off_diagonal[:17]:
             m.faw[i, j] = 0.01
         alphas = [0.25, 0.2, 0.15, 0.1, 0.05]
-        for fn in (_npool_direct_revenue, npool_stage_payoffs):
+        for fn in (direct_revenue, npool_stage_payoffs):
             with pytest.raises(InvalidScenario) as err:
                 fn(alphas, m)
             assert str(err.value) == (
                 "too many simultaneous FAW infiltrations for the exact payoffs (at most 16)")
+
+    def test_flag_cap_refused_before_a_dead_pot(self):
+        # a stage that fails twice, with 17 flags and a pool of 1e-13 that
+        # hosts nothing: the exact payoffs name the flag cap, and the
+        # Monte-Carlo path, which has no cap, the dead pot
+        m = PairwiseActionMatrix.zeros(6)
+        off_diagonal = [(i, j) for i in range(5) for j in range(5) if i != j]
+        for i, j in off_diagonal[:17]:
+            m.faw[i, j] = 0.001
+        alphas = [0.25, 0.2, 0.15, 0.1, 0.05, 1e-13]
+        with pytest.raises(InvalidScenario, match=r"^too many simultaneous FAW infiltrations"):
+            npool_stage_payoffs(alphas, m)
+        with pytest.raises(DegenerateDenominator, match="^actions leave no live block-finding "
+                                                        "power$"):
+            npool_stage_payoffs_mc(alphas, m, 1_000, 1)
 
 
 class TestTable3AttackSearch:
