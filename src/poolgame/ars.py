@@ -29,31 +29,32 @@ u(x) = N(x) / D(x) - 1 with D(x) = (1 - x)(v + x) and N linear in x, so the
 candidate test ``actual + coef u(x) < bound`` holds where
 Q(x) = (bound - actual + coef) D(x) - coef N(x) > 0, and equal
 retaliation's ``u(x) - tol <= loss`` where (loss + tol + 1) D(x) - N(x) >= 0.
-Each Q is concave when its leading coefficient is positive, so each set is
-an interval with closed-form ends. A pass of at least ``WINDOW_ROWS`` rows
-therefore prices, per row, only ``WINDOW`` points around each end of both
-intervals and ``WINDOW`` points around the one-sided optimum. A guard checks
-row by row that these points hold the whole grid's answer: the float value
-of each test on every unpriced point must follow, by concavity, from Q at
-the windows' edges, and clear a rounding margin, ``CERT_MARGIN`` = 2^-40
-times the size of the test's inputs, over fifty times a bound on the
-rounding errors of the float test and of Q together. Then the smallest
-candidate passing equal retaliation and the candidates nearest the optimum
-are all priced, and the pick is the whole grid's, bit for bit. The rows the
-guard refuses, and every row of a smaller pass, are priced on the whole
-coarse grid.
+Each set is an interval with closed-form ends. ``_located`` computes them,
+with a certificate of one comparison per test that the float test follows
+the interval away from its ends. A pass of at least ``WINDOW_ROWS`` rows
+prices, per certified row, ``WINDOW`` coarse columns around four points:
+the candidate interval's ends, equal retaliation's lower end and the
+one-sided optimum. They hold the candidates nearest the optimum and the
+smallest candidate passing equal retaliation, so the pick is the whole
+grid's, bit for bit. Equal retaliation's upper end needs no window: a
+column whose float value flips near it is either above the smallest exact
+equal pick, or inside the window of the candidate interval's lower end or
+of equal retaliation's. Refused rows (a candidate test flat within
+rounding, as at k = 1e-12) and every row of a smaller pass price the whole
+coarse grid. Both forks were measured on a 2-vCPU host: windows for every
+pass made ``reproduce-table 1`` take 4.9-5.3 ms, not 3.8 ms, and a one-row
+``retaliate`` 300-360 us, not 180-200 us (numpy's fixed cost per call); one
+pass per batch instead of ``_passes`` of at most ``BATCH_ROWS`` rows raised
+the 60-cell FAW sweep's peak RSS by 1.6 MiB.
 
-One pick, ``_pick_on``, prices every set of points, windows, the whole
-grid and the refined grid alike, all from one linspace rule, ``_points``:
-the candidate test on the points, then the cheaper of equal and selfish
-retaliation among the candidates.
-``retaliate_cells`` is the one implementation, an array kernel over N
-retaliations (rows) given their powers, both profiles' stage payoffs and
-``k``, one weight or one per row. A pass holds its rows as one (7, rows)
-array and each set of points as a (points, rows) array. It returns each
-row's FAW and BWH power columns. A row's result does not depend on its
-batch, since windows and the whole grid give the same bits, so it is
-bit-identical to a one-row call. ``retaliate`` is the one-row case,
+One pick, ``_pick_on``, prices every set of points from one linspace rule,
+``_points``: the candidate test, then the cheaper of equal and selfish
+retaliation among the candidates. ``retaliate_cells`` is the one
+implementation, an array kernel over N retaliations (rows) given their
+powers, both profiles' stage payoffs and ``k``, one weight or one per row,
+held as one (7, rows) array, each set of points a (points, rows) array. A
+row's result is bit-identical whatever its batch, since windows and the
+whole grid give the same bits. ``retaliate`` is the one-row case,
 ``Action(faw, bwh)``; the two-stage sweeps, ``equilibrium.delta_bound``
 and ``engine.run_npool`` pass whole batches.
 """
@@ -73,7 +74,7 @@ BATCH_ROWS = 512
 WINDOW_ROWS = 160
 #: coarse columns of a window: around an end of a test's interval, or the optimum
 WINDOW = 5
-#: the guard's rounding margin, relative to the size of a test's inputs
+#: the certificate's margin relative to a test's inputs: over fifty times its rounding
 CERT_MARGIN = 2.0**-40
 # above every grid point and distance to one, which are all below 1
 _FAR = np.finfo(float).max
@@ -96,48 +97,37 @@ def _points(columns, lo, hi, last):
     return points
 
 
-def _windowed(a, c, m, slope, v, own, step):
-    """For tests t of the form Q_t(x) > 0, given as (tests, n) arrays: the
-    coarse points of the two WINDOW-column windows around the ends of each
-    test's set, (tests, 2 * WINDOW, n), and whether the guard certifies
-    every test's float value on every column outside its windows, (n,).
+def _located(kind, rows):
+    """Both tests' intervals on ``rows`` (see ``_retaliation``): their
+    closed-form ends in coarse steps, (2 tests, 2 ends, n), and the rows the
+    certificate holds for, (n,).
 
-    Q(x) = a (1 - x)(v + x) - c (v + slope x) = -a x^2 + beta x + (a - c) v.
-    The windows sit around its roots, or both around its vertex when it has
-    none; rows with a <= 0 get windows the guard does not read. The guard
-    certifies that each run of unpriced columns is true or false
-    throughout, like the window column next to it, reading Q at the end
-    columns of the windows and their inner neighbours, with margin ``m``:
+    A test holds where Q(x) = a (1 - x)(v + x) - c (v + slope x) =
+    -a x^2 + beta x + (a - c) v > 0: with a > 0, between its roots, or
+    nowhere without them (both ends are then the vertex). A row is certified
+    when each test meets one comparison, ``m`` being ``CERT_MARGIN`` times
+    the size of the test's inputs:
 
-    * a run between the windows is true where Q > m at both its ends (with
-      a > m, Q is concave, so it stays above the smaller);
-    * a run is false where Q < -m at the window end next to it and Q rises
-      by more than m into the window (concavity keeps Q falling away);
-    * a test with c = 0 has one value at every column (``coef * u`` is
-      zero), and one with c v - max(a, 0) > 2 m is false at every column
-      (Q <= max(a, 0) - c v).
+    * c = 0: the test has one value at every column (``coef * u`` is zero);
+    * c v - max(a, 0) > 2 m: it is false at every column (Q <= max(a, 0) - c v);
+    * a step^2 > m. Take a > 0: every column at least 2.5 steps from both
+      roots (from the vertex, without them) has |Q| >= 6.25 a step^2, which
+      clears m, and D(x) <= 1, so the float test there has Q's sign.
     """
-    beta = a * (1.0 - v) - c * slope
-    gamma = (a - c) * v
+    own, opp, act_uj, bound_uj, loss_i, step, coef = rows
+    # the candidate test with a = (bound - actual) + coef and c = coef, and
+    # equal retaliation's u(x) <= loss + ALGEBRAIC_TOL with
+    # a = (loss + ALGEBRAIC_TOL) + 1 and c = 1
+    a = np.stack([(bound_uj - act_uj) + coef, (loss_i + ALGEBRAIC_TOL) + 1.0])
+    c = np.stack([coef, np.ones_like(coef)])
+    m = CERT_MARGIN * np.stack([1.0 + np.abs(act_uj) + np.abs(bound_uj), 1.0 + np.abs(loss_i)])
+    # the victim's N(x) = v + slope x, with slope 1 - own - opp for FAW and 0 for BWH
+    beta = a * (1.0 - opp) - c * (1.0 - own - opp if kind is AttackKind.FAW else 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt(np.maximum(beta * beta + 4.0 * a * gamma, 0.0))
+        root = np.sqrt(np.maximum(beta * beta + 4.0 * a * ((a - c) * opp), 0.0))
         ends = np.stack([beta - root, beta + root], axis=1) / (2.0 * a * step)[:, None]
-    # NaN (a = 0) and ends off the grid go to its first or last window
-    half = WINDOW // 2
-    starts = np.minimum(np.rint(np.fmax(ends, half)) - half, GRID_POINTS - WINDOW)
-    x = _points(starts[..., None, :] + _WINDOW, 0.0, own, GRID_POINTS - 1)
-    q = (beta[:, None, None] - a[:, None, None] * x) * x + gamma[:, None, None]
-    edge, m4 = q[:, :, ::WINDOW - 1], m[:, None, None]  # Q at each window's first and last column
-    # Q below -m at a window's end and rising into the window
-    away = (edge < -m4) & (q[:, :, 1:WINDOW - 1:WINDOW - 3] - edge > m4)
-    lo, hi = starts[:, 0], starts[:, 1]
-    lead = (lo == 0.0) | away[:, 0, 0]
-    trail = (hi == GRID_POINTS - WINDOW) | away[:, 1, 1]
-    middle = ((hi <= lo + WINDOW) | ((edge[:, 0, 1] > m) & (edge[:, 1, 0] > m))
-              | away[:, 0, 1] | away[:, 1, 0])
-    sure = ((c == 0.0) | (c * v - np.maximum(a, 0.0) > 2.0 * m)
-            | ((a > m) & lead & middle & trail))
-    return x.reshape(len(a), 2 * WINDOW, -1), np.logical_and.reduce(sure, axis=0)
+    sure = (c == 0.0) | (c * opp - np.maximum(a, 0.0) > 2.0 * m) | (a * step * step > m)
+    return ends, np.logical_and.reduce(sure, axis=0)
 
 
 def _candidate_set(kind, coef, actual_uj, bound_uj, alpha_own, alpha_opp, grid):
@@ -197,36 +187,26 @@ def _retaliation(kind, rows):
     opponent's power, actual U_opp, the candidate test's bound, my loss,
     coarse step and the candidate test's coefficient: whether each row's
     candidate set is non-empty, and the power picked where it is (0.0
-    elsewhere). A pass of at least WINDOW_ROWS rows prices the windows of
-    both tests and the optimum's neighbours, and the whole coarse grid of
-    the rows the guard refuses; a smaller pass prices the whole coarse
-    grid. Then one refinement pass around each coarse pick."""
+    elsewhere). A pass of at least WINDOW_ROWS rows prices the four windows
+    located by ``_located``, and the whole coarse grid of the rows the
+    certificate refuses; a smaller pass prices the whole coarse grid. Then
+    one refinement pass around each coarse pick."""
     n = rows.shape[1]
     if n < WINDOW_ROWS:
         found, x, optimum = _pick_on(kind, rows, _points(_COARSE, 0.0, rows[0], GRID_POINTS - 1))
     else:
-        own, opp, act_uj, bound_uj, loss_i, step, coef = rows
-        # the victim's N(x) = v + slope x
-        slope = 1.0 - own - opp if kind is AttackKind.FAW else 0.0
-        # both tests as Q > 0 (see _windowed): the candidate test with
-        # a = (bound - actual) + coef and c = coef, and equal retaliation's
-        # u(x) <= loss + ALGEBRAIC_TOL with a = (loss + ALGEBRAIC_TOL) + 1 and c = 1
-        windows, sure = _windowed(
-            np.stack([(bound_uj - act_uj) + coef, (loss_i + ALGEBRAIC_TOL) + 1.0]),
-            np.stack([coef, np.ones_like(coef)]),
-            CERT_MARGIN * np.stack([1.0 + np.abs(act_uj) + np.abs(bound_uj),
-                                    1.0 + np.abs(loss_i)]),
-            slope, opp, own, step)
-        optimum = optimal_infiltration(kind, own, opp)
-        # the optimum's neighbours: the columns floor(optimum / step) - 2 to + 2
-        near = np.clip(np.floor(optimum / step) - WINDOW // 2, 0.0, GRID_POINTS - WINDOW)
-        points = np.concatenate([*windows, _points(near + _WINDOW, 0.0, own, GRID_POINTS - 1)])
+        ends, sure = _located(kind, rows)
+        optimum = optimal_infiltration(kind, rows[0], rows[1])
+        # WINDOW columns around the candidate interval's ends, equal
+        # retaliation's lower end and the optimum; NaN ends (a = 0) and ends
+        # off the grid go to its first or last window
+        centres = np.stack([*ends[0], ends[1, 0], optimum / rows[5]])
+        starts = np.fmin(np.fmax(np.rint(centres) - WINDOW // 2, 0.0), GRID_POINTS - WINDOW)
+        points = _points((starts[:, None] + _WINDOW).reshape(-1, n), 0.0, rows[0], GRID_POINTS - 1)
         found, x, _ = _pick_on(kind, rows, points, optimum)
-        refused = np.flatnonzero(~sure)
-        if refused.size:
-            part = rows[:, refused]
-            found[refused], x[refused], _ = _pick_on(
-                kind, part, _points(_COARSE, 0.0, part[0], GRID_POINTS - 1), optimum[refused])
+        if not sure.all():  # the refused rows price the whole coarse grid
+            found[~sure], x[~sure], _ = _pick_on(kind, rows[:, ~sure], _points(
+                _COARSE, 0.0, rows[0, ~sure], GRID_POINTS - 1), optimum[~sure])
     power = np.zeros(n)
     hits = np.count_nonzero(found)
     if not hits:

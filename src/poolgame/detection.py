@@ -113,10 +113,20 @@ class RewardDensitySeries:
     base: np.ndarray | None = None
     extra: np.ndarray | None = None
 
+    def __post_init__(self):
+        # an empty series stays constructible; evasion_smoothing refuses it
+        if not np.isfinite(self.samples).all():
+            raise InvalidScenario("reward densities must be finite, got "
+                                  f"{self.samples[~np.isfinite(self.samples)][0]}")
+
     def __len__(self):
         return self.samples.size
 
     def variance(self) -> float:
+        """The sample variance (ddof=1), which takes at least two periods."""
+        if self.samples.size < 2:
+            raise InvalidScenario("a sample variance needs at least 2 periods, "
+                                  f"got {self.samples.size}")
         return float(np.var(self.samples, ddof=1))
 
 

@@ -389,8 +389,7 @@ class TestPointsAgainstNumpy:
     def test_windows_and_whole_grid(self, own):
         last = ars.GRID_POINTS - 1
         want = np.linspace(0.0, own, ars.GRID_POINTS)
-        # every window start, one per row, as _windowed and the optimum's
-        # neighbours ask for them
+        # every window start, one per row, as the located windows ask for them
         starts = np.arange(ars.GRID_POINTS - ars.WINDOW + 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -420,18 +419,18 @@ class TestWindowsAgainstOracle:
 
     @pytest.fixture
     def refused(self, monkeypatch):
-        """Every pass prices windows; the number of rows the guard refused
-        in each pass, which price the whole coarse grid."""
+        """Every pass prices windows; the number of rows the certificate
+        refused in each pass, which price the whole coarse grid."""
         counts = []
-        windowed = ars._windowed
+        located = ars._located
 
         def counting(*args):
-            points, sure = windowed(*args)
+            ends, sure = located(*args)
             counts.append(np.count_nonzero(~sure))
-            return points, sure
+            return ends, sure
 
         monkeypatch.setattr(ars, "WINDOW_ROWS", 1)
-        monkeypatch.setattr(ars, "_windowed", counting)
+        monkeypatch.setattr(ars, "_located", counting)
         return counts
 
     def test_rows_equal_the_grid_search(self, refused):
@@ -445,7 +444,8 @@ class TestWindowsAgainstOracle:
 
     # k = 1e-12 and a deviation that gains 1e-12 u(x) at some x: the candidate
     # test is flat, and rounding flips its float value away from the roots of
-    # its exact form. Windows without the guard take the BWH fallback on each.
+    # its exact form. Windows without the certificate take the BWH fallback on
+    # each.
     FLAT = [(0.0163, 0.219, 0.19700000100000029, 0.197),
             (0.0029, 0.261, -0.023999998999999998, -0.024),
             (0.0082, 0.378, 0.11000000100000003, 0.11),
@@ -460,23 +460,74 @@ class TestWindowsAgainstOracle:
         assert sum(refused)
 
 
-def test_windowed_pass_prices_its_coarse_pick_once(monkeypatch):
-    # a pass of WINDOW_ROWS copies of a FAW retaliation the guard certifies:
-    # one one_sided_victim call prices both tests' windows and the optimum's
-    # neighbours, one more the refined grid
-    calls, sure = [], []
-    windowed = ars._windowed
+class TestCertificate:
+    """Where ``_located`` certifies a row, the float candidate test and the
+    float equal-retaliation test hold on a coarse column at least 2.5 steps
+    from both ends of the test's interval (every column outside the windows
+    is one) exactly when the column lies between the ends."""
 
-    def counting_windowed(*args):
-        points, ok = windowed(*args)
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Every pass prices windows; each pass's kind, rows and what
+        ``_located`` returned for them."""
+        seen = []
+        located = ars._located
+
+        def recording(kind, rows):
+            ends, sure = located(kind, rows)
+            seen.append((kind, rows.copy(), ends, sure))
+            return ends, sure
+
+        monkeypatch.setattr(ars, "WINDOW_ROWS", 1)
+        monkeypatch.setattr(ars, "_located", recording)
+        return seen
+
+    def test_float_tests_follow_the_intervals(self, passes):
+        columns = np.arange(float(ars.GRID_POINTS))[:, None]
+        certified = 0
+
+        # rows are priced one by one, so a short batch with one k per row
+        # tests as much per row as a long one, at a fraction of the draws
+        @given(rows=st.lists(stage_rows(WEIGHTS), min_size=1, max_size=4))
+        @settings(max_examples=300, deadline=None)
+        def check(rows):
+            nonlocal certified
+            passes.clear()
+            own, opp, stage, ks = (np.array(z, float) for z in zip(*rows))
+            ars.retaliate_cells(own, opp, stage.T.copy(), ks)
+            for kind, rows, ends, sure in passes:
+                own, opp, act_uj, bound_uj, loss_i, _, coef = rows[:, sure]
+                u = one_sided_victim(kind, own, opp, np.linspace(0.0, own, ars.GRID_POINTS))
+                tests = (act_uj + coef * u < bound_uj, loss_i >= u - ALGEBRAIC_TOL)
+                for held, (lo, hi) in zip(tests, ends[:, :, sure]):
+                    # NaN ends (a = 0) are far from every column
+                    far = ~(np.abs(columns - lo) < 2.5) & ~(np.abs(columns - hi) < 2.5)
+                    inside = (lo <= columns) & (columns <= hi)
+                    assert (held[far] == inside[far]).all()
+                certified += np.count_nonzero(sure)
+
+        check()
+        assert certified
+
+
+def test_windowed_pass_prices_its_coarse_pick_once(monkeypatch):
+    # a pass of WINDOW_ROWS copies of a FAW retaliation the certificate holds
+    # for: one one_sided_victim call prices the four windows (the candidate
+    # interval's ends, equal retaliation's lower end and the optimum), one
+    # more the refined grid
+    calls, sure = [], []
+    located = ars._located
+
+    def counting_located(*args):
+        ends, ok = located(*args)
         sure.append(bool(ok.all()))
-        return points, ok
+        return ends, ok
 
     def counting(*args):
         calls.append((args[0], args[3].shape))
         return one_sided_victim(*args)
 
-    monkeypatch.setattr(ars, "_windowed", counting_windowed)
+    monkeypatch.setattr(ars, "_located", counting_located)
     monkeypatch.setattr(ars, "one_sided_victim", counting)
     alpha_own, alpha_opp, dev, _ = FAW_AND_FALLBACK[0]
     actual = payoff_pair(alpha_own, alpha_opp, ZERO_ACTION, dev)
@@ -485,7 +536,7 @@ def test_windowed_pass_prices_its_coarse_pick_once(monkeypatch):
     stage = np.repeat([[actual.u_i], [actual.u_j], [prescribed.u_i], [prescribed.u_j]], n, axis=1)
     faw, bwh, empty = ars.retaliate_cells(np.full(n, alpha_own), np.full(n, alpha_opp), stage, K)
     assert sure == [True] and (faw > 0.0).all()
-    assert calls == [(AttackKind.FAW, (5 * ars.WINDOW, n)), (AttackKind.FAW, (21, n))]
+    assert calls == [(AttackKind.FAW, (4 * ars.WINDOW, n)), (AttackKind.FAW, (21, n))]
 
 
 def test_long_batch_runs_in_equal_passes(monkeypatch):

@@ -123,6 +123,22 @@ class TestRewardDensity:
         assert np.allclose(series.base, 10.0)
         assert series.variance() == pytest.approx(float(np.var(series.extra, ddof=1)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_refused(self, bad):
+        # smoothing [1, nan] returned [nan, nan]
+        with pytest.raises(InvalidScenario, match=f"^reward densities must be finite, got {bad}$"):
+            RewardDensitySeries(np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_variance_of_fewer_than_two_samples_refused(self, n):
+        # one sample warned of a zero ddof divisor and returned nan
+        series = RewardDensitySeries(np.ones(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidScenario,
+                               match=f"^a sample variance needs at least 2 periods, got {n}$"):
+                series.variance()
+
     def test_variance_increases_with_infiltration(self):
         hr = load_bundled_hashrates()
         var = []

@@ -570,6 +570,45 @@ class TestGameInvariants:
         for record in history.records[2:]:
             assert not record.actions.faw.any() and not record.actions.bwh.any()
 
+    @given(n=st.integers(2, 6), data=st.data(), kind=st.sampled_from(AttackKind))
+    @settings(max_examples=200, deadline=None)
+    def test_relabeling_the_pools_permutes_the_history(self, n, data, kind):
+        # a stage-0 one-shot attacker among ARS pools, each pool with its own
+        # k, played in two pool orders over 3 stages: attack, retaliation
+        # (small retaliation batches, priced on the whole grid) and
+        # forgiveness. The attack search and the n-pool payoffs sum over
+        # pools in their order, so the attacks agree within 64 eps and the
+        # payoffs within 1e-13 (17 eps and 3.1e-14 at most over 4,400 runs
+        # when measured); the retaliations agreed bit for bit
+        powers = np.array([data.draw(st.floats(0.01, 0.9 / n)) for _ in range(n)])
+        ks = [data.draw(st.one_of(st.sampled_from([0.0, 1e-12, 1e-3]),
+                                  st.floats(0.0, 1.0, exclude_max=True))) for _ in range(n)]
+        attacker = data.draw(st.integers(0, n - 1))
+        p = np.array(data.draw(st.permutations(range(n))))
+
+        def play(order):
+            strategies = [OptimalOneShotAttacker(kind, ks[i]) if i == attacker else ArsAgent(ks[i])
+                          for i in order]
+            return run_npool(GameConfig(tuple(powers[order])), strategies, 3)
+
+        try:
+            history = play(np.arange(n))
+        except PoolGameError as exc:
+            with pytest.raises(type(exc)):  # the runner refused the game in either order
+                play(p)
+            return
+        relabeled = play(p)
+        eps = np.finfo(float).eps
+        for record, other in zip(history.records, relabeled.records):
+            for m, o in ((record.actions.faw, other.actions.faw),
+                         (record.actions.bwh, other.actions.bwh)):
+                if record.stage == 0:
+                    np.testing.assert_allclose(m[np.ix_(p, p)], o, rtol=0, atol=64 * eps)
+                else:
+                    assert m[np.ix_(p, p)].tobytes() == o.tobytes()
+            assert np.array(other.payoffs) == pytest.approx(np.array(record.payoffs)[p], rel=0,
+                                                            abs=1e-13)
+
     @given(profile=npool_profiles(n_max=6), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_relabeling_the_pools_permutes_the_payoffs(self, profile, data):
@@ -782,26 +821,39 @@ class TestNewtonAttackSearch:
 
     @given(attack_profiles(), st.lists(st.integers(0, 100), min_size=7, max_size=7),
            st.floats(0.0, 1.0))
+    # the gradient nearly vanishes here: -1.975e-10, which the central
+    # difference misses by 1.99e-11, about twice eps * |u| / h
+    @example((np.array([0.5, 0.24999999950000001, 0.24999999950000001]), 0, AttackKind.FAW),
+             [0, 1, 1, 0, 0, 0, 0], 0.5)
+    # a full spend on one victim: x *= spend * alpha / x.sum() made it
+    # 0.49609375000000006, past the attacker's power, which the payoff refused
+    @example((np.array([0.49609375, 0.25, 0.25]), 0, AttackKind.FAW), [0, 0, 13, 0, 0, 0, 0], 1.0)
     @settings(max_examples=300, deadline=None)
     def test_closed_form_is_the_stage_payoff(self, profile, shares, spend):
         alphas, attacker, kind = profile
         x = np.array(shares[: alphas.size], float)
         x[attacker] = 0.0
-        if x.sum() > 0.0:
-            x *= spend * alphas[attacker] / x.sum()
+        if x.sum() > 0.0:  # each share at most 1, so each entry at most the spend
+            x = x / x.sum() * (spend * alphas[attacker])
         u, grad, hess = _closed_form(alphas, attacker, kind, x)
         assert u == pytest.approx(_stage_payoff(alphas, attacker, kind, x), rel=0, abs=1e-13)
         # central differences of the payoff and of the gradient, in steps
         # small against the smallest victim (the curvature grows as 1/v^2);
-        # over 4,000 draws they stayed within 7e-8 of the largest entry
+        # over 4,000 draws they stayed within 7e-8 of the largest entry. A
+        # quotient's own rounding is about eps * max|f| / h, so each check
+        # is within that relative term or within 8 times this rounding
         h = 1e-5 * np.delete(alphas, attacker).min()
         victims = np.eye(alphas.size)[np.arange(alphas.size) != attacker]
         up = [_closed_form(alphas, attacker, kind, x + h * e) for e in victims]
         down = [_closed_form(alphas, attacker, kind, x - h * e) for e in victims]
-        np.testing.assert_allclose([(a[0] - b[0]) / (2 * h) for a, b in zip(up, down)],
-                                   grad, rtol=0, atol=1e-6 * np.abs(grad).max())
-        np.testing.assert_allclose([(a[1] - b[1]) / (2 * h) for a, b in zip(up, down)],
-                                   hess, rtol=0, atol=1e-6 * np.abs(hess).max())
+        rounding = 8 * np.finfo(float).eps / h
+        np.testing.assert_allclose(
+            [(a[0] - b[0]) / (2 * h) for a, b in zip(up, down)], grad, rtol=0,
+            atol=max(1e-6 * np.abs(grad).max(), rounding * max(abs(v[0]) for v in up + down)))
+        np.testing.assert_allclose(
+            [(a[1] - b[1]) / (2 * h) for a, b in zip(up, down)], hess, rtol=0,
+            atol=max(1e-6 * np.abs(hess).max(),
+                     rounding * max(np.abs(v[1]).max() for v in up + down)))
 
     @given(attack_profiles())
     @example((np.array([0.3, 0.3, 0.3]), 0, AttackKind.BWH))
